@@ -1,6 +1,7 @@
 #include "fti/elab/compiled.hpp"
 
 #include <dlfcn.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -25,6 +26,7 @@ namespace fti::elab {
 namespace {
 
 std::atomic<std::uint64_t> g_compiles{0};
+std::atomic<std::uint64_t> g_oneshot_compiles{0};
 std::atomic<std::uint64_t> g_hits_memory{0};
 std::atomic<std::uint64_t> g_hits_disk{0};
 std::atomic<std::uint64_t> g_load_rejects{0};
@@ -102,6 +104,21 @@ std::string shell_quoted(const std::string& path) {
   return "'" + path + "'";
 }
 
+/// std::system's wait status in words: "exit status N" or "killed by
+/// signal N".
+std::string describe_status(int status) {
+  if (status == -1) {
+    return "could not start the shell";
+  }
+  if (WIFEXITED(status)) {
+    return "exit status " + std::to_string(WEXITSTATUS(status));
+  }
+  if (WIFSIGNALED(status)) {
+    return "killed by signal " + std::to_string(WTERMSIG(status));
+  }
+  return "wait status " + std::to_string(status);
+}
+
 /// One loaded shared object, unmapped when the last shared_ptr drops.
 /// The dlclose matters beyond hygiene: the dynamic loader dedupes
 /// dlopen by pathname against the live link map, so a leaked handle
@@ -153,12 +170,14 @@ std::shared_ptr<Module> try_load(const std::string& path,
 }
 
 /// Per-design build state: one mutex per IR hash so concurrent engines
-/// compile a design at most once, and compile failures are sticky (the
-/// second run of a design the emitter cannot handle re-throws instead of
-/// re-invoking the compiler).
+/// compile a design at most once per tier, and compile failures are
+/// sticky (the second run of a design the emitter cannot handle
+/// re-throws instead of re-invoking the compiler, whatever its tier).
 struct Slot {
   std::mutex mutex;
   std::shared_ptr<Module> module;
+  /// kReused for -O2 builds and store hits; kOneShot for -O0 builds.
+  CompiledTier tier = CompiledTier::kReused;
   std::string error;
 };
 
@@ -170,13 +189,18 @@ class ModuleRegistry {
   }
 
   /// The loaded module for `design`: memory hit, disk hit, or a fresh
-  /// emit+compile.  nullptr when no host compiler is usable (caller
-  /// falls back); throws SimError on compile failure.
-  std::shared_ptr<Module> acquire(const ir::Design& design) {
+  /// emit+compile at `tier`.  A kReused acquire skips a loaded one-shot
+  /// module and builds (and publishes) an -O2 one.  nullptr when no host
+  /// compiler is usable (caller falls back); throws SimError on compile
+  /// failure.
+  std::shared_ptr<Module> acquire(const ir::Design& design,
+                                  CompiledTier tier) {
     cache::Key key = cache::hash_design(design);
     std::shared_ptr<Slot> slot = slot_for(key.to_string());
     std::lock_guard<std::mutex> lock(slot->mutex);
-    if (slot->module != nullptr) {
+    if (slot->module != nullptr &&
+        (tier == CompiledTier::kOneShot ||
+         slot->tier == CompiledTier::kReused)) {
       g_hits_memory.fetch_add(1, std::memory_order_relaxed);
       if (obs::enabled()) {
         obs::counter("compiled.cache_hits_memory").inc();
@@ -196,6 +220,7 @@ class ModuleRegistry {
           obs::counter("compiled.cache_hits_disk").inc();
         }
         slot->module = module;
+        slot->tier = CompiledTier::kReused;
         return module;
       }
       // Corrupt, stale-ABI or wrong-hash object: evict and recompile.
@@ -209,8 +234,10 @@ class ModuleRegistry {
     if (cxx.empty()) {
       return nullptr;
     }
-    std::shared_ptr<Module> module = build(design, key, store, cxx, slot);
+    std::shared_ptr<Module> module =
+        build(design, key, store, cxx, tier, slot);
     slot->module = module;
+    slot->tier = tier;
     return module;
   }
 
@@ -231,8 +258,9 @@ class ModuleRegistry {
 
   std::shared_ptr<Module> build(const ir::Design& design,
                                 const cache::Key& key, cache::SoStore& store,
-                                const std::string& cxx,
+                                const std::string& cxx, CompiledTier tier,
                                 const std::shared_ptr<Slot>& slot) {
+    bool one_shot = tier == CompiledTier::kOneShot;
     util::Stopwatch watch;
     // Schedules come through acquire_levelized_schedule so the design
     // cache's memo serves compiled and interpreted engines alike, and a
@@ -250,11 +278,29 @@ class ModuleRegistry {
     std::string obj = store.scratch_path(key, ".so.tmp");
     std::string log = store.scratch_path(key, ".log");
     util::write_file(src, emitted.source);
-    std::string command = shell_quoted(cxx) +
-                          " -std=c++17 -O2 -fPIC -shared -o " +
+    // -nostdlib: the generated TU includes no headers and calls no libc,
+    // and skipping the C runtime's start files and libraries saves about
+    // 20 ms per link.  Unwind tables stay (no -fno-exceptions or
+    // -fno-asynchronous-unwind-tables): the host's trace/mem_write
+    // callbacks may throw through module frames.
+    std::string command = shell_quoted(cxx) + " -std=c++17 " +
+                          (one_shot ? "-O0" : "-O2") +
+                          " -fPIC -shared -pipe -nostdlib -o " +
                           shell_quoted(obj) + " " + shell_quoted(src) +
                           " 2>" + shell_quoted(log);
     int rc = std::system(command.c_str());
+    g_compiles.fetch_add(1, std::memory_order_relaxed);
+    if (one_shot) {
+      g_oneshot_compiles.fetch_add(1, std::memory_order_relaxed);
+    }
+    if (obs::enabled()) {
+      obs::counter("compiled.compiles").inc();
+      if (one_shot) {
+        obs::counter("compiled.oneshot_compiles").inc();
+      }
+      obs::counter("compiled.compile_millis")
+          .add(static_cast<std::uint64_t>(watch.milliseconds()));
+    }
     std::string stderr_text;
     try {
       stderr_text = util::read_file(log);
@@ -266,24 +312,25 @@ class ModuleRegistry {
       std::remove(src.c_str());
       slot->error = "compiled: host compiler '" + cxx +
                     "' failed on generated code for design '" + design.name +
-                    "' (exit status " + std::to_string(rc) + ")" +
+                    "' (" + describe_status(rc) + ")" +
                     (stderr_text.empty() ? "" : ":\n" + stderr_text);
       throw util::SimError(slot->error);
     }
     std::remove(src.c_str());
-    std::string published = store.insert(key, obj);
-    std::shared_ptr<Module> module = try_load(published, key.to_string());
+    // A one-shot object is loaded from its scratch name and unlinked at
+    // once; the mapping outlives the file, and the name is never reused.
+    std::string path = one_shot ? obj : store.insert(key, obj);
+    std::shared_ptr<Module> module = try_load(path, key.to_string());
+    if (one_shot) {
+      std::remove(obj.c_str());
+    }
     if (module == nullptr) {
-      store.remove(key);
-      slot->error = "compiled: freshly built module '" + published +
+      if (!one_shot) {
+        store.remove(key);
+      }
+      slot->error = "compiled: freshly built module '" + path +
                     "' failed to load or verify";
       throw util::SimError(slot->error);
-    }
-    g_compiles.fetch_add(1, std::memory_order_relaxed);
-    if (obs::enabled()) {
-      obs::counter("compiled.compiles").inc();
-      obs::counter("compiled.compile_millis")
-          .add(static_cast<std::uint64_t>(watch.milliseconds()));
     }
     return module;
   }
@@ -342,6 +389,7 @@ bool compiled_backend_available() {
 CompiledStats compiled_stats() {
   CompiledStats stats;
   stats.compiles = g_compiles.load(std::memory_order_relaxed);
+  stats.oneshot_compiles = g_oneshot_compiles.load(std::memory_order_relaxed);
   stats.cache_hits_memory = g_hits_memory.load(std::memory_order_relaxed);
   stats.cache_hits_disk = g_hits_disk.load(std::memory_order_relaxed);
   stats.load_rejects = g_load_rejects.load(std::memory_order_relaxed);
@@ -360,7 +408,8 @@ sim::EnginePartition CompiledEngine::run_partition(
     const ir::Design& design, const std::string& node, mem::MemoryPool& pool,
     const sim::EngineRunOptions& options, std::size_t partition_index) {
   util::Stopwatch watch;
-  std::shared_ptr<Module> module = ModuleRegistry::instance().acquire(design);
+  std::shared_ptr<Module> module =
+      ModuleRegistry::instance().acquire(design, tier_);
   if (module == nullptr) {
     warn_fallback_once();
     g_fallbacks.fetch_add(1, std::memory_order_relaxed);

@@ -11,6 +11,13 @@
 // zero compiler work) and the on-disk cache::SoStore (a later process
 // dlopen()s the object straight off disk).
 //
+// Build tiers, chosen by the caller to match how often a module will be
+// reused (CompiledTier): kReused builds at -O2 and publishes to the
+// store; kOneShot builds at -O0, dlopen()s the object from a scratch
+// file that is unlinked at once, and keeps it only in the in-memory
+// registry.  Both link with -nostdlib: generated code includes no
+// headers and calls no libc.
+//
 // Fallback ladder, loud but graceful:
 //  * no usable host compiler / no cached object -> warn once to stderr,
 //    run the partition on the levelized interpreter (results identical;
@@ -49,6 +56,7 @@ bool compiled_backend_available();
 /// Process-wide counters, snapshot for tests and `fti serve` metrics.
 struct CompiledStats {
   std::uint64_t compiles = 0;           ///< host compiler invocations
+  std::uint64_t oneshot_compiles = 0;   ///< ...of which kOneShot builds
   std::uint64_t cache_hits_memory = 0;  ///< loaded-module registry hits
   std::uint64_t cache_hits_disk = 0;    ///< dlopen of a cached object
   std::uint64_t load_rejects = 0;       ///< cached objects that failed load
@@ -62,8 +70,26 @@ CompiledStats compiled_stats();
 /// dlopen handles on purpose (code from them may still be referenced).
 void compiled_reset_for_testing();
 
+/// How much the host compiler spends on a module, by expected reuse.
+enum class CompiledTier {
+  /// -O2, published to the on-disk SoStore.  The registry name
+  /// "compiled" (fti serve, verify/suite --engine compiled, benches).
+  kReused,
+  /// -O0, never published: the module lives only in the in-process
+  /// registry, so every partition of the design still hits memory.  The
+  /// fuzz diff lane, whose designs run once and are thrown away.
+  kOneShot,
+};
+
+/// Registry rules across tiers: a kOneShot acquire takes any loaded or
+/// cached module; a kReused acquire of a design whose only module is a
+/// one-shot build recompiles at -O2 and publishes.  A compile failure is
+/// sticky for the design in both tiers.
 class CompiledEngine final : public PartitionedEngine {
  public:
+  explicit CompiledEngine(CompiledTier tier = CompiledTier::kReused)
+      : tier_(tier) {}
+
   const std::string& name() const override;
   bool reports_wire_data() const override { return true; }
   sim::EnginePartition run_partition(const ir::Design& design,
@@ -71,6 +97,9 @@ class CompiledEngine final : public PartitionedEngine {
                                      mem::MemoryPool& pool,
                                      const sim::EngineRunOptions& options,
                                      std::size_t partition_index) override;
+
+ private:
+  CompiledTier tier_;
 };
 
 }  // namespace fti::elab

@@ -254,7 +254,11 @@ DiffResult diff_design(const ir::Design& design, const DiffOptions& options) {
   if (options.auto_compiled && elab::compiled_backend_available() &&
       std::find(options.engines.begin(), options.engines.end(), "compiled") ==
           options.engines.end()) {
-    result.observations.push_back(run_lane(design, options, "compiled"));
+    // Each fuzz design runs once and is thrown away: build it at -O0 and
+    // keep it out of the on-disk object store.
+    elab::CompiledEngine engine(elab::CompiledTier::kOneShot);
+    result.observations.push_back(
+        run_engine_path(design, options, engine, "compiled"));
   }
   if (options.check_roundtrip) {
     result.observations.push_back(run_roundtrip_path(design, options));

@@ -48,7 +48,10 @@ struct DiffOptions {
   std::vector<std::string> engines{"reference", "naive", "levelized",
                                    "batched"};
   /// Append a "compiled" lane when a host C++ toolchain is available and
-  /// `engines` does not already name it.  Off in the shrinker (each
+  /// `engines` does not already name it.  The lane builds one-shot
+  /// modules (elab::CompiledTier::kOneShot: -O0, never written to the
+  /// object store); naming "compiled" in `engines` runs the registry's
+  /// reused tier instead.  Off in the shrinker (each
   /// mutated candidate has a fresh IR hash, so every iteration would pay
   /// a host-compiler invocation) and in tests that pin the lane set.
   bool auto_compiled = true;

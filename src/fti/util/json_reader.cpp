@@ -6,12 +6,17 @@
 namespace fti::util {
 namespace {
 
+/// Deepest array/object nesting accepted.  Parsing recurses once per
+/// level, so an unbounded input could overflow the stack; no document
+/// the toolchain writes comes near this.
+constexpr std::size_t kMaxDepth = 256;
+
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
 
   JsonValue parse_document() {
-    JsonValue value = parse_value();
+    JsonValue value = parse_value(0);
     skip_whitespace();
     if (pos_ != text_.size()) {
       fail("trailing characters after document");
@@ -65,14 +70,15 @@ class Parser {
     return true;
   }
 
-  JsonValue parse_value() {
+  /// `depth` counts the arrays/objects enclosing the value.
+  JsonValue parse_value(std::size_t depth) {
     skip_whitespace();
     char c = peek();
     switch (c) {
       case '{':
-        return parse_object();
+        return parse_object(depth);
       case '[':
-        return parse_array();
+        return parse_array(depth);
       case '"': {
         JsonValue value;
         value.kind = JsonValue::Kind::kString;
@@ -111,7 +117,14 @@ class Parser {
     }
   }
 
-  JsonValue parse_object() {
+  void check_depth(std::size_t depth) const {
+    if (depth >= kMaxDepth) {
+      fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+    }
+  }
+
+  JsonValue parse_object(std::size_t depth) {
+    check_depth(depth);
     expect('{');
     JsonValue value;
     value.kind = JsonValue::Kind::kObject;
@@ -125,7 +138,7 @@ class Parser {
       std::string key = parse_string();
       skip_whitespace();
       expect(':');
-      value.members.emplace_back(std::move(key), parse_value());
+      value.members.emplace_back(std::move(key), parse_value(depth + 1));
       skip_whitespace();
       char c = peek();
       if (c == ',') {
@@ -140,7 +153,8 @@ class Parser {
     }
   }
 
-  JsonValue parse_array() {
+  JsonValue parse_array(std::size_t depth) {
+    check_depth(depth);
     expect('[');
     JsonValue value;
     value.kind = JsonValue::Kind::kArray;
@@ -150,7 +164,7 @@ class Parser {
       return value;
     }
     while (true) {
-      value.items.push_back(parse_value());
+      value.items.push_back(parse_value(depth + 1));
       skip_whitespace();
       char c = peek();
       if (c == ',') {

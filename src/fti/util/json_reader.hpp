@@ -63,7 +63,8 @@ struct JsonValue {
 };
 
 /// Parses one JSON document; trailing non-whitespace is an error.
-/// Throws JsonError with a line:column position on malformed input.
+/// Throws JsonError with a line:column position on malformed input,
+/// including arrays/objects nested deeper than 256 levels.
 JsonValue parse_json(std::string_view text);
 
 }  // namespace fti::util

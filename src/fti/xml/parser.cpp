@@ -9,6 +9,11 @@
 namespace fti::xml {
 namespace {
 
+/// Deepest element nesting accepted.  Parsing (and later freeing the
+/// tree) recurses once per level, so an unbounded input could overflow
+/// the stack; the fti dialects nest fewer than ten levels.
+constexpr int kMaxDepth = 256;
+
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
@@ -18,7 +23,7 @@ class Parser {
     if (eof() || peek() != '<') {
       fail("expected root element");
     }
-    auto root = parse_element();
+    auto root = parse_element(0);
     skip_misc();
     if (!eof()) {
       fail("content after the root element");
@@ -224,7 +229,12 @@ class Parser {
     }
   }
 
-  std::unique_ptr<Element> parse_element() {
+  /// `depth` counts the elements enclosing this one.
+  std::unique_ptr<Element> parse_element(int depth) {
+    if (depth >= kMaxDepth) {
+      fail("elements nested deeper than " + std::to_string(kMaxDepth) +
+           " levels");
+    }
     expect("<", "'<'");
     int start_line = line_;
     auto element = std::make_unique<Element>(parse_name());
@@ -302,7 +312,7 @@ class Parser {
           return element;
         }
         flush_text();
-        element->adopt_child(parse_element());
+        element->adopt_child(parse_element(depth + 1));
       } else if (c == '&') {
         advance();
         text_run += parse_entity();

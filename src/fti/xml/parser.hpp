@@ -19,7 +19,8 @@
 namespace fti::xml {
 
 /// Parses a complete document; returns the root element.
-/// Throws util::XmlError with line information on malformed input.
+/// Throws util::XmlError with line information on malformed input,
+/// including elements nested deeper than 256 levels.
 std::unique_ptr<Element> parse(std::string_view text);
 
 /// Reads `path` and parses it.

@@ -9,6 +9,9 @@
 //  * warm on-disk cache              -> dlopen with zero compiler work,
 //    asserted by pointing FTI_COMPILED_CXX at a booby-trapped script
 //    that records (and fails) any invocation.
+// The build tiers get their own tests: one-shot (-O0, never published)
+// and reused (-O2, published) modules agree with levelized, and the
+// registry moves between tiers as elab/compiled.hpp documents.
 // Everything runs against a private FTI_COMPILED_CACHE_DIR so parallel
 // ctest binaries cannot see each other's objects.
 #include <gtest/gtest.h>
@@ -18,11 +21,19 @@
 #include <algorithm>
 #include <cstdlib>
 #include <filesystem>
+#include <iterator>
 #include <string>
 #include <vector>
 
+#include "fti/compiler/hls.hpp"
+#include "fti/compiler/parser.hpp"
 #include "fti/elab/compiled.hpp"
 #include "fti/elab/engines.hpp"
+#include "fti/fuzz/diff.hpp"
+#include "fti/fuzz/generate.hpp"
+#include "fti/golden/fdct.hpp"
+#include "fti/golden/rng.hpp"
+#include "fti/harness/testcase.hpp"
 #include "fti/mem/storage.hpp"
 #include "fti/sim/engine.hpp"
 #include "fti/util/error.hpp"
@@ -195,6 +206,7 @@ TEST(CompiledDegradation, CompileFailureSurfacesCompilerStderrAndSticks) {
     EXPECT_NE(message.find("synthetic-diagnostic"), std::string::npos)
         << message;
     EXPECT_NE(message.find("fake-cxx"), std::string::npos) << message;
+    EXPECT_NE(message.find("(exit status 1)"), std::string::npos) << message;
   }
   EXPECT_EQ(marker_invocations(marker), 1u);
 
@@ -303,6 +315,226 @@ TEST(CompiledCache, WarmDiskHitSkipsTheHostCompilerEntirely) {
   EXPECT_EQ(final_stats.cache_hits_memory, mid.cache_hits_memory + 1);
   EXPECT_EQ(final_stats.cache_hits_disk, mid.cache_hits_disk);
   EXPECT_EQ(marker_invocations(marker), 0u);
+}
+
+using elab::CompiledTier;
+
+sim::EngineResult run_tier(const ir::Design& design, CompiledTier tier) {
+  mem::MemoryPool pool;
+  sim::EngineRunOptions options;
+  options.collect_wire_data = true;
+  return elab::CompiledEngine(tier).run(design, pool, options);
+}
+
+void expect_same_observation(const fuzz::Observation& expected,
+                             const fuzz::Observation& actual,
+                             const std::string& what) {
+  SCOPED_TRACE(what + ": " + actual.engine + " vs " + expected.engine);
+  EXPECT_TRUE(actual.error.empty()) << actual.error;
+  EXPECT_EQ(actual.completed, expected.completed);
+  EXPECT_EQ(actual.total_cycles, expected.total_cycles);
+  EXPECT_EQ(actual.cycles, expected.cycles);
+  EXPECT_EQ(actual.finals, expected.finals);
+  EXPECT_EQ(actual.traces, expected.traces);
+  EXPECT_EQ(actual.memories, expected.memories);
+}
+
+TEST(CompiledTiers, OneShotAndReusedModulesMatchLevelizedOnFuzzDesigns) {
+  TempDir cache("tiers-fuzz");
+  ScopedEnv cache_env("FTI_COMPILED_CACHE_DIR", cache.path.string());
+  elab::compiled_reset_for_testing();
+  if (!elab::compiled_backend_available()) {
+    GTEST_SKIP() << "no host C++ toolchain in this environment";
+  }
+  elab::register_builtin_engines();
+  constexpr std::uint64_t kDesigns = 16;
+  elab::CompiledStats before = elab::compiled_stats();
+  for (std::uint64_t seed = 1; seed <= kDesigns; ++seed) {
+    ir::Design design = fuzz::generate_design_seeded(seed);
+    auto observe = [&](const char* label, sim::Engine& engine) {
+      mem::MemoryPool pool;
+      sim::EngineRunOptions options;
+      options.max_cycles_per_partition = 100'000;
+      options.collect_wire_data = true;
+      return fuzz::observe_result(label, engine.run(design, pool, options),
+                                  pool);
+    };
+    std::unique_ptr<sim::Engine> levelized = elab::make_engine("levelized");
+    elab::CompiledEngine one_shot(CompiledTier::kOneShot);
+    elab::CompiledEngine reused(CompiledTier::kReused);
+    fuzz::Observation expected = observe("levelized", *levelized);
+    std::string what = "seed " + std::to_string(seed);
+    expect_same_observation(expected, observe("one-shot", one_shot), what);
+    expect_same_observation(expected, observe("reused", reused), what);
+  }
+  elab::CompiledStats after = elab::compiled_stats();
+  EXPECT_EQ(after.oneshot_compiles - before.oneshot_compiles, kDesigns);
+  EXPECT_EQ(after.compiles - before.compiles, 2 * kDesigns);
+  EXPECT_EQ(after.fallbacks, before.fallbacks);
+  EXPECT_EQ(cached_objects(cache.path).size(), kDesigns);
+}
+
+TEST(CompiledTiers, OneShotAndReusedModulesMatchLevelizedOnFdct) {
+  TempDir cache("tiers-fdct");
+  ScopedEnv cache_env("FTI_COMPILED_CACHE_DIR", cache.path.string());
+  elab::compiled_reset_for_testing();
+  if (!elab::compiled_backend_available()) {
+    GTEST_SKIP() << "no host C++ toolchain in this environment";
+  }
+  elab::register_builtin_engines();
+  constexpr std::size_t kBlocks = 2;
+  std::string source = golden::fdct_source(kBlocks, false);
+  compiler::CompileOptions options;
+  options.scalar_args = {{"nblocks", kBlocks}};
+  ir::Design design = compiler::compile_source(source, options).design;
+  compiler::Program program = compiler::parse_program(source);
+  std::vector<std::uint64_t> image = golden::make_test_image(kBlocks * 64);
+  auto observe = [&](const char* label, sim::Engine& engine) {
+    mem::MemoryPool pool;
+    for (const auto& param : program.params) {
+      if (param.is_array) {
+        pool.create(param.name, param.array_size,
+                    compiler::width_of(param.type));
+      }
+    }
+    harness::load_inputs(pool, "in", image);
+    sim::EngineRunOptions run_options;
+    run_options.collect_wire_data = true;
+    return fuzz::observe_result(label, engine.run(design, pool, run_options),
+                                pool);
+  };
+  std::unique_ptr<sim::Engine> levelized = elab::make_engine("levelized");
+  elab::CompiledEngine one_shot(CompiledTier::kOneShot);
+  elab::CompiledEngine reused(CompiledTier::kReused);
+  fuzz::Observation expected = observe("levelized", *levelized);
+  ASSERT_TRUE(expected.completed);
+  expect_same_observation(expected, observe("one-shot", one_shot), "FDCT1");
+  expect_same_observation(expected, observe("reused", reused), "FDCT1");
+}
+
+TEST(CompiledTiers, OneShotNeverPublishesAndReusedPublishesOnce) {
+  TempDir cache("tiers-store");
+  ScopedEnv cache_env("FTI_COMPILED_CACHE_DIR", cache.path.string());
+  elab::compiled_reset_for_testing();
+  if (!elab::compiled_backend_available()) {
+    GTEST_SKIP() << "no host C++ toolchain in this environment";
+  }
+
+  ir::Design design = accumulator_design(17);
+  elab::CompiledStats before = elab::compiled_stats();
+  sim::EngineResult first = run_tier(design, CompiledTier::kOneShot);
+  ASSERT_TRUE(first.completed);
+  EXPECT_EQ(first.partitions[0].finals.at("acc_q"), 18u);
+  // Not even a scratch file is left behind.
+  EXPECT_TRUE(std::filesystem::is_empty(cache.path));
+  // A second one-shot run is an in-memory hit.
+  ASSERT_TRUE(run_tier(design, CompiledTier::kOneShot).completed);
+  elab::CompiledStats mid = elab::compiled_stats();
+  EXPECT_EQ(mid.compiles, before.compiles + 1);
+  EXPECT_EQ(mid.oneshot_compiles, before.oneshot_compiles + 1);
+  EXPECT_EQ(mid.cache_hits_memory, before.cache_hits_memory + 1);
+  EXPECT_TRUE(std::filesystem::is_empty(cache.path));
+
+  // Another process (a fresh registry) has nothing to load from disk.
+  elab::compiled_reset_for_testing();
+  ASSERT_TRUE(run_tier(design, CompiledTier::kReused).completed);
+  elab::CompiledStats after = elab::compiled_stats();
+  EXPECT_EQ(after.cache_hits_disk, mid.cache_hits_disk);
+  EXPECT_EQ(after.compiles, mid.compiles + 1);
+  EXPECT_EQ(after.oneshot_compiles, mid.oneshot_compiles);
+  EXPECT_EQ(cached_objects(cache.path).size(), 1u);
+  EXPECT_EQ(std::distance(std::filesystem::directory_iterator(cache.path),
+                          std::filesystem::directory_iterator()),
+            1);
+}
+
+TEST(CompiledTiers, ReusedAcquireUpgradesAOneShotModule) {
+  TempDir cache("tiers-upgrade");
+  ScopedEnv cache_env("FTI_COMPILED_CACHE_DIR", cache.path.string());
+  elab::compiled_reset_for_testing();
+  if (!elab::compiled_backend_available()) {
+    GTEST_SKIP() << "no host C++ toolchain in this environment";
+  }
+
+  ir::Design design = accumulator_design(19);
+  ASSERT_TRUE(run_tier(design, CompiledTier::kOneShot).completed);
+  elab::CompiledStats before = elab::compiled_stats();
+  sim::EngineResult reused = run_tier(design, CompiledTier::kReused);
+  ASSERT_TRUE(reused.completed);
+  EXPECT_EQ(reused.partitions[0].finals.at("acc_q"), 20u);
+  elab::CompiledStats after = elab::compiled_stats();
+  EXPECT_EQ(after.compiles, before.compiles + 1);
+  EXPECT_EQ(after.oneshot_compiles, before.oneshot_compiles);
+  EXPECT_EQ(after.cache_hits_memory, before.cache_hits_memory);
+  EXPECT_EQ(cached_objects(cache.path).size(), 1u);
+
+  // The slot now holds the -O2 module: both tiers hit it in memory.
+  ASSERT_TRUE(run_tier(design, CompiledTier::kReused).completed);
+  ASSERT_TRUE(run_tier(design, CompiledTier::kOneShot).completed);
+  elab::CompiledStats final_stats = elab::compiled_stats();
+  EXPECT_EQ(final_stats.compiles, after.compiles);
+  EXPECT_EQ(final_stats.cache_hits_memory, after.cache_hits_memory + 2);
+}
+
+TEST(CompiledTiers, OneShotAcquireAcceptsAReusedModule) {
+  TempDir cache("tiers-accept");
+  TempDir tools("tools");
+  ScopedEnv cache_env("FTI_COMPILED_CACHE_DIR", cache.path.string());
+  elab::compiled_reset_for_testing();
+  if (!elab::compiled_backend_available()) {
+    GTEST_SKIP() << "no host C++ toolchain in this environment";
+  }
+
+  ir::Design design = accumulator_design(23);
+  ASSERT_TRUE(run_tier(design, CompiledTier::kReused).completed);
+  std::filesystem::path marker = tools.path / "invocations.log";
+  std::string script = write_failing_compiler(tools.path, marker);
+  ScopedEnv cxx_env("FTI_COMPILED_CXX", script);
+
+  // In memory...
+  elab::CompiledStats before = elab::compiled_stats();
+  ASSERT_TRUE(run_tier(design, CompiledTier::kOneShot).completed);
+  elab::CompiledStats mid = elab::compiled_stats();
+  EXPECT_EQ(mid.cache_hits_memory, before.cache_hits_memory + 1);
+  // ...and on disk, in a fresh registry.
+  elab::compiled_reset_for_testing();
+  sim::EngineResult warm = run_tier(design, CompiledTier::kOneShot);
+  ASSERT_TRUE(warm.completed);
+  EXPECT_EQ(warm.partitions[0].finals.at("acc_q"), 24u);
+  elab::CompiledStats after = elab::compiled_stats();
+  EXPECT_EQ(after.cache_hits_disk, mid.cache_hits_disk + 1);
+  EXPECT_EQ(after.compiles, before.compiles);
+  EXPECT_EQ(after.fallbacks, before.fallbacks);
+  EXPECT_EQ(marker_invocations(marker), 0u);
+}
+
+TEST(CompiledTiers, CompileFailuresStickAcrossBothTiers) {
+  TempDir tools("tools");
+  std::filesystem::path marker = tools.path / "invocations.log";
+  std::string script = write_failing_compiler(tools.path, marker);
+  for (CompiledTier first : {CompiledTier::kOneShot, CompiledTier::kReused}) {
+    TempDir cache("tiers-sticky");
+    ScopedEnv cache_env("FTI_COMPILED_CACHE_DIR", cache.path.string());
+    ScopedEnv cxx_env("FTI_COMPILED_CXX", script);
+    elab::compiled_reset_for_testing();
+    std::size_t invocations = marker_invocations(marker);
+    ir::Design design = accumulator_design(29);
+    try {
+      run_tier(design, first);
+      FAIL() << "a failing host compiler must surface as SimError";
+    } catch (const util::SimError& error) {
+      std::string message = error.what();
+      EXPECT_NE(message.find("synthetic-diagnostic"), std::string::npos)
+          << message;
+      EXPECT_NE(message.find("(exit status 1)"), std::string::npos)
+          << message;
+    }
+    EXPECT_EQ(marker_invocations(marker), invocations + 1);
+    EXPECT_THROW(run_tier(design, CompiledTier::kOneShot), util::SimError);
+    EXPECT_THROW(run_tier(design, CompiledTier::kReused), util::SimError);
+    EXPECT_EQ(marker_invocations(marker), invocations + 1);
+    EXPECT_TRUE(std::filesystem::is_empty(cache.path));
+  }
 }
 
 }  // namespace

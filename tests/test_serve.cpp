@@ -233,6 +233,22 @@ TEST_F(ServeTest, ClientDisconnectMidResponseDoesNotKillTheDaemon) {
   EXPECT_EQ(redo.at("exit_code").as_u64(), 0u);
 }
 
+TEST_F(ServeTest, DeeplyNestedRequestLineFailsSoftly) {
+  // One 400 KB line of nested JSON -- far under the request size cap --
+  // used to overflow the request parser's stack and kill the daemon
+  // with every tenant on it.  It must be one more malformed request.
+  std::size_t deep = 200'000;
+  util::JsonValue reply = roundtrip("{\"cmd\": " + std::string(deep, '[') +
+                                    std::string(deep, ']') + "}");
+  EXPECT_FALSE(reply.at("ok").as_bool());
+  EXPECT_NE(reply.at("error").as_string().find("nesting deeper than"),
+            std::string::npos)
+      << reply.at("error").as_string();
+  util::JsonValue pong = roundtrip("{\"cmd\": \"ping\"}");
+  EXPECT_TRUE(pong.at("ok").as_bool());
+  EXPECT_EQ(pong.at("reply").as_string(), "pong");
+}
+
 TEST_F(ServeTest, SecondDaemonOnALiveSocketRefusesToStart) {
   ServerOptions options;
   options.socket_path = server_->socket_path();

@@ -354,6 +354,36 @@ TEST(JsonReader, RoundTripsAstralCharactersThroughJsonEscape) {
   EXPECT_EQ(doc.as_string(), astral);
 }
 
+TEST(JsonReader, BoundsNestingDepth) {
+  // 200k levels used to overflow the parser's stack (fti obs exited
+  // 139); past the limit it is now an ordinary parse error.
+  std::size_t deep = 200'000;
+  EXPECT_THROW(parse_json(std::string(deep, '[') + std::string(deep, ']')),
+               JsonError);
+  std::string objects;
+  for (std::size_t i = 0; i < deep; ++i) {
+    objects += "{\"k\":";
+  }
+  EXPECT_THROW(parse_json(objects + "1" + std::string(deep, '}')),
+               JsonError);
+  try {
+    parse_json(std::string(deep, '['));
+    FAIL() << "a 200k-deep prefix must not parse";
+  } catch (const JsonError& error) {
+    EXPECT_NE(std::string(error.what()).find("nesting deeper than"),
+              std::string::npos)
+        << error.what();
+  }
+  JsonValue shallow =
+      parse_json(std::string(64, '[') + "7" + std::string(64, ']'));
+  const JsonValue* inner = &shallow;
+  for (int i = 0; i < 64; ++i) {
+    ASSERT_TRUE(inner->is_array());
+    inner = &inner->items.at(0);
+  }
+  EXPECT_EQ(inner->as_u64(), 7u);
+}
+
 TEST(JsonReader, RejectsMalformedInput) {
   EXPECT_THROW(parse_json(""), JsonError);
   EXPECT_THROW(parse_json("{"), JsonError);

@@ -256,6 +256,36 @@ TEST(Parser, DeeplyNestedDocument) {
   EXPECT_EQ(root->subtree_size(), 200u);
 }
 
+TEST(Parser, NestingDepthIsBounded) {
+  // 200k levels used to overflow the parser's stack (fti run exited
+  // 139); past the limit it is now an ordinary XmlError.
+  std::string open_tags;
+  for (int i = 0; i < 200'000; ++i) {
+    open_tags += "<a>";
+  }
+  try {
+    parse(open_tags);
+    FAIL() << "a 200k-deep document must not parse";
+  } catch (const util::XmlError& error) {
+    EXPECT_NE(std::string(error.what()).find("nested deeper than"),
+              std::string::npos)
+        << error.what();
+  }
+  std::string close_tags;
+  for (int i = 0; i < 200'000; ++i) {
+    close_tags += "</a>";
+  }
+  EXPECT_THROW(parse(open_tags + close_tags), util::XmlError);
+  std::string shallow;
+  for (int i = 0; i < 64; ++i) {
+    shallow += "<a>";
+  }
+  for (int i = 0; i < 64; ++i) {
+    shallow += "</a>";
+  }
+  EXPECT_EQ(parse(shallow)->subtree_size(), 64u);
+}
+
 TEST(Parser, LargeAttributeValueRoundTrips) {
   std::string payload(10000, 'a');
   payload += "<&\"'>";
