@@ -37,6 +37,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 
@@ -45,6 +46,21 @@
 #include "fti/lint/lint.hpp"
 
 namespace fti::cache {
+
+/// Line counts of a verified design's source and artefacts: the verify
+/// report's Table I "lines of description" columns
+/// (harness::FlowArtifacts).  Declared here so an entry can memoize them.
+struct ArtifactLines {
+  std::size_t lo_source = 0;
+  std::size_t lo_xml_datapath = 0;  ///< summed over configurations
+  std::size_t lo_xml_fsm = 0;
+  std::size_t lo_xml_rtg = 0;
+  std::size_t lo_hds = 0;
+  std::size_t lo_vhdl = 0;
+  std::size_t lo_verilog = 0;
+  std::size_t lo_systemc = 0;
+  std::size_t lo_dot = 0;
+};
 
 /// One immutable cache entry.  `schedules` is the lazy per-node
 /// levelized-schedule memo (mutable + mutex: logically part of the
@@ -58,21 +74,13 @@ struct CachedDesign {
   mutable std::map<std::string, std::shared_ptr<const elab::LevelizedSchedule>>
       schedules;
 
-  /// Lazy memos of the design's artefact sizes (the line counts the
-  /// verify report lists).  Re-serializing a large design to XML -- or
-  /// regenerating every HDL backend -- just to count lines costs as
-  /// much as the round-trip itself, so warm runs must not repeat it.
-  /// Guarded by schedule_mutex.
-  mutable bool xml_lines_valid = false;
-  mutable std::size_t xml_datapath_lines = 0;
-  mutable std::size_t xml_fsm_lines = 0;
-  mutable std::size_t xml_rtg_lines = 0;
-  mutable bool codegen_lines_valid = false;
-  mutable std::size_t hds_lines = 0;
-  mutable std::size_t vhdl_lines = 0;
-  mutable std::size_t verilog_lines = 0;
-  mutable std::size_t systemc_lines = 0;
-  mutable std::size_t dot_lines = 0;
+  /// Lazy memo of the design's artefact line counts (lo_source left
+  /// zero), indexed by whether the HDL/graph backends were generated.
+  /// Re-serializing a large design to XML -- or regenerating every
+  /// backend -- just to count lines costs as much as the round-trip
+  /// itself, so warm runs must not repeat it.  Guarded by
+  /// schedule_mutex.
+  mutable std::optional<ArtifactLines> artifact_lines[2];
 };
 
 class DesignCache {

@@ -3,8 +3,10 @@
 #include <cstdint>
 #include <map>
 
+#include "fti/codegen/semantics_text.hpp"
 #include "fti/elab/compiled_abi.hpp"
 #include "fti/ir/comb_graph.hpp"
+#include "fti/ops/alu.hpp"
 #include "fti/util/error.hpp"
 
 namespace fti::codegen {
@@ -54,35 +56,11 @@ std::string escaped(const std::string& name) {
   return out;
 }
 
-/// The helper preamble shared by every generated module: exact ports of
-/// ops::eval_binop / eval_unop corner-case semantics (alu.cpp) plus the
-/// SimError formatter.  fti_sxt works at any width via the caller-folded
-/// sign-bit constant; INT64_MIN is spelled out because the generated
-/// code includes no headers at all.
+/// The helper preamble shared by every generated module: the SimError
+/// formatter.  Operator semantics are not written here; every module
+/// carries ops/semantics.hpp itself (kSemanticsText), the single
+/// definition the ALU and the batched engine compute with too.
 constexpr const char* kHelpers = R"helpers(
-static inline long long fti_sxt(unsigned long long v, unsigned long long sign) {
-  return (long long)((v ^ sign) - sign);
-}
-static inline unsigned long long fti_div(long long a, long long b) {
-  if (b == 0) return ~0ull;
-  if (a == (-9223372036854775807ll - 1) && b == -1) return (unsigned long long)a;
-  return (unsigned long long)(a / b);
-}
-static inline unsigned long long fti_rem(long long a, long long b) {
-  if (b == 0) return (unsigned long long)a;
-  if (a == (-9223372036854775807ll - 1) && b == -1) return 0ull;
-  return (unsigned long long)(a % b);
-}
-static inline unsigned long long fti_abs(long long v) {
-  unsigned long long u = (unsigned long long)v;
-  return v < 0 ? 0ull - u : u;
-}
-static inline unsigned long long fti_min(long long a, long long b) {
-  return (unsigned long long)(a < b ? a : b);
-}
-static inline unsigned long long fti_max(long long a, long long b) {
-  return (unsigned long long)(a > b ? a : b);
-}
 static int fti_fail(FtiCompiledRunV1* io, const char* pre,
                     unsigned long long n, const char* post) {
   char* out = io->error;
@@ -189,95 +167,24 @@ class NodeEmitter {
     return widths_[index_of(wire)];
   }
 
-  /// Sign extension of `expr` (a masked value of width `width`).
-  std::string sxt(const std::string& expr, std::uint32_t width) const {
-    if (width >= 64) {
-      return "(long long)(" + expr + ")";
-    }
-    return "fti_sxt(" + expr + ", " +
-           hex64(std::uint64_t{1} << (width - 1)) + ")";
+  /// Sign-bit constant of `wire` for the ops/semantics.hpp calls.
+  std::string sign_of(const std::string& wire) const {
+    return hex64(ops::sign_bit(width_of(wire)));
   }
 
   std::string binop_expr(ops::BinOp op, const std::string& a,
                          const std::string& b, std::uint32_t out_width) const {
-    const std::string A = ref(a);
-    const std::string B = ref(b);
-    const std::string SA = sxt(A, width_of(a));
-    const std::string SB = sxt(B, width_of(b));
-    auto flag = [&](const std::string& cond) {
-      return "(" + cond + " ? 1ull : 0ull)";
-    };
-    switch (op) {
-      case ops::BinOp::kAdd:
-        return masked(A + " + " + B, out_width);
-      case ops::BinOp::kSub:
-        return masked(A + " - " + B, out_width);
-      case ops::BinOp::kMul:
-        return masked(A + " * " + B, out_width);
-      case ops::BinOp::kDiv:
-        return masked("fti_div(" + SA + ", " + SB + ")", out_width);
-      case ops::BinOp::kRem:
-        return masked("fti_rem(" + SA + ", " + SB + ")", out_width);
-      case ops::BinOp::kAnd:
-        return masked(A + " & " + B, out_width);
-      case ops::BinOp::kOr:
-        return masked(A + " | " + B, out_width);
-      case ops::BinOp::kXor:
-        return masked(A + " ^ " + B, out_width);
-      case ops::BinOp::kShl:
-        return masked("(" + B + " >= 64ull ? 0ull : " + A + " << " + B + ")",
-                      out_width);
-      case ops::BinOp::kShr:
-        return masked("(" + B + " >= 64ull ? 0ull : " + A + " >> " + B + ")",
-                      out_width);
-      case ops::BinOp::kAshr:
-        return masked("(unsigned long long)(" + SA + " >> (int)(" + B +
-                          " > 63ull ? 63ull : " + B + "))",
-                      out_width);
-      case ops::BinOp::kEq:
-        return flag(A + " == " + B);
-      case ops::BinOp::kNe:
-        return flag(A + " != " + B);
-      case ops::BinOp::kLt:
-        return flag(SA + " < " + SB);
-      case ops::BinOp::kLe:
-        return flag(SA + " <= " + SB);
-      case ops::BinOp::kGt:
-        return flag(SA + " > " + SB);
-      case ops::BinOp::kGe:
-        return flag(SA + " >= " + SB);
-      case ops::BinOp::kLtu:
-        return flag(A + " < " + B);
-      case ops::BinOp::kLeu:
-        return flag(A + " <= " + B);
-      case ops::BinOp::kGtu:
-        return flag(A + " > " + B);
-      case ops::BinOp::kGeu:
-        return flag(A + " >= " + B);
-      case ops::BinOp::kMin:
-        return masked("fti_min(" + SA + ", " + SB + ")", out_width);
-      case ops::BinOp::kMax:
-        return masked("fti_max(" + SA + ", " + SB + ")", out_width);
-    }
-    FTI_ASSERT(false, "codegen: unhandled BinOp");
+    return masked("op_" + std::string(ops::to_string(op)) + "(" + ref(a) +
+                      ", " + ref(b) + ", " + sign_of(a) + ", " + sign_of(b) +
+                      ")",
+                  out_width);
   }
 
   std::string unop_expr(ops::UnOp op, const std::string& a,
                         std::uint32_t out_width) const {
-    const std::string A = ref(a);
-    switch (op) {
-      case ops::UnOp::kNot:
-        return masked("~" + A, out_width);
-      case ops::UnOp::kNeg:
-        return masked("~" + A + " + 1ull", out_width);
-      case ops::UnOp::kAbs:
-        return masked("fti_abs(" + sxt(A, width_of(a)) + ")", out_width);
-      case ops::UnOp::kPass:
-        return masked(A, out_width);
-      case ops::UnOp::kSext:
-        return masked("(unsigned long long)" + sxt(A, width_of(a)), out_width);
-    }
-    FTI_ASSERT(false, "codegen: unhandled UnOp");
+    return masked("op_" + std::string(ops::to_string(op)) + "(" + ref(a) +
+                      ", " + sign_of(a) + ")",
+                  out_width);
   }
 
   /// Change-detected commit matching LevelizedSim::set_traced: events
@@ -688,6 +595,9 @@ CppModule emit_cpp(
   out += "static_assert(sizeof(FtiCompiledDesignV1) == " +
          std::to_string(sizeof(FtiCompiledDesignV1)) +
          ", \"compiled ABI drift: FtiCompiledDesignV1\");\n";
+  out += "\nnamespace {\n";
+  out += kSemanticsText;
+  out += "}  // namespace\nusing namespace fti::ops;\n";
   out += kHelpers;
   for (std::size_t i = 0; i < design.rtg.nodes.size(); ++i) {
     NodeEmitter emitter(design, design.rtg.nodes[i], i, *schedules[i], out);

@@ -11,10 +11,10 @@
 // The emitted semantics mirror elab/levelized.cpp observable-for-
 // observable: same evaluation order, same change-detected commit rule
 // (events count value changes, traces append on change only), same
-// eval_binop/eval_unop corner cases (division by zero, INT64_MIN / -1,
-// oversized shifts, per-operand sign extension), same out-of-bounds
-// write SimError -- so the parity suite and the fuzz differ can hold
-// the compiled engine to bit-exact agreement.
+// operators -- each module carries the text of ops/semantics.hpp, the
+// functions the ALU computes with, and calls them -- and the same
+// out-of-bounds write SimError, so the parity suite and the fuzz differ
+// can hold the compiled engine to bit-exact agreement.
 #pragma once
 
 #include <string>

@@ -3,7 +3,6 @@
 #include <bit>
 #include <cstdint>
 #include <deque>
-#include <limits>
 #include <map>
 #include <numeric>
 #include <utility>
@@ -38,11 +37,10 @@ const std::string& comb_output(const ir::Unit& unit) {
 /// operands all live in unpacked storage run as tight all-lane loops
 /// over the contiguous lane words with the operator dispatch hoisted
 /// outside the loop (kWide*); only mixed packed/unpacked operand sets
-/// fall back to the per-lane Bits path through the shared ops::eval_*
-/// helpers.  The wide loops replicate the alu.cpp corner cases exactly
-/// (division by zero, INT64_MIN/-1, oversize shifts, per-operand sign
-/// extension), so every lane's arithmetic stays bit-identical to a
-/// single-lane levelized run.
+/// fall back to the per-lane Bits path through ops::eval_*.  Both paths
+/// compute with the operator functions of ops/semantics.hpp, the single
+/// definition of the corner cases, so every lane's arithmetic stays
+/// bit-identical to a single-lane levelized run.
 ///
 /// Invariant: in the last packed word, the padding bits above lane N-1
 /// stay zero -- word ops that could set them (NOT, const-1 broadcast,
@@ -477,245 +475,58 @@ class BatchedSim {
     return wide_vals_.data() + slots_[wire].offset;
   }
 
-  /// Sign bit of a value stored at `width`; zero means "already 64 bits
-  /// wide", for which sext() below degenerates to the identity.
-  static std::uint64_t sign_bit(std::uint32_t width) {
-    return width >= 64 ? 0 : std::uint64_t{1} << (width - 1);
-  }
-
-  /// Branch-free sign extension: (v ^ s) - s with s the sign bit.
-  static std::int64_t sext(std::uint64_t v, std::uint64_t sign) {
-    return static_cast<std::int64_t>((v ^ sign) - sign);
-  }
-
-  // alu.cpp's signed division corner cases, kept callable from the wide
-  // loops: /0 is all-ones, INT64_MIN/-1 is the dividend (the masked
-  // mathematically correct quotient); %0 is the dividend, INT64_MIN%-1
-  // is zero.
-  static std::uint64_t div_s(std::int64_t a, std::int64_t b) {
-    if (b == 0) {
-      return ~std::uint64_t{0};
-    }
-    if (a == std::numeric_limits<std::int64_t>::min() && b == -1) {
-      return static_cast<std::uint64_t>(a);
-    }
-    return static_cast<std::uint64_t>(a / b);
-  }
-  static std::uint64_t rem_s(std::int64_t a, std::int64_t b) {
-    if (b == 0) {
-      return static_cast<std::uint64_t>(a);
-    }
-    if (a == std::numeric_limits<std::int64_t>::min() && b == -1) {
-      return 0;
-    }
-    return static_cast<std::uint64_t>(a % b);
-  }
-
   /// All-lane loop for a binop over unpacked operands into an unpacked
   /// out.  Evaluating finished lanes too is safe -- their inputs are
   /// frozen, so the recompute reproduces the value already stored -- and
-  /// keeps the loop branch-free over contiguous words.
+  /// keeps the loop branch-free over contiguous words.  The operator
+  /// switch runs once, outside the loop.
   void wide_bin(const CombOp& op) {
     const std::uint64_t* a = wide_ptr(op.ins[0]);
     const std::uint64_t* b = wide_ptr(op.ins[1]);
     std::uint64_t* out = wide_ptr(op.out);
     const std::uint64_t mask = Bits::mask(op.width);
-    const std::uint64_t sa = sign_bit(slots_[op.ins[0]].width);
-    const std::uint64_t sb = sign_bit(slots_[op.ins[1]].width);
-    auto loop = [&](auto fn) {
+    const std::uint64_t sa = ops::sign_bit(slots_[op.ins[0]].width);
+    const std::uint64_t sb = ops::sign_bit(slots_[op.ins[1]].width);
+    ops::visit_binop(op.binop, [&](auto fn) {
       for (std::size_t lane = 0; lane < lanes_; ++lane) {
-        out[lane] = fn(a[lane], b[lane]);
+        out[lane] = fn(a[lane], b[lane], sa, sb) & mask;
       }
-    };
-    using u64 = std::uint64_t;
-    switch (op.binop) {
-      case ops::BinOp::kAdd:
-        loop([&](u64 x, u64 y) { return (x + y) & mask; });
-        break;
-      case ops::BinOp::kSub:
-        loop([&](u64 x, u64 y) { return (x - y) & mask; });
-        break;
-      case ops::BinOp::kMul:
-        loop([&](u64 x, u64 y) { return (x * y) & mask; });
-        break;
-      case ops::BinOp::kDiv:
-        loop([&](u64 x, u64 y) {
-          return div_s(sext(x, sa), sext(y, sb)) & mask;
-        });
-        break;
-      case ops::BinOp::kRem:
-        loop([&](u64 x, u64 y) {
-          return rem_s(sext(x, sa), sext(y, sb)) & mask;
-        });
-        break;
-      case ops::BinOp::kAnd:
-        loop([&](u64 x, u64 y) { return (x & y) & mask; });
-        break;
-      case ops::BinOp::kOr:
-        loop([&](u64 x, u64 y) { return (x | y) & mask; });
-        break;
-      case ops::BinOp::kXor:
-        loop([&](u64 x, u64 y) { return (x ^ y) & mask; });
-        break;
-      case ops::BinOp::kShl:
-        loop([&](u64 x, u64 y) { return y >= 64 ? 0 : (x << y) & mask; });
-        break;
-      case ops::BinOp::kShr:
-        loop([&](u64 x, u64 y) { return y >= 64 ? 0 : (x >> y) & mask; });
-        break;
-      case ops::BinOp::kAshr:
-        loop([&](u64 x, u64 y) {
-          std::uint64_t shift = y > 63 ? 63 : y;
-          return static_cast<u64>(sext(x, sa) >> shift) & mask;
-        });
-        break;
-      // Comparisons land here when their out wire is wider than one bit
-      // (a 1-bit out is packed and classifies as kWideCmp instead).
-      case ops::BinOp::kEq:
-        loop([&](u64 x, u64 y) { return x == y ? 1u : 0u; });
-        break;
-      case ops::BinOp::kNe:
-        loop([&](u64 x, u64 y) { return x != y ? 1u : 0u; });
-        break;
-      case ops::BinOp::kLt:
-        loop([&](u64 x, u64 y) { return sext(x, sa) < sext(y, sb) ? 1u : 0u; });
-        break;
-      case ops::BinOp::kLe:
-        loop([&](u64 x, u64 y) {
-          return sext(x, sa) <= sext(y, sb) ? 1u : 0u;
-        });
-        break;
-      case ops::BinOp::kGt:
-        loop([&](u64 x, u64 y) { return sext(x, sa) > sext(y, sb) ? 1u : 0u; });
-        break;
-      case ops::BinOp::kGe:
-        loop([&](u64 x, u64 y) {
-          return sext(x, sa) >= sext(y, sb) ? 1u : 0u;
-        });
-        break;
-      case ops::BinOp::kLtu:
-        loop([&](u64 x, u64 y) { return x < y ? 1u : 0u; });
-        break;
-      case ops::BinOp::kLeu:
-        loop([&](u64 x, u64 y) { return x <= y ? 1u : 0u; });
-        break;
-      case ops::BinOp::kGtu:
-        loop([&](u64 x, u64 y) { return x > y ? 1u : 0u; });
-        break;
-      case ops::BinOp::kGeu:
-        loop([&](u64 x, u64 y) { return x >= y ? 1u : 0u; });
-        break;
-      case ops::BinOp::kMin:
-        loop([&](u64 x, u64 y) {
-          std::int64_t xs = sext(x, sa);
-          std::int64_t ys = sext(y, sb);
-          return static_cast<u64>(xs < ys ? xs : ys) & mask;
-        });
-        break;
-      case ops::BinOp::kMax:
-        loop([&](u64 x, u64 y) {
-          std::int64_t xs = sext(x, sa);
-          std::int64_t ys = sext(y, sb);
-          return static_cast<u64>(xs > ys ? xs : ys) & mask;
-        });
-        break;
-    }
+    });
   }
 
   /// Comparison of unpacked operands assembled bit-by-bit into the
   /// packed 1-bit out words.  Padding bits above lane N-1 stay zero by
   /// construction.
   void wide_cmp(const CombOp& op) {
+    FTI_ASSERT(ops::is_comparison(op.binop), "wide_cmp on non-comparison op");
     const std::uint64_t* a = wide_ptr(op.ins[0]);
     const std::uint64_t* b = wide_ptr(op.ins[1]);
     std::uint64_t* out = word_ptr(op.out);
-    const std::uint64_t sa = sign_bit(slots_[op.ins[0]].width);
-    const std::uint64_t sb = sign_bit(slots_[op.ins[1]].width);
-    auto pack = [&](auto fn) {
+    const std::uint64_t sa = ops::sign_bit(slots_[op.ins[0]].width);
+    const std::uint64_t sb = ops::sign_bit(slots_[op.ins[1]].width);
+    ops::visit_binop(op.binop, [&](auto fn) {
       for (std::size_t w = 0; w < words_; ++w) {
         std::uint64_t word = 0;
         const std::size_t base = w * 64;
-        const std::size_t count =
-            base + 64 <= lanes_ ? 64 : lanes_ - base;
+        const std::size_t count = base + 64 <= lanes_ ? 64 : lanes_ - base;
         for (std::size_t bit = 0; bit < count; ++bit) {
-          word |= static_cast<std::uint64_t>(fn(a[base + bit], b[base + bit]))
-                  << bit;
+          word |= fn(a[base + bit], b[base + bit], sa, sb) << bit;
         }
         out[w] = word;
       }
-    };
-    using u64 = std::uint64_t;
-    switch (op.binop) {
-      case ops::BinOp::kEq:
-        pack([&](u64 x, u64 y) { return x == y; });
-        break;
-      case ops::BinOp::kNe:
-        pack([&](u64 x, u64 y) { return x != y; });
-        break;
-      case ops::BinOp::kLt:
-        pack([&](u64 x, u64 y) { return sext(x, sa) < sext(y, sb); });
-        break;
-      case ops::BinOp::kLe:
-        pack([&](u64 x, u64 y) { return sext(x, sa) <= sext(y, sb); });
-        break;
-      case ops::BinOp::kGt:
-        pack([&](u64 x, u64 y) { return sext(x, sa) > sext(y, sb); });
-        break;
-      case ops::BinOp::kGe:
-        pack([&](u64 x, u64 y) { return sext(x, sa) >= sext(y, sb); });
-        break;
-      case ops::BinOp::kLtu:
-        pack([&](u64 x, u64 y) { return x < y; });
-        break;
-      case ops::BinOp::kLeu:
-        pack([&](u64 x, u64 y) { return x <= y; });
-        break;
-      case ops::BinOp::kGtu:
-        pack([&](u64 x, u64 y) { return x > y; });
-        break;
-      case ops::BinOp::kGeu:
-        pack([&](u64 x, u64 y) { return x >= y; });
-        break;
-      default:
-        FTI_ASSERT(false, "wide_cmp on non-comparison op");
-    }
+    });
   }
 
   void wide_un(const CombOp& op) {
     const std::uint64_t* a = wide_ptr(op.ins[0]);
     std::uint64_t* out = wide_ptr(op.out);
     const std::uint64_t mask = Bits::mask(op.width);
-    const std::uint64_t sa = sign_bit(slots_[op.ins[0]].width);
-    auto loop = [&](auto fn) {
+    const std::uint64_t sa = ops::sign_bit(slots_[op.ins[0]].width);
+    ops::visit_unop(op.unop, [&](auto fn) {
       for (std::size_t lane = 0; lane < lanes_; ++lane) {
-        out[lane] = fn(a[lane]);
+        out[lane] = fn(a[lane], sa) & mask;
       }
-    };
-    using u64 = std::uint64_t;
-    switch (op.unop) {
-      case ops::UnOp::kNot:
-        loop([&](u64 x) { return ~x & mask; });
-        break;
-      case ops::UnOp::kNeg:
-        loop([&](u64 x) { return (~x + 1) & mask; });
-        break;
-      case ops::UnOp::kAbs:
-        loop([&](u64 x) {
-          std::int64_t s = sext(x, sa);
-          // Unsigned negate sidesteps the INT64_MIN overflow; the masked
-          // bits match alu.cpp's signed formulation everywhere else.
-          return (s < 0 ? std::uint64_t{0} - static_cast<u64>(s)
-                        : static_cast<u64>(s)) &
-                 mask;
-        });
-        break;
-      case ops::UnOp::kPass:
-        loop([&](u64 x) { return x & mask; });
-        break;
-      case ops::UnOp::kSext:
-        loop([&](u64 x) { return static_cast<u64>(sext(x, sa)) & mask; });
-        break;
-    }
+    });
   }
 
   /// N-way mux with unpacked data and out; the select may be packed or

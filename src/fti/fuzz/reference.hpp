@@ -10,7 +10,7 @@
 // cross-checking the paper performs between simulated architectures and
 // the executed input algorithm, turned inward on the infrastructure.
 //
-// Beyond what harness::run_design_naive reports, this engine exposes the
+// Beyond cycle and evaluation counts, this engine exposes the
 // observables the differential driver compares: final register/control
 // values per partition and the per-wire value-change traces of every
 // clocked wire (register q outputs and FSM-driven controls -- the wires

@@ -158,62 +158,12 @@ cache::Key source_key_of(const TestCase& test) {
   return hasher.key();
 }
 
-FlowArtifacts collect_artifacts(const ir::Design& design,
-                                const TestCase& test,
-                                const VerifyOptions& options,
-                                const cache::DesignCache::Entry& entry) {
+/// Line counts of the design's XML dialects and, when asked for, of
+/// every generated backend -- which a non-empty emit_dir also receives.
+FlowArtifacts design_artifacts(const ir::Design& design,
+                               const TestCase& test,
+                               const VerifyOptions& options) {
   FlowArtifacts artifacts;
-  artifacts.lo_source = util::count_lines(test.source);
-  // Serializing the design to XML -- or regenerating every HDL backend
-  // -- just to count report lines costs as much as the round-trip
-  // itself, so cached designs memoize the counts on the entry (first
-  // run pays, warm resubmissions read).  Cacheable runs never emit to
-  // disk (a non-empty emit_dir forces the cache off), so every artefact
-  // size is a pure function of the design.
-  if (entry) {
-    std::lock_guard<std::mutex> lock(entry->schedule_mutex);
-    if (!entry->xml_lines_valid) {
-      for (const std::string& node : design.rtg.nodes) {
-        const ir::Configuration& config = design.configuration(node);
-        entry->xml_datapath_lines +=
-            util::count_lines(xml::to_string(*ir::to_xml(config.datapath)));
-        entry->xml_fsm_lines +=
-            util::count_lines(xml::to_string(*ir::to_xml(config.fsm)));
-      }
-      entry->xml_rtg_lines =
-          util::count_lines(xml::to_string(*ir::to_xml(design.rtg)));
-      entry->xml_lines_valid = true;
-    }
-    artifacts.lo_xml_datapath = entry->xml_datapath_lines;
-    artifacts.lo_xml_fsm = entry->xml_fsm_lines;
-    artifacts.lo_xml_rtg = entry->xml_rtg_lines;
-    if (!options.generate_artifacts) {
-      return artifacts;
-    }
-    if (!entry->codegen_lines_valid) {
-      entry->hds_lines = util::count_lines(codegen::design_to_hds(design));
-      entry->vhdl_lines = util::count_lines(codegen::design_to_vhdl(design));
-      entry->verilog_lines =
-          util::count_lines(codegen::design_to_verilog(design));
-      entry->systemc_lines =
-          util::count_lines(codegen::design_to_systemc(design));
-      std::string dot;
-      for (const std::string& node : design.rtg.nodes) {
-        const ir::Configuration& config = design.configuration(node);
-        dot += codegen::datapath_to_dot(config.datapath);
-        dot += codegen::fsm_to_dot(config.fsm);
-      }
-      dot += codegen::rtg_to_dot(design.rtg);
-      entry->dot_lines = util::count_lines(dot);
-      entry->codegen_lines_valid = true;
-    }
-    artifacts.lo_hds = entry->hds_lines;
-    artifacts.lo_vhdl = entry->vhdl_lines;
-    artifacts.lo_verilog = entry->verilog_lines;
-    artifacts.lo_systemc = entry->systemc_lines;
-    artifacts.lo_dot = entry->dot_lines;
-    return artifacts;
-  }
   for (const std::string& node : design.rtg.nodes) {
     const ir::Configuration& config = design.configuration(node);
     artifacts.lo_xml_datapath +=
@@ -249,6 +199,31 @@ FlowArtifacts collect_artifacts(const ir::Design& design,
     util::write_file(options.emit_dir / (test.name + ".sc.cpp"), systemc);
     util::write_file(options.emit_dir / (test.name + ".dot"), dot);
   }
+  return artifacts;
+}
+
+/// design_artifacts() plus the source's line count.  Cached designs
+/// memoize the design's counts on the entry (first run pays, warm
+/// resubmissions read); cacheable runs never emit to disk (a non-empty
+/// emit_dir forces the cache off), so those counts are a pure function
+/// of the design.
+FlowArtifacts collect_artifacts(const ir::Design& design,
+                                const TestCase& test,
+                                const VerifyOptions& options,
+                                const cache::DesignCache::Entry& entry) {
+  FlowArtifacts artifacts;
+  if (entry) {
+    std::lock_guard<std::mutex> lock(entry->schedule_mutex);
+    std::optional<FlowArtifacts>& memo =
+        entry->artifact_lines[options.generate_artifacts ? 1 : 0];
+    if (!memo) {
+      memo = design_artifacts(design, test, options);
+    }
+    artifacts = *memo;
+  } else {
+    artifacts = design_artifacts(design, test, options);
+  }
+  artifacts.lo_source = util::count_lines(test.source);
   return artifacts;
 }
 

@@ -21,16 +21,13 @@
 #include <string>
 #include <vector>
 
+#include "fti/cache/design_cache.hpp"
 #include "fti/compiler/hls.hpp"
 #include "fti/compiler/interp.hpp"
 #include "fti/elab/engines.hpp"
 #include "fti/lint/lint.hpp"
 #include "fti/xsim/driver.hpp"
 #include "fti/xsim/fourstate.hpp"
-
-namespace fti::cache {
-class DesignCache;
-}  // namespace fti::cache
 
 namespace fti::harness {
 
@@ -117,17 +114,7 @@ struct VerifyOptions {
 
 /// Line counts of every artefact the flow produced (Table I's "lines of
 /// description" columns).
-struct FlowArtifacts {
-  std::size_t lo_source = 0;
-  std::size_t lo_xml_datapath = 0;  ///< summed over configurations
-  std::size_t lo_xml_fsm = 0;
-  std::size_t lo_xml_rtg = 0;
-  std::size_t lo_hds = 0;
-  std::size_t lo_vhdl = 0;
-  std::size_t lo_verilog = 0;
-  std::size_t lo_systemc = 0;
-  std::size_t lo_dot = 0;
-};
+using FlowArtifacts = cache::ArtifactLines;
 
 struct VerifyOutcome {
   bool passed = false;

@@ -1,10 +1,9 @@
-// Functional-unit semantics and the combinational operator components.
+// The Bits-level ALU and the combinational operator components.
 //
-// The same evaluation functions back three consumers, which is what makes
-// the infrastructure's comparisons meaningful:
-//  * the event-driven operator components (this file),
-//  * the naive full-evaluation baseline simulator,
-//  * golden-model checks in tests.
+// What each operator computes is defined once, in ops/semantics.hpp;
+// eval_binop / eval_unop below are thin Bits wrappers over it, shared by
+// the event-driven operator components (this file), the naive and
+// levelized engines and the batched engine's per-lane fallback.
 #pragma once
 
 #include <cstdint>
@@ -12,46 +11,12 @@
 #include <string_view>
 #include <vector>
 
+#include "fti/ops/semantics.hpp"
 #include "fti/sim/bits.hpp"
 #include "fti/sim/component.hpp"
 #include "fti/sim/kernel.hpp"
 
 namespace fti::ops {
-
-/// Binary functional-unit operations available to the compiler's binder.
-enum class BinOp {
-  kAdd,
-  kSub,
-  kMul,
-  kDiv,   // signed; division by zero yields all-ones (quotient convention)
-  kRem,   // signed; remainder by zero yields the dividend
-  kAnd,
-  kOr,
-  kXor,
-  kShl,   // shift amount taken unsigned from the rhs
-  kShr,   // logical right shift
-  kAshr,  // arithmetic right shift (lhs interpreted signed)
-  kEq,
-  kNe,
-  kLt,    // signed comparisons...
-  kLe,
-  kGt,
-  kGe,
-  kLtu,   // ...and unsigned ones
-  kLeu,
-  kGtu,
-  kGeu,
-  kMin,   // signed min/max
-  kMax,
-};
-
-enum class UnOp {
-  kNot,   // bitwise complement
-  kNeg,   // two's complement negate
-  kAbs,   // absolute value (signed)
-  kPass,  // width adaptation, zero-extend / truncate
-  kSext,  // width adaptation, sign-extend / truncate
-};
 
 /// Pure evaluation of a binary op.  Inputs are interpreted at their own
 /// widths (signed ops sign-extend each operand first); the result is

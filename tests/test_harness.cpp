@@ -2,7 +2,7 @@
 
 #include <filesystem>
 
-#include "fti/harness/baseline.hpp"
+#include "fti/elab/engines.hpp"
 #include "fti/harness/metrics.hpp"
 #include "fti/harness/suite.hpp"
 #include "fti/harness/testcase.hpp"
@@ -91,6 +91,32 @@ TEST(TestCase, SkippingArtifactsLeavesCountsZero) {
   EXPECT_TRUE(outcome.passed);
   EXPECT_EQ(outcome.artifacts.lo_vhdl, 0u);
   EXPECT_GT(outcome.artifacts.lo_xml_datapath, 0u);  // always measured
+}
+
+TEST(TestCase, CachedArtifactCountsMatchUncached) {
+  auto counts = [](const FlowArtifacts& a) {
+    return std::vector<std::size_t>{a.lo_source,  a.lo_xml_datapath,
+                                    a.lo_xml_fsm, a.lo_xml_rtg,
+                                    a.lo_hds,     a.lo_vhdl,
+                                    a.lo_verilog, a.lo_systemc,
+                                    a.lo_dot};
+  };
+  TestCase test = square_case();
+  for (bool generate : {true, false}) {
+    VerifyOptions options;
+    options.generate_artifacts = generate;
+    VerifyOutcome uncached = run_test_case(test, options);
+    ASSERT_TRUE(uncached.passed) << uncached.message;
+    cache::DesignCache cache;
+    options.design_cache = &cache;
+    for (bool warm : {false, true}) {
+      VerifyOutcome cached = run_test_case(test, options);
+      ASSERT_TRUE(cached.passed) << cached.message;
+      EXPECT_EQ(cached.cache_hit, warm);
+      EXPECT_EQ(counts(cached.artifacts), counts(uncached.artifacts))
+          << "generate=" << generate << " warm=" << warm;
+    }
+  }
 }
 
 TEST(Suite, RunsAllAndReports) {
@@ -228,12 +254,18 @@ TEST(Baseline, MatchesGoldenOnScalarKernel) {
   pool.create("a", 8, 32);
   pool.create("b", 8, 32);
   load_inputs(pool, "a", test.inputs.at("a"));
-  NaiveRunStats stats = run_design_naive(compiled.design, pool);
-  ASSERT_TRUE(stats.completed);
+  sim::EngineResult run = elab::NaiveEngine().run(compiled.design, pool);
+  ASSERT_TRUE(run.completed);
   EXPECT_EQ(pool.get("b").words(),
             (std::vector<std::uint64_t>{1, 4, 9, 16, 25, 36, 49, 64}));
-  EXPECT_GT(stats.unit_evaluations, stats.cycles);
-  EXPECT_GE(stats.sweeps, stats.cycles);
+  std::uint64_t evaluations = 0;
+  std::uint64_t sweeps = 0;
+  for (const sim::EnginePartition& partition : run.partitions) {
+    evaluations += partition.stats.evaluations;
+    sweeps += partition.stats.delta_cycles;
+  }
+  EXPECT_GT(evaluations, run.total_cycles());
+  EXPECT_GE(sweeps, run.total_cycles());
 }
 
 TEST(Baseline, CycleBudgetStops) {
@@ -242,11 +274,12 @@ TEST(Baseline, CycleBudgetStops) {
       "kernel spin(int m[1]) { int x = 1; while (x) { m[0] = x; } }",
       options);
   mem::MemoryPool pool;
-  NaiveRunOptions run_options;
+  sim::EngineRunOptions run_options;
   run_options.max_cycles_per_partition = 100;
-  NaiveRunStats stats = run_design_naive(compiled.design, pool, run_options);
-  EXPECT_FALSE(stats.completed);
-  EXPECT_EQ(stats.cycles, 100u);
+  sim::EngineResult run =
+      elab::NaiveEngine().run(compiled.design, pool, run_options);
+  EXPECT_FALSE(run.completed);
+  EXPECT_EQ(run.total_cycles(), 100u);
 }
 
 TEST(LoadInputs, PrefixFillAndBounds) {

@@ -5,12 +5,12 @@
 #include <gtest/gtest.h>
 
 #include "fti/compiler/parser.hpp"
+#include "fti/elab/engines.hpp"
 #include "fti/golden/fdct.hpp"
 #include "fti/golden/fir.hpp"
 #include "fti/golden/hamming.hpp"
 #include "fti/golden/matmul.hpp"
 #include "fti/golden/rng.hpp"
-#include "fti/harness/baseline.hpp"
 #include "fti/harness/metrics.hpp"
 #include "fti/harness/testcase.hpp"
 
@@ -150,20 +150,23 @@ TEST(Integration, BaselineSimulatorAgreesOnFdct) {
   mem::MemoryPool naive_pool;
   naive_pool.create("in", 64, 8);
   harness::load_inputs(naive_pool, "in", test.inputs.at("in"));
-  auto naive_run = harness::run_design_naive(compiled.design, naive_pool);
+  auto naive_run = elab::NaiveEngine().run(compiled.design, naive_pool);
   ASSERT_TRUE(naive_run.completed);
 
   EXPECT_EQ(event_pool.get("out").words(), naive_pool.get("out").words());
   EXPECT_EQ(event_pool.get("tmp").words(), naive_pool.get("tmp").words());
   // Identical synchronous semantics -> identical cycle counts.
-  EXPECT_EQ(event_run.total_cycles(), naive_run.cycles);
+  EXPECT_EQ(event_run.total_cycles(), naive_run.total_cycles());
   // The baseline evaluates everything every cycle; the event kernel's
   // component evaluations must be strictly fewer.
-  std::uint64_t event_evals = 0;
-  for (const auto& partition : event_run.partitions) {
-    event_evals += partition.stats.evaluations;
-  }
-  EXPECT_LT(event_evals, naive_run.unit_evaluations);
+  auto evaluations = [](const sim::EngineResult& run) {
+    std::uint64_t total = 0;
+    for (const auto& partition : run.partitions) {
+      total += partition.stats.evaluations;
+    }
+    return total;
+  };
+  EXPECT_LT(evaluations(event_run), evaluations(naive_run));
 }
 
 TEST(Integration, BaselineSimulatorAgreesOnTwoStage) {
@@ -181,7 +184,7 @@ TEST(Integration, BaselineSimulatorAgreesOnTwoStage) {
   mem::MemoryPool naive_pool;
   naive_pool.create("in", 64, 8);
   harness::load_inputs(naive_pool, "in", test.inputs.at("in"));
-  auto naive_run = harness::run_design_naive(compiled.design, naive_pool);
+  auto naive_run = elab::NaiveEngine().run(compiled.design, naive_pool);
   ASSERT_TRUE(naive_run.completed);
   EXPECT_EQ(event_pool.get("out").words(), naive_pool.get("out").words());
 }

@@ -50,6 +50,16 @@ TEST(Alu, DivisionOverflowCase) {
   EXPECT_EQ(eval_binop(BinOp::kRem, min64, minus1, 64).u(), 0u);
 }
 
+TEST(Alu, AbsOfInt64MinIsItself) {
+  // -INT64_MIN overflows signed arithmetic (UBSan traps it in the asan
+  // preset); abs negates unsigned, so the most negative value wraps onto
+  // itself at every width.
+  Bits min64(64, 0x8000000000000000ull);
+  EXPECT_EQ(eval_unop(UnOp::kAbs, min64, 64).u(), 0x8000000000000000ull);
+  EXPECT_EQ(eval_unop(UnOp::kAbs, Bits(8, 0x80), 8).u(), 0x80u);
+  EXPECT_EQ(eval_unop(UnOp::kAbs, Bits(8, 0x80), 16).u(), 0x80u);
+}
+
 TEST(Alu, Shifts) {
   EXPECT_EQ(eval_binop(BinOp::kShl, Bits(8, 1), Bits(8, 3), 8).u(), 8u);
   EXPECT_EQ(eval_binop(BinOp::kShl, Bits(8, 1), Bits(8, 200), 8).u(), 0u);

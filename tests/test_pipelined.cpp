@@ -5,8 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "fti/compiler/parser.hpp"
+#include "fti/elab/engines.hpp"
 #include "fti/golden/rng.hpp"
-#include "fti/harness/baseline.hpp"
 #include "fti/ir/serde.hpp"
 #include "fti/harness/testcase.hpp"
 #include "fti/ops/clock.hpp"
@@ -243,10 +243,10 @@ TEST(PipelinedBaseline, AgreesWithEventKernel) {
   naive_pool.create("x", 16, 16);
   naive_pool.create("y", 16, 16);
   harness::load_inputs(naive_pool, "x", inputs);
-  auto naive_run = harness::run_design_naive(compiled.design, naive_pool);
+  auto naive_run = elab::NaiveEngine().run(compiled.design, naive_pool);
   ASSERT_TRUE(naive_run.completed);
   EXPECT_EQ(event_pool.get("y").words(), naive_pool.get("y").words());
-  EXPECT_EQ(event_run.total_cycles(), naive_run.cycles);
+  EXPECT_EQ(event_run.total_cycles(), naive_run.total_cycles());
 }
 
 // Property sweep: random latency assignments never change results.

@@ -16,7 +16,6 @@
 #include "fti/fuzz/lanes.hpp"
 #include "fti/fuzz/rand.hpp"
 #include "fti/golden/rng.hpp"
-#include "fti/harness/baseline.hpp"
 #include "fti/harness/testcase.hpp"
 
 namespace fti {
@@ -206,8 +205,8 @@ TEST_P(RandomProgramEquivalence, AllThreeExecutionsAgree) {
   compiler::CompileOptions compile_options;
   compile_options.scalar_args = test.scalar_args;
   auto compiled = compiler::compile_source(source, compile_options);
-  harness::NaiveRunStats naive =
-      harness::run_design_naive(compiled.design, naive_pool);
+  sim::EngineResult naive = elab::NaiveEngine().run(compiled.design,
+                                                     naive_pool);
   ASSERT_TRUE(naive.completed);
   EXPECT_EQ(golden_pool.get("a").words(), naive_pool.get("a").words());
   EXPECT_EQ(golden_pool.get("b").words(), naive_pool.get("b").words());
