@@ -5,8 +5,8 @@
 // reproduce the comparison against our own faithful stand-ins for the two
 // classic strategies: the full-sweep "naive" baseline (re-evaluate every
 // combinational unit until settled, every cycle) and the statically
-// scheduled "levelized" compiled engine (one rank-ordered straight-line
-// sweep per cycle).  All three engines share operator semantics and must
+// scheduled "levelized" engine (one rank-ordered straight-line sweep per
+// cycle -- the batched engine at one lane).  All three engines share operator semantics and must
 // produce bit-identical memories, so the differences isolate scheduling
 // strategy.
 //

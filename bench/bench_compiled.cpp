@@ -1,5 +1,6 @@
 // E9 -- compiled-engine cost ladder: cold compile vs warm cache vs the
-// levelized interpreter it replaces.
+// interpreter it replaces (the batched engine at one lane, registered
+// as "levelized").
 //
 // The "compiled" engine lowers each levelized schedule to straight-line
 // C++, pays one host-compiler invocation per design, and then reuses
@@ -8,6 +9,7 @@
 // paper's FDCT kernel:
 //
 //   levelized    the interpreted baseline the backend falls back to
+//                (the one-lane batched sweep)
 //   cold         emit + host compile + dlopen + run (empty cache)
 //   warm-disk    fresh process shape: dlopen straight off SoStore
 //   warm-memory  fti-serve resubmission shape: registry hit, zero I/O

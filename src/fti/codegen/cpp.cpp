@@ -187,8 +187,8 @@ class NodeEmitter {
                   out_width);
   }
 
-  /// Change-detected commit matching LevelizedSim::set_traced: events
-  /// count changes; traced slots also append to the host's trace ring.
+  /// Change-detected commit matching the batched interpreter's commit:
+  /// events count changes; traced slots also append to the host's trace ring.
   void emit_commit(const std::string& indent, std::size_t wire,
                    const std::string& expr) {
     std::string w = "w" + std::to_string(wire);
@@ -530,8 +530,8 @@ class NodeEmitter {
       ln("      }");
     }
     ln("    }");
-    // Commit phase: registers then pipeline outputs (the levelized
-    // updates order), then memory writes through the host callback.
+    // Commit phase: registers then pipeline outputs (the interpreter's
+    // commit order), then memory writes through the host callback.
     for (std::size_t r = 0; r < registers.size(); ++r) {
       const ir::Unit& unit = *registers[r];
       std::size_t q = index_of(unit.port("q"));

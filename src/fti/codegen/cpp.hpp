@@ -8,8 +8,8 @@
 // elab/compiled_abi.hpp.  The host compiles it to a shared object,
 // dlopen()s it and registers the result as the "compiled" engine.
 //
-// The emitted semantics mirror elab/levelized.cpp observable-for-
-// observable: same evaluation order, same change-detected commit rule
+// The emitted semantics mirror the batched interpreter (elab/batched.cpp)
+// observable-for-observable: same evaluation order, same change-detected commit rule
 // (events count value changes, traces append on change only), same
 // operators -- each module carries the text of ops/semantics.hpp, the
 // functions the ALU computes with, and calls them -- and the same

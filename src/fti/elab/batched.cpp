@@ -1,8 +1,8 @@
 #include "fti/elab/batched.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <numeric>
 #include <utility>
@@ -28,23 +28,28 @@ const std::string& comb_output(const ir::Unit& unit) {
                                              : unit.port("out");
 }
 
-/// The levelized straight-line sweep widened to N lockstep stimulus
-/// lanes.  Wire storage is SoA: a 1-bit wire owns ceil(N/64) packed
-/// words (lane k lives in bit k%64 of word k/64), a wider wire owns N
-/// words (lane k at offset+k).  Each combinational op is classified at
-/// compile time: 1-bit AND/OR/XOR/NOT/copy/const and 2-way 1-bit muxes
-/// run word-parallel over the packed lane words; multi-bit ops whose
-/// operands all live in unpacked storage run as tight all-lane loops
-/// over the contiguous lane words with the operator dispatch hoisted
-/// outside the loop (kWide*); only mixed packed/unpacked operand sets
-/// fall back to the per-lane Bits path through ops::eval_*.  Both paths
-/// compute with the operator functions of ops/semantics.hpp, the single
-/// definition of the corner cases, so every lane's arithmetic stays
-/// bit-identical to a single-lane levelized run.
+/// The levelized straight-line sweep over N lockstep stimulus lanes; the
+/// only interpreter of the schedule, so N == 1 is the single-run engine.
+/// Wire storage is SoA: a 1-bit wire owns ceil(N/64) packed words (lane
+/// k lives in bit k%64 of word k/64), a wider wire owns N words (lane k
+/// at offset+k).  Each combinational op is classified at compile time:
+/// 1-bit AND/OR/XOR/NOT/copy and 2-way 1-bit muxes run word-parallel
+/// over the packed lane words; multi-bit ops whose operands all live in
+/// unpacked storage run as tight all-lane loops over the contiguous lane
+/// words with the operator dispatch hoisted outside the loop (kWide*);
+/// only mixed packed/unpacked operand sets fall back to the per-lane Bits
+/// path through ops::eval_*.  Both paths compute with the operator
+/// functions of ops/semantics.hpp, the single definition of the corner
+/// cases, so every lane's arithmetic matches the reference interpreter.
+///
+/// The clock edge does work in proportion to what changes, not to the
+/// design's size: registers gated by FSM controls are looked up by
+/// state, the FSM steps a packed word of lanes at a time, and a lane
+/// drives only the controls its old or new state asserts.
 ///
 /// Invariant: in the last packed word, the padding bits above lane N-1
-/// stay zero -- word ops that could set them (NOT, const-1 broadcast,
-/// register reset fills) mask with `word_mask`, and the AND/OR/XOR/MUX
+/// stay zero -- word ops that could set them (NOT) mask with
+/// `word_mask`, lane masks never include them, and the AND/OR/XOR/MUX
 /// forms preserve zero padding algebraically.
 class BatchedSim {
  public:
@@ -98,16 +103,25 @@ class BatchedSim {
       mem_images_.push_back(std::move(images));
     }
 
+    // Constants are stored once here -- nothing else drives their wires
+    // -- so the sweep never revisits them.
     depth_ = schedule.depth;
+    comb_units_ = schedule.steps.size();
     for (const LevelizedSchedule::Step& step : schedule.steps) {
       const ir::Unit& unit = *step.unit;
+      if (unit.kind == ir::UnitKind::kConst) {
+        std::size_t out = index_of(comb_output(unit));
+        for (std::size_t lane = 0; lane < lanes_; ++lane) {
+          put_raw(out, lane, unit.value);
+        }
+        continue;
+      }
       CombOp op;
       op.kind = unit.kind;
       op.out = index_of(comb_output(unit));
       op.width = slots_[op.out].width;
       op.binop = unit.binop;
       op.unop = unit.unop;
-      op.value = unit.value;
       op.mux_inputs = unit.mux_inputs;
       for (const std::string& wire : ir::comb_input_wires(unit)) {
         op.ins.push_back(index_of(wire));
@@ -126,11 +140,8 @@ class BatchedSim {
         reg.d = index_of(unit.port("d"));
         reg.en = unit.has_port("en") ? index_of(unit.port("en")) : kNone;
         reg.rst = unit.has_port("rst") ? index_of(unit.port("rst")) : kNone;
-        reg.width = slots_[reg.q].width;
-        reg.reset = unit.reset_value & Bits::mask(reg.width);
-        reg.word = slots_[reg.q].packed && slots_[reg.d].packed &&
-                   (reg.en == kNone || slots_[reg.en].packed) &&
-                   (reg.rst == kNone || slots_[reg.rst].packed);
+        reg.reset = unit.reset_value & Bits::mask(slots_[reg.q].width);
+        reg.word = slots_[reg.q].packed;  // en and rst are always 1-bit
         registers_.push_back(std::move(reg));
       } else if (unit.kind == ir::UnitKind::kBinOp && unit.latency > 0) {
         PipeOp pipe;
@@ -139,8 +150,8 @@ class BatchedSim {
         pipe.b = index_of(unit.port("b"));
         pipe.binop = unit.binop;
         pipe.width = slots_[pipe.out].width;
-        pipe.stages.assign(unit.latency - 1,
-                           std::vector<std::uint64_t>(lanes_, 0));
+        pipe.latency = unit.latency;
+        pipe.ring.assign(std::size_t{unit.latency} * lanes_, 0);
         pipelined_.push_back(std::move(pipe));
       } else if (unit.kind == ir::UnitKind::kMemPort &&
                  unit.mem_mode != ir::MemMode::kRead) {
@@ -156,16 +167,33 @@ class BatchedSim {
 
     // Scratch for the two-phase edge: every register's sampled next value
     // (one packed word run for word registers, one slot per lane
-    // otherwise), laid out once so clock_edge never allocates for them.
+    // otherwise) and its mask of loading lanes, laid out once so
+    // clock_edge never allocates for them.
     std::size_t scratch = 0;
-    for (const RegOp& reg : registers_) {
-      reg_scratch_offset_.push_back(scratch);
+    for (RegOp& reg : registers_) {
+      reg.next = scratch;
       scratch += reg.word ? words_ : lanes_;
     }
-    reg_scratch_.assign(scratch, 0);
+    reg_next_.assign(scratch, 0);
+    reg_load_.assign(registers_.size() * words_, 0);
+    pending_.assign(registers_.size(), 0);
 
+    std::vector<std::size_t> control_of(slots_.size(), kNone);
     for (const std::string& control : datapath.control_wires) {
+      control_of[index_of(control)] = control_index_.size();
       control_index_.push_back(index_of(control));
+    }
+    // A register whose enable and reset are both FSM controls loads
+    // exactly in the states that assert one of them, so the edge looks
+    // it up by state; the rest are scanned every edge.
+    auto gated = [&](const RegOp& reg) {
+      return reg.en != kNone && control_of[reg.en] != kNone &&
+             (reg.rst == kNone || control_of[reg.rst] != kNone);
+    };
+    for (std::size_t r = 0; r < registers_.size(); ++r) {
+      if (!gated(registers_[r])) {
+        scanned_.push_back(r);
+      }
     }
     for (const ir::State& state : config.fsm.states) {
       CompiledState compiled;
@@ -177,8 +205,20 @@ class BatchedSim {
             break;
           }
         }
-        compiled.controls.push_back(
-            value & Bits::mask(slots_[index_of(control)].width));
+        value &= Bits::mask(slots_[index_of(control)].width);
+        if (value != 0) {
+          compiled.asserted.push_back(compiled.controls.size());
+        }
+        compiled.controls.push_back(value);
+      }
+      auto asserts = [&](std::size_t wire) {
+        return wire != kNone && compiled.controls[control_of[wire]] != 0;
+      };
+      for (std::size_t r = 0; r < registers_.size(); ++r) {
+        const RegOp& reg = registers_[r];
+        if (gated(reg) && (asserts(reg.en) || asserts(reg.rst))) {
+          compiled.loads.push_back(r);
+        }
       }
       for (const ir::Transition& transition : state.transitions) {
         CompiledTransition ct;
@@ -193,6 +233,9 @@ class BatchedSim {
     }
     done_index_ = index_of(config.fsm.done_wire);
     state_.assign(lanes_, config.fsm.state_index(config.fsm.initial));
+    driven_.assign(lanes_, kNone);
+    state_lanes_.assign(states_.size() * words_, 0);
+    occupied_flag_.assign(states_.size(), 0);
     visits_.assign(lanes_,
                    std::vector<std::uint64_t>(config.fsm.states.size(), 0));
     taken_.resize(lanes_);
@@ -214,12 +257,15 @@ class BatchedSim {
     lane_traces_.assign(
         lanes_, std::vector<std::vector<std::uint64_t>>(trace_names_.size()));
     events_.assign(lanes_, 0);
+    word_events_.assign(words_, 0);
     active_.assign(words_, ~0ull);
     active_.back() &= tail_mask_;
     active_count_ = lanes_;
   }
 
-  std::size_t depth() const { return depth_; }
+  /// Schedule levels visited so far: every sweep walks all of them --
+  /// the unit the obs `engine.levels_swept` counter aggregates.
+  std::uint64_t levels_swept() const { return sweeps_ * depth_; }
   /// Sum over sweeps of the number of lanes still active in each -- the
   /// unit the obs `engine.lane_sweeps` counter aggregates.
   std::uint64_t lane_sweeps() const { return lane_sweeps_; }
@@ -244,11 +290,11 @@ class BatchedSim {
       // Done is checked before the budget, so a lane whose done rises in
       // the same cycle the budget runs out still completes (the
       // single-lane engines break the tie the same way).
-      for_each_active([&](std::size_t lane) {
-        if (get(done_index_, lane) != 0) {
-          finish(results[lane], lane, sim::Kernel::StopReason::kDoneNet);
-        }
-      });
+      for_each_lane(
+          [&](std::size_t w) { return active_where(done_index_, w); },
+          [&](std::size_t lane) {
+            finish(results[lane], lane, sim::Kernel::StopReason::kDoneNet);
+          });
       if (active_count_ == 0) {
         break;
       }
@@ -272,12 +318,10 @@ class BatchedSim {
     kWordBin,    ///< 1-bit AND/OR/XOR over packed lane words
     kWordNot,    ///< 1-bit NOT, tail-masked
     kWordCopy,   ///< 1-bit pass/sext/neg/abs (all identity on one bit)
-    kWordConst,  ///< 1-bit constant broadcast
     kWordMux,    ///< 2-way mux, 1-bit select and data
     kWideBin,    ///< multi-bit binop, unpacked in/out, dispatch hoisted
     kWideCmp,    ///< comparison of unpacked operands into a packed out
     kWideUn,     ///< multi-bit unop, unpacked in/out
-    kWideConst,  ///< multi-bit constant broadcast
     kWideMux,    ///< mux with unpacked data inputs and output
     kWideMem,    ///< memory read port with an unpacked output
     kLaneLoop,   ///< per-lane Bits evaluation via ops::eval_*
@@ -294,7 +338,6 @@ class BatchedSim {
     std::uint32_t width;
     ops::BinOp binop;
     ops::UnOp unop;
-    std::uint64_t value;
     std::uint32_t mux_inputs;
     std::vector<std::size_t> ins;
     std::size_t mem = kNone;
@@ -304,17 +347,22 @@ class BatchedSim {
     std::size_t d;
     std::size_t en;
     std::size_t rst;
-    std::uint32_t width;
     std::uint64_t reset;
     bool word;
+    std::size_t next;  ///< offset of the sampled next value in reg_next_
   };
+  /// A latency-L unit keeps L lane vectors in a ring: the L-1 values in
+  /// flight from `head` on, oldest first, plus the slot the next sample
+  /// lands in (the same slot as `head` when L == 1).
   struct PipeOp {
     std::size_t out;
     std::size_t a;
     std::size_t b;
     ops::BinOp binop;
     std::uint32_t width;
-    std::deque<std::vector<std::uint64_t>> stages;
+    std::uint32_t latency;
+    std::size_t head = 0;
+    std::vector<std::uint64_t> ring;
   };
   struct WriteOp {
     std::size_t addr;
@@ -323,12 +371,20 @@ class BatchedSim {
     std::size_t mem;
     std::string name;
   };
+  struct MemWrite {
+    mem::MemoryImage* image;
+    std::size_t lane;
+    std::uint64_t address;
+    std::uint64_t data;
+  };
   struct CompiledTransition {
     std::vector<std::pair<std::size_t, bool>> literals;
     std::size_t target;
   };
   struct CompiledState {
     std::vector<std::uint64_t> controls;
+    std::vector<std::size_t> asserted;  ///< controls[c] != 0
+    std::vector<std::size_t> loads;     ///< control-gated registers loading
     std::vector<CompiledTransition> transitions;
   };
 
@@ -364,8 +420,6 @@ class BatchedSim {
           return Exec::kWideUn;
         }
         return Exec::kLaneLoop;
-      case ir::UnitKind::kConst:
-        return op.width == 1 ? Exec::kWordConst : Exec::kWideConst;
       case ir::UnitKind::kMux: {
         if (op.width == 1 && op.mux_inputs == 2 && packed(op.ins[0]) &&
             packed(op.ins[1]) && packed(op.ins[2])) {
@@ -420,6 +474,32 @@ class BatchedSim {
     }
   }
 
+  /// commit() of values[lane] for every lane set in `mask`, with the
+  /// slot lookup hoisted for an unpacked wire.  `values` must already be
+  /// masked to the wire's width.
+  void commit_lanes(std::size_t wire, const std::uint64_t* mask,
+                    const std::uint64_t* values) {
+    auto lanes = [&](std::size_t w) { return mask[w]; };
+    if (slots_[wire].packed) {
+      for_each_lane(lanes, [&](std::size_t lane) {
+        commit(wire, lane, values[lane]);
+      });
+      return;
+    }
+    std::uint64_t* stored = wide_ptr(wire);
+    std::size_t trace = trace_slot_.empty() ? kNone : trace_slot_[wire];
+    for_each_lane(lanes, [&](std::size_t lane) {
+      if (stored[lane] == values[lane]) {
+        return;
+      }
+      stored[lane] = values[lane];
+      ++events_[lane];
+      if (trace != kNone) {
+        lane_traces_[lane][trace].push_back(values[lane]);
+      }
+    });
+  }
+
   /// Word-parallel commit of a packed wire: store the next lane words,
   /// then walk the changed bits for per-lane event/trace bookkeeping.
   /// `next` must already be frozen on inactive lanes and zero in the
@@ -433,28 +513,45 @@ class BatchedSim {
         continue;
       }
       bit_vals_[slot.offset + w] = next[w];
-      while (changed != 0) {
-        std::size_t bit = static_cast<std::size_t>(std::countr_zero(changed));
-        changed &= changed - 1;
-        std::size_t lane = w * 64 + bit;
+      if (trace == kNone && changed == active_[w]) {
+        ++word_events_[w];  // one event in every active lane of the word
+        continue;
+      }
+      for_each_bit(changed, w * 64, [&](std::size_t lane) {
         ++events_[lane];
         if (trace != kNone) {
-          lane_traces_[lane][trace].push_back((next[w] >> bit) & 1u);
+          lane_traces_[lane][trace].push_back((next[w] >> (lane % 64)) & 1u);
         }
-      }
+      });
+    }
+  }
+
+  /// Calls fn(base + i) for every bit i set in `word`.
+  template <typename Fn>
+  static void for_each_bit(std::uint64_t word, std::size_t base, Fn&& fn) {
+    for (; word != 0; word &= word - 1) {
+      fn(base + static_cast<std::size_t>(std::countr_zero(word)));
+    }
+  }
+
+  /// Calls fn(lane) for every lane set in the packed masks mask(w).
+  template <typename MaskFn, typename Fn>
+  void for_each_lane(MaskFn&& mask, Fn&& fn) {
+    for (std::size_t w = 0; w < words_; ++w) {
+      for_each_bit(mask(w), w * 64, fn);
     }
   }
 
   template <typename Fn>
   void for_each_active(Fn&& fn) {
-    for (std::size_t w = 0; w < words_; ++w) {
-      std::uint64_t word = active_[w];
-      while (word != 0) {
-        std::size_t bit = static_cast<std::size_t>(std::countr_zero(word));
-        word &= word - 1;
-        fn(w * 64 + bit);
-      }
-    }
+    for_each_lane([&](std::size_t w) { return active_[w]; }, fn);
+  }
+
+  /// The active lanes of word `w` in which the 1-bit `wire` is high.
+  /// Enables, resets, write enables, statuses and done are all validated
+  /// to be one bit wide, hence packed.
+  std::uint64_t active_where(std::size_t wire, std::size_t w) const {
+    return active_[w] & word_ptr(wire)[w];
   }
 
   std::uint64_t word_mask(std::size_t w) const {
@@ -563,14 +660,44 @@ class BatchedSim {
     }
   }
 
+  /// Groups the active lanes by FSM state: `occupied_` lists the states
+  /// some active lane is in, `state_lanes_` holds each one's lane mask.
+  void group_lanes() {
+    for (std::size_t s : occupied_) {
+      std::fill_n(state_lanes_.data() + s * words_, words_, 0);
+      occupied_flag_[s] = 0;
+    }
+    occupied_.clear();
+    for_each_active([&](std::size_t lane) {
+      std::size_t s = state_[lane];
+      if (occupied_flag_[s] == 0) {
+        occupied_flag_[s] = 1;
+        occupied_.push_back(s);
+      }
+      state_lanes_[s * words_ + lane / 64] |= 1ull << (lane % 64);
+    });
+  }
+
   /// Moore outputs of each lane's current state; lanes differ once their
-  /// FSMs diverge, so controls drive per lane.
+  /// FSMs diverge, so controls drive per lane.  Nothing else drives a
+  /// control wire, so only the controls asserted by the state a lane
+  /// last drove or by its current one can change (all start at zero).
   void drive_controls() {
     for_each_active([&](std::size_t lane) {
-      const CompiledState& state = states_[state_[lane]];
-      for (std::size_t c = 0; c < control_index_.size(); ++c) {
-        commit(control_index_[c], lane, state.controls[c]);
+      std::size_t last = driven_[lane];
+      if (last == state_[lane]) {
+        return;
       }
+      driven_[lane] = state_[lane];
+      const CompiledState& state = states_[state_[lane]];
+      auto drive = [&](std::size_t c) {
+        commit(control_index_[c], lane, state.controls[c]);
+      };
+      if (last != kNone) {
+        std::for_each(states_[last].asserted.begin(),
+                      states_[last].asserted.end(), drive);
+      }
+      std::for_each(state.asserted.begin(), state.asserted.end(), drive);
     });
   }
 
@@ -587,9 +714,6 @@ class BatchedSim {
         put_raw(op.out, lane, ops::eval_unop(op.unop, a, op.width).u());
         break;
       }
-      case ir::UnitKind::kConst:
-        put_raw(op.out, lane, op.value);
-        break;
       case ir::UnitKind::kMux: {
         std::uint64_t sel = get(op.ins[0], lane);
         put_raw(op.out, lane,
@@ -603,6 +727,7 @@ class BatchedSim {
                 address < image.depth() ? image.words()[address] : 0);
         break;
       }
+      case ir::UnitKind::kConst:
       case ir::UnitKind::kRegister:
         break;
     }
@@ -652,13 +777,6 @@ class BatchedSim {
           }
           break;
         }
-        case Exec::kWordConst: {
-          std::uint64_t* out = word_ptr(op.out);
-          for (std::size_t w = 0; w < words_; ++w) {
-            out[w] = (op.value & 1u) != 0 ? word_mask(w) : 0;
-          }
-          break;
-        }
         case Exec::kWordMux: {
           const std::uint64_t* sel = word_ptr(op.ins[0]);
           const std::uint64_t* in0 = word_ptr(op.ins[1]);
@@ -678,14 +796,6 @@ class BatchedSim {
         case Exec::kWideUn:
           wide_un(op);
           break;
-        case Exec::kWideConst: {
-          std::uint64_t* out = wide_ptr(op.out);
-          const std::uint64_t value = op.value & Bits::mask(op.width);
-          for (std::size_t lane = 0; lane < lanes_; ++lane) {
-            out[lane] = value;
-          }
-          break;
-        }
         case Exec::kWideMux:
           wide_mux(op);
           break;
@@ -699,123 +809,140 @@ class BatchedSim {
     }
   }
 
-  /// Two-phase edge mirroring the single-lane engines: sample registers,
-  /// pipeline stages and memory writes against settled pre-edge values
-  /// (out-of-range writes throw here, before any commit), step each
-  /// lane's FSM on pre-edge statuses, then commit.  Only active lanes
-  /// commit -- a finished lane's registers, memories and FSM freeze.
-  void clock_edge(std::vector<std::vector<std::uint64_t>>& pipe_commits) {
-    for (std::size_t r = 0; r < registers_.size(); ++r) {
+  /// Two-phase edge: sample registers, pipeline stages and memory
+  /// writes against settled pre-edge values (out-of-range writes throw
+  /// here, before any commit), step each lane's FSM on pre-edge statuses,
+  /// then commit.  Only active lanes commit -- a finished lane's
+  /// registers, memories and FSM freeze.  A register loads in the active
+  /// lanes where its enable or reset is high; one that loads in no lane
+  /// is neither sampled nor committed.
+  void clock_edge() {
+    group_lanes();
+    for (std::size_t s : occupied_) {
+      const std::uint64_t* lanes = state_lanes_.data() + s * words_;
+      for (std::size_t r : states_[s].loads) {
+        if (pending_[r] == 0) {
+          pending_[r] = 1;
+          loaded_.push_back(r);
+        }
+        std::uint64_t* load = reg_load_.data() + r * words_;
+        for (std::size_t w = 0; w < words_; ++w) {
+          load[w] |= lanes[w];
+        }
+      }
+    }
+    for (std::size_t r : scanned_) {
       const RegOp& reg = registers_[r];
-      std::uint64_t* next = reg_scratch_.data() + reg_scratch_offset_[r];
+      std::uint64_t* load = reg_load_.data() + r * words_;
+      std::uint64_t any = 0;
+      for (std::size_t w = 0; w < words_; ++w) {
+        load[w] = (reg.en == kNone ? active_[w] : active_where(reg.en, w)) |
+                  (reg.rst == kNone ? 0 : active_where(reg.rst, w));
+        any |= load[w];
+      }
+      if (any != 0) {
+        loaded_.push_back(r);
+      }
+    }
+    for (std::size_t r : loaded_) {
+      const RegOp& reg = registers_[r];
+      const std::uint64_t* load = reg_load_.data() + r * words_;
+      std::uint64_t* next = reg_next_.data() + reg.next;
       if (reg.word) {
         const std::uint64_t* q = word_ptr(reg.q);
         const std::uint64_t* d = word_ptr(reg.d);
         std::uint64_t reset_fill = (reg.reset & 1u) != 0 ? ~0ull : 0;
         for (std::size_t w = 0; w < words_; ++w) {
-          std::uint64_t en =
-              reg.en == kNone ? ~0ull : word_ptr(reg.en)[w];
           std::uint64_t rst = reg.rst == kNone ? 0 : word_ptr(reg.rst)[w];
-          std::uint64_t loaded = (en & d[w]) | (~en & q[w]);
-          std::uint64_t value =
-              (rst & reset_fill & word_mask(w)) | (~rst & loaded);
-          next[w] = (active_[w] & value) | (~active_[w] & q[w]);
+          std::uint64_t value = (rst & reset_fill) | (~rst & d[w]);
+          next[w] = (load[w] & value) | (~load[w] & q[w]);
         }
       } else {
-        for_each_active([&](std::size_t lane) {
-          std::uint64_t value;
-          if (reg.rst != kNone && get(reg.rst, lane) != 0) {
-            value = reg.reset;
-          } else if (reg.en != kNone && get(reg.en, lane) == 0) {
-            value = get(reg.q, lane);
-          } else {
-            value = get(reg.d, lane);
-          }
-          next[lane] = value;
-        });
+        for_each_lane([&](std::size_t w) { return load[w]; },
+                      [&](std::size_t lane) {
+                        next[lane] =
+                            reg.rst != kNone && get(reg.rst, lane) != 0
+                                ? reg.reset
+                                : get(reg.d, lane);
+                      });
       }
     }
-    pipe_commits.clear();
     for (PipeOp& pipe : pipelined_) {
-      std::vector<std::uint64_t> entry(lanes_, 0);
-      for_each_active([&](std::size_t lane) {
-        Bits a(slots_[pipe.a].width, get(pipe.a, lane));
-        Bits b(slots_[pipe.b].width, get(pipe.b, lane));
-        entry[lane] = ops::eval_binop(pipe.binop, a, b, pipe.width).u();
+      std::size_t slot = (pipe.head + pipe.latency - 1) % pipe.latency;
+      std::uint64_t* sample = pipe.ring.data() + slot * lanes_;
+      const std::uint64_t mask = Bits::mask(pipe.width);
+      const std::uint64_t sa = ops::sign_bit(slots_[pipe.a].width);
+      const std::uint64_t sb = ops::sign_bit(slots_[pipe.b].width);
+      ops::visit_binop(pipe.binop, [&](auto fn) {
+        for_each_active([&](std::size_t lane) {
+          sample[lane] = fn(get(pipe.a, lane), get(pipe.b, lane), sa, sb) &
+                         mask;
+        });
       });
-      pipe.stages.push_back(std::move(entry));
-      pipe_commits.push_back(std::move(pipe.stages.front()));
-      pipe.stages.pop_front();
     }
-    struct MemWrite {
-      std::size_t mem;
-      std::size_t lane;
-      std::uint64_t address;
-      std::uint64_t data;
-    };
-    std::vector<MemWrite> mem_writes;
+    mem_writes_.clear();
     for (const WriteOp& write : writes_) {
-      for_each_active([&](std::size_t lane) {
-        if (get(write.we, lane) == 0) {
-          return;
-        }
-        std::uint64_t address = get(write.addr, lane);
-        mem::MemoryImage* image = mem_images_[write.mem][lane];
-        if (address >= image->depth()) {
-          throw util::SimError(
-              "batched: sram '" + write.name + "' lane " +
-              std::to_string(lane) + " write to address " +
-              std::to_string(address) + " beyond depth " +
-              std::to_string(image->depth()));
-        }
-        mem_writes.push_back({write.mem, lane, address,
-                              get(write.din, lane)});
-      });
+      for_each_lane(
+          [&](std::size_t w) { return active_where(write.we, w); },
+          [&](std::size_t lane) {
+            std::uint64_t address = get(write.addr, lane);
+            mem::MemoryImage* image = mem_images_[write.mem][lane];
+            if (address >= image->depth()) {
+              throw util::SimError(
+                  "batched: sram '" + write.name + "' lane " +
+                  std::to_string(lane) + " write to address " +
+                  std::to_string(address) + " beyond depth " +
+                  std::to_string(image->depth()));
+            }
+            mem_writes_.push_back({image, lane, address,
+                                   get(write.din, lane)});
+          });
     }
-    for_each_active([&](std::size_t lane) {
-      const CompiledState& current = states_[state_[lane]];
-      for (std::size_t t = 0; t < current.transitions.size(); ++t) {
-        const CompiledTransition& transition = current.transitions[t];
-        bool taken = true;
-        for (const auto& [status, expected] : transition.literals) {
-          if ((get(status, lane) == 0) == expected) {
-            taken = false;
-            break;
+    // Each state's lanes take its first transition whose guard holds,
+    // evaluated a packed word of lanes at a time.
+    for (std::size_t s : occupied_) {
+      const CompiledState& current = states_[s];
+      for (std::size_t w = 0; w < words_; ++w) {
+        std::uint64_t rest = state_lanes_[s * words_ + w];
+        for (std::size_t t = 0; t < current.transitions.size() && rest != 0;
+             ++t) {
+          const CompiledTransition& transition = current.transitions[t];
+          std::uint64_t taken = rest;
+          for (const auto& [status, expected] : transition.literals) {
+            std::uint64_t high = active_where(status, w);
+            taken &= expected ? high : ~high;
           }
-        }
-        if (taken) {
-          ++taken_[lane][state_[lane]][t];
-          state_[lane] = transition.target;
-          ++visits_[lane][state_[lane]];
-          break;
+          rest &= ~taken;
+          for_each_bit(taken, w * 64, [&](std::size_t lane) {
+            ++taken_[lane][s][t];
+            state_[lane] = transition.target;
+            ++visits_[lane][transition.target];
+          });
         }
       }
-    });
-    for (std::size_t r = 0; r < registers_.size(); ++r) {
+    }
+    for (std::size_t r : loaded_) {
       const RegOp& reg = registers_[r];
-      const std::uint64_t* next = reg_scratch_.data() + reg_scratch_offset_[r];
+      const std::uint64_t* next = reg_next_.data() + reg.next;
+      std::uint64_t* load = reg_load_.data() + r * words_;
       if (reg.word) {
         commit_packed(reg.q, next);
       } else {
-        for_each_active(
-            [&](std::size_t lane) { commit(reg.q, lane, next[lane]); });
+        commit_lanes(reg.q, load, next);
       }
+      std::fill(load, load + words_, 0);
+      pending_[r] = 0;
     }
-    for (std::size_t p = 0; p < pipelined_.size(); ++p) {
-      const std::vector<std::uint64_t>& front = pipe_commits[p];
-      for_each_active([&](std::size_t lane) {
-        commit(pipelined_[p].out, lane, front[lane]);
-      });
+    loaded_.clear();
+    for (PipeOp& pipe : pipelined_) {
+      commit_lanes(pipe.out, active_.data(),
+                   pipe.ring.data() + pipe.head * lanes_);
+      pipe.head = (pipe.head + 1) % pipe.latency;
     }
-    for (const MemWrite& write : mem_writes) {
-      mem_images_[write.mem][write.lane]->write(write.address, write.data);
+    for (const MemWrite& write : mem_writes_) {
+      write.image->write(write.address, write.data);
       ++events_[write.lane];
     }
-  }
-
-  void clock_edge() {
-    std::vector<std::vector<std::uint64_t>> pipe_commits;
-    clock_edge(pipe_commits);
   }
 
   /// Snapshots one finished lane.  All lanes share the cycle counter and
@@ -826,10 +953,10 @@ class BatchedSim {
               sim::Kernel::StopReason reason) {
     result.reason = reason;
     result.cycles = cycle_;
-    result.stats.events = events_[lane];
+    result.stats.events = events_[lane] + word_events_[lane / 64];
     result.stats.delta_cycles = cycle_ + 1;
     result.stats.evaluations =
-        (cycle_ + 1) * comb_.size() +
+        (cycle_ + 1) * comb_units_ +
         cycle_ * (registers_.size() + pipelined_.size() + writes_.size());
     result.stats.timesteps = cycle_ + 1;
     result.stats.end_time = cycle_ * options_.clock_period;
@@ -855,16 +982,25 @@ class BatchedSim {
   std::map<std::string, std::size_t> image_index_;
   std::vector<std::vector<mem::MemoryImage*>> mem_images_;
   std::vector<CombOp> comb_;
+  std::size_t comb_units_ = 0;  ///< comb_ plus the constants
   std::vector<RegOp> registers_;
   std::vector<PipeOp> pipelined_;
   std::vector<WriteOp> writes_;
-  std::vector<std::uint64_t> reg_scratch_;
-  std::vector<std::size_t> reg_scratch_offset_;
+  std::vector<std::uint64_t> reg_next_;
+  std::vector<std::uint64_t> reg_load_;
+  std::vector<std::size_t> scanned_;  ///< registers not gated by controls
+  std::vector<std::size_t> loaded_;   ///< registers loading this edge
+  std::vector<std::uint8_t> pending_;  ///< r is in loaded_
+  std::vector<MemWrite> mem_writes_;
   std::vector<std::size_t> control_index_;
   std::vector<CompiledState> states_;
   std::size_t depth_ = 0;
   std::size_t done_index_;
   std::vector<std::size_t> state_;
+  std::vector<std::size_t> driven_;  ///< state whose controls each lane drove
+  std::vector<std::uint64_t> state_lanes_;  ///< per state, its active lanes
+  std::vector<std::size_t> occupied_;       ///< states with active lanes
+  std::vector<std::uint8_t> occupied_flag_;
   std::vector<std::vector<std::uint64_t>> visits_;
   std::vector<std::vector<std::vector<std::uint64_t>>> taken_;
   std::vector<std::size_t> trace_slot_;
@@ -872,6 +1008,9 @@ class BatchedSim {
   std::vector<std::size_t> trace_index_;
   std::vector<std::vector<std::vector<std::uint64_t>>> lane_traces_;
   std::vector<std::uint64_t> events_;
+  /// Events shared by every lane active in a packed word when they
+  /// happened; a lane's count is events_ plus its word's entry.
+  std::vector<std::uint64_t> word_events_;
   std::vector<std::uint64_t> active_;
   std::size_t active_count_ = 0;
   std::uint64_t cycle_ = 0;
@@ -881,10 +1020,7 @@ class BatchedSim {
 
 }  // namespace
 
-const std::string& BatchedEngine::name() const {
-  static const std::string kName = "batched";
-  return kName;
-}
+const std::string& BatchedEngine::name() const { return name_; }
 
 sim::EnginePartition BatchedEngine::run_partition(
     const ir::Design& design, const std::string& node, mem::MemoryPool& pool,
@@ -900,6 +1036,7 @@ sim::EnginePartition BatchedEngine::run_partition(
   if (obs::enabled()) {
     obs::counter("engine.lanes").inc();
     obs::counter("engine.lane_sweeps").add(simulator.lane_sweeps());
+    obs::counter("engine.levels_swept").add(simulator.levels_swept());
   }
   return run;
 }
@@ -921,6 +1058,7 @@ std::vector<sim::EngineResult> BatchedEngine::run_batch(
   std::vector<std::size_t> live(lanes.size());
   std::iota(live.begin(), live.end(), std::size_t{0});
   std::uint64_t lane_sweeps = 0;
+  std::uint64_t levels_swept = 0;
   std::uint64_t lane_cycles = 0;
   std::string node = design.rtg.initial;
   while (!node.empty() && !live.empty()) {
@@ -943,6 +1081,7 @@ std::vector<sim::EngineResult> BatchedEngine::run_batch(
         run.wall_seconds = share;
       }
       lane_sweeps += simulator.lane_sweeps();
+      levels_swept += simulator.levels_swept();
     }
     if (obs::enabled()) {
       obs::counter("engine.lanes").add(runs.size());
@@ -952,6 +1091,7 @@ std::vector<sim::EngineResult> BatchedEngine::run_batch(
     for (std::size_t i = 0; i < live.size(); ++i) {
       std::size_t lane = live[i];
       lane_cycles += runs[i].cycles;
+      record_partition(runs[i]);
       bool done = runs[i].reason == sim::Kernel::StopReason::kDoneNet;
       results[lane].partitions.push_back(std::move(runs[i]));
       if (done) {
@@ -965,6 +1105,7 @@ std::vector<sim::EngineResult> BatchedEngine::run_batch(
   }
   if (obs::enabled()) {
     obs::counter("engine.lane_sweeps").add(lane_sweeps);
+    obs::counter("engine.levels_swept").add(levels_swept);
     double wall = watch.seconds();
     if (wall > 0.0) {
       // Lane-cycles per second: the batch's aggregate simulated cycle

@@ -1,5 +1,8 @@
 // Batch-parallel levelized evaluation: one compiled schedule sweep
-// advances N independent stimulus lanes in lockstep.
+// advances N independent stimulus lanes in lockstep.  It is the only
+// interpreter of the levelized schedule (levelized.hpp): the registry
+// name "levelized" builds this engine, which then runs one lane per
+// single-run call.
 //
 // Net storage is structure-of-arrays.  A 1-bit net packs 64 lanes into
 // each uint64_t, so AND/OR/XOR/NOT and 2-way muxes over 1-bit operands
@@ -7,8 +10,9 @@
 // one word per lane and loop over lanes in SoA order through the shared
 // ops::eval_* semantics.  Registers, pipelined units, memory ports and
 // the FSM keep per-lane state, so every lane observes exactly what an
-// independent levelized run over the same starting pool would -- the
-// engine-parity tests assert this bit for bit.
+// independent single-lane run over the same starting pool would -- the
+// engine-parity tests assert this bit for bit against the reference
+// interpreter.
 //
 // Lane semantics (the contract the fuzz lane checker and the harness
 // rely on):
@@ -24,6 +28,7 @@
 
 #include <cstddef>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fti/elab/engines.hpp"
@@ -32,9 +37,11 @@ namespace fti::elab {
 
 class BatchedEngine final : public PartitionedEngine {
  public:
+  /// `name` is the registry name the engine reports (spans, errors).
+  explicit BatchedEngine(std::string name = "batched")
+      : name_(std::move(name)) {}
   const std::string& name() const override;
   bool reports_wire_data() const override { return true; }
-  std::size_t max_lanes() const override { return 1024; }
   sim::EnginePartition run_partition(const ir::Design& design,
                                      const std::string& node,
                                      mem::MemoryPool& pool,
@@ -45,6 +52,9 @@ class BatchedEngine final : public PartitionedEngine {
   std::vector<sim::EngineResult> run_batch(
       const ir::Design& design, const std::vector<mem::MemoryPool*>& lanes,
       const sim::EngineRunOptions& options = {}) override;
+
+ private:
+  std::string name_;
 };
 
 }  // namespace fti::elab

@@ -16,6 +16,7 @@
 #include "fti/cache/ir_hash.hpp"
 #include "fti/cache/so_store.hpp"
 #include "fti/codegen/cpp.hpp"
+#include "fti/elab/batched.hpp"
 #include "fti/elab/compiled_abi.hpp"
 #include "fti/elab/levelized.hpp"
 #include "fti/obs/metrics.hpp"
@@ -416,7 +417,7 @@ sim::EnginePartition CompiledEngine::run_partition(
     if (obs::enabled()) {
       obs::counter("compiled.fallbacks").inc();
     }
-    LevelizedEngine fallback;
+    BatchedEngine fallback("levelized");
     return fallback.run_partition(design, node, pool, options,
                                   partition_index);
   }

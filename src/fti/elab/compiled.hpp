@@ -20,7 +20,8 @@
 //
 // Fallback ladder, loud but graceful:
 //  * no usable host compiler / no cached object -> warn once to stderr,
-//    run the partition on the levelized interpreter (results identical;
+//    run the partition on the batched interpreter at one lane, the
+//    engine registered as "levelized" (results identical;
 //    `fti engines` and compiled_status() report why);
 //  * module fails to load or fails its hash/ABI check -> evict the
 //    on-disk object and fall through to a fresh compile;

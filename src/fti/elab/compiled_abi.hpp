@@ -9,8 +9,8 @@
 // mislabeled cache object can only miss, never alias), and one run
 // function per RTG node.  Run functions return 0 when the done net
 // rose, 1 on cycle-budget exhaustion and 2 on a simulation error (the
-// message is in `error`); the host maps these onto the levelized
-// engine's StopReason / SimError behaviour exactly.
+// message is in `error`); the host maps these onto the interpreter's
+// StopReason / SimError behaviour exactly.
 //
 // The generated source cannot #include this header (cached objects must
 // load in processes that know nothing about the build tree), so the

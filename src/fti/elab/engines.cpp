@@ -7,7 +7,6 @@
 
 #include "fti/elab/batched.hpp"
 #include "fti/elab/compiled.hpp"
-#include "fti/elab/levelized.hpp"
 #include "fti/obs/metrics.hpp"
 #include "fti/obs/trace.hpp"
 #include "fti/ops/alu.hpp"
@@ -30,6 +29,25 @@ std::vector<std::string> traced_wires(const ir::Datapath& datapath) {
   return wires;
 }
 
+void record_partition(const sim::EnginePartition& run) {
+  // Partition-granularity aggregation from the kernel's own stats --
+  // the per-event loops stay untouched, so the instrumented engines
+  // cost the same as the uninstrumented ones.
+  if (!obs::enabled()) {
+    return;
+  }
+  obs::counter("engine.partitions").inc();
+  obs::counter("engine.events_popped").add(run.stats.events);
+  obs::counter("engine.evaluations").add(run.stats.evaluations);
+  obs::counter("engine.delta_cycles").add(run.stats.delta_cycles);
+  obs::counter("engine.wheel_rotations").add(run.stats.timesteps);
+  obs::counter("engine.cycles").add(run.cycles);
+  if (run.wall_seconds > 0.0) {
+    obs::gauge("engine.cycles_per_sec")
+        .set(static_cast<double>(run.cycles) / run.wall_seconds);
+  }
+}
+
 sim::EngineResult PartitionedEngine::run(const ir::Design& design,
                                          mem::MemoryPool& pool,
                                          const sim::EngineRunOptions& options) {
@@ -45,21 +63,7 @@ sim::EngineResult PartitionedEngine::run(const ir::Design& design,
       obs::ScopedSpan span(name() + ":" + node, "engine");
       run = run_partition(design, node, pool, options, index);
     }
-    // Partition-granularity aggregation from the kernel's own stats --
-    // the per-event loops stay untouched, so the instrumented engines
-    // cost the same as the uninstrumented ones.
-    if (obs::enabled()) {
-      obs::counter("engine.partitions").inc();
-      obs::counter("engine.events_popped").add(run.stats.events);
-      obs::counter("engine.evaluations").add(run.stats.evaluations);
-      obs::counter("engine.delta_cycles").add(run.stats.delta_cycles);
-      obs::counter("engine.wheel_rotations").add(run.stats.timesteps);
-      obs::counter("engine.cycles").add(run.cycles);
-      if (run.wall_seconds > 0.0) {
-        obs::gauge("engine.cycles_per_sec")
-            .set(static_cast<double>(run.cycles) / run.wall_seconds);
-      }
-    }
+    record_partition(run);
     sim::Kernel::StopReason reason = run.reason;
     result.partitions.push_back(std::move(run));
     if (reason != sim::Kernel::StopReason::kDoneNet) {
@@ -484,8 +488,9 @@ void register_builtin_engines() {
                          [] { return std::make_unique<EventEngine>(); });
     sim::register_engine("naive",
                          [] { return std::make_unique<NaiveEngine>(); });
-    sim::register_engine(
-        "levelized", [] { return std::make_unique<LevelizedEngine>(); });
+    sim::register_engine("levelized", [] {
+      return std::make_unique<BatchedEngine>("levelized");
+    });
     sim::register_engine(
         "batched", [] { return std::make_unique<BatchedEngine>(); });
     sim::register_engine(

@@ -1,14 +1,17 @@
 // Built-in execution engines behind the sim::Engine interface.
 //
-// Three backends share one RTG loop (PartitionedEngine):
-//  * EventEngine     -- the event-driven kernel (elaborate to a netlist of
-//                       components, calendar-queue scheduling).  The
-//                       paper's engine; the only one with net tracing.
-//  * NaiveEngine     -- the conventional full-evaluation baseline: every
-//                       cycle, sweep EVERY combinational unit until the
-//                       values settle (E3's comparison point).
-//  * LevelizedEngine -- statically scheduled compiled evaluation, see
-//                       levelized.hpp.
+// Every backend shares one RTG loop (PartitionedEngine):
+//  * EventEngine    -- the event-driven kernel (elaborate to a netlist of
+//                      components, calendar-queue scheduling).  The
+//                      paper's engine; the only one with net tracing.
+//  * NaiveEngine    -- the conventional full-evaluation baseline: every
+//                      cycle, sweep EVERY combinational unit until the
+//                      values settle (E3's comparison point).
+//  * BatchedEngine  -- statically scheduled evaluation of the levelized
+//                      schedule over N lanes (batched.hpp); registered
+//                      as "batched" and, for one-lane runs, "levelized".
+//  * CompiledEngine -- the levelized schedule lowered to native code
+//                      (compiled.hpp).
 //
 // The fuzzer's reference interpreter implements the same interface from
 // the fuzz layer (fuzz/reference.hpp).
@@ -38,6 +41,12 @@ std::vector<std::string> traced_wires(const ir::Datapath& datapath);
 sim::FsmCoverage coverage_from_counts(
     const ir::Fsm& fsm, const std::vector<std::uint64_t>& visits,
     const std::vector<std::vector<std::uint64_t>>& taken);
+
+/// Adds one finished partition to the engine.* observability counters
+/// (a no-op while obs is disabled).  PartitionedEngine::run records each
+/// partition it runs; an engine with its own run_batch records each
+/// lane's partitions the same way.
+void record_partition(const sim::EnginePartition& run);
 
 /// Shared temporal-partition loop: validate the design, run each RTG node
 /// through run_partition, stop early (completed == false) when one misses

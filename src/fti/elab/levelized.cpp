@@ -2,20 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
-#include <deque>
 #include <map>
 #include <utility>
 
 #include "fti/ir/comb_graph.hpp"
-#include "fti/obs/metrics.hpp"
-#include "fti/ops/alu.hpp"
 #include "fti/util/error.hpp"
-#include "fti/util/file_io.hpp"
 
 namespace fti::elab {
 namespace {
-
-using sim::Bits;
 
 // The combinational classification and per-unit dependency lists live in
 // ir/comb_graph.hpp, shared with the lint analyzer so both agree on what
@@ -109,408 +103,6 @@ SharedSchedule acquire_levelized_schedule(const ir::Design& design,
   }
   return std::make_shared<const LevelizedSchedule>(
       build_levelized_schedule(design.configuration(node).datapath));
-}
-
-namespace {
-
-/// Straight-line interpreter over the precompiled schedule.  Everything is
-/// resolved to dense indices at construction; the per-cycle loop does no
-/// name lookups and no scheduling decisions.
-class LevelizedSim {
- public:
-  /// `schedule` must have been built from this exact `config` object
-  /// (see acquire_levelized_schedule); the caller's SharedSchedule
-  /// handle keeps it alive for the construction -- steps are resolved
-  /// to dense indices here and the schedule is not referenced after.
-  LevelizedSim(const ir::Configuration& config, mem::MemoryPool& pool,
-               const sim::EngineRunOptions& options,
-               const LevelizedSchedule& schedule)
-      : config_(config), options_(options) {
-    ir::validate(config.datapath);
-    ir::validate(config.fsm, config.datapath);
-    const ir::Datapath& datapath = config.datapath;
-    for (const ir::Wire& wire : datapath.wires) {
-      wire_index_.emplace(wire.name, values_.size());
-      values_.emplace_back(wire.width, 0);
-    }
-    for (const ir::MemoryDecl& memory : datapath.memories) {
-      bool fresh = !pool.contains(memory.name);
-      mem::MemoryImage& image =
-          pool.create(memory.name, memory.depth, memory.width);
-      if (fresh) {
-        for (std::size_t i = 0; i < memory.init.size(); ++i) {
-          image.write(i, memory.init[i]);
-        }
-      }
-      images_.emplace(memory.name, &image);
-    }
-
-    // The combinational sweep, compiled from the levelized schedule.
-    depth_ = schedule.depth;
-    for (const LevelizedSchedule::Step& step : schedule.steps) {
-      const ir::Unit& unit = *step.unit;
-      CombOp op;
-      op.kind = unit.kind;
-      op.out = index_of(comb_output(unit));
-      op.width = values_[op.out].width();
-      op.binop = unit.binop;
-      op.unop = unit.unop;
-      op.value = unit.value;
-      op.mux_inputs = unit.mux_inputs;
-      for (const std::string& wire : ir::comb_input_wires(unit)) {
-        op.ins.push_back(index_of(wire));
-      }
-      if (unit.kind == ir::UnitKind::kMemPort) {
-        op.image = images_.at(unit.memory);
-      }
-      comb_.push_back(std::move(op));
-    }
-
-    // Sequential elements, sampled and committed at the edge.
-    for (const ir::Unit& unit : datapath.units) {
-      if (unit.kind == ir::UnitKind::kRegister) {
-        RegOp reg;
-        reg.q = index_of(unit.port("q"));
-        reg.d = index_of(unit.port("d"));
-        reg.en = unit.has_port("en") ? index_of(unit.port("en")) : kNone;
-        reg.rst = unit.has_port("rst") ? index_of(unit.port("rst")) : kNone;
-        reg.reset = Bits(unit.width, unit.reset_value);
-        registers_.push_back(std::move(reg));
-      } else if (unit.kind == ir::UnitKind::kBinOp && unit.latency > 0) {
-        PipeOp pipe;
-        pipe.out = index_of(unit.port("out"));
-        pipe.a = index_of(unit.port("a"));
-        pipe.b = index_of(unit.port("b"));
-        pipe.binop = unit.binop;
-        pipe.width = values_[pipe.out].width();
-        pipe.stages.assign(unit.latency - 1, Bits(pipe.width, 0));
-        pipelined_.push_back(std::move(pipe));
-      } else if (unit.kind == ir::UnitKind::kMemPort &&
-                 unit.mem_mode != ir::MemMode::kRead) {
-        WriteOp write;
-        write.addr = index_of(unit.port("addr"));
-        write.din = index_of(unit.port("din"));
-        write.we = index_of(unit.port("we"));
-        write.image = images_.at(unit.memory);
-        write.name = unit.name;
-        writes_.push_back(std::move(write));
-      }
-    }
-
-    // The FSM, compiled to full control vectors (unassigned wires are
-    // zero) and index-resolved guards.
-    for (const std::string& control : datapath.control_wires) {
-      control_index_.push_back(index_of(control));
-    }
-    for (const ir::State& state : config.fsm.states) {
-      CompiledState compiled;
-      for (const std::string& control : datapath.control_wires) {
-        std::uint64_t value = 0;
-        for (const ir::ControlAssign& assign : state.controls) {
-          if (assign.wire == control) {
-            value = assign.value;
-            break;
-          }
-        }
-        compiled.controls.emplace_back(
-            values_[index_of(control)].width(), value);
-      }
-      for (const ir::Transition& transition : state.transitions) {
-        CompiledTransition ct;
-        for (const ir::GuardLiteral& literal : transition.guard.literals) {
-          ct.literals.emplace_back(index_of(literal.status),
-                                   literal.expected);
-        }
-        ct.target = config.fsm.state_index(transition.target);
-        compiled.transitions.push_back(std::move(ct));
-      }
-      states_.push_back(std::move(compiled));
-    }
-    state_ = config.fsm.state_index(config.fsm.initial);
-    done_index_ = index_of(config.fsm.done_wire);
-    visits_.assign(config.fsm.states.size(), 0);
-    taken_.resize(config.fsm.states.size());
-    for (std::size_t i = 0; i < config.fsm.states.size(); ++i) {
-      taken_[i].assign(config.fsm.states[i].transitions.size(), 0);
-    }
-
-    // Traced wires (register outputs + controls) are never written by the
-    // combinational sweep, so O(1) slot lookup in set_traced covers every
-    // write that can matter.
-    if (options.collect_wire_data) {
-      trace_slot_.assign(values_.size(), kNone);
-      for (const std::string& wire : traced_wires(datapath)) {
-        trace_slot_[index_of(wire)] = trace_names_.size();
-        trace_names_.push_back(wire);
-      }
-    }
-  }
-
-  std::size_t depth() const { return depth_; }
-
-  sim::EnginePartition run(const std::string& node) {
-    sim::EnginePartition result;
-    result.node = node;
-    for (const std::string& name : trace_names_) {
-      result.traces[name];  // every traced wire reports, even if idle
-    }
-    for (const RegOp& reg : registers_) {
-      set_traced(reg.q, reg.reset, result);
-    }
-    visits_[state_] += 1;
-    drive_controls(result);
-    sweep(result.stats);
-    result.reason = sim::Kernel::StopReason::kMaxTime;
-    while (values_[done_index_].is_zero()) {
-      if (options_.max_cycles_per_partition != 0 &&
-          result.cycles >= options_.max_cycles_per_partition) {
-        finish(result);
-        return result;
-      }
-      clock_edge(result);
-      drive_controls(result);
-      sweep(result.stats);
-      ++result.cycles;
-    }
-    result.reason = sim::Kernel::StopReason::kDoneNet;
-    finish(result);
-    return result;
-  }
-
- private:
-  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-
-  struct CombOp {
-    ir::UnitKind kind;
-    std::size_t out;
-    std::uint32_t width;
-    ops::BinOp binop;
-    ops::UnOp unop;
-    std::uint64_t value;
-    std::uint32_t mux_inputs;
-    std::vector<std::size_t> ins;
-    mem::MemoryImage* image = nullptr;
-  };
-  struct RegOp {
-    std::size_t q;
-    std::size_t d;
-    std::size_t en;
-    std::size_t rst;
-    Bits reset;
-  };
-  struct PipeOp {
-    std::size_t out;
-    std::size_t a;
-    std::size_t b;
-    ops::BinOp binop;
-    std::uint32_t width;
-    std::deque<Bits> stages;
-  };
-  struct WriteOp {
-    std::size_t addr;
-    std::size_t din;
-    std::size_t we;
-    mem::MemoryImage* image;
-    std::string name;
-  };
-  struct CompiledTransition {
-    std::vector<std::pair<std::size_t, bool>> literals;
-    std::size_t target;
-  };
-  struct CompiledState {
-    std::vector<Bits> controls;
-    std::vector<CompiledTransition> transitions;
-  };
-
-  std::size_t index_of(const std::string& wire) const {
-    return wire_index_.at(wire);
-  }
-
-  void set_traced(std::size_t index, const Bits& next,
-                  sim::EnginePartition& result) {
-    if (values_[index] == next) {
-      return;
-    }
-    values_[index] = next;
-    ++result.stats.events;
-    if (!trace_slot_.empty() && trace_slot_[index] != kNone) {
-      result.traces[trace_names_[trace_slot_[index]]].push_back(next.u());
-    }
-  }
-
-  void drive_controls(sim::EnginePartition& result) {
-    const CompiledState& state = states_[state_];
-    for (std::size_t c = 0; c < control_index_.size(); ++c) {
-      set_traced(control_index_[c], state.controls[c], result);
-    }
-  }
-
-  /// One rank-ordered pass; every unit's inputs are already final, so the
-  /// result can be assigned unconditionally -- no change detection, no
-  /// re-sweeping, no delta cycles.
-  void sweep(sim::KernelStats& stats) {
-    ++stats.delta_cycles;
-    stats.evaluations += comb_.size();
-    for (const CombOp& op : comb_) {
-      switch (op.kind) {
-        case ir::UnitKind::kBinOp:
-          values_[op.out] = ops::eval_binop(op.binop, values_[op.ins[0]],
-                                            values_[op.ins[1]], op.width);
-          break;
-        case ir::UnitKind::kUnOp:
-          values_[op.out] =
-              ops::eval_unop(op.unop, values_[op.ins[0]], op.width);
-          break;
-        case ir::UnitKind::kConst:
-          values_[op.out] = Bits(op.width, op.value);
-          break;
-        case ir::UnitKind::kMux: {
-          std::uint64_t sel = values_[op.ins[0]].u();
-          values_[op.out] = sel < op.mux_inputs
-                                ? values_[op.ins[1 + sel]]
-                                : Bits(op.width, 0);
-          break;
-        }
-        case ir::UnitKind::kMemPort: {
-          std::uint64_t address = values_[op.ins[0]].u();
-          values_[op.out] = address < op.image->depth()
-                                ? Bits(op.width, op.image->words()[address])
-                                : Bits(op.width, 0);
-          break;
-        }
-        case ir::UnitKind::kRegister:
-          break;
-      }
-    }
-  }
-
-  /// Two-phase edge identical in observable order to the reference
-  /// interpreter: sample against settled pre-edge values, then commit
-  /// registers, pipeline stages, the FSM transition and memory writes.
-  void clock_edge(sim::EnginePartition& result) {
-    struct Update {
-      std::size_t index;
-      Bits value;
-    };
-    std::vector<Update> updates;
-    for (const RegOp& reg : registers_) {
-      ++result.stats.evaluations;
-      if (reg.rst != kNone && !values_[reg.rst].is_zero()) {
-        updates.push_back({reg.q, reg.reset});
-        continue;
-      }
-      if (reg.en != kNone && values_[reg.en].is_zero()) {
-        continue;
-      }
-      updates.push_back({reg.q, values_[reg.d]});
-    }
-    for (PipeOp& pipe : pipelined_) {
-      ++result.stats.evaluations;
-      pipe.stages.push_back(ops::eval_binop(pipe.binop, values_[pipe.a],
-                                            values_[pipe.b], pipe.width));
-      updates.push_back({pipe.out, pipe.stages.front()});
-      pipe.stages.pop_front();
-    }
-    struct MemWrite {
-      mem::MemoryImage* image;
-      std::uint64_t address;
-      std::uint64_t data;
-    };
-    std::vector<MemWrite> mem_writes;
-    for (const WriteOp& write : writes_) {
-      ++result.stats.evaluations;
-      if (values_[write.we].is_zero()) {
-        continue;
-      }
-      std::uint64_t address = values_[write.addr].u();
-      if (address >= write.image->depth()) {
-        throw util::SimError("levelized: sram '" + write.name +
-                             "' write to address " +
-                             std::to_string(address) + " beyond depth " +
-                             std::to_string(write.image->depth()));
-      }
-      mem_writes.push_back({write.image, address, values_[write.din].u()});
-    }
-    const CompiledState& current = states_[state_];
-    for (std::size_t t = 0; t < current.transitions.size(); ++t) {
-      const CompiledTransition& transition = current.transitions[t];
-      bool taken = true;
-      for (const auto& [status, expected] : transition.literals) {
-        if (values_[status].is_zero() == expected) {
-          taken = false;
-          break;
-        }
-      }
-      if (taken) {
-        ++taken_[state_][t];
-        state_ = transition.target;
-        visits_[state_] += 1;
-        break;
-      }
-    }
-    for (const Update& update : updates) {
-      set_traced(update.index, update.value, result);
-    }
-    for (const MemWrite& write : mem_writes) {
-      write.image->write(write.address, write.data);
-      ++result.stats.events;
-    }
-  }
-
-  void finish(sim::EnginePartition& result) {
-    result.stats.timesteps = result.cycles + 1;
-    result.stats.end_time = result.cycles * options_.clock_period;
-    for (std::size_t t = 0; t < trace_names_.size(); ++t) {
-      result.finals.emplace(
-          trace_names_[t],
-          values_[index_of(trace_names_[t])].u());
-    }
-    result.coverage = coverage_from_counts(config_.fsm, visits_, taken_);
-  }
-
-  const ir::Configuration& config_;
-  const sim::EngineRunOptions& options_;
-  std::map<std::string, std::size_t> wire_index_;
-  std::vector<Bits> values_;
-  std::map<std::string, mem::MemoryImage*> images_;
-  std::vector<CombOp> comb_;
-  std::vector<RegOp> registers_;
-  std::vector<PipeOp> pipelined_;
-  std::vector<WriteOp> writes_;
-  std::vector<std::size_t> control_index_;
-  std::vector<CompiledState> states_;
-  std::size_t depth_ = 0;
-  std::size_t state_;
-  std::size_t done_index_;
-  std::vector<std::uint64_t> visits_;
-  std::vector<std::vector<std::uint64_t>> taken_;
-  std::vector<std::size_t> trace_slot_;
-  std::vector<std::string> trace_names_;
-};
-
-}  // namespace
-
-const std::string& LevelizedEngine::name() const {
-  static const std::string kName = "levelized";
-  return kName;
-}
-
-sim::EnginePartition LevelizedEngine::run_partition(
-    const ir::Design& design, const std::string& node, mem::MemoryPool& pool,
-    const sim::EngineRunOptions& options, std::size_t partition_index) {
-  (void)partition_index;
-  util::Stopwatch watch;
-  SharedSchedule schedule = acquire_levelized_schedule(design, node);
-  LevelizedSim simulator(design.configuration(node), pool, options, *schedule);
-  sim::EnginePartition run = simulator.run(node);
-  run.wall_seconds = watch.seconds();
-  // Each delta is one full sweep of the levelized schedule, so the
-  // number of levels visited is sweeps x schedule depth.
-  if (obs::enabled()) {
-    obs::counter("engine.levels_swept")
-        .add(run.stats.delta_cycles * simulator.depth());
-  }
-  return run;
 }
 
 }  // namespace fti::elab

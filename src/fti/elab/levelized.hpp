@@ -1,4 +1,4 @@
-// Levelized compiled evaluation -- the classic alternative to event-driven
+// The levelized schedule -- the classic alternative to event-driven
 // simulation for synchronous designs.  At elaboration time the
 // combinational units of a configuration are topologically sorted into
 // ranks; one clock cycle is then a single straight-line sweep over the
@@ -7,18 +7,21 @@
 // sequential output (stable during the sweep) or the output of a
 // lower-rank unit (already up to date).
 //
+// The batched engine (batched.hpp) interprets the schedule; the registry
+// name "levelized" is that engine at one lane.  The compiled engine
+// lowers it to C++, and the lint analyzer and the 4-state interpreter
+// walk it too.
+//
 // Combinational cycles are detected at schedule-build time instead of via
 // the kernel's delta-cycle limit, so a bad design fails before the first
 // cycle runs.
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "fti/elab/engines.hpp"
 #include "fti/ir/rtg.hpp"
 
 namespace fti::elab {
@@ -64,20 +67,9 @@ void set_schedule_provider(ScheduleProvider provider);
 
 /// The schedule for `design.configuration(node)`: from the installed
 /// provider when it has one, freshly built otherwise.  This is the one
-/// entry point the levelized and batched engines use, so installing a
+/// entry point the batched and compiled engines use, so installing a
 /// provider accelerates both.
 SharedSchedule acquire_levelized_schedule(const ir::Design& design,
                                           const std::string& node);
-
-class LevelizedEngine final : public PartitionedEngine {
- public:
-  const std::string& name() const override;
-  bool reports_wire_data() const override { return true; }
-  sim::EnginePartition run_partition(const ir::Design& design,
-                                     const std::string& node,
-                                     mem::MemoryPool& pool,
-                                     const sim::EngineRunOptions& options,
-                                     std::size_t partition_index) override;
-};
 
 }  // namespace fti::elab

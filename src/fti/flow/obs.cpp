@@ -17,7 +17,7 @@ int run_engines(std::ostream& out) {
   // cap on lanes per run_batch call; lane counts above it are rejected.
   // The availability column flags the one engine that depends on the
   // host environment: "compiled" needs a C++ toolchain (or a warm cache)
-  // and silently degrades to levelized without one.
+  // and degrades to the one-lane interpreter ("levelized") without one.
   util::TextTable table({"engine", "max lanes", "availability"});
   for (const std::string& name : elab::engine_names()) {
     auto engine = elab::make_engine(name);

@@ -8,8 +8,9 @@
 //  2. "reference" -- the fuzz reference interpreter (a structurally
 //                    independent cycle-level engine, see reference.hpp),
 //  3. "naive"     -- the harness's full-sweep baseline simulator,
-//  4. "levelized" -- the statically scheduled compiled engine
-//                    (elab/levelized.hpp),
+//  4. "batched"   -- the levelized-schedule sweep (elab/batched.hpp) at
+//                    one lane; the registry name "levelized" builds the
+//                    same engine, so it is not a separate default lane,
 //  5. "roundtrip" -- the event kernel again on the design after an XML
 //                    serialisation round trip (to_xml -> to_string ->
 //                    parse -> design_from_xml), which drags the serde
@@ -45,8 +46,7 @@ struct DiffOptions {
   /// "reference" lane is special-cased to honour `reference` above (so
   /// injected operator bugs reach it); every other name goes through
   /// elab::make_engine.
-  std::vector<std::string> engines{"reference", "naive", "levelized",
-                                   "batched"};
+  std::vector<std::string> engines{"reference", "naive", "batched"};
   /// Append a "compiled" lane when a host C++ toolchain is available and
   /// `engines` does not already name it.  The lane builds one-shot
   /// modules (elab::CompiledTier::kOneShot: -O0, never written to the

@@ -11,7 +11,8 @@
 // widening intervals after a few iterations so termination is guaranteed,
 // and walks the RTG chain in execution order.
 //
-// Soundness contract (property-tested against the levelized engine): at
+// Soundness contract (property-tested against the batched engine, run
+// under its one-lane "levelized" name): at
 // every simulated cycle, every wire's concrete value lies inside its
 // computed unsigned and signed intervals and agrees with its known bits.
 // Memory contents are external inputs (pools are runtime-loadable), so a

@@ -2,8 +2,8 @@
 //
 // What each operator computes is defined once, in ops/semantics.hpp;
 // eval_binop / eval_unop below are thin Bits wrappers over it, shared by
-// the event-driven operator components (this file), the naive and
-// levelized engines and the batched engine's per-lane fallback.
+// the event-driven operator components (this file), the naive engine
+// and the batched engine's per-lane fallback.
 #pragma once
 
 #include <cstdint>

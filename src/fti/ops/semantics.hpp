@@ -4,9 +4,10 @@
 // Three executors compute with these functions, so their functional
 // comparison holds by construction rather than only by fuzzing:
 //  * ops::eval_binop / eval_unop (alu.cpp), the Bits-level ALU behind
-//    the event, naive and levelized engines;
-//  * the batched engine's all-lane loops (elab/batched.cpp), which pick
-//    the operator once per unit through visit_binop / visit_unop;
+//    the event and naive engines;
+//  * the batched engine's all-lane loops (elab/batched.cpp, also run at
+//    one lane as "levelized"), which pick the operator once per unit
+//    through visit_binop / visit_unop;
 //  * the compiled engine's native modules: codegen/cpp.cpp pastes this
 //    file's text into every generated translation unit, inside an
 //    unnamed namespace, and emits op_<name>(...) calls.

@@ -4,8 +4,8 @@
 // unvisited is a weak test; the harness surfaces this per partition.
 //
 // The struct lives in sim (not elab) because every execution engine --
-// event-driven, naive, levelized -- reports it through the common Engine
-// interface; it depends on nothing but strings and counters.
+// event-driven, naive, batched, compiled -- reports it through the common
+// Engine interface; it depends on nothing but strings and counters.
 #pragma once
 
 #include <cstdint>

@@ -143,8 +143,9 @@ const std::string& comb_output(const ir::Unit& unit) {
 }
 
 /// X-propagating interpreter for one configuration; the structure
-/// mirrors elab's LevelizedSim (same schedule, same two-phase edge) so
-/// defined values agree with the 2-state engines bit for bit.
+/// mirrors elab's batched sweep at one lane (same schedule, same
+/// two-phase edge) so defined values agree with the 2-state engines bit
+/// for bit.
 class FourStateSim {
  public:
   FourStateSim(const ir::Configuration& config,

@@ -1,5 +1,5 @@
-// Opt-in 4-state X/Z net semantics: a levelized interpreter variant in
-// which registers and memories power up unknown (X) unless initialized,
+// Opt-in 4-state X/Z net semantics: an interpreter of the levelized
+// schedule (the one the batched engine sweeps) in which registers and memories power up unknown (X) unless initialized,
 // and unknowns propagate with exact masking semantics through the
 // bitwise operators (AND with a known 0 kills X, OR with a known 1
 // kills X, a mux with a known select passes only the selected input).

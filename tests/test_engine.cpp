@@ -333,10 +333,11 @@ TEST_P(EngineParity, CompiledKernelMemoriesMatchEventEngine) {
 
 // ---------------------------------------------------------------------------
 // Batched lanes: per-lane results must be byte-identical to independent
-// single-lane levelized runs.  The lane counts are chosen to stress the
-// bit-packed storage: 1 and 3 exercise a mostly-masked single word, 64 a
-// full word with no tail, 65 a one-bit tail word, 127 an almost-full
-// tail word.
+// runs of the reference interpreter (the oracle that shares no code with
+// the batched sweep; "levelized" is the batched engine at one lane).  The
+// lane counts are chosen to stress the bit-packed storage: 1 and 3
+// exercise a mostly-masked single word, 64 a full word with no tail, 65 a
+// one-bit tail word, 127 an almost-full tail word.
 
 class BatchedLaneParity : public ::testing::TestWithParam<std::size_t> {};
 
@@ -351,8 +352,18 @@ TEST_P(BatchedLaneParity, AccumulatorLanesMatchIndependentRun) {
 
   mem::MemoryPool single_pool;
   sim::EngineResult expected =
-      elab::make_engine("levelized")->run(design, single_pool, options);
+      fuzz::ReferenceEngine().run(design, single_pool, options);
   ASSERT_TRUE(expected.completed);
+  // The reference reports no kernel stats, so the sweep's closed forms
+  // are derived from its run: one event per traced value change (the
+  // accumulator has no memories), four combinational units per sweep
+  // plus one register per edge, one timestep per sweep.
+  const sim::EnginePartition& want = expected.partitions.at(0);
+  std::uint64_t want_events = 0;
+  for (const auto& [wire, changes] : want.traces) {
+    want_events += changes.size();
+  }
+  const std::uint64_t want_evaluations = (want.cycles + 1) * 4 + want.cycles;
 
   std::deque<mem::MemoryPool> pools(lanes);
   std::vector<mem::MemoryPool*> ptrs;
@@ -364,16 +375,14 @@ TEST_P(BatchedLaneParity, AccumulatorLanesMatchIndependentRun) {
   ASSERT_EQ(runs.size(), lanes);
   for (std::size_t lane = 0; lane < lanes; ++lane) {
     const sim::EnginePartition& got = runs[lane].partitions.at(0);
-    const sim::EnginePartition& want = expected.partitions.at(0);
     ASSERT_TRUE(runs[lane].completed) << "lane " << lane;
     EXPECT_EQ(got.cycles, want.cycles) << "lane " << lane;
     EXPECT_EQ(got.reason, want.reason) << "lane " << lane;
     EXPECT_EQ(got.finals, want.finals) << "lane " << lane;
     EXPECT_EQ(got.traces, want.traces) << "lane " << lane;
-    EXPECT_EQ(got.stats.events, want.stats.events) << "lane " << lane;
-    EXPECT_EQ(got.stats.evaluations, want.stats.evaluations)
-        << "lane " << lane;
-    EXPECT_EQ(got.stats.timesteps, want.stats.timesteps) << "lane " << lane;
+    EXPECT_EQ(got.stats.events, want_events) << "lane " << lane;
+    EXPECT_EQ(got.stats.evaluations, want_evaluations) << "lane " << lane;
+    EXPECT_EQ(got.stats.timesteps, want.cycles + 1) << "lane " << lane;
   }
 }
 
@@ -381,7 +390,7 @@ TEST_P(BatchedLaneParity, CompiledKernelDistinctLanesMatchLevelized) {
   // Each lane gets different SRAM contents, and the branchy kernel makes
   // per-lane work (and thus write traffic) data-dependent -- so lanes
   // diverge in what they store while staying in the same control
-  // lockstep.  Every lane must still match an independent levelized run
+  // lockstep.  Every lane must still match an independent reference run
   // from an identically primed pool.
   const std::size_t lanes = GetParam();
   const char* source =
@@ -411,10 +420,10 @@ TEST_P(BatchedLaneParity, CompiledKernelDistinctLanesMatchLevelized) {
 
   std::deque<mem::MemoryPool> ref_pools(lanes);
   std::vector<sim::EngineResult> ref_runs;
-  std::unique_ptr<sim::Engine> levelized = elab::make_engine("levelized");
+  fuzz::ReferenceEngine reference;
   for (std::size_t lane = 0; lane < lanes; ++lane) {
     prime(ref_pools[lane], lane);
-    ref_runs.push_back(levelized->run(compiled.design, ref_pools[lane], {}));
+    ref_runs.push_back(reference.run(compiled.design, ref_pools[lane], {}));
     ASSERT_TRUE(ref_runs.back().completed) << "lane " << lane;
   }
 
@@ -436,6 +445,159 @@ TEST_P(BatchedLaneParity, CompiledKernelDistinctLanesMatchLevelized) {
                 ref_pools[lane].get(array).words())
           << "lane " << lane << " array '" << array << "'";
     }
+  }
+}
+
+/// Registers whose enables and resets diverge per lane.  Each lane reads
+/// an enable pattern, a reset count and a stop count from its own `cfg`
+/// memory.  `acc` loads on the data-driven enable `en` (cnt & pattern is
+/// nonzero) or resets on `rst` (cnt == reset count); `hold` has only the
+/// enable, `clr` only the reset.  `cnt` and `g` are gated by FSM
+/// controls: `g` loads on c_run and resets on c_clr, which the one-cycle
+/// `clear` state asserts without c_run.  A write port stores acc into
+/// `out` whenever `en` is high, so a lane that finishes while its enable
+/// stays high must stop writing.
+ir::Design divergent_enable_design() {
+  ir::Datapath dp;
+  dp.name = "gates";
+  dp.wires = {{"cnt_q", 8},  {"cnt_add", 8}, {"k1_out", 8},  {"k0_out", 8},
+              {"a0_out", 2}, {"a1_out", 2},  {"a2_out", 2},  {"pat", 8},
+              {"rst_at", 8}, {"limit", 8},   {"masked", 8},  {"en", 1},
+              {"rst", 1},    {"fin", 1},     {"acc_q", 8},   {"acc_add", 8},
+              {"hold_q", 8}, {"clr_q", 8},   {"g_q", 8},     {"slot", 2},
+              {"c_run", 1},  {"c_clr", 1},   {"done", 1}};
+  dp.memories = {{"cfg", 4, 8, {}}, {"out", 4, 8, {}}};
+  dp.control_wires = {"c_run", "c_clr", "done"};
+  dp.status_wires = {"fin"};
+
+  auto unit = [&dp](const char* name, ir::UnitKind kind, std::uint32_t width,
+                    std::map<std::string, std::string> ports) -> ir::Unit& {
+    ir::Unit u;
+    u.name = name;
+    u.kind = kind;
+    u.width = width;
+    u.ports = std::move(ports);
+    dp.units.push_back(std::move(u));
+    return dp.units.back();
+  };
+  auto konst = [&](const char* name, std::uint32_t width,
+                   std::uint64_t value, const char* out) {
+    unit(name, ir::UnitKind::kConst, width, {{"out", out}}).value = value;
+  };
+  auto binop = [&](const char* name, ops::BinOp op, const char* a,
+                   const char* b, const char* out) {
+    unit(name, ir::UnitKind::kBinOp, 8, {{"a", a}, {"b", b}, {"out", out}})
+        .binop = op;
+  };
+  auto reg = [&](const char* name, std::map<std::string, std::string> ports,
+                 std::uint64_t reset_value) {
+    unit(name, ir::UnitKind::kRegister, 8, std::move(ports)).reset_value =
+        reset_value;
+  };
+  auto cfg_read = [&](const char* name, const char* addr, const char* out) {
+    ir::Unit& port = unit(name, ir::UnitKind::kMemPort, 8,
+                          {{"addr", addr}, {"dout", out}});
+    port.memory = "cfg";
+    port.mem_mode = ir::MemMode::kRead;
+  };
+
+  konst("k1", 8, 1, "k1_out");
+  konst("k0", 8, 0, "k0_out");
+  konst("a0", 2, 0, "a0_out");
+  konst("a1", 2, 1, "a1_out");
+  konst("a2", 2, 2, "a2_out");
+  cfg_read("rd_pat", "a0_out", "pat");
+  cfg_read("rd_rst", "a1_out", "rst_at");
+  cfg_read("rd_lim", "a2_out", "limit");
+  binop("inc", ops::BinOp::kAdd, "cnt_q", "k1_out", "cnt_add");
+  binop("mask", ops::BinOp::kAnd, "cnt_q", "pat", "masked");
+  binop("en_ne", ops::BinOp::kNe, "masked", "k0_out", "en");
+  binop("rst_eq", ops::BinOp::kEq, "cnt_q", "rst_at", "rst");
+  binop("fin_eq", ops::BinOp::kEq, "cnt_q", "limit", "fin");
+  binop("acc_sum", ops::BinOp::kAdd, "acc_q", "cnt_q", "acc_add");
+  unit("slot_of", ir::UnitKind::kUnOp, 2, {{"a", "cnt_q"}, {"out", "slot"}})
+      .unop = ops::UnOp::kPass;
+
+  reg("r_cnt", {{"d", "cnt_add"}, {"q", "cnt_q"}, {"en", "c_run"}}, 0);
+  reg("r_acc", {{"d", "acc_add"}, {"q", "acc_q"}, {"en", "en"}, {"rst", "rst"}},
+      0x5a);
+  reg("r_hold", {{"d", "cnt_q"}, {"q", "hold_q"}, {"en", "en"}}, 0);
+  reg("r_clr", {{"d", "acc_q"}, {"q", "clr_q"}, {"rst", "rst"}}, 0x33);
+  reg("r_g", {{"d", "acc_q"}, {"q", "g_q"}, {"en", "c_run"}, {"rst", "c_clr"}},
+      0x0f);
+
+  ir::Unit& store = unit("wr_out", ir::UnitKind::kMemPort, 8,
+                         {{"addr", "slot"}, {"din", "acc_q"}, {"we", "en"}});
+  store.memory = "out";
+  store.mem_mode = ir::MemMode::kWrite;
+
+  ir::Fsm fsm;
+  fsm.name = "gates_fsm";
+  fsm.initial = "run";
+  fsm.done_wire = "done";
+  ir::State run;
+  run.name = "run";
+  run.controls = {{"c_run", 1}};
+  run.transitions.push_back({ir::parse_guard("fin"), "clear"});
+  ir::State clear;
+  clear.name = "clear";
+  clear.controls = {{"c_clr", 1}};
+  clear.transitions.push_back({ir::parse_guard("1"), "halt"});
+  ir::State halt;
+  halt.name = "halt";
+  halt.controls = {{"done", 1}};
+  fsm.states = {run, clear, halt};
+  return ir::make_single_design("gates", {std::move(dp), std::move(fsm)});
+}
+
+TEST_P(BatchedLaneParity, DivergentEnablesAndResetsMatchReference) {
+  // Lane 0 stops first (count 6) with its enable high, so the enable
+  // stays high after it finishes while other lanes run on; it also
+  // resets at count 2, where its pattern disables it.  Lane 1 enables on
+  // odd counts only and resets at count 10: another reset while
+  // disabled.  The other lanes mix patterns, resets and stops.  The
+  // cycle budget turns a lane that never finishes into a fast failure.
+  const std::size_t lanes = GetParam();
+  ir::Design design = divergent_enable_design();
+  auto prime = [](mem::MemoryPool& pool, std::size_t lane) {
+    const std::uint64_t patterns[] = {0xfd, 0x01, 0x06, 0x00, 0x55};
+    mem::MemoryImage& cfg = pool.create("cfg", 4, 8);
+    cfg.write(0, patterns[lane % 5]);
+    cfg.write(1, (lane * 8) % 23 + 2);
+    cfg.write(2, 6 + (lane * 13) % 40);
+  };
+  sim::EngineRunOptions options;
+  options.collect_wire_data = true;
+  options.max_cycles_per_partition = 1000;
+
+  std::deque<mem::MemoryPool> ref_pools(lanes);
+  std::vector<sim::EngineResult> ref_runs;
+  fuzz::ReferenceEngine reference;
+  for (std::size_t lane = 0; lane < lanes; ++lane) {
+    prime(ref_pools[lane], lane);
+    ref_runs.push_back(reference.run(design, ref_pools[lane], options));
+    ASSERT_TRUE(ref_runs.back().completed) << "lane " << lane;
+  }
+
+  std::deque<mem::MemoryPool> pools(lanes);
+  std::vector<mem::MemoryPool*> ptrs;
+  for (std::size_t lane = 0; lane < lanes; ++lane) {
+    prime(pools[lane], lane);
+    ptrs.push_back(&pools[lane]);
+  }
+  std::vector<sim::EngineResult> runs =
+      elab::make_engine("batched")->run_batch(design, ptrs, options);
+  ASSERT_EQ(runs.size(), lanes);
+  for (std::size_t lane = 0; lane < lanes; ++lane) {
+    ASSERT_TRUE(runs[lane].completed) << "lane " << lane;
+    const sim::EnginePartition& got = runs[lane].partitions.at(0);
+    const sim::EnginePartition& want = ref_runs[lane].partitions.at(0);
+    EXPECT_EQ(got.cycles, want.cycles) << "lane " << lane;
+    EXPECT_EQ(got.finals, want.finals) << "lane " << lane;
+    EXPECT_EQ(got.traces, want.traces) << "lane " << lane;
+    EXPECT_EQ(pools[lane].get("out").words(),
+              ref_pools[lane].get("out").words())
+        << "lane " << lane;
   }
 }
 

@@ -14,6 +14,7 @@
 #include "fti/fuzz/diff.hpp"
 #include "fti/fuzz/generate.hpp"
 #include "fti/fuzz/lanes.hpp"
+#include "fti/fuzz/reference.hpp"
 #include "fti/fuzz/rand.hpp"
 #include "fti/golden/rng.hpp"
 #include "fti/harness/testcase.hpp"
@@ -328,11 +329,11 @@ TEST_P(LaneIsolation, MutatingOneLaneChangesOnlyThatLane) {
   }
 
   // The mutated lane itself must match its own independent single-lane
-  // levelized run over an identically primed pool.
+  // reference run over an identically primed pool.
   mem::MemoryPool twin;
   fuzz::prime_lane_pool(design, seed ^ 0xbadc0ffeull, kMutated, twin);
   sim::EngineResult independent =
-      elab::make_engine("levelized")->run(design, twin, ropts);
+      fuzz::ReferenceEngine().run(design, twin, ropts);
   fuzz::Observation want = fuzz::observe_result(
       "lane" + std::to_string(kMutated), std::move(independent), twin);
   std::vector<std::string> diffs =

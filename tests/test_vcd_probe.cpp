@@ -16,6 +16,7 @@
 #include "fti/elab/engines.hpp"
 #include "fti/elab/rtg_exec.hpp"
 #include "fti/fuzz/generate.hpp"
+#include "fti/fuzz/reference.hpp"
 #include "fti/ir/rtg.hpp"
 #include "fti/sim/kernel.hpp"
 #include "fti/sim/probe.hpp"
@@ -157,9 +158,10 @@ TEST(Vcd, EmptyNetlist) {
   EXPECT_EQ(vcd.watched_count(), 0u);
 }
 
-TEST(BatchedGolden, LaneZeroMatchesSingleLaneLevelizedRun) {
+TEST(BatchedGolden, LaneZeroMatchesSingleLaneReferenceRun) {
   // A batched run's lane 0 must produce byte-identical wire data to a
-  // plain single-lane levelized run -- traces, finals and cycle counts.
+  // plain single-lane run of the reference interpreter -- traces, finals
+  // and cycle counts.
   ir::Design design =
       ir::make_single_design("acc", testing::make_accumulator(3));
   sim::EngineRunOptions options;
@@ -167,7 +169,7 @@ TEST(BatchedGolden, LaneZeroMatchesSingleLaneLevelizedRun) {
 
   mem::MemoryPool single_pool;
   sim::EngineResult expected =
-      elab::make_engine("levelized")->run(design, single_pool, options);
+      fuzz::ReferenceEngine().run(design, single_pool, options);
   ASSERT_TRUE(expected.completed);
 
   std::deque<mem::MemoryPool> pools(5);

@@ -20,8 +20,8 @@
 //   --max-units N    upper bound on random units per design
 //   --max-configs N  upper bound on temporal partitions per design
 //   --engine NAME    engine lane compared against the kernel (repeatable;
-//                    replaces the default reference/naive/levelized/
-//                    batched set)
+//                    replaces the default reference/naive/batched set;
+//                    "levelized" names the batched engine again)
 //   --lanes N        batched stimulus lanes per design (default 64,
 //                    0 disables the lane check)
 //   --smoke          fixed quick profile used by ctest (~seconds)
