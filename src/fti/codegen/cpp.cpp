@@ -625,4 +625,9 @@ CppModule emit_cpp(
   return module;
 }
 
+std::string emitter_fingerprint() {
+  return std::string(kCppEmitterSha256) + "\n" +
+         elab::cabi::kCompiledAbiText + kSemanticsText;
+}
+
 }  // namespace fti::codegen

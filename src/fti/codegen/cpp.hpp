@@ -51,9 +51,15 @@ struct CppModule {
 /// `design.rtg.nodes` and each entry must have been built from that
 /// node's configuration (acquire_levelized_schedule provides them; a
 /// combinational cycle therefore fails before emission starts).
-/// `ir_hash` is the 32-hex canonical IR hash baked into the module and
+/// `ir_hash` is the 32-hex module key baked into the module and
 /// re-checked at every load.
 CppModule emit_cpp(const ir::Design& design, const std::string& ir_hash,
                    const std::vector<const elab::LevelizedSchedule*>& schedules);
+
+/// Everything besides the IR that decides the text emit_cpp writes: the
+/// pasted semantics header and ABI text, and the emitter's revision (a
+/// hash of its source taken at configure time).  The compiled engine
+/// folds it into its module keys.
+std::string emitter_fingerprint();
 
 }  // namespace fti::codegen

@@ -58,6 +58,9 @@ struct Expr {
   bool is_lor = false;       // kBinary: '||'
   std::unique_ptr<Expr> a;   // operand / index / first arg
   std::unique_ptr<Expr> b;   // second operand / second arg
+  /// Nodes on the longest path from here to a leaf (1 for a leaf); set
+  /// by the parser, which bounds it (parser.hpp).
+  int depth = 1;
 
   bool is_logical() const { return is_land || is_lor || is_lnot; }
 };

@@ -1,5 +1,7 @@
 #include "fti/compiler/parser.hpp"
 
+#include <algorithm>
+
 #include "fti/compiler/lexer.hpp"
 #include "fti/util/error.hpp"
 #include "fti/util/strings.hpp"
@@ -50,6 +52,37 @@ class Parser {
   }
 
   bool at(TokKind kind) const { return peek().kind == kind; }
+
+  [[noreturn]] void too_deep() {
+    throw util::CompileError(
+        "line " + std::to_string(peek().line) +
+        ": kernel nests deeper than " + std::to_string(kMaxAstDepth) +
+        " levels (statements, parentheses and operator chains are "
+        "bounded)");
+  }
+
+  /// One level of parser recursion for the scope of the guard.  A throw
+  /// abandons the parser, so the count need not unwind.
+  struct Nest {
+    explicit Nest(Parser& p) : parser(p) {
+      if (++parser.nesting_ > kMaxAstDepth) {
+        parser.too_deep();
+      }
+    }
+    ~Nest() { --parser.nesting_; }
+    Parser& parser;
+  };
+
+  /// Sets `expr`'s depth from its operands and enforces the bound.
+  std::unique_ptr<Expr> sized(std::unique_ptr<Expr> expr) {
+    int below = std::max(expr->a ? expr->a->depth : 0,
+                         expr->b ? expr->b->depth : 0);
+    if (below >= kMaxAstDepth) {
+      too_deep();
+    }
+    expr->depth = below + 1;
+    return expr;
+  }
 
   bool accept(TokKind kind) {
     if (at(kind)) {
@@ -119,6 +152,7 @@ class Parser {
   }
 
   std::unique_ptr<Stmt> parse_stmt(bool top_level) {
+    Nest nest(*this);
     int line = peek().line;
     if (at(TokKind::kIntType)) {
       // Local declaration.  short/byte locals are rejected by design: the
@@ -218,10 +252,13 @@ class Parser {
     expr->a = std::move(a);
     expr->b = std::move(b);
     expr->line = line;
-    return expr;
+    return sized(std::move(expr));
   }
 
-  std::unique_ptr<Expr> parse_expr() { return parse_lor(); }
+  std::unique_ptr<Expr> parse_expr() {
+    Nest nest(*this);
+    return parse_lor();
+  }
 
   std::unique_ptr<Expr> parse_lor() {
     auto lhs = parse_land();
@@ -233,7 +270,7 @@ class Parser {
       expr->a = std::move(lhs);
       expr->b = parse_land();
       expr->line = line;
-      lhs = std::move(expr);
+      lhs = sized(std::move(expr));
     }
     return lhs;
   }
@@ -248,7 +285,7 @@ class Parser {
       expr->a = std::move(lhs);
       expr->b = parse_bitor();
       expr->line = line;
-      lhs = std::move(expr);
+      lhs = sized(std::move(expr));
     }
     return lhs;
   }
@@ -376,32 +413,23 @@ class Parser {
   }
 
   std::unique_ptr<Expr> parse_unary() {
-    int line = peek().line;
+    if (!at(TokKind::kMinus) && !at(TokKind::kTilde) && !at(TokKind::kBang)) {
+      return parse_primary();
+    }
+    Nest nest(*this);
+    auto expr = std::make_unique<Expr>();
+    expr->kind = ExprKind::kUnary;
+    expr->line = peek().line;
     if (accept(TokKind::kMinus)) {
-      auto expr = std::make_unique<Expr>();
-      expr->kind = ExprKind::kUnary;
       expr->un = ops::UnOp::kNeg;
-      expr->a = parse_unary();
-      expr->line = line;
-      return expr;
-    }
-    if (accept(TokKind::kTilde)) {
-      auto expr = std::make_unique<Expr>();
-      expr->kind = ExprKind::kUnary;
+    } else if (accept(TokKind::kTilde)) {
       expr->un = ops::UnOp::kNot;
-      expr->a = parse_unary();
-      expr->line = line;
-      return expr;
-    }
-    if (accept(TokKind::kBang)) {
-      auto expr = std::make_unique<Expr>();
-      expr->kind = ExprKind::kUnary;
+    } else {
+      expect(TokKind::kBang);
       expr->is_lnot = true;
-      expr->a = parse_unary();
-      expr->line = line;
-      return expr;
     }
-    return parse_primary();
+    expr->a = parse_unary();
+    return sized(std::move(expr));
   }
 
   std::unique_ptr<Expr> parse_primary() {
@@ -429,7 +457,7 @@ class Parser {
           expr->b = parse_expr();
         }
         expect(TokKind::kRParen);
-        return expr;
+        return sized(std::move(expr));
       }
       if (accept(TokKind::kLBracket)) {
         auto expr = std::make_unique<Expr>();
@@ -438,7 +466,7 @@ class Parser {
         expr->a = parse_expr();
         expr->line = line;
         expect(TokKind::kRBracket);
-        return expr;
+        return sized(std::move(expr));
       }
       auto expr = std::make_unique<Expr>();
       expr->kind = ExprKind::kVarRef;
@@ -451,6 +479,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
+  int nesting_ = 0;  ///< live parse_stmt/parse_expr/parse_unary frames
 };
 
 }  // namespace

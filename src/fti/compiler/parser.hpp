@@ -19,6 +19,13 @@
 //             < unary ('-' '~' '!') < primary
 //   primary  := INT | IDENT | IDENT '[' expr ']' | '(' expr ')'
 //             | ('min'|'max') '(' expr ',' expr ')' | 'abs' '(' expr ')'
+//
+// Depth is bounded so no later recursive walk -- sema, HLS, the golden
+// interpreter, the AST destructors -- can run out of stack: an
+// expression deeper than kMaxAstDepth nodes (a node is one deeper than
+// its deepest operand, so a long left-nested `a+b+...` chain counts),
+// and source nesting deeper than kMaxAstDepth statements, parentheses
+// or unary operators, are CompileErrors.
 #pragma once
 
 #include <string_view>
@@ -26,6 +33,9 @@
 #include "fti/compiler/ast.hpp"
 
 namespace fti::compiler {
+
+/// The nesting bound above; the same as JSON and XML nesting.
+inline constexpr int kMaxAstDepth = 256;
 
 /// Parses a complete kernel; throws CompileError with line numbers.
 Program parse_program(std::string_view source);

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <map>
 #include <numeric>
+#include <set>
 #include <utility>
 
 #include "fti/elab/levelized.hpp"
@@ -28,6 +29,16 @@ const std::string& comb_output(const ir::Unit& unit) {
                                              : unit.port("out");
 }
 
+/// What a 4-state lane carries from one configuration to the next: the
+/// unknown mask of every memory image it has touched, its report, and
+/// the findings already reported (deduplicated per node/object/message).
+struct XLane {
+  std::map<std::string, std::vector<std::uint64_t>> memory_x;
+  std::set<std::string> seen;
+  FourStateLane report;
+  std::size_t max_findings = 0;
+};
+
 /// The levelized straight-line sweep over N lockstep stimulus lanes; the
 /// only interpreter of the schedule, so N == 1 is the single-run engine.
 /// Wire storage is SoA: a 1-bit wire owns ceil(N/64) packed words (lane
@@ -47,10 +58,17 @@ const std::string& comb_output(const ir::Unit& unit) {
 /// state, the FSM steps a packed word of lanes at a time, and a lane
 /// drives only the controls its old or new state asserts.
 ///
+/// BatchedSim<true> is the 4-state mode (batched.hpp): bit_x_/wide_x_
+/// hold each wire's unknown mask at the same offsets as its values,
+/// every combinational op runs as kXLane, and every register samples
+/// per lane.  The mode is a template argument, so BatchedSim<false>
+/// compiles none of that: 2-state runs pay for no mode test.
+///
 /// Invariant: in the last packed word, the padding bits above lane N-1
 /// stay zero -- word ops that could set them (NOT) mask with
 /// `word_mask`, lane masks never include them, and the AND/OR/XOR/MUX
 /// forms preserve zero padding algebraically.
+template <bool kFourState>
 class BatchedSim {
  public:
   /// `schedule` must have been built from this exact `config` object
@@ -59,11 +77,13 @@ class BatchedSim {
   BatchedSim(const ir::Configuration& config,
              const std::vector<mem::MemoryPool*>& pools,
              const sim::EngineRunOptions& options,
-             const LevelizedSchedule& schedule)
+             const LevelizedSchedule& schedule,
+             std::vector<XLane*> x_lanes = {})
       : config_(config),
         options_(options),
         lanes_(pools.size()),
-        words_((pools.size() + 63) / 64) {
+        words_((pools.size() + 63) / 64),
+        x_lanes_(std::move(x_lanes)) {
     tail_mask_ = lanes_ % 64 == 0 ? ~0ull : (1ull << (lanes_ % 64)) - 1;
     ir::validate(config.datapath);
     ir::validate(config.fsm, config.datapath);
@@ -82,11 +102,16 @@ class BatchedSim {
     }
     bit_vals_.assign(bit_words, 0);
     wide_vals_.assign(wide_words, 0);
+    if constexpr (kFourState) {
+      bit_x_.assign(bit_words, 0);
+      wide_x_.assign(wide_words, 0);
+    }
 
     // One image per (memory, lane); creation and init-if-fresh follow the
     // single-lane engines so a pre-primed pool is that lane's stimulus.
     for (const ir::MemoryDecl& memory : datapath.memories) {
       std::vector<mem::MemoryImage*> images(lanes_);
+      std::vector<std::vector<std::uint64_t>*> unknown(kFourState ? lanes_ : 0);
       for (std::size_t lane = 0; lane < lanes_; ++lane) {
         mem::MemoryPool& pool = *pools[lane];
         bool fresh = !pool.contains(memory.name);
@@ -98,9 +123,25 @@ class BatchedSim {
           }
         }
         images[lane] = &image;
+        if constexpr (kFourState) {
+          // A lane's mask is made with its image, so an image the pool
+          // held before the lane's first configuration is stimulus,
+          // fully defined; a fresh one is X beyond its init prefix.
+          auto [it, made] = x_lanes_[lane]->memory_x.try_emplace(memory.name);
+          std::vector<std::uint64_t>& mask = it->second;
+          if (made && fresh) {
+            mask.assign(image.depth(), Bits::mask(memory.width));
+            std::fill_n(mask.begin(),
+                        std::min(memory.init.size(), mask.size()), 0);
+          } else if (made) {
+            mask.assign(image.depth(), 0);
+          }
+          unknown[lane] = &mask;
+        }
       }
       image_index_.emplace(memory.name, mem_images_.size());
       mem_images_.push_back(std::move(images));
+      mem_x_.push_back(std::move(unknown));
     }
 
     // Constants are stored once here -- nothing else drives their wires
@@ -129,7 +170,7 @@ class BatchedSim {
       if (unit.kind == ir::UnitKind::kMemPort) {
         op.mem = image_index_.at(unit.memory);
       }
-      op.exec = classify(op);
+      op.exec = kFourState ? Exec::kXLane : classify(op);
       comb_.push_back(std::move(op));
     }
 
@@ -141,7 +182,8 @@ class BatchedSim {
         reg.en = unit.has_port("en") ? index_of(unit.port("en")) : kNone;
         reg.rst = unit.has_port("rst") ? index_of(unit.port("rst")) : kNone;
         reg.reset = unit.reset_value & Bits::mask(slots_[reg.q].width);
-        reg.word = slots_[reg.q].packed;  // en and rst are always 1-bit
+        // en and rst are always 1-bit; 4-state registers sample per lane.
+        reg.word = slots_[reg.q].packed && !kFourState;
         registers_.push_back(std::move(reg));
       } else if (unit.kind == ir::UnitKind::kBinOp && unit.latency > 0) {
         PipeOp pipe;
@@ -152,6 +194,9 @@ class BatchedSim {
         pipe.width = slots_[pipe.out].width;
         pipe.latency = unit.latency;
         pipe.ring.assign(std::size_t{unit.latency} * lanes_, 0);
+        if constexpr (kFourState) {
+          pipe.ring_x.assign(pipe.ring.size(), Bits::mask(pipe.width));
+        }
         pipelined_.push_back(std::move(pipe));
       } else if (unit.kind == ir::UnitKind::kMemPort &&
                  unit.mem_mode != ir::MemMode::kRead) {
@@ -161,6 +206,7 @@ class BatchedSim {
         write.we = index_of(unit.port("we"));
         write.mem = image_index_.at(unit.memory);
         write.name = unit.name;
+        write.memory = unit.memory;
         writes_.push_back(std::move(write));
       }
     }
@@ -175,6 +221,7 @@ class BatchedSim {
       scratch += reg.word ? words_ : lanes_;
     }
     reg_next_.assign(scratch, 0);
+    reg_next_x_.assign(kFourState ? scratch : 0, 0);
     reg_load_.assign(registers_.size() * words_, 0);
     pending_.assign(registers_.size(), 0);
 
@@ -258,6 +305,8 @@ class BatchedSim {
         lanes_, std::vector<std::vector<std::uint64_t>>(trace_names_.size()));
     events_.assign(lanes_, 0);
     word_events_.assign(words_, 0);
+    x_sites_ = 1 + states_.size() + 3 * writes_.size();
+    x_hits_.assign(kFourState ? lanes_ * x_sites_ : 0, 0);
     active_.assign(words_, ~0ull);
     active_.back() &= tail_mask_;
     active_count_ = lanes_;
@@ -271,14 +320,21 @@ class BatchedSim {
   std::uint64_t lane_sweeps() const { return lane_sweeps_; }
 
   std::vector<sim::EnginePartition> run(const std::string& node) {
+    node_ = node;
     std::vector<sim::EnginePartition> results(lanes_);
     for (sim::EnginePartition& result : results) {
       result.node = node;
     }
-    // Power-up: every lane's registers load their reset value.
+    // Power-up: every lane's registers load their reset value, except
+    // that a 4-state register without reset hardware starts all-X.
     for (const RegOp& reg : registers_) {
+      bool unknown = kFourState && reg.rst == kNone;
       for (std::size_t lane = 0; lane < lanes_; ++lane) {
-        commit(reg.q, lane, reg.reset);
+        if (unknown) {
+          put_x(reg.q, lane, ~0ull);
+        } else {
+          commit(reg.q, lane, reg.reset);
+        }
       }
     }
     for (std::size_t lane = 0; lane < lanes_; ++lane) {
@@ -289,7 +345,19 @@ class BatchedSim {
     for (;;) {
       // Done is checked before the budget, so a lane whose done rises in
       // the same cycle the budget runs out still completes (the
-      // single-lane engines break the tie the same way).
+      // single-lane engines break the tie the same way).  An X on done
+      // reads as not done.
+      if constexpr (kFourState) {
+        for_each_lane(
+            [&](std::size_t w) { return unknown_where(done_index_, w); },
+            [&](std::size_t lane) {
+              if (first_hit(lane, 0)) {
+                finding(lane, config_.fsm.done_wire,
+                        "done wire reads X (uninitialized state reached the "
+                        "completion logic)");
+              }
+            });
+      }
       for_each_lane(
           [&](std::size_t w) { return active_where(done_index_, w); },
           [&](std::size_t lane) {
@@ -325,6 +393,7 @@ class BatchedSim {
     kWideMux,    ///< mux with unpacked data inputs and output
     kWideMem,    ///< memory read port with an unpacked output
     kLaneLoop,   ///< per-lane Bits evaluation via ops::eval_*
+    kXLane,      ///< 4-state mode: per-lane evaluation via ops::eval_*_x
   };
   struct Slot {
     std::uint32_t width;
@@ -363,19 +432,25 @@ class BatchedSim {
     std::uint32_t latency;
     std::size_t head = 0;
     std::vector<std::uint64_t> ring;
+    std::vector<std::uint64_t> ring_x;  ///< 4-state: the ring's masks
   };
   struct WriteOp {
     std::size_t addr;
     std::size_t din;
     std::size_t we;
     std::size_t mem;
-    std::string name;
+    std::string name;    ///< the write unit
+    std::string memory;  ///< the memory it writes
   };
   struct MemWrite {
     mem::MemoryImage* image;
     std::size_t lane;
     std::uint64_t address;
     std::uint64_t data;
+  };
+  struct MaskWrite {
+    std::uint64_t* word;
+    std::uint64_t unknown;
   };
   struct CompiledTransition {
     std::vector<std::pair<std::size_t, bool>> literals;
@@ -456,6 +531,65 @@ class BatchedSim {
       word = (value & 1u) != 0 ? (word | bit) : (word & ~bit);
     } else {
       wide_vals_[slot.offset + lane] = value & Bits::mask(slot.width);
+    }
+  }
+
+  // -- 4-state plane: get/put_raw over bit_x_/wide_x_ -----------------
+
+  std::uint64_t get_x(std::size_t wire, std::size_t lane) const {
+    const Slot& slot = slots_[wire];
+    if (slot.packed) {
+      return (bit_x_[slot.offset + lane / 64] >> (lane % 64)) & 1u;
+    }
+    return wide_x_[slot.offset + lane];
+  }
+
+  void put_x(std::size_t wire, std::size_t lane, std::uint64_t unknown) {
+    const Slot& slot = slots_[wire];
+    if (slot.packed) {
+      std::uint64_t bit = 1ull << (lane % 64);
+      std::uint64_t& word = bit_x_[slot.offset + lane / 64];
+      word = (unknown & 1u) != 0 ? (word | bit) : (word & ~bit);
+    } else {
+      wide_x_[slot.offset + lane] = unknown & Bits::mask(slot.width);
+    }
+  }
+
+  ops::XBits get_xbits(std::size_t wire, std::size_t lane) const {
+    return {slots_[wire].width, get(wire, lane), get_x(wire, lane)};
+  }
+
+  /// put_x of unknown[lane] for every lane set in `mask`.
+  void put_x_lanes(std::size_t wire, const std::uint64_t* mask,
+                   const std::uint64_t* unknown) {
+    for_each_lane([&](std::size_t w) { return mask[w]; },
+                  [&](std::size_t lane) { put_x(wire, lane, unknown[lane]); });
+  }
+
+  /// The active lanes of word `w` in which the 1-bit `wire` is X (none
+  /// for an absent port).
+  std::uint64_t unknown_where(std::size_t wire, std::size_t w) const {
+    return wire == kNone ? 0 : active_[w] & bit_x_[slots_[wire].offset + w];
+  }
+
+  /// True the first time `lane` sees X at `site` in this configuration
+  /// (0 is done, 1 + s a guard of state s, then three per write port)
+  /// while its report has room.  An X that persists hits the same site
+  /// every cycle; the check skips the repeats before any text is built.
+  bool first_hit(std::size_t lane, std::size_t site) {
+    std::uint8_t& hit = x_hits_[lane * x_sites_ + site];
+    XLane& x = *x_lanes_[lane];
+    bool first = hit == 0 && x.report.findings.size() < x.max_findings;
+    hit = 1;
+    return first;
+  }
+
+  /// Records a 4-state finding for `lane`, once per node/object/message.
+  void finding(std::size_t lane, const std::string& object,
+               std::string message) {
+    XLane& x = *x_lanes_[lane];
+    if (x.seen.insert(node_ + "/" + object + "/" + message).second) {
+      x.report.findings.push_back({node_, object, cycle_, std::move(message)});
     }
   }
 
@@ -733,6 +867,47 @@ class BatchedSim {
     }
   }
 
+  /// eval_lane in 4-state mode: an X select or address makes the whole
+  /// output X, a known select passes one input.
+  void eval_lane_x(const CombOp& op, std::size_t lane) {
+    ops::XBits out{op.width, 0, 0};
+    const ops::XBits all_x{op.width, 0, Bits::mask(op.width)};
+    switch (op.kind) {
+      case ir::UnitKind::kBinOp:
+        out = ops::eval_binop_x(op.binop, get_xbits(op.ins[0], lane),
+                                get_xbits(op.ins[1], lane), op.width);
+        break;
+      case ir::UnitKind::kUnOp:
+        out = ops::eval_unop_x(op.unop, get_xbits(op.ins[0], lane), op.width);
+        break;
+      case ir::UnitKind::kMux: {
+        ops::XBits sel = get_xbits(op.ins[0], lane);
+        if (sel.has_x()) {
+          out = all_x;
+        } else if (sel.v < op.mux_inputs) {
+          out = get_xbits(op.ins[1 + sel.v], lane);
+        }
+        break;
+      }
+      case ir::UnitKind::kMemPort: {
+        ops::XBits address = get_xbits(op.ins[0], lane);
+        const mem::MemoryImage& image = *mem_images_[op.mem][lane];
+        if (address.has_x()) {
+          out = all_x;
+        } else if (address.v < image.depth()) {
+          out.x = (*mem_x_[op.mem][lane])[address.v];
+          out.v = image.words()[address.v] & ~out.x;
+        }
+        break;
+      }
+      case ir::UnitKind::kConst:
+      case ir::UnitKind::kRegister:
+        break;
+    }
+    put_raw(op.out, lane, out.v);
+    put_x(op.out, lane, out.x);
+  }
+
   /// One rank-ordered pass over all lanes.  Word- and wide-classified
   /// ops evaluate every lane (finished lanes recompute the same frozen
   /// values, which is harmless and branch-free); lane loops skip
@@ -805,6 +980,11 @@ class BatchedSim {
         case Exec::kLaneLoop:
           for_each_active([&](std::size_t lane) { eval_lane(op, lane); });
           break;
+        case Exec::kXLane:
+          if constexpr (kFourState) {
+            for_each_active([&](std::size_t lane) { eval_lane_x(op, lane); });
+          }
+          break;
       }
     }
   }
@@ -815,7 +995,9 @@ class BatchedSim {
   /// then commit.  Only active lanes commit -- a finished lane's
   /// registers, memories and FSM freeze.  A register loads in the active
   /// lanes where its enable or reset is high; one that loads in no lane
-  /// is neither sampled nor committed.
+  /// is neither sampled nor committed.  In 4-state mode an X on a
+  /// scanned register's enable or reset also loads (all-X), and X on a
+  /// write port or a guard is a finding.
   void clock_edge() {
     group_lanes();
     for (std::size_t s : occupied_) {
@@ -837,7 +1019,10 @@ class BatchedSim {
       std::uint64_t any = 0;
       for (std::size_t w = 0; w < words_; ++w) {
         load[w] = (reg.en == kNone ? active_[w] : active_where(reg.en, w)) |
-                  (reg.rst == kNone ? 0 : active_where(reg.rst, w));
+                  (reg.rst == kNone ? 0 : active_where(reg.rst, w)) |
+                  (kFourState
+                       ? unknown_where(reg.en, w) | unknown_where(reg.rst, w)
+                       : 0);
         any |= load[w];
       }
       if (any != 0) {
@@ -857,6 +1042,14 @@ class BatchedSim {
           std::uint64_t value = (rst & reset_fill) | (~rst & d[w]);
           next[w] = (load[w] & value) | (~load[w] & q[w]);
         }
+      } else if constexpr (kFourState) {
+        std::uint64_t* next_x = reg_next_x_.data() + reg.next;
+        for_each_lane([&](std::size_t w) { return load[w]; },
+                      [&](std::size_t lane) {
+                        ops::XBits value = sample_x(reg, lane);
+                        next[lane] = value.v;
+                        next_x[lane] = value.x;
+                      });
       } else {
         for_each_lane([&](std::size_t w) { return load[w]; },
                       [&](std::size_t lane) {
@@ -873,6 +1066,17 @@ class BatchedSim {
       const std::uint64_t mask = Bits::mask(pipe.width);
       const std::uint64_t sa = ops::sign_bit(slots_[pipe.a].width);
       const std::uint64_t sb = ops::sign_bit(slots_[pipe.b].width);
+      if constexpr (kFourState) {
+        std::uint64_t* sample_unknown = pipe.ring_x.data() + slot * lanes_;
+        for_each_active([&](std::size_t lane) {
+          ops::XBits value =
+              ops::eval_binop_x(pipe.binop, get_xbits(pipe.a, lane),
+                                get_xbits(pipe.b, lane), pipe.width);
+          sample[lane] = value.v;
+          sample_unknown[lane] = value.x;
+        });
+        continue;
+      }
       ops::visit_binop(pipe.binop, [&](auto fn) {
         for_each_active([&](std::size_t lane) {
           sample[lane] = fn(get(pipe.a, lane), get(pipe.b, lane), sa, sb) &
@@ -881,18 +1085,20 @@ class BatchedSim {
       });
     }
     mem_writes_.clear();
+    mask_writes_.clear();
     for (const WriteOp& write : writes_) {
+      if constexpr (kFourState) {
+        sample_write_x(write,
+                       1 + states_.size() + 3 * (&write - writes_.data()));
+        continue;
+      }
       for_each_lane(
           [&](std::size_t w) { return active_where(write.we, w); },
           [&](std::size_t lane) {
             std::uint64_t address = get(write.addr, lane);
             mem::MemoryImage* image = mem_images_[write.mem][lane];
             if (address >= image->depth()) {
-              throw util::SimError(
-                  "batched: sram '" + write.name + "' lane " +
-                  std::to_string(lane) + " write to address " +
-                  std::to_string(address) + " beyond depth " +
-                  std::to_string(image->depth()));
+              beyond_depth(write, lane, address);
             }
             mem_writes_.push_back({image, lane, address,
                                    get(write.din, lane)});
@@ -909,6 +1115,18 @@ class BatchedSim {
           const CompiledTransition& transition = current.transitions[t];
           std::uint64_t taken = rest;
           for (const auto& [status, expected] : transition.literals) {
+            if constexpr (kFourState) {
+              // An X literal fails the transition for its lane.
+              std::uint64_t unknown = taken & unknown_where(status, w);
+              for_each_bit(unknown, w * 64, [&](std::size_t lane) {
+                if (first_hit(lane, 1 + s)) {
+                  finding(lane, config_.fsm.states[s].name,
+                          "FSM guard reads X status (uninitialized value "
+                          "steers the state machine)");
+                }
+              });
+              taken &= ~unknown;
+            }
             std::uint64_t high = active_where(status, w);
             taken &= expected ? high : ~high;
           }
@@ -928,6 +1146,9 @@ class BatchedSim {
       if (reg.word) {
         commit_packed(reg.q, next);
       } else {
+        if constexpr (kFourState) {
+          put_x_lanes(reg.q, load, reg_next_x_.data() + reg.next);
+        }
         commit_lanes(reg.q, load, next);
       }
       std::fill(load, load + words_, 0);
@@ -935,6 +1156,10 @@ class BatchedSim {
     }
     loaded_.clear();
     for (PipeOp& pipe : pipelined_) {
+      if constexpr (kFourState) {
+        put_x_lanes(pipe.out, active_.data(),
+                    pipe.ring_x.data() + pipe.head * lanes_);
+      }
       commit_lanes(pipe.out, active_.data(),
                    pipe.ring.data() + pipe.head * lanes_);
       pipe.head = (pipe.head + 1) % pipe.latency;
@@ -943,6 +1168,78 @@ class BatchedSim {
       write.image->write(write.address, write.data);
       ++events_[write.lane];
     }
+    for (const MaskWrite& write : mask_writes_) {
+      *write.word = write.unknown;
+    }
+  }
+
+  /// A write beyond a memory's depth is a SimError in every mode.
+  [[noreturn]] void beyond_depth(const WriteOp& write, std::size_t lane,
+                                 std::uint64_t address) const {
+    throw util::SimError("batched: sram '" + write.name + "' lane " +
+                         std::to_string(lane) + " write to address " +
+                         std::to_string(address) + " beyond depth " +
+                         std::to_string(mem_images_[write.mem][lane]->depth()));
+  }
+
+  /// A 4-state register's next value in a loading lane: an X reset, or
+  /// an X enable while not resetting, loads all-X.
+  ops::XBits sample_x(const RegOp& reg, std::size_t lane) const {
+    const std::uint32_t width = slots_[reg.q].width;
+    const ops::XBits all_x{width, 0, Bits::mask(width)};
+    if (reg.rst != kNone) {
+      if (get_x(reg.rst, lane) != 0) {
+        return all_x;
+      }
+      if (get(reg.rst, lane) != 0) {
+        return {width, reg.reset, 0};
+      }
+    }
+    if (reg.en != kNone && get_x(reg.en, lane) != 0) {
+      return all_x;
+    }
+    return get_xbits(reg.d, lane);
+  }
+
+  /// Samples one write port in 4-state mode.  An X enable or address
+  /// drops the write with a finding; X data is written, with a finding.
+  void sample_write_x(const WriteOp& write, std::size_t site) {
+    for_each_lane(
+        [&](std::size_t w) {
+          return active_where(write.we, w) | unknown_where(write.we, w);
+        },
+        [&](std::size_t lane) {
+          if (get_x(write.we, lane) != 0) {
+            if (first_hit(lane, site)) {
+              finding(lane, write.memory,
+                      "memory write enable reads X (uninitialized value "
+                      "controls whether '" + write.memory + "' is written)");
+            }
+            return;
+          }
+          ops::XBits address = get_xbits(write.addr, lane);
+          if (address.has_x()) {
+            if (first_hit(lane, site + 1)) {
+              finding(lane, write.memory,
+                      "memory write address reads X (uninitialized value "
+                      "selects the word written in '" + write.memory + "')");
+            }
+            return;
+          }
+          mem::MemoryImage* image = mem_images_[write.mem][lane];
+          if (address.v >= image->depth()) {
+            beyond_depth(write, lane, address.v);
+          }
+          ops::XBits data = get_xbits(write.din, lane);
+          if (data.has_x() && first_hit(lane, site + 2)) {
+            finding(lane, write.memory,
+                    "uninitialized (X) data written to memory '" +
+                        write.memory + "'");
+          }
+          mem_writes_.push_back({image, lane, address.v, data.v});
+          mask_writes_.push_back(
+              {&(*mem_x_[write.mem][lane])[address.v], data.x});
+        });
   }
 
   /// Snapshots one finished lane.  All lanes share the cycle counter and
@@ -974,24 +1271,34 @@ class BatchedSim {
   const sim::EngineRunOptions& options_;
   std::size_t lanes_;
   std::size_t words_;
+  std::vector<XLane*> x_lanes_;
+  std::size_t x_sites_ = 0;
+  std::vector<std::uint8_t> x_hits_;  ///< per lane and site: seen X
+  std::string node_;
   std::uint64_t tail_mask_;
   std::map<std::string, std::size_t> wire_index_;
   std::vector<Slot> slots_;
   std::vector<std::uint64_t> bit_vals_;
   std::vector<std::uint64_t> wide_vals_;
+  std::vector<std::uint64_t> bit_x_;   ///< 4-state: unknown masks
+  std::vector<std::uint64_t> wide_x_;  ///< of bit_vals_/wide_vals_
   std::map<std::string, std::size_t> image_index_;
   std::vector<std::vector<mem::MemoryImage*>> mem_images_;
+  /// 4-state: per memory and lane, the image's unknown mask.
+  std::vector<std::vector<std::vector<std::uint64_t>*>> mem_x_;
   std::vector<CombOp> comb_;
   std::size_t comb_units_ = 0;  ///< comb_ plus the constants
   std::vector<RegOp> registers_;
   std::vector<PipeOp> pipelined_;
   std::vector<WriteOp> writes_;
   std::vector<std::uint64_t> reg_next_;
+  std::vector<std::uint64_t> reg_next_x_;  ///< 4-state: reg_next_'s masks
   std::vector<std::uint64_t> reg_load_;
   std::vector<std::size_t> scanned_;  ///< registers not gated by controls
   std::vector<std::size_t> loaded_;   ///< registers loading this edge
   std::vector<std::uint8_t> pending_;  ///< r is in loaded_
   std::vector<MemWrite> mem_writes_;
+  std::vector<MaskWrite> mask_writes_;  ///< 4-state: mem_writes_'s masks
   std::vector<std::size_t> control_index_;
   std::vector<CompiledState> states_;
   std::size_t depth_ = 0;
@@ -1018,6 +1325,94 @@ class BatchedSim {
   std::uint64_t lane_sweeps_ = 0;
 };
 
+/// The RTG walk of a batch: each partition runs, in one BatchedSim, the
+/// lanes that reached done in every earlier one; a lane that misses
+/// done stops there (completed == false), exactly like
+/// PartitionedEngine::run, and the rest carry their pools on through
+/// the later partitions together.  A 4-state walk (`x` holds one XLane
+/// per lane; empty for 2-state) is a check, not an engine run, so it
+/// feeds no engine.* metrics.
+template <bool kFourState>
+std::vector<sim::EngineResult> run_lanes(
+    const std::string& name, const ir::Design& design,
+    const std::vector<mem::MemoryPool*>& lanes,
+    const sim::EngineRunOptions& options, const std::vector<XLane*>& x) {
+  ir::validate(design);
+  const bool metrics = obs::enabled() && !kFourState;
+  util::Stopwatch watch;
+  std::vector<sim::EngineResult> results(lanes.size());
+  for (sim::EngineResult& result : results) {
+    result.completed = true;
+    result.has_wire_data = options.collect_wire_data;
+  }
+  std::vector<std::size_t> live(lanes.size());
+  std::iota(live.begin(), live.end(), std::size_t{0});
+  std::uint64_t lane_sweeps = 0;
+  std::uint64_t levels_swept = 0;
+  std::uint64_t lane_cycles = 0;
+  std::string node = design.rtg.initial;
+  while (!node.empty() && !live.empty()) {
+    std::vector<mem::MemoryPool*> pools;
+    std::vector<XLane*> x_live;
+    pools.reserve(live.size());
+    for (std::size_t lane : live) {
+      pools.push_back(lanes[lane]);
+      if constexpr (kFourState) {
+        x_live.push_back(x[lane]);
+      }
+    }
+    std::vector<sim::EnginePartition> runs;
+    {
+      obs::ScopedSpan span(name + ":" + node, "engine");
+      util::Stopwatch partition_watch;
+      SharedSchedule schedule = acquire_levelized_schedule(design, node);
+      BatchedSim<kFourState> simulator(design.configuration(node), pools,
+                                       options, *schedule, std::move(x_live));
+      runs = simulator.run(node);
+      double share =
+          partition_watch.seconds() / static_cast<double>(runs.size());
+      for (sim::EnginePartition& run : runs) {
+        run.wall_seconds = share;
+      }
+      lane_sweeps += simulator.lane_sweeps();
+      levels_swept += simulator.levels_swept();
+    }
+    if (metrics) {
+      obs::counter("engine.lanes").add(runs.size());
+    }
+    std::vector<std::size_t> next_live;
+    next_live.reserve(live.size());
+    for (std::size_t i = 0; i < live.size(); ++i) {
+      std::size_t lane = live[i];
+      lane_cycles += runs[i].cycles;
+      if (metrics) {
+        record_partition(runs[i]);
+      }
+      bool done = runs[i].reason == sim::Kernel::StopReason::kDoneNet;
+      results[lane].partitions.push_back(std::move(runs[i]));
+      if (done) {
+        next_live.push_back(lane);
+      } else {
+        results[lane].completed = false;
+      }
+    }
+    live = std::move(next_live);
+    node = design.rtg.successor(node);
+  }
+  if (metrics) {
+    obs::counter("engine.lane_sweeps").add(lane_sweeps);
+    obs::counter("engine.levels_swept").add(levels_swept);
+    double wall = watch.seconds();
+    if (wall > 0.0) {
+      // Lane-cycles per second: the batch's aggregate simulated cycle
+      // throughput across all lanes.
+      obs::gauge("engine.lanes_per_sec")
+          .set(static_cast<double>(lane_cycles) / wall);
+    }
+  }
+  return results;
+}
+
 }  // namespace
 
 const std::string& BatchedEngine::name() const { return name_; }
@@ -1029,7 +1424,8 @@ sim::EnginePartition BatchedEngine::run_partition(
   util::Stopwatch watch;
   std::vector<mem::MemoryPool*> pools{&pool};
   SharedSchedule schedule = acquire_levelized_schedule(design, node);
-  BatchedSim simulator(design.configuration(node), pools, options, *schedule);
+  BatchedSim<false> simulator(design.configuration(node), pools, options,
+                              *schedule);
   std::vector<sim::EnginePartition> runs = simulator.run(node);
   sim::EnginePartition run = std::move(runs.front());
   run.wall_seconds = watch.seconds();
@@ -1045,76 +1441,30 @@ std::vector<sim::EngineResult> BatchedEngine::run_batch(
     const ir::Design& design, const std::vector<mem::MemoryPool*>& lanes,
     const sim::EngineRunOptions& options) {
   check_batch_lanes(lanes);
-  ir::validate(design);
-  util::Stopwatch watch;
-  std::vector<sim::EngineResult> results(lanes.size());
-  for (sim::EngineResult& result : results) {
-    result.completed = true;
-    result.has_wire_data = options.collect_wire_data;
+  return run_lanes<false>(name(), design, lanes, options, {});
+}
+
+std::vector<FourStateLane> run_four_state_lanes(
+    const ir::Design& design, const std::vector<mem::MemoryPool*>& lanes,
+    const FourStateOptions& options) {
+  std::vector<XLane> x(lanes.size());
+  std::vector<XLane*> x_lanes;
+  for (XLane& lane : x) {
+    lane.max_findings = options.max_findings;
+    x_lanes.push_back(&lane);
   }
-  // Lanes that miss a partition's done signal stop there (completed ==
-  // false), exactly like PartitionedEngine::run; the rest carry their
-  // pools on through the later partitions together.
-  std::vector<std::size_t> live(lanes.size());
-  std::iota(live.begin(), live.end(), std::size_t{0});
-  std::uint64_t lane_sweeps = 0;
-  std::uint64_t levels_swept = 0;
-  std::uint64_t lane_cycles = 0;
-  std::string node = design.rtg.initial;
-  while (!node.empty() && !live.empty()) {
-    std::vector<mem::MemoryPool*> pools;
-    pools.reserve(live.size());
-    for (std::size_t lane : live) {
-      pools.push_back(lanes[lane]);
-    }
-    std::vector<sim::EnginePartition> runs;
-    {
-      obs::ScopedSpan span(name() + ":" + node, "engine");
-      util::Stopwatch partition_watch;
-      SharedSchedule schedule = acquire_levelized_schedule(design, node);
-      BatchedSim simulator(design.configuration(node), pools, options,
-                           *schedule);
-      runs = simulator.run(node);
-      double share =
-          partition_watch.seconds() / static_cast<double>(runs.size());
-      for (sim::EnginePartition& run : runs) {
-        run.wall_seconds = share;
-      }
-      lane_sweeps += simulator.lane_sweeps();
-      levels_swept += simulator.levels_swept();
-    }
-    if (obs::enabled()) {
-      obs::counter("engine.lanes").add(runs.size());
-    }
-    std::vector<std::size_t> next_live;
-    next_live.reserve(live.size());
-    for (std::size_t i = 0; i < live.size(); ++i) {
-      std::size_t lane = live[i];
-      lane_cycles += runs[i].cycles;
-      record_partition(runs[i]);
-      bool done = runs[i].reason == sim::Kernel::StopReason::kDoneNet;
-      results[lane].partitions.push_back(std::move(runs[i]));
-      if (done) {
-        next_live.push_back(lane);
-      } else {
-        results[lane].completed = false;
-      }
-    }
-    live = std::move(next_live);
-    node = design.rtg.successor(node);
+  sim::EngineRunOptions run_options;
+  run_options.max_cycles_per_partition = options.max_cycles_per_partition;
+  std::vector<sim::EngineResult> runs =
+      run_lanes<true>("four-state", design, lanes, run_options, x_lanes);
+  std::vector<FourStateLane> reports;
+  reports.reserve(lanes.size());
+  for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
+    x[lane].report.completed = runs[lane].completed;
+    x[lane].report.total_cycles = runs[lane].total_cycles();
+    reports.push_back(std::move(x[lane].report));
   }
-  if (obs::enabled()) {
-    obs::counter("engine.lane_sweeps").add(lane_sweeps);
-    obs::counter("engine.levels_swept").add(levels_swept);
-    double wall = watch.seconds();
-    if (wall > 0.0) {
-      // Lane-cycles per second: the batch's aggregate simulated cycle
-      // throughput across all lanes.
-      obs::gauge("engine.lanes_per_sec")
-          .set(static_cast<double>(lane_cycles) / wall);
-    }
-  }
-  return results;
+  return reports;
 }
 
 }  // namespace fti::elab

@@ -24,9 +24,22 @@
 //    independent runs;
 //  * a SimError raised by any lane (out-of-range memory write) aborts
 //    the whole batch.
+//
+// 4-state mode (run_four_state_lanes, behind xsim::run_four_state) is
+// the same sweep, instantiated with an unknown-mask plane beside every
+// value word and memory image; the 2-state instantiation has none.  Power-up rules are lane
+// state: a register without a `rst` port and every in-flight pipeline
+// stage start all-X, a memory the lane's pool does not hold yet is X
+// beyond its <init> prefix, and an image the caller supplies is fully
+// defined.  Combinational ops evaluate through ops::eval_binop_x /
+// eval_unop_x; the clock edge looks for X only where one can enter
+// control -- data-driven register enables and resets, memory write
+// ports, FSM guards and done -- and reports each hit as a finding of
+// the lane it happened in.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -34,6 +47,40 @@
 #include "fti/elab/engines.hpp"
 
 namespace fti::elab {
+
+struct FourStateOptions {
+  std::uint64_t max_cycles_per_partition = 100'000;
+  /// Findings are deduplicated per (node, object, message); this caps
+  /// each lane's report on pathological designs.
+  std::size_t max_findings = 64;
+};
+
+/// One X observed at a point where it steers the run.
+struct FourStateFinding {
+  std::string node;    ///< RTG configuration node
+  std::string object;  ///< wire, memory or FSM state the X was seen on
+  std::uint64_t cycle = 0;
+  std::string message;
+};
+
+/// One lane's 4-state run.
+struct FourStateLane {
+  /// Every partition reached its done wire (X on done counts as not
+  /// done, so an X-poisoned FSM typically times out instead).
+  bool completed = false;
+  std::uint64_t total_cycles = 0;
+  std::vector<FourStateFinding> findings;
+};
+
+/// Runs every lane of `design` under 4-state semantics in one batched
+/// sweep per partition.  Each pool is that lane's stimulus and, like
+/// run_batch, ends up holding the lane's final memory contents (unknown
+/// words read back as zero).  Infrastructure errors -- invalid IR, a
+/// combinational cycle, a write to a known address beyond a memory's
+/// depth -- throw, as in 2-state runs.
+std::vector<FourStateLane> run_four_state_lanes(
+    const ir::Design& design, const std::vector<mem::MemoryPool*>& lanes,
+    const FourStateOptions& options);
 
 class BatchedEngine final : public PartitionedEngine {
  public:

@@ -1,6 +1,7 @@
 #include "fti/elab/compiled.hpp"
 
 #include <dlfcn.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -8,9 +9,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "fti/cache/ir_hash.hpp"
@@ -96,6 +99,64 @@ std::string probe_compiler(std::string* reason) {
     *reason = "no host C++ compiler on PATH (tried $CXX, c++, g++, clang++)";
   }
   return "";
+}
+
+/// Host compiler flags per tier.  -nostdlib: the generated TU includes
+/// no headers and calls no libc, and skipping the C runtime's start
+/// files and libraries saves about 20 ms per link.  Unwind tables stay
+/// (no -fno-exceptions or -fno-asynchronous-unwind-tables): the host's
+/// trace/mem_write callbacks may throw through module frames.
+const char* tier_flags(CompiledTier tier) {
+  return tier == CompiledTier::kOneShot
+             ? "-std=c++17 -O0 -fPIC -shared -pipe -nostdlib"
+             : "-std=c++17 -O2 -fPIC -shared -pipe -nostdlib";
+}
+
+/// The host compiler's identity, read without running it: the file its
+/// path resolves to, with that file's size and mtime, so an upgraded or
+/// swapped toolchain keys different objects.
+std::string compiler_identity(const std::string& cxx) {
+  std::error_code ignored;
+  std::string real = std::filesystem::canonical(cxx, ignored).string();
+  struct stat info {};
+  if (real.empty() || ::stat(real.c_str(), &info) != 0) {
+    return cxx;
+  }
+  return real + " " + std::to_string(info.st_size) + " " +
+         std::to_string(info.st_mtime);
+}
+
+/// This process's build fingerprint: the emitter's (semantics header,
+/// ABI text, emitter revision) and the identity of the first host
+/// compiler a compiled run resolves.  Computed once, on that first use,
+/// and kept for the life of the process; nullopt before it.
+std::mutex g_fingerprint_mutex;
+std::optional<cache::Key> g_fingerprint;
+
+std::optional<cache::Key> build_fingerprint(const std::string& cxx) {
+  std::lock_guard<std::mutex> lock(g_fingerprint_mutex);
+  if (!g_fingerprint && !cxx.empty()) {
+    cache::Hasher hasher;
+    hasher.mix_string(codegen::emitter_fingerprint());
+    hasher.mix_string(compiler_identity(cxx));
+    g_fingerprint = hasher.key();
+  }
+  return g_fingerprint;
+}
+
+/// A module's key: its design's IR hash under the build fingerprint and
+/// the tier's flags.  It names the store object and is baked into the
+/// module, whose loader re-checks it, so an object built by other code
+/// or another compiler can only miss.
+cache::Key module_key(const cache::Key& ir_key, const cache::Key& fingerprint,
+                      CompiledTier tier) {
+  cache::Hasher hasher;
+  hasher.mix_u64(ir_key.hi);
+  hasher.mix_u64(ir_key.lo);
+  hasher.mix_u64(fingerprint.hi);
+  hasher.mix_u64(fingerprint.lo);
+  hasher.mix_string(tier_flags(tier));
+  return hasher.key();
 }
 
 std::string shell_quoted(const std::string& path) {
@@ -193,11 +254,12 @@ class ModuleRegistry {
   /// emit+compile at `tier`.  A kReused acquire skips a loaded one-shot
   /// module and builds (and publishes) an -O2 one.  nullptr when no host
   /// compiler is usable (caller falls back); throws SimError on compile
-  /// failure.
+  /// failure.  Slots are keyed by IR hash alone: the fingerprint is
+  /// fixed for the registry's life.
   std::shared_ptr<Module> acquire(const ir::Design& design,
                                   CompiledTier tier) {
-    cache::Key key = cache::hash_design(design);
-    std::shared_ptr<Slot> slot = slot_for(key.to_string());
+    cache::Key ir_key = cache::hash_design(design);
+    std::shared_ptr<Slot> slot = slot_for(ir_key.to_string());
     std::lock_guard<std::mutex> lock(slot->mutex);
     if (slot->module != nullptr &&
         (tier == CompiledTier::kOneShot ||
@@ -211,10 +273,18 @@ class ModuleRegistry {
     if (!slot->error.empty()) {
       throw util::SimError(slot->error);
     }
+    std::string cxx = probe_compiler(nullptr);
+    std::optional<cache::Key> fingerprint = build_fingerprint(cxx);
+    if (!fingerprint) {
+      return nullptr;
+    }
+    // The store holds -O2 builds only, so it is looked up under the
+    // kReused key whatever the tier.
+    cache::Key stored = module_key(ir_key, *fingerprint, CompiledTier::kReused);
     cache::SoStore store;
-    std::string cached = store.lookup(key);
+    std::string cached = store.lookup(stored);
     if (!cached.empty()) {
-      std::shared_ptr<Module> module = try_load(cached, key.to_string());
+      std::shared_ptr<Module> module = try_load(cached, stored.to_string());
       if (module != nullptr) {
         g_hits_disk.fetch_add(1, std::memory_order_relaxed);
         if (obs::enabled()) {
@@ -224,19 +294,18 @@ class ModuleRegistry {
         slot->tier = CompiledTier::kReused;
         return module;
       }
-      // Corrupt, stale-ABI or wrong-hash object: evict and recompile.
-      store.remove(key);
+      // Corrupt, stale-ABI or wrong-key object: evict and recompile.
+      store.remove(stored);
       g_load_rejects.fetch_add(1, std::memory_order_relaxed);
       if (obs::enabled()) {
         obs::counter("compiled.load_rejects").inc();
       }
     }
-    std::string cxx = probe_compiler(nullptr);
     if (cxx.empty()) {
       return nullptr;
     }
-    std::shared_ptr<Module> module =
-        build(design, key, store, cxx, tier, slot);
+    std::shared_ptr<Module> module = build(
+        design, module_key(ir_key, *fingerprint, tier), store, cxx, tier, slot);
     slot->module = module;
     slot->tier = tier;
     return module;
@@ -279,16 +348,9 @@ class ModuleRegistry {
     std::string obj = store.scratch_path(key, ".so.tmp");
     std::string log = store.scratch_path(key, ".log");
     util::write_file(src, emitted.source);
-    // -nostdlib: the generated TU includes no headers and calls no libc,
-    // and skipping the C runtime's start files and libraries saves about
-    // 20 ms per link.  Unwind tables stay (no -fno-exceptions or
-    // -fno-asynchronous-unwind-tables): the host's trace/mem_write
-    // callbacks may throw through module frames.
-    std::string command = shell_quoted(cxx) + " -std=c++17 " +
-                          (one_shot ? "-O0" : "-O2") +
-                          " -fPIC -shared -pipe -nostdlib -o " +
-                          shell_quoted(obj) + " " + shell_quoted(src) +
-                          " 2>" + shell_quoted(log);
+    std::string command = shell_quoted(cxx) + " " + tier_flags(tier) +
+                          " -o " + shell_quoted(obj) + " " +
+                          shell_quoted(src) + " 2>" + shell_quoted(log);
     int rc = std::system(command.c_str());
     g_compiles.fetch_add(1, std::memory_order_relaxed);
     if (one_shot) {
@@ -399,6 +461,16 @@ CompiledStats compiled_stats() {
 }
 
 void compiled_reset_for_testing() { ModuleRegistry::instance().reset(); }
+
+void compiled_set_fingerprint_for_testing(const std::string& salt) {
+  {
+    std::lock_guard<std::mutex> lock(g_fingerprint_mutex);
+    cache::Hasher hasher;
+    hasher.mix_string(salt);
+    g_fingerprint = hasher.key();
+  }
+  ModuleRegistry::instance().reset();
+}
 
 const std::string& CompiledEngine::name() const {
   static const std::string kName = "compiled";

@@ -5,11 +5,19 @@
 // unit per RTG node, the host toolchain ($CXX and friends, probed at
 // startup) compiles it to a shared object, and this engine dlopen()s
 // the result and drives it through the versioned extern "C" ABI of
-// compiled_abi.hpp.  Modules are keyed on the 128-bit canonical IR hash
-// and cached twice: a process-wide in-memory registry (a warm `fti
-// serve` resubmission re-dispatches into the already-loaded module with
-// zero compiler work) and the on-disk cache::SoStore (a later process
-// dlopen()s the object straight off disk).
+// compiled_abi.hpp.  Modules are cached twice: a process-wide in-memory
+// registry keyed on the 128-bit canonical IR hash (a warm `fti serve`
+// resubmission re-dispatches into the already-loaded module with zero
+// compiler work) and the on-disk cache::SoStore (a later process
+// dlopen()s the object straight off disk).  A module's key -- its store
+// name, baked into the module and re-checked at load -- folds the IR
+// hash together with a per-process build fingerprint: the pasted
+// semantics header, the ABI text, the emitter's revision, the host
+// compiler's identity (its resolved file, size and mtime) and the
+// tier's flags.  An object built by other code or another compiler can
+// only miss.  The fingerprint is computed once, from the first compiler
+// a compiled run resolves, so a process that has resolved none cannot
+// name (or load) a stored object and falls back.
 //
 // Build tiers, chosen by the caller to match how often a module will be
 // reused (CompiledTier): kReused builds at -O2 and publishes to the
@@ -70,6 +78,11 @@ CompiledStats compiled_stats();
 /// the next run re-probes the disk cache and toolchain.  Leaks the
 /// dlopen handles on purpose (code from them may still be referenced).
 void compiled_reset_for_testing();
+
+/// Testing hook: replaces this process's build fingerprint with one
+/// derived from `salt` -- standing in for a process built from other
+/// code or run with another compiler -- and forgets every loaded module.
+void compiled_set_fingerprint_for_testing(const std::string& salt);
 
 /// How much the host compiler spends on a module, by expected reuse.
 enum class CompiledTier {

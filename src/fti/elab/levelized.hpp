@@ -7,10 +7,10 @@
 // sequential output (stable during the sweep) or the output of a
 // lower-rank unit (already up to date).
 //
-// The batched engine (batched.hpp) interprets the schedule; the registry
-// name "levelized" is that engine at one lane.  The compiled engine
-// lowers it to C++, and the lint analyzer and the 4-state interpreter
-// walk it too.
+// The batched engine (batched.hpp) interprets the schedule, in 2-state
+// or 4-state mode; the registry name "levelized" is that engine at one
+// lane.  The compiled engine lowers it to C++, and the lint analyzer
+// walks it too.
 //
 // Combinational cycles are detected at schedule-build time instead of via
 // the kernel's delta-cycle limit, so a bad design fails before the first

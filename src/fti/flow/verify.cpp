@@ -89,18 +89,31 @@ VerifyResult run_verify(const VerifyRequest& request,
       }
     }
   }
-  if (outcome.four_state_ran) {
-    const xsim::FourStateReport& four_state = outcome.four_state;
+  // 4-state findings are warnings: they only shade an otherwise-passing
+  // run onto the warning exit code, mirroring lint's 4.
+  const std::size_t lanes = outcome.four_state.size();
+  std::size_t dirty_lanes = 0;
+  std::uint64_t four_state_cycles = 0;
+  for (std::size_t lane = 0; lane < lanes; ++lane) {
+    const xsim::FourStateReport& four_state = outcome.four_state[lane];
+    four_state_cycles += four_state.total_cycles;
     if (four_state.clean()) {
-      out << "4-state: clean -- no X reached an observable in "
-          << util::format_count(four_state.total_cycles) << " cycles\n";
-    } else {
-      out << "4-state: " << four_state.findings.size() << " finding(s)\n";
-      for (const lint::Finding& finding : four_state.to_lint()) {
-        out << "  " << finding.rule << " " << finding.configuration << "/"
-            << finding.object << ": " << finding.message << "\n";
-      }
+      continue;
     }
+    ++dirty_lanes;
+    std::string tag = lanes > 1 ? "lane " + std::to_string(lane) + ": " : "";
+    out << "4-state: " << tag << four_state.findings.size()
+        << " finding(s)\n";
+    for (const lint::Finding& finding : four_state.to_lint()) {
+      out << "  " << tag << finding.rule << " " << finding.configuration
+          << "/" << finding.object << ": " << finding.message << "\n";
+    }
+  }
+  if (lanes > 0 && dirty_lanes == 0) {
+    out << "4-state: clean -- no X reached an observable in "
+        << util::format_count(four_state_cycles) << " cycles"
+        << (lanes > 1 ? " over " + std::to_string(lanes) + " lanes" : "")
+        << "\n";
   }
 
   // Optional VCD / saved memories need an instrumented re-run.
@@ -146,13 +159,7 @@ VerifyResult run_verify(const VerifyRequest& request,
       out << "wrote " << file.string() << "\n";
     }
   }
-  result.exit_code = outcome.passed ? 0 : 1;
-  // 4-state findings are warnings: they only shade an otherwise-passing
-  // run onto the warning exit code, mirroring lint's 4.
-  if (result.exit_code == 0 && outcome.four_state_ran &&
-      !outcome.four_state.clean()) {
-    result.exit_code = 4;
-  }
+  result.exit_code = outcome.passed ? (dirty_lanes == 0 ? 0 : 4) : 1;
   return result;
 }
 

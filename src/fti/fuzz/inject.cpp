@@ -588,13 +588,17 @@ bool inject_live_truncation(ir::Design& design, Rng& rng) {
   return true;
 }
 
-// E10 baseline preparation: give every reset-less register an rst port
-// tied to a constant 0.  2-state behaviour is untouched (the reset never
-// asserts and registers power up at reset_value regardless), but the
-// 4-state checker now treats them as initialized, so the only X left in
-// the design is whatever the experiment plants.  Pipeline stages still
-// power up X; designs where that X reaches an observable are filtered
-// out by the clean-baseline gate.
+bool rule_fired(const lint::Report& report, std::string_view rule) {
+  for (const lint::Finding& finding : report.findings) {
+    if (finding.rule == rule) {
+      return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace
+
 void tie_off_register_resets(ir::Design& design) {
   for (ir::Configuration* config : chain_configurations(design)) {
     ir::Datapath& datapath = config->datapath;
@@ -627,17 +631,6 @@ void tie_off_register_resets(ir::Design& design) {
     }
   }
 }
-
-bool rule_fired(const lint::Report& report, std::string_view rule) {
-  for (const lint::Finding& finding : report.findings) {
-    if (finding.rule == rule) {
-      return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace
 
 bool inject_defect(ir::Design& design, DefectClass defect, Rng& rng) {
   switch (defect) {
@@ -744,7 +737,8 @@ FourStateInjectionReport run_four_state_injection(
     // post-edit finding is the planted defect and nothing else.  Designs
     // the generator grew a reset-less register into are dirty on their
     // own and are skipped here -- exactly the attribution filter.
-    xsim::FourStateReport before = xsim::run_four_state(design, stimulus, {});
+    xsim::FourStateReport before =
+        xsim::run_four_state(design, {&stimulus}).front();
     if (!before.completed || !before.clean()) {
       continue;
     }
@@ -761,7 +755,8 @@ FourStateInjectionReport run_four_state_injection(
     // (b) The detection claim: under 4-state the register powers up X
     // and the X reaches the memory write -- an FTI-L010 finding.
     mem::MemoryPool edited_pool;
-    xsim::FourStateReport after = xsim::run_four_state(design, edited_pool, {});
+    xsim::FourStateReport after =
+        xsim::run_four_state(design, {&edited_pool}).front();
     if (!after.findings.empty()) {
       ++outcome.detected;
     } else {

@@ -117,6 +117,15 @@ struct FourStateInjectionOutcome {
   std::vector<std::uint64_t> missed_seeds;
 };
 
+/// E10 baseline preparation: gives every reset-less register an rst
+/// port tied to a constant 0.  2-state behaviour is untouched (the reset
+/// never asserts and registers power up at reset_value regardless), but
+/// the 4-state checker now treats them as initialized, so the only X
+/// left in the design is whatever the experiment plants.  Pipeline
+/// stages still power up X; designs where that X reaches an observable
+/// are filtered out by the clean-baseline gate.
+void tie_off_register_resets(ir::Design& design);
+
 struct FourStateInjectionReport {
   FourStateInjectionOutcome outcome;
 

@@ -394,19 +394,23 @@ VerifyOutcome run_test_case(const TestCase& test,
   //    always pre-prime, which overrides the baked init -- engines apply
   //    <memory init=...> only to images the pool does not hold yet.
   watch.reset();
-  std::deque<mem::MemoryPool> sim_pools(lane_count);
-  std::vector<mem::MemoryPool*> lane_ptrs;
-  lane_ptrs.reserve(lane_count);
-  for (std::uint32_t lane = 0; lane < lane_count; ++lane) {
-    if (lane == 0) {
-      if (!test.embed_inputs) {
-        prime_pool(program, sema, test, sim_pools[0], /*load_values=*/true);
+  auto prime_stimulus = [&](std::deque<mem::MemoryPool>& pools,
+                            std::uint32_t lanes) {
+    pools.resize(lanes);
+    std::vector<mem::MemoryPool*> ptrs;
+    for (std::uint32_t lane = 0; lane < lanes; ++lane) {
+      if (lane != 0) {
+        prime_random_lane(sema, options.lane_seed, lane, pools[lane]);
+      } else if (!test.embed_inputs) {
+        prime_pool(program, sema, test, pools[0], /*load_values=*/true);
       }
-    } else {
-      prime_random_lane(sema, options.lane_seed, lane, sim_pools[lane]);
+      ptrs.push_back(&pools[lane]);
     }
-    lane_ptrs.push_back(&sim_pools[lane]);
-  }
+    return ptrs;
+  };
+  std::deque<mem::MemoryPool> sim_pools;
+  std::vector<mem::MemoryPool*> lane_ptrs =
+      prime_stimulus(sim_pools, lane_count);
   sim::EngineRunOptions run_options;
   run_options.max_cycles_per_partition = test.max_cycles;
   std::unique_ptr<sim::Engine> engine = elab::make_engine(options.engine);
@@ -477,18 +481,19 @@ VerifyOutcome run_test_case(const TestCase& test,
   }
   outcome.passed = outcome.mismatches == 0;
 
-  // 7. Opt-in cosimulation and 4-state passes, both over a fresh lane-0
-  //    stimulus pool (the simulated pools hold post-run contents).
+  // 7. Opt-in cosimulation and 4-state passes over freshly primed
+  //    stimulus (the simulated pools hold post-run contents): lane 0
+  //    for the external simulator, every lane for 4-state.
   if (options.xsim || options.four_state) {
     check_cancel(options);
-    mem::MemoryPool stimulus;
-    if (!test.embed_inputs) {
-      prime_pool(program, sema, test, stimulus, /*load_values=*/true);
-    }
+    std::deque<mem::MemoryPool> stimulus;
+    std::vector<mem::MemoryPool*> stimulus_ptrs =
+        prime_stimulus(stimulus, options.four_state ? lane_count : 1);
     if (options.xsim) {
       xsim::XsimOptions xsim_options;
       xsim_options.max_cycles_per_partition = test.max_cycles;
-      outcome.xsim_check = xsim::cross_check(*design, stimulus, xsim_options);
+      outcome.xsim_check =
+          xsim::cross_check(*design, stimulus[0], xsim_options);
       if (outcome.xsim_check.ran && !outcome.xsim_check.ok &&
           outcome.passed) {
         outcome.passed = false;
@@ -501,8 +506,7 @@ VerifyOutcome run_test_case(const TestCase& test,
       xsim::FourStateOptions four_state_options;
       four_state_options.max_cycles_per_partition = test.max_cycles;
       outcome.four_state =
-          xsim::run_four_state(*design, stimulus, four_state_options);
-      outcome.four_state_ran = true;
+          xsim::run_four_state(*design, stimulus_ptrs, four_state_options);
     }
   }
 

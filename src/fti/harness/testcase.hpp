@@ -105,10 +105,11 @@ struct VerifyOptions {
   /// only).  A disagreement fails the verify; a missing simulator records
   /// a skip in outcome.xsim_check without affecting the verdict.
   bool xsim = false;
-  /// Re-execute lane 0 under 4-state X/Z semantics and collect dynamic
-  /// uninitialized-read findings (outcome.four_state).  Findings do not
-  /// flip the verdict -- they are warnings, like their static FTI-L010
-  /// sibling; the flow layer maps them onto the warning exit code.
+  /// Re-execute every lane's stimulus under 4-state X semantics and
+  /// collect dynamic uninitialized-read findings (outcome.four_state).
+  /// Findings do not flip the verdict -- they are warnings, like their
+  /// static FTI-L010 sibling; the flow layer maps them onto the warning
+  /// exit code.
   bool four_state = false;
 };
 
@@ -141,10 +142,9 @@ struct VerifyOutcome {
   /// Cosimulation cross-check result (options.xsim).  ran == false with
   /// skip_reason set means no external simulator was available.
   xsim::XsimCheck xsim_check;
-  /// 4-state execution report (options.four_state); four_state_ran
-  /// records whether the mode was requested and executed.
-  bool four_state_ran = false;
-  xsim::FourStateReport four_state;
+  /// 4-state execution reports, one per lane (options.four_state;
+  /// empty when the mode was not requested).
+  std::vector<xsim::FourStateReport> four_state;
 };
 
 /// Runs the full flow.  Infrastructure errors (bad source, malformed IR)

@@ -20,6 +20,91 @@ sim::Bits eval_unop(UnOp op, const Bits& a, std::uint32_t out_width) {
               }));
 }
 
+namespace {
+
+XBits make_x(std::uint32_t width) { return {width, 0, Bits::mask(width)}; }
+
+XBits canon(std::uint32_t width, std::uint64_t v, std::uint64_t x) {
+  std::uint64_t m = Bits::mask(width);
+  x &= m;
+  return {width, v & m & ~x, x};
+}
+
+/// `a` sign-extended to 64 bits: an unknown sign bit makes the extended
+/// bits unknown.
+XBits sign_extend(const XBits& a) {
+  XBits w{64, a.v, a.x};
+  if (a.width >= 64) {
+    return w;
+  }
+  std::uint64_t high = ~Bits::mask(a.width);
+  std::uint64_t sign = std::uint64_t{1} << (a.width - 1);
+  if (a.x & sign) {
+    w.x |= high;
+  } else if (a.v & sign) {
+    w.v |= high;
+  }
+  return w;
+}
+
+}  // namespace
+
+XBits eval_binop_x(BinOp op, const XBits& a, const XBits& b,
+                   std::uint32_t out_width) {
+  if (!a.has_x() && !b.has_x()) {
+    return {out_width,
+            eval_binop(op, Bits(a.width, a.v), Bits(b.width, b.v), out_width)
+                .u(),
+            0};
+  }
+  // Only ashr reads its operand sign-extended: every other signed
+  // operator is pessimistic below.
+  XBits wa = op == BinOp::kAshr ? sign_extend(a) : a;
+  switch (op) {
+    case BinOp::kAnd: {
+      std::uint64_t known_zero = (~a.v & ~a.x) | (~b.v & ~b.x);
+      return canon(out_width, a.v & b.v, (a.x | b.x) & ~known_zero);
+    }
+    case BinOp::kOr: {
+      std::uint64_t known_one = (a.v & ~a.x) | (b.v & ~b.x);
+      return canon(out_width, a.v | b.v, (a.x | b.x) & ~known_one);
+    }
+    case BinOp::kXor:
+      return canon(out_width, a.v ^ b.v, a.x | b.x);
+    case BinOp::kShl:
+    case BinOp::kShr:
+    case BinOp::kAshr: {
+      if (b.has_x()) {
+        return make_x(out_width);
+      }
+      std::uint64_t s = b.v;
+      if (op == BinOp::kShl) {
+        return s >= 64 ? XBits{out_width, 0, 0}
+                       : canon(out_width, wa.v << s, wa.x << s);
+      }
+      if (op == BinOp::kShr) {
+        return s >= 64 ? XBits{out_width, 0, 0}
+                       : canon(out_width, wa.v >> s, wa.x >> s);
+      }
+      s = s < 63 ? s : 63;
+      return canon(out_width,
+                   static_cast<std::uint64_t>(
+                       static_cast<std::int64_t>(wa.v) >> s),
+                   static_cast<std::uint64_t>(
+                       static_cast<std::int64_t>(wa.x) >> s));
+    }
+    default:
+      return make_x(out_width);
+  }
+}
+
+XBits eval_unop_x(UnOp op, const XBits& a, std::uint32_t out_width) {
+  if (!a.has_x()) {
+    return {out_width, eval_unop(op, Bits(a.width, a.v), out_width).u(), 0};
+  }
+  return op == UnOp::kNot ? canon(out_width, ~a.v, a.x) : make_x(out_width);
+}
+
 bool is_comparison(BinOp op) {
   switch (op) {
     case BinOp::kEq:

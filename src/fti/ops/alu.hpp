@@ -3,7 +3,10 @@
 // What each operator computes is defined once, in ops/semantics.hpp;
 // eval_binop / eval_unop below are thin Bits wrappers over it, shared by
 // the event-driven operator components (this file), the naive engine
-// and the batched engine's per-lane fallback.
+// and the batched engine's per-lane fallback.  eval_binop_x /
+// eval_unop_x add the 4-state rules on top (the batched engine's X
+// mode); they stay out of semantics.hpp, whose text every compiled
+// module pastes.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +28,29 @@ sim::Bits eval_binop(BinOp op, const sim::Bits& a, const sim::Bits& b,
                      std::uint32_t out_width);
 
 sim::Bits eval_unop(UnOp op, const sim::Bits& a, std::uint32_t out_width);
+
+/// One 4-state value: `x` masks the unknown bits, whose `v` bits are
+/// kept zero (canonical form).
+struct XBits {
+  std::uint32_t width = 1;
+  std::uint64_t v = 0;
+  std::uint64_t x = 0;
+
+  bool has_x() const { return x != 0; }
+};
+
+/// eval_binop over 4-state operands.  X propagates exactly through the
+/// bitwise operators (AND with a known 0 and OR with a known 1 kill it);
+/// an unknown shift amount makes the whole result unknown, a known one
+/// shifts the unknown bits along; arithmetic and comparisons are
+/// pessimistic -- any unknown input bit makes the whole result unknown.
+/// Fully-known operands give exactly eval_binop's value.
+XBits eval_binop_x(BinOp op, const XBits& a, const XBits& b,
+                   std::uint32_t out_width);
+
+/// eval_unop over a 4-state operand: NOT keeps the unknown bits in
+/// place, every other operator is pessimistic.
+XBits eval_unop_x(UnOp op, const XBits& a, std::uint32_t out_width);
 
 /// True for ops whose natural result is one bit (comparisons).
 bool is_comparison(BinOp op);

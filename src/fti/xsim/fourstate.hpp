@@ -1,8 +1,10 @@
-// Opt-in 4-state X/Z net semantics: an interpreter of the levelized
-// schedule (the one the batched engine sweeps) in which registers and memories power up unknown (X) unless initialized,
-// and unknowns propagate with exact masking semantics through the
-// bitwise operators (AND with a known 0 kills X, OR with a known 1
-// kills X, a mux with a known select passes only the selected input).
+// Opt-in 4-state X semantics: registers and memories power up unknown
+// (X) unless initialized, and unknowns propagate with exact masking
+// semantics through the bitwise operators (AND with a known 0 kills X,
+// OR with a known 1 kills X, a mux with a known select passes only the
+// selected input).  The simulation itself is the batched engine's
+// 4-state mode (elab/batched.hpp), N stimulus lanes per sweep; this
+// header is its entry point and its bridge to lint.
 //
 // 2-state simulation powers every register up at its reset value, so a
 // design whose results depend on power-up contents instead of explicit
@@ -22,48 +24,20 @@
 //    covers it and X beyond that.
 #pragma once
 
-#include <cstdint>
-#include <string>
 #include <vector>
 
+#include "fti/elab/batched.hpp"
 #include "fti/ir/rtg.hpp"
 #include "fti/lint/lint.hpp"
 #include "fti/mem/storage.hpp"
 
 namespace fti::xsim {
 
-/// One 4-state value: `x` masks the unknown bits, whose `v` bits are
-/// kept zero (canonical form).
-struct XBits {
-  std::uint32_t width = 1;
-  std::uint64_t v = 0;
-  std::uint64_t x = 0;
+using FourStateOptions = elab::FourStateOptions;
+using FourStateFinding = elab::FourStateFinding;
 
-  bool has_x() const { return x != 0; }
-};
-
-struct FourStateOptions {
-  std::uint64_t max_cycles_per_partition = 100'000;
-  /// Findings are deduplicated per (node, object, message); this caps
-  /// the report size on pathological designs.
-  std::size_t max_findings = 64;
-};
-
-/// One dynamic uninitialized-read finding.
-struct FourStateFinding {
-  std::string node;    ///< RTG configuration node
-  std::string object;  ///< wire or memory the X was observed on
-  std::uint64_t cycle = 0;
-  std::string message;
-};
-
-struct FourStateReport {
-  /// Every partition reached its done wire (X on done counts as not
-  /// done, so an X-poisoned FSM typically times out instead).
-  bool completed = false;
-  std::uint64_t total_cycles = 0;
-  std::vector<FourStateFinding> findings;
-
+/// One lane's 4-state run, with its lint view.
+struct FourStateReport : elab::FourStateLane {
   bool clean() const { return findings.empty(); }
 
   /// The findings as lint findings under rule FTI-L010, so reports and
@@ -71,12 +45,14 @@ struct FourStateReport {
   std::vector<lint::Finding> to_lint() const;
 };
 
-/// Runs `design` under 4-state semantics.  `stimulus` supplies the
-/// fully-defined initial memory images (same shape the engines
-/// receive); it is not modified.  Infrastructure errors (invalid IR,
-/// combinational cycles) propagate as exceptions, like the engines.
-FourStateReport run_four_state(const ir::Design& design,
-                               const mem::MemoryPool& stimulus,
-                               const FourStateOptions& options = {});
+/// Runs `design` under 4-state semantics, one report per lane.  Each
+/// pool holds its lane's fully-defined initial memory images (the shape
+/// the engines receive) and is left holding the lane's final contents,
+/// as with Engine::run_batch.  Infrastructure errors (invalid IR,
+/// combinational cycles, a write to a known address beyond a memory's
+/// depth) propagate as exceptions, like the engines.
+std::vector<FourStateReport> run_four_state(
+    const ir::Design& design, const std::vector<mem::MemoryPool*>& lanes,
+    const FourStateOptions& options = {});
 
 }  // namespace fti::xsim

@@ -6,6 +6,8 @@
 //  * corrupted cached shared object  -> evicted and recompiled,
 //  * wrong-design object under a key -> rejected by the embedded-hash
 //    check, never trusted,
+//  * object from another build fingerprint -> never looked up, and
+//    rejected by the embedded key when planted under the current one,
 //  * warm on-disk cache              -> dlopen with zero compiler work,
 //    asserted by pointing FTI_COMPILED_CXX at a booby-trapped script
 //    that records (and fails) any invocation.
@@ -274,6 +276,48 @@ TEST(CompiledCache, WrongDesignObjectUnderAKeyIsRejectedByItsHash) {
   elab::CompiledStats after = elab::compiled_stats();
   EXPECT_EQ(after.load_rejects, before.load_rejects + 1);
   EXPECT_EQ(after.compiles, before.compiles + 1);
+}
+
+TEST(CompiledCache, ObjectFromAnotherBuildFingerprintIsNeverLoaded) {
+  TempDir cache("fingerprint");
+  ScopedEnv cache_env("FTI_COMPILED_CACHE_DIR", cache.path.string());
+  elab::compiled_reset_for_testing();
+  if (!elab::compiled_backend_available()) {
+    GTEST_SKIP() << "no host C++ toolchain in this environment";
+  }
+
+  ir::Design design = accumulator_design(31);
+  elab::compiled_set_fingerprint_for_testing("build-a");
+  ASSERT_TRUE(run_design(design, "compiled").completed);
+  std::vector<std::filesystem::path> old_build = cached_objects(cache.path);
+  ASSERT_EQ(old_build.size(), 1u);
+
+  // The same IR under another build (say, an edited semantics header):
+  // a miss and a fresh compile, published under a new name.
+  elab::compiled_set_fingerprint_for_testing("build-b");
+  elab::CompiledStats before = elab::compiled_stats();
+  sim::EngineResult rebuilt = run_design(design, "compiled");
+  ASSERT_TRUE(rebuilt.completed);
+  EXPECT_EQ(rebuilt.partitions[0].finals.at("acc_q"), 32u);
+  elab::CompiledStats after = elab::compiled_stats();
+  EXPECT_EQ(after.compiles, before.compiles + 1);
+  EXPECT_EQ(after.cache_hits_disk, before.cache_hits_disk);
+  std::vector<std::filesystem::path> all = cached_objects(cache.path);
+  ASSERT_EQ(all.size(), 2u);
+  std::filesystem::path new_build = all[0] == old_build[0] ? all[1] : all[0];
+
+  // The old build's object planted under the new build's name: its
+  // baked-in key gives it away, so it is rejected and rebuilt.
+  plant_object(new_build, util::read_file(old_build[0].string()));
+  elab::compiled_set_fingerprint_for_testing("build-b");
+  before = elab::compiled_stats();
+  sim::EngineResult planted = run_design(design, "compiled");
+  ASSERT_TRUE(planted.completed);
+  EXPECT_EQ(planted.partitions[0].finals.at("acc_q"), 32u);
+  after = elab::compiled_stats();
+  EXPECT_EQ(after.load_rejects, before.load_rejects + 1);
+  EXPECT_EQ(after.compiles, before.compiles + 1);
+  EXPECT_EQ(after.cache_hits_disk, before.cache_hits_disk);
 }
 
 TEST(CompiledCache, WarmDiskHitSkipsTheHostCompilerEntirely) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "fti/compiler/lexer.hpp"
 #include "fti/compiler/parser.hpp"
 #include "fti/compiler/sema.hpp"
@@ -136,6 +139,56 @@ TEST(Parser, Errors) {
                util::CompileError);
   EXPECT_THROW(parse_expression("1 +"), util::CompileError);
   EXPECT_THROW(parse_expression("(1"), util::CompileError);
+}
+
+// Inputs that once overflowed the stack of the parser or of a later
+// recursive walk: deep nesting, long prefix chains, and a flat sum the
+// parser builds in a loop as a left-nested tree.
+std::string kernel_with(const std::string& body) {
+  return "kernel k(int y[1]) {\n" + body + "\n}\n";
+}
+
+std::string flat_sum(std::size_t terms) {
+  std::string sum = "y[0] = 1";
+  for (std::size_t i = 1; i < terms; ++i) {
+    sum += "+1";
+  }
+  return sum + ";";
+}
+
+TEST(Parser, AstDepthIsBounded) {
+  const std::vector<std::string> sources = {
+      kernel_with("y[0] = " + std::string(10'000, '(') + "1" +
+                  std::string(10'000, ')') + ";"),
+      kernel_with(std::string(200'000, '{') + std::string(200'000, '}')),
+      kernel_with("y[0] = " + std::string(200'000, '-') + "1;"),
+      kernel_with(flat_sum(50'000)),
+  };
+  for (const std::string& source : sources) {
+    try {
+      parse_program(source);
+      ADD_FAILURE() << "accepted a kernel nested past the bound";
+    } catch (const util::CompileError& error) {
+      EXPECT_NE(std::string(error.what()).find("deeper than 256"),
+                std::string::npos)
+          << error.what();
+    }
+  }
+}
+
+TEST(Parser, NestingUnderTheBoundParses) {
+  Program parens = parse_program(kernel_with(
+      "y[0] = " + std::string(200, '(') + "1" + std::string(200, ')') + ";"));
+  EXPECT_EQ(parens.body.at(0)->value->depth, 1);
+  EXPECT_NO_THROW(parse_program(
+      kernel_with(std::string(200, '{') + std::string(200, '}'))));
+  Program negs =
+      parse_program(kernel_with("y[0] = " + std::string(200, '-') + "1;"));
+  EXPECT_EQ(negs.body.at(0)->value->depth, 201);
+  Program sum = parse_program(kernel_with(flat_sum(200)));
+  EXPECT_EQ(sum.body.at(0)->value->depth, 200);
+  EXPECT_THROW(parse_program(kernel_with(flat_sum(kMaxAstDepth + 1))),
+               util::CompileError);
 }
 
 TEST(Sema, SymbolClassification) {

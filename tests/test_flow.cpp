@@ -41,6 +41,36 @@ TEST(FlowVerify, PassReportsExitZeroAndPrintsVerdict) {
   EXPECT_TRUE(err.str().empty());
 }
 
+TEST(FlowVerify, FourStateChecksEveryLane) {
+  VerifyRequest request;
+  request.test = square_case();
+  request.four_state = true;
+  request.lanes = 3;
+  std::ostringstream out;
+  std::ostringstream err;
+  FlowContext context;
+  VerifyResult clean = run_verify(request, context, out, err);
+  EXPECT_EQ(clean.exit_code, 0);
+  EXPECT_EQ(clean.outcome.four_state.size(), 3u);
+  EXPECT_NE(out.str().find("over 3 lanes"), std::string::npos) << out.str();
+
+  // A local read before any write: its register powers up X in every
+  // lane, each lane reports under its own tag, and the run exits 4.
+  request.test.name = "uninit";
+  request.test.source =
+      "kernel uninit(int a[8], int b[8], int n) {\n"
+      "  int x;\n"
+      "  b[0] = x;\n"
+      "}\n";
+  out.str("");
+  VerifyResult dirty = run_verify(request, context, out, err);
+  EXPECT_EQ(dirty.exit_code, 4);
+  for (const char* tag : {"lane 0: FTI-L010", "lane 1: FTI-L010",
+                          "lane 2: FTI-L010"}) {
+    EXPECT_NE(out.str().find(tag), std::string::npos) << out.str();
+  }
+}
+
 TEST(FlowVerify, UsesContextCacheOnRepeat) {
   cache::DesignCache cache(4);
   FlowContext context;

@@ -101,6 +101,50 @@ TEST(Alu, UnaryOps) {
   EXPECT_EQ(eval_unop(UnOp::kSext, Bits(8, 0xFF), 16).u(), 0xFFFFu);
 }
 
+// ---------------------------------------------------------------------------
+// 4-state rules (eval_binop_x / eval_unop_x).
+// ---------------------------------------------------------------------------
+
+void expect_x(const XBits& got, std::uint64_t v, std::uint64_t x) {
+  EXPECT_EQ(got.v, v);
+  EXPECT_EQ(got.x, x);
+}
+
+TEST(Alu, FourStateBitwiseRulesMaskX) {
+  const XBits low_x{8, 0xA0, 0x0F};  // low nibble unknown
+  expect_x(eval_binop_x(BinOp::kAnd, low_x, XBits{8, 0xFC, 0}, 8), 0xA0,
+           0x0C);  // known zeros kill X
+  expect_x(eval_binop_x(BinOp::kOr, low_x, XBits{8, 0x03, 0}, 8), 0xA3,
+           0x0C);  // known ones kill X
+  expect_x(eval_binop_x(BinOp::kXor, low_x, XBits{8, 0xFF, 0}, 8), 0x50,
+           0x0F);  // XOR cannot
+  expect_x(eval_unop_x(UnOp::kNot, low_x, 8), 0x50, 0x0F);
+}
+
+TEST(Alu, FourStateShiftsAndArithmetic) {
+  const XBits low_x{8, 0xA0, 0x0F};
+  expect_x(eval_binop_x(BinOp::kShl, low_x, XBits{8, 4, 0}, 8), 0x00, 0xF0);
+  expect_x(eval_binop_x(BinOp::kShr, low_x, XBits{8, 4, 0}, 8), 0x0A, 0x00);
+  expect_x(eval_binop_x(BinOp::kShl, XBits{8, 1, 0}, XBits{8, 0, 1}, 8), 0,
+           0xFF);  // unknown amount
+  expect_x(eval_binop_x(BinOp::kAdd, low_x, XBits{8, 0, 0}, 8), 0, 0xFF);
+  expect_x(eval_binop_x(BinOp::kLt, XBits{8, 1, 0}, XBits{8, 0, 0x80}, 1), 0,
+           1);  // comparisons are pessimistic
+  expect_x(eval_unop_x(UnOp::kNeg, low_x, 8), 0, 0xFF);
+}
+
+TEST(Alu, FourStateKnownOperandsMatchTwoState) {
+  for (BinOp op : all_binops()) {
+    for (std::uint64_t a : {0ull, 1ull, 0x7Full, 0x80ull, 0xFFull}) {
+      for (std::uint64_t b : {0ull, 1ull, 3ull, 0x80ull, 0xFFull}) {
+        std::uint32_t out = is_comparison(op) ? 1 : 8;
+        expect_x(eval_binop_x(op, XBits{8, a, 0}, XBits{8, b, 0}, out),
+                 eval_binop(op, Bits(8, a), Bits(8, b), out).u(), 0);
+      }
+    }
+  }
+}
+
 TEST(Alu, NameRoundTrip) {
   for (BinOp op : all_binops()) {
     EXPECT_EQ(binop_from_string(to_string(op)), op);

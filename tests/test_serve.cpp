@@ -249,6 +249,30 @@ TEST_F(ServeTest, DeeplyNestedRequestLineFailsSoftly) {
   EXPECT_EQ(pong.at("reply").as_string(), "pong");
 }
 
+TEST_F(ServeTest, DeeplyNestedKernelFailsItsJobOnly) {
+  // A kernel whose 50,000-term sum once overflowed a recursive walk of
+  // its AST and took the daemon down with it: now the job fails with
+  // the parser's typed error and the daemon keeps answering.
+  std::filesystem::path kernel =
+      std::filesystem::temp_directory_path() /
+      ("fti_test_deep_" + std::to_string(::getpid()) + ".k");
+  std::string sum = "y[0] = 1";
+  for (int i = 1; i < 50'000; ++i) {
+    sum += "+1";
+  }
+  util::write_file(kernel.string(),
+                   "kernel deep(int y[1]) {\n" + sum + ";\n}\n");
+  util::JsonValue reply = roundtrip("{\"cmd\": \"verify\", \"kernel\": \"" +
+                                    kernel.string() + "\"}");
+  std::filesystem::remove(kernel);
+  ASSERT_TRUE(reply.at("ok").as_bool());
+  EXPECT_EQ(reply.at("status").as_string(), "error");
+  EXPECT_EQ(reply.at("exit_code").as_u64(), 2u);
+  util::JsonValue pong = roundtrip("{\"cmd\": \"ping\"}");
+  EXPECT_TRUE(pong.at("ok").as_bool());
+  EXPECT_EQ(pong.at("reply").as_string(), "pong");
+}
+
 TEST_F(ServeTest, SecondDaemonOnALiveSocketRefusesToStart) {
   ServerOptions options;
   options.socket_path = server_->socket_path();

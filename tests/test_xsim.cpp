@@ -1,23 +1,29 @@
 // Coverage for the external-simulator cosimulation subsystem: toolchain
 // probing (and the FTI_XSIM_SIM pin/disable contract), the self-checking
-// testbench generator's structure, the 4-state X/Z checker's
-// initialization semantics, the E10 injection recall loop, and the
-// cross-check's loud-skip path.  The final test exercises a real
+// testbench generator's structure, the 4-state checker (the batched
+// engine's X mode: initialization semantics, agreement with 2-state
+// lanes on clean runs, per-lane findings), the E10 injection recall
+// loop, and the cross-check's loud-skip path.  The final test exercises a real
 // Icarus Verilog round trip and GTEST_SKIPs (with the probe's reason)
 // on machines without a simulator, so the suite stays green everywhere
 // while CI -- which installs iverilog -- runs the whole loop.
 #include <algorithm>
 #include <cstdlib>
+#include <deque>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "fti/elab/engines.hpp"
 #include "fti/fuzz/generate.hpp"
 #include "fti/fuzz/inject.hpp"
+#include "fti/fuzz/lanes.hpp"
 #include "fti/ir/rtg.hpp"
 #include "fti/lint/lint.hpp"
 #include "fti/mem/storage.hpp"
+#include "fti/util/error.hpp"
 #include "fti/xsim/driver.hpp"
 #include "fti/xsim/fourstate.hpp"
 #include "fti/xsim/testbench.hpp"
@@ -158,7 +164,7 @@ TEST(FourState, ResetLessRegisterPowerUpIsReported) {
   // value 0), which is the gap the checker exists to close.
   mem::MemoryPool pool;
   xsim::FourStateReport report =
-      xsim::run_four_state(accumulator_design(3), pool);
+      xsim::run_four_state(accumulator_design(3), {&pool}).front();
   ASSERT_FALSE(report.clean());
   std::vector<lint::Finding> findings = report.to_lint();
   ASSERT_FALSE(findings.empty());
@@ -173,7 +179,7 @@ TEST(FourState, ResetLessRegisterPowerUpIsReported) {
 TEST(FourState, ResetRegisterRunsClean) {
   mem::MemoryPool pool;
   xsim::FourStateReport report =
-      xsim::run_four_state(reset_accumulator_design(3), pool);
+      xsim::run_four_state(reset_accumulator_design(3), {&pool}).front();
   EXPECT_TRUE(report.completed);
   EXPECT_TRUE(report.clean()) << report.to_lint().empty()
                               << " findings expected none";
@@ -185,10 +191,259 @@ TEST(FourState, FindingsAreDeduplicatedAndCapped) {
   xsim::FourStateOptions options;
   options.max_findings = 2;
   xsim::FourStateReport report =
-      xsim::run_four_state(accumulator_design(50), pool, options);
+      xsim::run_four_state(accumulator_design(50), {&pool}, options).front();
   // 50 poisoned cycles must not produce 50 copies of the same finding.
   EXPECT_LE(report.findings.size(), 2u);
   EXPECT_FALSE(report.clean());
+}
+
+/// Every memory the design uses, created zero-filled: fully defined
+/// stimulus, E10's clean-baseline recipe.
+void zero_fill(const ir::Design& design, mem::MemoryPool& pool) {
+  for (const ir::MemoryDecl& memory : design.memory_requirements()) {
+    pool.create(memory.name, memory.depth, memory.width);
+  }
+}
+
+using FindingKey =
+    std::tuple<std::string, std::string, std::uint64_t, std::string>;
+
+std::vector<FindingKey> finding_keys(const xsim::FourStateReport& report) {
+  std::vector<FindingKey> keys;
+  for (const xsim::FourStateFinding& finding : report.findings) {
+    keys.emplace_back(finding.node, finding.object, finding.cycle,
+                      finding.message);
+  }
+  return keys;
+}
+
+TEST(FourState, CleanLanesMatchTwoStateBatchedLanes) {
+  // Property over generator designs: with every register reset tied off
+  // and fully defined stimulus (lane 0 zero-filled, the rest random), a
+  // lane the 4-state run reports clean ends exactly where its 2-state
+  // batched lane does -- final memories, cycles, and completion (every
+  // partition before the last stops on done, so completion is the stop
+  // reason).
+  elab::register_builtin_engines();
+  constexpr std::uint32_t kLanes = 3;
+  fuzz::GeneratorOptions options;
+  options.max_units = 12;
+  options.max_configurations = 2;
+  std::size_t clean = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    ir::Design design = fuzz::generate_design_seeded(seed, options);
+    fuzz::tie_off_register_resets(design);
+    auto prime = [&](std::deque<mem::MemoryPool>& pools) {
+      pools.resize(kLanes);
+      std::vector<mem::MemoryPool*> ptrs;
+      for (std::uint32_t lane = 0; lane < kLanes; ++lane) {
+        if (lane == 0) {
+          zero_fill(design, pools[lane]);
+        } else {
+          fuzz::prime_lane_pool(design, seed, lane, pools[lane]);
+        }
+        ptrs.push_back(&pools[lane]);
+      }
+      return ptrs;
+    };
+    std::deque<mem::MemoryPool> two_pools;
+    std::deque<mem::MemoryPool> four_pools;
+    std::vector<mem::MemoryPool*> two = prime(two_pools);
+    std::vector<mem::MemoryPool*> four = prime(four_pools);
+    sim::EngineRunOptions run_options;
+    run_options.max_cycles_per_partition =
+        xsim::FourStateOptions{}.max_cycles_per_partition;
+    std::vector<sim::EngineResult> runs;
+    try {
+      runs = elab::make_engine("batched")->run_batch(design, two, run_options);
+    } catch (const util::SimError&) {
+      continue;  // a known out-of-range write; 4-state may only see X
+    }
+    std::vector<xsim::FourStateReport> reports =
+        xsim::run_four_state(design, four);
+    ASSERT_EQ(reports.size(), kLanes);
+    for (std::uint32_t lane = 0; lane < kLanes; ++lane) {
+      if (!reports[lane].clean()) {
+        continue;
+      }
+      ++clean;
+      SCOPED_TRACE("seed " + std::to_string(seed) + " lane " +
+                   std::to_string(lane));
+      EXPECT_EQ(reports[lane].completed, runs[lane].completed);
+      EXPECT_EQ(reports[lane].total_cycles, runs[lane].total_cycles());
+      ASSERT_EQ(four_pools[lane].names(), two_pools[lane].names());
+      for (const std::string& name : two_pools[lane].names()) {
+        EXPECT_EQ(four_pools[lane].get(name).words(),
+                  two_pools[lane].get(name).words())
+            << name;
+      }
+    }
+  }
+  EXPECT_GE(clean, 40u);
+}
+
+TEST(FourState, FindingsStayInTheirLane) {
+  // A design whose fresh memories carry X to an observable: a lane that
+  // leaves them fresh reports, lanes whose stimulus defines them stay
+  // clean, and every lane of the batch reports exactly what it reports
+  // alone.
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    ir::Design design = fuzz::generate_design_seeded(seed, {});
+    fuzz::tie_off_register_resets(design);
+    if (design.memory_requirements().empty()) {
+      continue;
+    }
+    auto solo = [&](bool defined) {
+      mem::MemoryPool pool;
+      if (defined) {
+        zero_fill(design, pool);
+      }
+      return xsim::run_four_state(design, {&pool}).front();
+    };
+    xsim::FourStateReport defined = solo(true);
+    xsim::FourStateReport fresh = solo(false);
+    if (!defined.clean() || fresh.clean()) {
+      continue;
+    }
+    std::deque<mem::MemoryPool> pools(3);
+    zero_fill(design, pools[0]);
+    zero_fill(design, pools[2]);
+    std::vector<xsim::FourStateReport> reports =
+        xsim::run_four_state(design, {&pools[0], &pools[1], &pools[2]});
+    ASSERT_EQ(reports.size(), 3u);
+    EXPECT_TRUE(reports[0].clean());
+    EXPECT_TRUE(reports[2].clean());
+    EXPECT_FALSE(reports[1].clean());
+    EXPECT_EQ(finding_keys(reports[1]), finding_keys(fresh));
+    for (std::size_t lane : {0u, 2u}) {
+      EXPECT_EQ(reports[lane].completed, defined.completed);
+      EXPECT_EQ(reports[lane].total_cycles, defined.total_cycles);
+    }
+    EXPECT_EQ(reports[1].completed, fresh.completed);
+    EXPECT_EQ(reports[1].total_cycles, fresh.total_cycles);
+    return;
+  }
+  FAIL() << "no generated design reads a fresh memory into an observable";
+}
+
+TEST(FourState, PipelineStagesPowerUpUnknown) {
+  // A latency-2 adder of two constants feeds a write port enabled on the
+  // first two edges.  Before the first edge its output wire still holds
+  // its defined initial zero; after it, the stage that powered up X
+  // reaches the output, so the second write stores X.
+  ir::Datapath dp;
+  dp.name = "pipe";
+  dp.wires = {{"one", 8}, {"sum", 8}, {"zero", 2}, {"c_we", 1}, {"done", 1}};
+  dp.control_wires = {"c_we", "done"};
+  dp.memories = {{"m", 4, 8, {}}};
+  ir::Unit one;
+  one.name = "k_one";
+  one.kind = ir::UnitKind::kConst;
+  one.width = 8;
+  one.value = 1;
+  one.ports = {{"out", "one"}};
+  dp.units.push_back(one);
+  ir::Unit zero = one;
+  zero.name = "k_zero";
+  zero.width = 2;
+  zero.value = 0;
+  zero.ports = {{"out", "zero"}};
+  dp.units.push_back(zero);
+  ir::Unit add;
+  add.name = "p_add";
+  add.kind = ir::UnitKind::kBinOp;
+  add.binop = ops::BinOp::kAdd;
+  add.width = 8;
+  add.latency = 2;
+  add.ports = {{"a", "one"}, {"b", "one"}, {"out", "sum"}};
+  dp.units.push_back(add);
+  ir::Unit store;
+  store.name = "wr_m";
+  store.kind = ir::UnitKind::kMemPort;
+  store.width = 8;
+  store.memory = "m";
+  store.mem_mode = ir::MemMode::kWrite;
+  store.ports = {{"addr", "zero"}, {"din", "sum"}, {"we", "c_we"}};
+  dp.units.push_back(store);
+  ir::Fsm fsm;
+  fsm.name = "pipe_fsm";
+  fsm.initial = "w1";
+  fsm.done_wire = "done";
+  for (const char* name : {"w1", "w2"}) {
+    ir::State write;
+    write.name = name;
+    write.controls = {{"c_we", 1}};
+    write.transitions.push_back(
+        {ir::parse_guard("1"), std::string(name) == "w1" ? "w2" : "halt"});
+    fsm.states.push_back(write);
+  }
+  ir::State halt;
+  halt.name = "halt";
+  halt.controls = {{"done", 1}};
+  fsm.states.push_back(halt);
+  ir::Design design =
+      ir::make_single_design("pipe", {std::move(dp), std::move(fsm)});
+
+  mem::MemoryPool pool;
+  xsim::FourStateReport report = xsim::run_four_state(design, {&pool}).front();
+  EXPECT_TRUE(report.completed);
+  ASSERT_EQ(report.findings.size(), 1u);
+  EXPECT_EQ(report.findings[0].object, "m");
+  EXPECT_EQ(report.findings[0].cycle, 1u);
+  EXPECT_NE(report.findings[0].message.find("uninitialized (X) data"),
+            std::string::npos);
+}
+
+TEST(FourState, KnownWriteBeyondDepthIsASimError) {
+  // A write to a known address past a memory's depth is an
+  // infrastructure error in 4-state mode too, as in 2-state runs -- not
+  // a finding.
+  ir::Datapath dp;
+  dp.name = "oob";
+  dp.wires = {{"addr", 2}, {"data", 8}, {"c_we", 1}, {"done", 1}};
+  dp.control_wires = {"c_we", "done"};
+  dp.memories = {{"m", 3, 8, {}}};
+  auto konst = [&](const char* name, std::uint32_t width,
+                   std::uint64_t value, const char* out) {
+    ir::Unit unit;
+    unit.name = name;
+    unit.kind = ir::UnitKind::kConst;
+    unit.width = width;
+    unit.value = value;
+    unit.ports = {{"out", out}};
+    dp.units.push_back(unit);
+  };
+  konst("k_addr", 2, 3, "addr");
+  konst("k_data", 8, 7, "data");
+  ir::Unit store;
+  store.name = "wr_m";
+  store.kind = ir::UnitKind::kMemPort;
+  store.width = 8;
+  store.memory = "m";
+  store.mem_mode = ir::MemMode::kWrite;
+  store.ports = {{"addr", "addr"}, {"din", "data"}, {"we", "c_we"}};
+  dp.units.push_back(store);
+  ir::Fsm fsm;
+  fsm.name = "oob_fsm";
+  fsm.initial = "write";
+  fsm.done_wire = "done";
+  ir::State write;
+  write.name = "write";
+  write.controls = {{"c_we", 1}};
+  write.transitions.push_back({ir::parse_guard("1"), "halt"});
+  fsm.states.push_back(write);
+  ir::State halt;
+  halt.name = "halt";
+  halt.controls = {{"done", 1}};
+  fsm.states.push_back(halt);
+  ir::Design design =
+      ir::make_single_design("oob", {std::move(dp), std::move(fsm)});
+
+  mem::MemoryPool two_state;
+  EXPECT_THROW(elab::make_engine("batched")->run(design, two_state),
+               util::SimError);
+  mem::MemoryPool four_state;
+  EXPECT_THROW(xsim::run_four_state(design, {&four_state}), util::SimError);
 }
 
 // --------------------------------------------- E10 injection recall loop
