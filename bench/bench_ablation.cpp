@@ -55,9 +55,7 @@ int main(int argc, char** argv) {
     test.inputs = {{"in", fti::golden::make_test_image(kBlocks * 64)}};
     test.check_arrays = {"out"};
     test.resources.default_limit = limit;
-    fti::harness::VerifyOptions options;
-    options.generate_artifacts = false;
-    auto outcome = fti::harness::run_test_case(test, options);
+    auto outcome = fti::harness::run_test_case(test);
     auto metrics =
         fti::harness::compute_metrics(outcome.compiled.design);
     const auto& config = metrics.configurations.front();
@@ -91,9 +89,7 @@ int main(int argc, char** argv) {
     test.inputs = {{"in", fti::golden::make_test_image(kBlocks * 64)}};
     test.check_arrays = {"out"};
     test.resources.latencies = {{"mul", latency}};
-    fti::harness::VerifyOptions options;
-    options.generate_artifacts = false;
-    auto outcome = fti::harness::run_test_case(test, options);
+    auto outcome = fti::harness::run_test_case(test);
     latency_table.add_row(
         {std::to_string(latency),
          std::to_string(outcome.compiled.stats.front().fsm_states),
@@ -122,9 +118,7 @@ int main(int argc, char** argv) {
     test.check_arrays = {"out"};
     test.resources.default_limit = 4;
     test.resources.default_memory_read_ports = ports;
-    fti::harness::VerifyOptions options;
-    options.generate_artifacts = false;
-    auto outcome = fti::harness::run_test_case(test, options);
+    auto outcome = fti::harness::run_test_case(test);
     auto metrics = fti::harness::compute_metrics(outcome.compiled.design);
     port_table.add_row(
         {std::to_string(ports),

@@ -57,10 +57,8 @@ int main(int argc, char** argv) {
     test.inputs = {{"in", fti::golden::make_test_image(point.pixels)}};
     test.check_arrays = {"out"};
     test.max_cycles = 500'000'000;
-    fti::harness::VerifyOptions options;
-    options.generate_artifacts = false;
     fti::harness::VerifyOutcome outcome =
-        fti::harness::run_test_case(test, options);
+        fti::harness::run_test_case(test);
     double ns_per_pixel =
         outcome.sim_seconds * 1e9 / static_cast<double>(point.pixels);
     if (first_ns_per_pixel == 0) {

@@ -59,10 +59,8 @@ std::string join_per_config(const std::vector<std::string>& values) {
 void report(const std::string& name, const fti::harness::TestCase& test,
             fti::util::TextTable& table,
             fti::util::JsonReport& json) {
-  fti::harness::VerifyOptions options;
-  options.generate_artifacts = true;
   fti::harness::VerifyOutcome outcome =
-      fti::harness::run_test_case(test, options);
+      fti::harness::run_test_case(test);
   if (!outcome.passed) {
     std::cerr << name << " FAILED: " << outcome.message << "\n";
   }

@@ -37,7 +37,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 
@@ -46,21 +45,6 @@
 #include "fti/lint/lint.hpp"
 
 namespace fti::cache {
-
-/// Line counts of a verified design's source and artefacts: the verify
-/// report's Table I "lines of description" columns
-/// (harness::FlowArtifacts).  Declared here so an entry can memoize them.
-struct ArtifactLines {
-  std::size_t lo_source = 0;
-  std::size_t lo_xml_datapath = 0;  ///< summed over configurations
-  std::size_t lo_xml_fsm = 0;
-  std::size_t lo_xml_rtg = 0;
-  std::size_t lo_hds = 0;
-  std::size_t lo_vhdl = 0;
-  std::size_t lo_verilog = 0;
-  std::size_t lo_systemc = 0;
-  std::size_t lo_dot = 0;
-};
 
 /// One immutable cache entry.  `schedules` is the lazy per-node
 /// levelized-schedule memo (mutable + mutex: logically part of the
@@ -73,14 +57,6 @@ struct CachedDesign {
   mutable std::mutex schedule_mutex;
   mutable std::map<std::string, std::shared_ptr<const elab::LevelizedSchedule>>
       schedules;
-
-  /// Lazy memo of the design's artefact line counts (lo_source left
-  /// zero), indexed by whether the HDL/graph backends were generated.
-  /// Re-serializing a large design to XML -- or regenerating every
-  /// backend -- just to count lines costs as much as the round-trip
-  /// itself, so warm runs must not repeat it.  Guarded by
-  /// schedule_mutex.
-  mutable std::optional<ArtifactLines> artifact_lines[2];
 };
 
 class DesignCache {

@@ -158,11 +158,10 @@ cache::Key source_key_of(const TestCase& test) {
   return hasher.key();
 }
 
-/// Line counts of the design's XML dialects and, when asked for, of
-/// every generated backend -- which a non-empty emit_dir also receives.
-FlowArtifacts design_artifacts(const ir::Design& design,
-                               const TestCase& test,
-                               const VerifyOptions& options) {
+/// Writes the HDL/dot backends beside the XML file set in `dir` and
+/// returns the line counts of the XML dialects and of every backend.
+FlowArtifacts emit_artifacts(const ir::Design& design, const TestCase& test,
+                             const std::filesystem::path& dir) {
   FlowArtifacts artifacts;
   for (const std::string& node : design.rtg.nodes) {
     const ir::Configuration& config = design.configuration(node);
@@ -173,9 +172,6 @@ FlowArtifacts design_artifacts(const ir::Design& design,
   }
   artifacts.lo_xml_rtg =
       util::count_lines(xml::to_string(*ir::to_xml(design.rtg)));
-  if (!options.generate_artifacts) {
-    return artifacts;
-  }
   std::string hds = codegen::design_to_hds(design);
   std::string vhdl = codegen::design_to_vhdl(design);
   std::string verilog = codegen::design_to_verilog(design);
@@ -192,38 +188,11 @@ FlowArtifacts design_artifacts(const ir::Design& design,
   artifacts.lo_verilog = util::count_lines(verilog);
   artifacts.lo_systemc = util::count_lines(systemc);
   artifacts.lo_dot = util::count_lines(dot);
-  if (!options.emit_dir.empty()) {
-    util::write_file(options.emit_dir / (test.name + ".hds"), hds);
-    util::write_file(options.emit_dir / (test.name + ".vhdl"), vhdl);
-    util::write_file(options.emit_dir / (test.name + ".v"), verilog);
-    util::write_file(options.emit_dir / (test.name + ".sc.cpp"), systemc);
-    util::write_file(options.emit_dir / (test.name + ".dot"), dot);
-  }
-  return artifacts;
-}
-
-/// design_artifacts() plus the source's line count.  Cached designs
-/// memoize the design's counts on the entry (first run pays, warm
-/// resubmissions read); cacheable runs never emit to disk (a non-empty
-/// emit_dir forces the cache off), so those counts are a pure function
-/// of the design.
-FlowArtifacts collect_artifacts(const ir::Design& design,
-                                const TestCase& test,
-                                const VerifyOptions& options,
-                                const cache::DesignCache::Entry& entry) {
-  FlowArtifacts artifacts;
-  if (entry) {
-    std::lock_guard<std::mutex> lock(entry->schedule_mutex);
-    std::optional<FlowArtifacts>& memo =
-        entry->artifact_lines[options.generate_artifacts ? 1 : 0];
-    if (!memo) {
-      memo = design_artifacts(design, test, options);
-    }
-    artifacts = *memo;
-  } else {
-    artifacts = design_artifacts(design, test, options);
-  }
-  artifacts.lo_source = util::count_lines(test.source);
+  util::write_file(dir / (test.name + ".hds"), hds);
+  util::write_file(dir / (test.name + ".vhdl"), vhdl);
+  util::write_file(dir / (test.name + ".v"), verilog);
+  util::write_file(dir / (test.name + ".sc.cpp"), systemc);
+  util::write_file(dir / (test.name + ".dot"), dot);
   return artifacts;
 }
 
@@ -361,7 +330,10 @@ VerifyOutcome run_test_case(const TestCase& test,
     }
   }
   check_cancel(options);
-  outcome.artifacts = collect_artifacts(*design, test, options, entry);
+  if (!options.emit_dir.empty()) {
+    outcome.artifacts = emit_artifacts(*design, test, options.emit_dir);
+  }
+  outcome.artifacts.lo_source = util::count_lines(test.source);
 
   // 4. Golden runs, one per stimulus lane.  Lane 0 replays the declared
   //    inputs; lanes k >= 1 replay the same seed-derived random contents

@@ -4,6 +4,7 @@
 //   kernel source --compile--> datapath/fsm/rtg IR
 //                 --serialize--> XML --parse--> IR      (round-trip, always)
 //                 --translate--> dot / hds / VHDL / Verilog artefacts
+//                                (only when emitting to disk)
 //   memory files  --> golden interpreter run  --> expected memory contents
 //   memory files  --> elaborate + event-driven simulation --> actual
 //   compare memory contents --> verdict
@@ -14,6 +15,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <filesystem>
 #include <functional>
@@ -50,10 +52,9 @@ struct TestCase {
 
 struct VerifyOptions {
   /// Directory for on-disk artefacts (XML file set, dot, hds, VHDL,
-  /// Verilog, memory files).  Empty keeps the round-trip in memory.
+  /// Verilog, SystemC, memory files).  Empty keeps the round-trip in
+  /// memory and generates none of the HDL/dot backends.
   std::filesystem::path emit_dir;
-  /// Skip generating HDL/dot artefact text (saves time in tight loops).
-  bool generate_artifacts = true;
   /// Execution engine for the simulated run (registry name: "event",
   /// "naive", "levelized", ...).  Every engine must produce the same
   /// verdict; `fti verify --engine=` exposes this for cross-checking.
@@ -113,9 +114,21 @@ struct VerifyOptions {
   bool four_state = false;
 };
 
-/// Line counts of every artefact the flow produced (Table I's "lines of
-/// description" columns).
-using FlowArtifacts = cache::ArtifactLines;
+/// Line counts of the kernel source and of every artefact written to
+/// VerifyOptions::emit_dir.  Without an emit_dir nothing is written and
+/// only lo_source is set; Table I's XML columns come from
+/// compute_metrics() (metrics.hpp) instead.
+struct FlowArtifacts {
+  std::size_t lo_source = 0;
+  std::size_t lo_xml_datapath = 0;  ///< summed over configurations
+  std::size_t lo_xml_fsm = 0;
+  std::size_t lo_xml_rtg = 0;
+  std::size_t lo_hds = 0;
+  std::size_t lo_vhdl = 0;
+  std::size_t lo_verilog = 0;
+  std::size_t lo_systemc = 0;
+  std::size_t lo_dot = 0;
+};
 
 struct VerifyOutcome {
   bool passed = false;

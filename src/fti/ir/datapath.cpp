@@ -1,6 +1,6 @@
 #include "fti/ir/datapath.hpp"
 
-#include <set>
+#include <algorithm>
 
 #include "fti/util/error.hpp"
 
@@ -51,7 +51,7 @@ MemMode mem_mode_from_string(std::string_view name) {
 }
 
 const std::string& Unit::port(std::string_view port_name) const {
-  auto it = ports.find(std::string(port_name));
+  auto it = ports.find(port_name);
   if (it == ports.end()) {
     throw util::IrError("unit '" + name + "' lacks port '" +
                         std::string(port_name) + "'");
@@ -60,7 +60,7 @@ const std::string& Unit::port(std::string_view port_name) const {
 }
 
 bool Unit::has_port(std::string_view port_name) const {
-  return ports.find(std::string(port_name)) != ports.end();
+  return ports.find(port_name) != ports.end();
 }
 
 const Wire* Datapath::find_wire(std::string_view wire_name) const {
@@ -180,7 +180,7 @@ PortSpec port_spec(const Unit& unit) {
 }
 
 std::uint32_t expected_port_width(const Unit& unit, std::string_view port,
-                                  const Datapath& datapath) {
+                                  const MemoryDecl* memory) {
   switch (unit.kind) {
     case UnitKind::kBinOp:
       if (port == "out" && ops::is_comparison(unit.binop)) {
@@ -210,30 +210,67 @@ std::uint32_t expected_port_width(const Unit& unit, std::string_view port,
       if (port == "addr") {
         return 0;  // any width the schedule produced
       }
-      const MemoryDecl* memory = datapath.find_memory(unit.memory);
       return memory != nullptr ? memory->width : unit.width;
     }
   }
   FTI_ASSERT(false, "unhandled UnitKind");
 }
 
+std::uint32_t expected_port_width(const Unit& unit, std::string_view port,
+                                  const Datapath& datapath) {
+  return expected_port_width(unit, port,
+                             unit.kind == UnitKind::kMemPort
+                                 ? datapath.find_memory(unit.memory)
+                                 : nullptr);
+}
+
+DatapathIndex::DatapathIndex(const Datapath& datapath)
+    : controls_(datapath.control_wires.begin(), datapath.control_wires.end()),
+      statuses_(datapath.status_wires.begin(), datapath.status_wires.end()) {
+  wires_.reserve(datapath.wires.size());
+  for (const Wire& wire : datapath.wires) {
+    wires_.emplace(wire.name, &wire);
+  }
+  for (const MemoryDecl& memory : datapath.memories) {
+    memories_.emplace(memory.name, &memory);
+  }
+}
+
+const Wire* DatapathIndex::find_wire(std::string_view wire_name) const {
+  auto it = wires_.find(wire_name);
+  return it == wires_.end() ? nullptr : it->second;
+}
+
+const MemoryDecl* DatapathIndex::find_memory(
+    std::string_view memory_name) const {
+  auto it = memories_.find(memory_name);
+  return it == memories_.end() ? nullptr : it->second;
+}
+
+namespace {
+
+bool contains(const std::vector<std::string>& names, std::string_view name) {
+  return std::find(names.begin(), names.end(), name) != names.end();
+}
+
+}  // namespace
+
 void validate(const Datapath& datapath) {
   auto err = [&datapath](const std::string& message) {
     throw util::IrError("datapath '" + datapath.name + "': " + message);
   };
 
-  std::set<std::string> wire_names;
+  const DatapathIndex index(datapath);
   for (const Wire& wire : datapath.wires) {
     if (wire.width == 0 || wire.width > 64) {
       err("wire '" + wire.name + "' has width " +
           std::to_string(wire.width));
     }
-    if (!wire_names.insert(wire.name).second) {
+    if (index.find_wire(wire.name) != &wire) {
       err("duplicate wire '" + wire.name + "'");
     }
   }
 
-  std::set<std::string> memory_names;
   for (const MemoryDecl& memory : datapath.memories) {
     if (memory.depth == 0) {
       err("memory '" + memory.name + "' has zero depth");
@@ -241,7 +278,7 @@ void validate(const Datapath& datapath) {
     if (memory.width == 0 || memory.width > 64) {
       err("memory '" + memory.name + "' has bad width");
     }
-    if (!memory_names.insert(memory.name).second) {
+    if (index.find_memory(memory.name) != &memory) {
       err("duplicate memory '" + memory.name + "'");
     }
     if (memory.init.size() > memory.depth) {
@@ -259,25 +296,26 @@ void validate(const Datapath& datapath) {
   }
 
   for (const std::string& control : datapath.control_wires) {
-    if (datapath.find_wire(control) == nullptr) {
+    if (index.find_wire(control) == nullptr) {
       err("control wire '" + control + "' is not declared");
     }
   }
   for (const std::string& status : datapath.status_wires) {
-    const Wire* wire = datapath.find_wire(status);
+    const Wire* wire = index.find_wire(status);
     if (wire == nullptr) {
       err("status wire '" + status + "' is not declared");
     }
     if (wire->width != 1) {
       err("status wire '" + status + "' must be one bit");
     }
-    if (datapath.is_control(status)) {
+    if (index.is_control(status)) {
       err("wire '" + status + "' cannot be both control and status");
     }
   }
 
-  std::set<std::string> unit_names;
-  std::map<std::string, std::string> driver_of;  // wire -> unit.port
+  std::unordered_set<std::string_view> unit_names;
+  // wire -> "unit.port" of its driver
+  std::unordered_map<std::string_view, std::string> driver_of;
   for (const std::string& control : datapath.control_wires) {
     driver_of[control] = "<control unit>";
   }
@@ -298,10 +336,13 @@ void validate(const Datapath& datapath) {
     if (unit.kind == UnitKind::kMux && unit.mux_inputs < 2) {
       err("mux '" + unit.name + "' needs at least two inputs");
     }
-    if (unit.kind == UnitKind::kMemPort &&
-        datapath.find_memory(unit.memory) == nullptr) {
-      err("memport '" + unit.name + "' references unknown memory '" +
-          unit.memory + "'");
+    const MemoryDecl* memory = nullptr;
+    if (unit.kind == UnitKind::kMemPort) {
+      memory = index.find_memory(unit.memory);
+      if (memory == nullptr) {
+        err("memport '" + unit.name + "' references unknown memory '" +
+            unit.memory + "'");
+      }
     }
     PortSpec spec = port_spec(unit);
     for (const std::string& required : spec.required) {
@@ -311,33 +352,24 @@ void validate(const Datapath& datapath) {
       }
     }
     for (const auto& [port_name, wire_name] : unit.ports) {
-      bool known = false;
-      for (const std::string& p : spec.required) {
-        known = known || p == port_name;
-      }
-      for (const std::string& p : spec.optional) {
-        known = known || p == port_name;
-      }
+      bool known = contains(spec.required, port_name) ||
+                   contains(spec.optional, port_name);
       if (!known) {
         err("unit '" + unit.name + "' has unexpected port '" + port_name +
             "'");
       }
-      const Wire* wire = datapath.find_wire(wire_name);
+      const Wire* wire = index.find_wire(wire_name);
       if (wire == nullptr) {
         err("port '" + unit.name + "." + port_name +
             "' references unknown wire '" + wire_name + "'");
       }
-      std::uint32_t expected = expected_port_width(unit, port_name, datapath);
+      std::uint32_t expected = expected_port_width(unit, port_name, memory);
       if (expected != 0 && wire->width != expected) {
         err("port '" + unit.name + "." + port_name + "' expects width " +
             std::to_string(expected) + " but wire '" + wire_name +
             "' has width " + std::to_string(wire->width));
       }
-      bool is_output = false;
-      for (const std::string& out : spec.outputs) {
-        is_output = is_output || out == port_name;
-      }
-      if (is_output) {
+      if (contains(spec.outputs, port_name)) {
         auto [it, inserted] =
             driver_of.emplace(wire_name, unit.name + "." + port_name);
         if (!inserted) {
@@ -355,7 +387,7 @@ void validate(const Datapath& datapath) {
   }
 
   // Write conflicts are ruled out structurally: one writer per memory.
-  std::map<std::string, std::string> writer_of;
+  std::unordered_map<std::string_view, std::string_view> writer_of;
   for (const Unit& unit : datapath.units) {
     if (unit.kind != UnitKind::kMemPort ||
         unit.mem_mode == MemMode::kRead) {
@@ -364,7 +396,7 @@ void validate(const Datapath& datapath) {
     auto [it, inserted] = writer_of.emplace(unit.memory, unit.name);
     if (!inserted) {
       err("memory '" + unit.memory + "' has two write-capable ports ('" +
-          it->second + "' and '" + unit.name + "')");
+          std::string(it->second) + "' and '" + unit.name + "')");
     }
   }
 }

@@ -8,8 +8,12 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
+#include <string_view>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "fti/ops/alu.hpp"
@@ -71,8 +75,9 @@ struct Unit {
   std::uint32_t mux_inputs = 0;   ///< valid when kind == kMux
   std::string memory;             ///< valid when kind == kMemPort
   MemMode mem_mode = MemMode::kReadWrite;  ///< valid when kind == kMemPort
-  /// port name -> wire name
-  std::map<std::string, std::string> ports;
+  /// port name -> wire name (transparent: looked up by string_view
+  /// without building a key string)
+  std::map<std::string, std::string, std::less<>> ports;
 
   const std::string& port(std::string_view port_name) const;
   bool has_port(std::string_view port_name) const;
@@ -102,6 +107,33 @@ struct Datapath {
   std::size_t count_kind(UnitKind kind) const;
 };
 
+/// Name lookups over one datapath, built in one pass; the first
+/// declaration of a name wins, as in Datapath::find_wire/find_memory.
+/// A per-call snapshot for whole-datapath checks (validate, lint), which
+/// would be quadratic over the find_* scans: the IR is edited in place
+/// (HLS, fault injection, shrinking), so it keeps no index of its own.
+/// Views the datapath's strings -- it must not outlive or see a change
+/// to the datapath it indexes.
+class DatapathIndex {
+ public:
+  explicit DatapathIndex(const Datapath& datapath);
+
+  const Wire* find_wire(std::string_view wire_name) const;
+  const MemoryDecl* find_memory(std::string_view memory_name) const;
+  bool is_control(std::string_view wire_name) const {
+    return controls_.count(wire_name) != 0;
+  }
+  bool is_status(std::string_view wire_name) const {
+    return statuses_.count(wire_name) != 0;
+  }
+
+ private:
+  std::unordered_map<std::string_view, const Wire*> wires_;
+  std::unordered_map<std::string_view, const MemoryDecl*> memories_;
+  std::unordered_set<std::string_view> controls_;
+  std::unordered_set<std::string_view> statuses_;
+};
+
 /// Structural checks: unique names, ports reference existing wires with the
 /// right widths, single driver per wire, required ports present, memports
 /// reference declared memories.  Throws IrError with a precise message.
@@ -125,5 +157,8 @@ PortSpec port_spec(const Unit& unit);
 /// the elaborator.  Returns 0 when any width is accepted (memport addr).
 std::uint32_t expected_port_width(const Unit& unit, std::string_view port,
                                   const Datapath& datapath);
+/// Same, with a memport's memory already resolved (nullptr when unknown).
+std::uint32_t expected_port_width(const Unit& unit, std::string_view port,
+                                  const MemoryDecl* memory);
 
 }  // namespace fti::ir

@@ -1,6 +1,7 @@
 #include "fti/ir/fsm.hpp"
 
-#include <set>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "fti/util/error.hpp"
 #include "fti/util/strings.hpp"
@@ -80,14 +81,24 @@ void validate(const Fsm& fsm, const Datapath& datapath) {
     throw util::IrError("fsm '" + fsm.name + "': " + message);
   };
 
+  // Per-call name indexes (see DatapathIndex for why the IR keeps none).
+  const DatapathIndex index(datapath);
+  std::unordered_map<std::string_view, const State*> states;
+  for (const State& state : fsm.states) {
+    states.emplace(state.name, &state);  // first declaration wins
+  }
+  auto control_wire = [&index](std::string_view name) -> const Wire* {
+    return index.is_control(name) ? index.find_wire(name) : nullptr;
+  };
+
   if (fsm.states.empty()) {
     err("has no states");
   }
-  if (fsm.find_state(fsm.initial) == nullptr) {
+  if (states.count(fsm.initial) == 0) {
     err("initial state '" + fsm.initial + "' does not exist");
   }
-  const Wire* done = datapath.find_wire(fsm.done_wire);
-  if (done == nullptr || !datapath.is_control(fsm.done_wire)) {
+  const Wire* done = control_wire(fsm.done_wire);
+  if (done == nullptr) {
     err("done wire '" + fsm.done_wire + "' is not a control wire of '" +
         datapath.name + "'");
   }
@@ -95,15 +106,14 @@ void validate(const Fsm& fsm, const Datapath& datapath) {
     err("done wire '" + fsm.done_wire + "' must be one bit");
   }
 
-  std::set<std::string> state_names;
   for (const State& state : fsm.states) {
-    if (!state_names.insert(state.name).second) {
+    if (states.at(state.name) != &state) {
       err("duplicate state '" + state.name + "'");
     }
-    std::set<std::string> assigned;
+    std::unordered_set<std::string_view> assigned;
     for (const ControlAssign& assign : state.controls) {
-      const Wire* wire = datapath.find_wire(assign.wire);
-      if (wire == nullptr || !datapath.is_control(assign.wire)) {
+      const Wire* wire = control_wire(assign.wire);
+      if (wire == nullptr) {
         err("state '" + state.name + "' assigns non-control wire '" +
             assign.wire + "'");
       }
@@ -118,12 +128,12 @@ void validate(const Fsm& fsm, const Datapath& datapath) {
       }
     }
     for (const Transition& transition : state.transitions) {
-      if (fsm.find_state(transition.target) == nullptr) {
+      if (states.count(transition.target) == 0) {
         err("state '" + state.name + "' targets unknown state '" +
             transition.target + "'");
       }
       for (const GuardLiteral& literal : transition.guard.literals) {
-        if (!datapath.is_status(literal.status)) {
+        if (!index.is_status(literal.status)) {
           err("state '" + state.name + "' guard uses non-status wire '" +
               literal.status + "'");
         }

@@ -671,7 +671,6 @@ class ConfigAnalyzer {
     if (!ir::find_combinational_cycles(config_.datapath).empty()) {
       return false;
     }
-    schedule_ = elab::build_levelized_schedule(config_.datapath);
 
     const ir::Datapath& datapath = config_.datapath;
     for (const ir::Wire& wire : datapath.wires) {
@@ -702,21 +701,60 @@ class ConfigAnalyzer {
         pipes_.push_back(std::move(pipe));
       }
     }
+    // Resolve every scheduled unit's wire slots once: settle() runs on
+    // every fixpoint iteration.
+    const elab::LevelizedSchedule schedule =
+        elab::build_levelized_schedule(datapath);
+    for (const elab::LevelizedSchedule::Step& scheduled : schedule.steps) {
+      const ir::Unit& unit = *scheduled.unit;
+      Step step;
+      step.unit = &unit;
+      switch (unit.kind) {
+        case ir::UnitKind::kBinOp:
+          step.b = index_of(unit.port("b"));
+          [[fallthrough]];
+        case ir::UnitKind::kUnOp:
+          step.a = index_of(unit.port("a"));
+          [[fallthrough]];
+        case ir::UnitKind::kConst:
+          step.out = index_of(unit.port("out"));
+          break;
+        case ir::UnitKind::kMux:
+          step.out = index_of(unit.port("out"));
+          step.a = index_of(unit.port("sel"));
+          for (std::uint32_t i = 0; i < unit.mux_inputs; ++i) {
+            step.inputs.push_back(
+                index_of(unit.port("in" + std::to_string(i))));
+          }
+          break;
+        case ir::UnitKind::kMemPort:
+          step.out = index_of(unit.port("dout"));
+          break;
+        case ir::UnitKind::kRegister:
+          continue;  // sequential: driven from reg.state, not the sweep
+      }
+      steps_.push_back(std::move(step));
+    }
     for (const std::string& control : datapath.control_wires) {
       control_index_.push_back(index_of(control));
     }
+    std::map<std::string_view, std::size_t> state_of;
+    for (std::size_t s = 0; s < config_.fsm.states.size(); ++s) {
+      state_of.emplace(config_.fsm.states[s].name, s);  // first one wins
+    }
+    std::map<std::string_view, std::uint64_t> assigned;
     for (const ir::State& state : config_.fsm.states) {
       CompiledState compiled;
-      for (const std::string& control : datapath.control_wires) {
-        std::uint64_t value = 0;
-        for (const ir::ControlAssign& assign : state.controls) {
-          if (assign.wire == control) {
-            value = assign.value;
-            break;
-          }
-        }
-        compiled.controls.push_back(
-            AbstractValue::constant(values_[index_of(control)].width, value));
+      // The first assignment of a wire wins; unassigned controls read 0.
+      assigned.clear();
+      for (const ir::ControlAssign& assign : state.controls) {
+        assigned.emplace(assign.wire, assign.value);
+      }
+      for (std::size_t c = 0; c < control_index_.size(); ++c) {
+        auto value = assigned.find(datapath.control_wires[c]);
+        compiled.controls.push_back(AbstractValue::constant(
+            values_[control_index_[c]].width,
+            value == assigned.end() ? 0 : value->second));
       }
       for (const ir::Transition& transition : state.transitions) {
         CompiledTransition ct;
@@ -724,13 +762,14 @@ class ConfigAnalyzer {
           ct.literals.emplace_back(index_of(literal.status),
                                    literal.expected);
         }
-        ct.target = config_.fsm.state_index(transition.target);
+        ct.target = state_of.at(transition.target);
         compiled.transitions.push_back(std::move(ct));
       }
       states_.push_back(std::move(compiled));
     }
+    initial_ = state_of.at(config_.fsm.initial);
     reachable_.assign(config_.fsm.states.size(), false);
-    reachable_[config_.fsm.state_index(config_.fsm.initial)] = true;
+    reachable_[initial_] = true;
     return true;
   }
 
@@ -814,6 +853,19 @@ class ConfigAnalyzer {
     return values_[wire_index_.at(wire)];
   }
 
+  /// The declaration of wire `name` (its slot is its position in the
+  /// datapath).
+  const ir::Wire& wire(const std::string& name) const {
+    return config_.datapath.wires[wire_index_.at(name)];
+  }
+
+  std::size_t initial_state() const { return initial_; }
+
+  /// Index of the state transition `t` of state `s` targets.
+  std::size_t target(std::size_t s, std::size_t t) const {
+    return states_[s].transitions[t].target;
+  }
+
  private:
   struct Register {
     std::size_t q = kNone;
@@ -839,6 +891,14 @@ class ConfigAnalyzer {
     std::vector<AbstractValue> controls;
     std::vector<CompiledTransition> transitions;
   };
+  /// One combinational unit of the schedule with its wire slots resolved.
+  struct Step {
+    const ir::Unit* unit = nullptr;
+    std::size_t out = kNone;
+    std::size_t a = kNone;  ///< operand a; a mux's select
+    std::size_t b = kNone;
+    std::vector<std::size_t> inputs;  ///< a mux's data inputs
+  };
 
   std::size_t index_of(const std::string& wire) const {
     return wire_index_.at(wire);
@@ -847,15 +907,25 @@ class ConfigAnalyzer {
   /// Drives controls (joined over reachable states) and sequential
   /// outputs, then evaluates the combinational sweep in schedule order.
   void settle() {
-    for (std::size_t c = 0; c < control_index_.size(); ++c) {
-      AbstractValue joined =
-          AbstractValue::bot(values_[control_index_[c]].width);
-      for (std::size_t s = 0; s < states_.size(); ++s) {
-        if (reachable_[s]) {
-          joined.join(states_[s].controls[c]);
+    // The joined controls are a pure function of the reachable set, which
+    // changes on few iterations: re-join (in state order -- join
+    // normalizes, so order matters) only when it differs from the last.
+    if (reachable_ != joined_over_) {
+      joined_over_ = reachable_;
+      joined_controls_.clear();
+      for (std::size_t c = 0; c < control_index_.size(); ++c) {
+        AbstractValue joined =
+            AbstractValue::bot(values_[control_index_[c]].width);
+        for (std::size_t s = 0; s < states_.size(); ++s) {
+          if (reachable_[s]) {
+            joined.join(states_[s].controls[c]);
+          }
         }
+        joined_controls_.push_back(joined);
       }
-      values_[control_index_[c]] = joined;
+    }
+    for (std::size_t c = 0; c < control_index_.size(); ++c) {
+      values_[control_index_[c]] = joined_controls_[c];
     }
     for (const Register& reg : registers_) {
       values_[reg.q] = reg.state;
@@ -863,58 +933,45 @@ class ConfigAnalyzer {
     for (const Pipe& pipe : pipes_) {
       values_[pipe.out] = pipe.state;
     }
-    for (const elab::LevelizedSchedule::Step& step : schedule_.steps) {
+    for (const Step& step : steps_) {
       const ir::Unit& unit = *step.unit;
+      AbstractValue& out = values_[step.out];
       switch (unit.kind) {
-        case ir::UnitKind::kBinOp: {
-          const std::size_t out = index_of(unit.port("out"));
-          values_[out] = transfer_binop(
-              unit.binop, values_[index_of(unit.port("a"))],
-              values_[index_of(unit.port("b"))], values_[out].width);
+        case ir::UnitKind::kBinOp:
+          out = transfer_binop(unit.binop, values_[step.a], values_[step.b],
+                               out.width);
           break;
-        }
-        case ir::UnitKind::kUnOp: {
-          const std::size_t out = index_of(unit.port("out"));
-          values_[out] =
-              transfer_unop(unit.unop, values_[index_of(unit.port("a"))],
-                            values_[out].width);
+        case ir::UnitKind::kUnOp:
+          out = transfer_unop(unit.unop, values_[step.a], out.width);
           break;
-        }
-        case ir::UnitKind::kConst: {
-          const std::size_t out = index_of(unit.port("out"));
-          values_[out] =
-              AbstractValue::constant(values_[out].width, unit.value);
+        case ir::UnitKind::kConst:
+          out = AbstractValue::constant(out.width, unit.value);
           break;
-        }
         case ir::UnitKind::kMux: {
-          const std::size_t out = index_of(unit.port("out"));
           if (unit.mux_inputs == 0) {
-            values_[out] = AbstractValue::top(values_[out].width);
+            out = AbstractValue::top(out.width);
             break;
           }
-          const AbstractValue& sel = values_[index_of(unit.port("sel"))];
-          AbstractValue joined = AbstractValue::bot(values_[out].width);
+          const AbstractValue& sel = values_[step.a];
+          AbstractValue joined = AbstractValue::bot(out.width);
           const std::uint64_t lo = sel.umin;
           const std::uint64_t hi =
               std::min<std::uint64_t>(sel.umax, unit.mux_inputs - 1);
           for (std::uint64_t i = lo; i <= hi; ++i) {
-            joined.join(
-                values_[index_of(unit.port("in" + std::to_string(i)))]);
+            joined.join(values_[step.inputs[i]]);
           }
           if (sel.umax >= unit.mux_inputs) {
             // Out-of-range selects drive zero.
-            joined.join(AbstractValue::constant(values_[out].width, 0));
+            joined.join(AbstractValue::constant(out.width, 0));
           }
-          values_[out] = joined;
+          out = joined;
           break;
         }
-        case ir::UnitKind::kMemPort: {
+        case ir::UnitKind::kMemPort:
           // Memory contents are runtime-loadable external inputs, and
           // out-of-bounds reads drive zero: top is the only sound value.
-          const std::size_t out = index_of(unit.port("dout"));
-          values_[out] = AbstractValue::top(values_[out].width);
+          out = AbstractValue::top(out.width);
           break;
-        }
         case ir::UnitKind::kRegister:
           break;
       }
@@ -993,14 +1050,18 @@ class ConfigAnalyzer {
   }
 
   const ir::Configuration& config_;
-  elab::LevelizedSchedule schedule_;
   std::map<std::string, std::size_t> wire_index_;
   std::vector<AbstractValue> values_;
   std::vector<Register> registers_;
   std::vector<Pipe> pipes_;
   std::vector<std::size_t> control_index_;
+  std::vector<Step> steps_;
   std::vector<CompiledState> states_;
+  std::size_t initial_ = kNone;
   std::vector<bool> reachable_;
+  /// The reachable set joined_controls_ was last computed over.
+  std::vector<bool> joined_over_;
+  std::vector<AbstractValue> joined_controls_;
 };
 
 /// Emits the semantic rules for one analyzed configuration, in IR
@@ -1090,10 +1151,8 @@ class RuleEmitter {
         break;
       }
       case ir::UnitKind::kUnOp: {
-        const ir::Wire& in =
-            config_.datapath.wire(unit.port("a"));
-        const std::uint32_t out_width =
-            config_.datapath.wire(unit.port("out")).width;
+        const ir::Wire& in = analyzer_.wire(unit.port("a"));
+        const std::uint32_t out_width = analyzer_.wire(unit.port("out")).width;
         if (in.width <= out_width) {
           break;
         }
@@ -1148,14 +1207,14 @@ class RuleEmitter {
     // only the states the dataflow tier newly proves dead.
     std::vector<bool> syntactic(fsm.states.size(), false);
     std::vector<std::size_t> frontier;
-    syntactic[fsm.state_index(fsm.initial)] = true;
-    frontier.push_back(fsm.state_index(fsm.initial));
+    syntactic[analyzer_.initial_state()] = true;
+    frontier.push_back(analyzer_.initial_state());
     while (!frontier.empty()) {
       const std::size_t current = frontier.back();
       frontier.pop_back();
-      for (const ir::Transition& transition :
-           fsm.states[current].transitions) {
-        const std::size_t target = fsm.state_index(transition.target);
+      for (std::size_t t = 0; t < fsm.states[current].transitions.size();
+           ++t) {
+        const std::size_t target = analyzer_.target(current, t);
         if (!syntactic[target]) {
           syntactic[target] = true;
           frontier.push_back(target);

@@ -183,26 +183,29 @@ class Linter {
 
   void lint_configuration(const std::string& node,
                           const ir::Configuration& configuration) {
-    lint_datapath(node, configuration.datapath, configuration.fsm);
-    lint_fsm(node, configuration.fsm, configuration.datapath);
+    // One name index per configuration: lint runs on raw, possibly
+    // malformed IR, and per-port find_wire scans would be quadratic.
+    const ir::DatapathIndex index(configuration.datapath);
+    lint_datapath(node, configuration.datapath, index, configuration.fsm);
+    lint_fsm(node, configuration.fsm, index);
   }
 
   void lint_datapath(const std::string& node, const ir::Datapath& datapath,
-                     const ir::Fsm& fsm) {
+                     const ir::DatapathIndex& index, const ir::Fsm& fsm) {
     std::map<std::string, WireUse> uses;
 
     // FSM interface: control wires are driven, status wires are read, by
     // the control unit.  Both must name declared wires.
     for (const std::string& wire : datapath.control_wires) {
       uses[wire].drivers.push_back("control unit (fsm)");
-      if (datapath.find_wire(wire) == nullptr) {
+      if (index.find_wire(wire) == nullptr) {
         add("FTI-L011", Severity::kError, node, wire,
             "control list names undeclared wire '" + wire + "'");
       }
     }
     for (const std::string& wire : datapath.status_wires) {
       uses[wire].readers.push_back("fsm status");
-      if (datapath.find_wire(wire) == nullptr) {
+      if (index.find_wire(wire) == nullptr) {
         add("FTI-L011", Severity::kError, node, wire,
             "status list names undeclared wire '" + wire + "'");
       }
@@ -214,12 +217,11 @@ class Linter {
         add("FTI-L011", Severity::kError, node, unit.name,
             "duplicate unit name '" + unit.name + "'");
       }
-      lint_unit(node, unit, datapath, uses);
+      lint_unit(node, unit, index, uses);
     }
 
-    std::set<std::string> wire_names;
     for (const ir::Wire& wire : datapath.wires) {
-      if (!wire_names.insert(wire.name).second) {
+      if (index.find_wire(wire.name) != &wire) {
         add("FTI-L011", Severity::kError, node, wire.name,
             "duplicate wire name '" + wire.name + "'");
       }
@@ -276,9 +278,8 @@ class Linter {
     }
 
     // FTI-L004 (literal flavor): memory init words must fit the width.
-    std::set<std::string> memory_names;
     for (const ir::MemoryDecl& memory : datapath.memories) {
-      if (!memory_names.insert(memory.name).second) {
+      if (index.find_memory(memory.name) != &memory) {
         add("FTI-L011", Severity::kError, node, memory.name,
             "duplicate memory name '" + memory.name + "'");
       }
@@ -307,7 +308,7 @@ class Linter {
   }
 
   void lint_unit(const std::string& node, const ir::Unit& unit,
-                 const ir::Datapath& datapath,
+                 const ir::DatapathIndex& index,
                  std::map<std::string, WireUse>& uses) {
     ir::PortSpec spec = ir::port_spec(unit);
     auto is_output = [&spec](const std::string& port) {
@@ -323,8 +324,10 @@ class Linter {
                 ") lacks required port '" + required + "'");
       }
     }
-    if (unit.kind == ir::UnitKind::kMemPort &&
-        datapath.find_memory(unit.memory) == nullptr) {
+    const ir::MemoryDecl* memory = unit.kind == ir::UnitKind::kMemPort
+                                       ? index.find_memory(unit.memory)
+                                       : nullptr;
+    if (unit.kind == ir::UnitKind::kMemPort && memory == nullptr) {
       add("FTI-L011", Severity::kError, node, unit.name,
           "memport '" + unit.name + "' references unknown memory '" +
               unit.memory + "'");
@@ -337,13 +340,13 @@ class Linter {
       } else {
         uses[wire].readers.push_back(who);
       }
-      const ir::Wire* decl = datapath.find_wire(wire);
+      const ir::Wire* decl = index.find_wire(wire);
       if (decl == nullptr) {
         add("FTI-L011", Severity::kError, node, unit.name,
             who + " references undeclared wire '" + wire + "'");
         continue;
       }
-      std::uint32_t expected = ir::expected_port_width(unit, port, datapath);
+      std::uint32_t expected = ir::expected_port_width(unit, port, memory);
       if (expected != 0 && decl->width != expected) {
         add("FTI-L004", Severity::kError, node, unit.name,
             who + " expects width " + std::to_string(expected) +
@@ -368,24 +371,23 @@ class Linter {
   }
 
   void lint_fsm(const std::string& node, const ir::Fsm& fsm,
-                const ir::Datapath& datapath) {
-    std::map<std::string, std::size_t> index;
+                const ir::DatapathIndex& index) {
+    std::map<std::string, std::size_t> state_index;
     for (std::size_t i = 0; i < fsm.states.size(); ++i) {
-      if (!index.emplace(fsm.states[i].name, i).second) {
+      if (!state_index.emplace(fsm.states[i].name, i).second) {
         add("FTI-L011", Severity::kError, node, fsm.states[i].name,
             "duplicate state name '" + fsm.states[i].name + "'");
       }
     }
 
-    if (index.find(fsm.initial) == index.end()) {
+    if (state_index.find(fsm.initial) == state_index.end()) {
       add("FTI-L011", Severity::kError, node, fsm.name,
           "initial state '" + fsm.initial + "' does not exist");
     }
-    if (!std::count(datapath.control_wires.begin(),
-                    datapath.control_wires.end(), fsm.done_wire)) {
+    if (!index.is_control(fsm.done_wire)) {
       add("FTI-L011", Severity::kError, node, fsm.name,
           "done wire '" + fsm.done_wire + "' is not a declared control wire");
-    } else if (const ir::Wire* done = datapath.find_wire(fsm.done_wire);
+    } else if (const ir::Wire* done = index.find_wire(fsm.done_wire);
                done != nullptr && done->width != 1) {
       add("FTI-L004", Severity::kError, node, fsm.name,
           "done wire '" + fsm.done_wire + "' has width " +
@@ -393,14 +395,14 @@ class Linter {
     }
 
     for (const ir::State& state : fsm.states) {
-      lint_state(node, state, datapath, index);
+      lint_state(node, state, index, state_index);
     }
 
     // FTI-L006: reachability from the initial state over declared
     // transitions.
     std::vector<bool> reachable(fsm.states.size(), false);
     std::vector<std::size_t> frontier;
-    if (auto it = index.find(fsm.initial); it != index.end()) {
+    if (auto it = state_index.find(fsm.initial); it != state_index.end()) {
       reachable[it->second] = true;
       frontier.push_back(it->second);
     }
@@ -409,8 +411,8 @@ class Linter {
       frontier.pop_back();
       for (const ir::Transition& transition :
            fsm.states[current].transitions) {
-        auto it = index.find(transition.target);
-        if (it != index.end() && !reachable[it->second]) {
+        auto it = state_index.find(transition.target);
+        if (it != state_index.end() && !reachable[it->second]) {
           reachable[it->second] = true;
           frontier.push_back(it->second);
         }
@@ -454,15 +456,14 @@ class Linter {
   }
 
   void lint_state(const std::string& node, const ir::State& state,
-                  const ir::Datapath& datapath,
-                  const std::map<std::string, std::size_t>& index) {
+                  const ir::DatapathIndex& index,
+                  const std::map<std::string, std::size_t>& state_index) {
     for (const ir::ControlAssign& assign : state.controls) {
-      if (!std::count(datapath.control_wires.begin(),
-                      datapath.control_wires.end(), assign.wire)) {
+      if (!index.is_control(assign.wire)) {
         add("FTI-L011", Severity::kError, node, state.name,
             "state '" + state.name + "' assigns non-control wire '" +
                 assign.wire + "'");
-      } else if (const ir::Wire* wire = datapath.find_wire(assign.wire);
+      } else if (const ir::Wire* wire = index.find_wire(assign.wire);
                  wire != nullptr && !fits(assign.value, wire->width)) {
         add("FTI-L004", Severity::kWarning, node, state.name,
             "state '" + state.name + "' assigns value " +
@@ -476,7 +477,7 @@ class Linter {
     std::size_t shadow_at = 0;
     for (std::size_t t = 0; t < state.transitions.size(); ++t) {
       const ir::Transition& transition = state.transitions[t];
-      if (index.find(transition.target) == index.end()) {
+      if (state_index.find(transition.target) == state_index.end()) {
         add("FTI-L011", Severity::kError, node, state.name,
             "state '" + state.name + "' transition " + std::to_string(t) +
                 " targets unknown state '" + transition.target + "'");
@@ -485,8 +486,7 @@ class Linter {
       std::set<std::string> expect_low;
       bool contradictory = false;
       for (const ir::GuardLiteral& literal : transition.guard.literals) {
-        if (!std::count(datapath.status_wires.begin(),
-                        datapath.status_wires.end(), literal.status)) {
+        if (!index.is_status(literal.status)) {
           add("FTI-L011", Severity::kError, node, state.name,
               "state '" + state.name + "' transition " + std::to_string(t) +
                   " guards on non-status wire '" + literal.status + "'");

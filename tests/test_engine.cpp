@@ -471,7 +471,7 @@ ir::Design divergent_enable_design() {
   dp.status_wires = {"fin"};
 
   auto unit = [&dp](const char* name, ir::UnitKind kind, std::uint32_t width,
-                    std::map<std::string, std::string> ports) -> ir::Unit& {
+                    decltype(ir::Unit::ports) ports) -> ir::Unit& {
     ir::Unit u;
     u.name = name;
     u.kind = kind;
@@ -489,7 +489,7 @@ ir::Design divergent_enable_design() {
     unit(name, ir::UnitKind::kBinOp, 8, {{"a", a}, {"b", b}, {"out", out}})
         .binop = op;
   };
-  auto reg = [&](const char* name, std::map<std::string, std::string> ports,
+  auto reg = [&](const char* name, decltype(ir::Unit::ports) ports,
                  std::uint64_t reset_value) {
     unit(name, ir::UnitKind::kRegister, 8, std::move(ports)).reset_value =
         reset_value;

@@ -8,6 +8,7 @@
 #include "fti/harness/testcase.hpp"
 #include "fti/util/error.hpp"
 #include "fti/util/file_io.hpp"
+#include "fti/util/strings.hpp"
 
 namespace fti::harness {
 namespace {
@@ -33,12 +34,6 @@ TEST(TestCase, PassesAndReportsStats) {
   EXPECT_EQ(outcome.mismatches, 0u);
   EXPECT_GT(outcome.run.total_cycles(), 8u);
   EXPECT_GT(outcome.golden_stats.loads, 0u);
-  EXPECT_GT(outcome.artifacts.lo_xml_datapath, 10u);
-  EXPECT_GT(outcome.artifacts.lo_xml_fsm, 5u);
-  EXPECT_GT(outcome.artifacts.lo_vhdl, 10u);
-  EXPECT_GT(outcome.artifacts.lo_verilog, 10u);
-  EXPECT_GT(outcome.artifacts.lo_hds, 10u);
-  EXPECT_GT(outcome.artifacts.lo_dot, 10u);
   EXPECT_EQ(outcome.artifacts.lo_source, 4u);
   EXPECT_GE(outcome.compile_seconds, 0.0);
 }
@@ -83,14 +78,44 @@ TEST(TestCase, EmitDirWritesArtifacts) {
   EXPECT_EQ(util::read_file(dir / "square.verdict"), "PASS\n");
 }
 
-TEST(TestCase, SkippingArtifactsLeavesCountsZero) {
-  TestCase test = square_case();
+TEST(TestCase, EmitReportsLineCountsOfWrittenFiles) {
+  auto dir = util::scratch_dir("harness-test") / "emit-counts";
+  std::filesystem::remove_all(dir);
   VerifyOptions options;
-  options.generate_artifacts = false;
-  VerifyOutcome outcome = run_test_case(test, options);
+  options.emit_dir = dir;
+  VerifyOutcome outcome = run_test_case(square_case(), options);
+  ASSERT_TRUE(outcome.passed) << outcome.message;
+  const FlowArtifacts& a = outcome.artifacts;
+  auto lines_of = [&dir](const std::string& file) {
+    return util::count_lines(util::read_file(dir / file));
+  };
+  EXPECT_EQ(a.lo_xml_datapath, lines_of("square/datapath_square.xml"));
+  EXPECT_EQ(a.lo_xml_fsm, lines_of("square/fsm_square.xml"));
+  EXPECT_EQ(a.lo_xml_rtg, lines_of("square/rtg.xml"));
+  EXPECT_EQ(a.lo_hds, lines_of("square.hds"));
+  EXPECT_EQ(a.lo_vhdl, lines_of("square.vhdl"));
+  EXPECT_EQ(a.lo_verilog, lines_of("square.v"));
+  EXPECT_EQ(a.lo_systemc, lines_of("square.sc.cpp"));
+  EXPECT_EQ(a.lo_dot, lines_of("square.dot"));
+  EXPECT_GT(a.lo_xml_datapath, 10u);
+  EXPECT_GT(a.lo_xml_fsm, 5u);
+  EXPECT_GT(a.lo_vhdl, 10u);
+  EXPECT_GT(a.lo_verilog, 10u);
+  EXPECT_GT(a.lo_hds, 10u);
+  EXPECT_GT(a.lo_dot, 10u);
+  EXPECT_EQ(a.lo_source, 4u);
+}
+
+/// Without an emit_dir nothing is written, so only the source is counted.
+TEST(TestCase, SkippingArtifactsLeavesCountsZero) {
+  VerifyOutcome outcome = run_test_case(square_case());
   EXPECT_TRUE(outcome.passed);
-  EXPECT_EQ(outcome.artifacts.lo_vhdl, 0u);
-  EXPECT_GT(outcome.artifacts.lo_xml_datapath, 0u);  // always measured
+  const FlowArtifacts& a = outcome.artifacts;
+  EXPECT_EQ(a.lo_vhdl, 0u);
+  EXPECT_EQ(a.lo_xml_datapath + a.lo_xml_fsm + a.lo_xml_rtg + a.lo_hds +
+                a.lo_verilog + a.lo_systemc + a.lo_dot,
+            0u);
+  EXPECT_EQ(a.lo_source, 4u);
 }
 
 TEST(TestCase, CachedArtifactCountsMatchUncached) {
@@ -102,20 +127,17 @@ TEST(TestCase, CachedArtifactCountsMatchUncached) {
                                     a.lo_dot};
   };
   TestCase test = square_case();
-  for (bool generate : {true, false}) {
-    VerifyOptions options;
-    options.generate_artifacts = generate;
-    VerifyOutcome uncached = run_test_case(test, options);
-    ASSERT_TRUE(uncached.passed) << uncached.message;
-    cache::DesignCache cache;
-    options.design_cache = &cache;
-    for (bool warm : {false, true}) {
-      VerifyOutcome cached = run_test_case(test, options);
-      ASSERT_TRUE(cached.passed) << cached.message;
-      EXPECT_EQ(cached.cache_hit, warm);
-      EXPECT_EQ(counts(cached.artifacts), counts(uncached.artifacts))
-          << "generate=" << generate << " warm=" << warm;
-    }
+  VerifyOutcome uncached = run_test_case(test);
+  ASSERT_TRUE(uncached.passed) << uncached.message;
+  cache::DesignCache cache;
+  VerifyOptions options;
+  options.design_cache = &cache;
+  for (bool warm : {false, true}) {
+    VerifyOutcome cached = run_test_case(test, options);
+    ASSERT_TRUE(cached.passed) << cached.message;
+    EXPECT_EQ(cached.cache_hit, warm);
+    EXPECT_EQ(counts(cached.artifacts), counts(uncached.artifacts))
+        << "warm=" << warm;
   }
 }
 
@@ -129,7 +151,6 @@ TEST(Suite, RunsAllAndReports) {
   EXPECT_EQ(suite.size(), 2u);
   int observed = 0;
   VerifyOptions options;
-  options.generate_artifacts = false;
   SuiteReport report =
       suite.run_all(options, [&observed](const SuiteRow& row) {
         ++observed;
@@ -178,7 +199,6 @@ TEST(Suite, ParallelRunMatchesSerialRun) {
     suite.add(test);
   }
   VerifyOptions options;
-  options.generate_artifacts = false;
   SuiteReport serial = suite.run_all(options, nullptr, 1);
   SuiteReport parallel = suite.run_all(options, nullptr, 4);
   EXPECT_EQ(serial.jobs, 1u);
@@ -212,7 +232,6 @@ TEST(Suite, ParallelRunPropagatesLowestFailure) {
     suite.add(test);
   }
   VerifyOptions options;
-  options.generate_artifacts = false;
   EXPECT_THROW(suite.run_all(options, nullptr, 4), util::IoError);
 }
 
@@ -223,7 +242,6 @@ TEST(Suite, FailureIsReported) {
   broken.max_cycles = 2;
   suite.add(broken);
   VerifyOptions options;
-  options.generate_artifacts = false;
   SuiteReport report = suite.run_all(options);
   EXPECT_FALSE(report.all_passed());
   EXPECT_EQ(report.failures(), 1u);

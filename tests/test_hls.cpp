@@ -19,9 +19,7 @@ harness::VerifyOutcome verify(const std::string& name,
   test.source = source;
   test.scalar_args = std::move(args);
   test.inputs = std::move(inputs);
-  harness::VerifyOptions options;
-  options.generate_artifacts = false;
-  return harness::run_test_case(test, options);
+  return harness::run_test_case(test);
 }
 
 TEST(Hls, CopyArray) {
@@ -209,9 +207,7 @@ TEST(Hls, EmbeddedInputsMakeXmlSelfContained) {
       "}\n";
   test.inputs = {{"coef", {3, 0xFFFF /* -1 as short */, 7, 9}}};
   test.embed_inputs = true;
-  harness::VerifyOptions options;
-  options.generate_artifacts = false;
-  auto outcome = harness::run_test_case(test, options);
+  auto outcome = harness::run_test_case(test);
   EXPECT_TRUE(outcome.passed) << outcome.message;
   // The design's memory declaration carries the power-up contents.
   const auto& memories =
@@ -236,9 +232,7 @@ TEST(Hls, EmbeddedInputsWithUncheckedUntouchedArray) {
       "}\n";
   test.inputs = {{"unused", {1, 2, 3, 4}}};
   test.embed_inputs = true;
-  harness::VerifyOptions options;
-  options.generate_artifacts = false;
-  auto outcome = harness::run_test_case(test, options);
+  auto outcome = harness::run_test_case(test);
   EXPECT_TRUE(outcome.passed) << outcome.message;
 }
 

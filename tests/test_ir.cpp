@@ -10,6 +10,27 @@
 namespace fti::ir {
 namespace {
 
+/// The full IrError message `check` throws; "" when it does not throw.
+/// validate() reports the first fault in a fixed order, and these
+/// messages pin that order as well as the wording.
+template <typename Check>
+std::string error_of(Check check) {
+  try {
+    check();
+  } catch (const util::IrError& error) {
+    return error.what();
+  }
+  return "";
+}
+
+std::string datapath_error(const Configuration& config) {
+  return error_of([&] { validate(config.datapath); });
+}
+
+std::string fsm_error(const Configuration& config) {
+  return error_of([&] { validate(config.fsm, config.datapath); });
+}
+
 TEST(Guard, ParseAndPrint) {
   EXPECT_TRUE(parse_guard("").always());
   EXPECT_TRUE(parse_guard("1").always());
@@ -34,19 +55,24 @@ TEST(DatapathValidate, AcceptsAccumulator) {
 TEST(DatapathValidate, RejectsDuplicateWire) {
   Configuration config = testing::make_accumulator(5);
   config.datapath.wires.push_back({"acc_q", 32});
-  EXPECT_THROW(validate(config.datapath), util::IrError);
+  EXPECT_EQ(datapath_error(config),
+            "ir: datapath 'acc': duplicate wire 'acc_q'");
 }
 
 TEST(DatapathValidate, RejectsUnknownWireReference) {
   Configuration config = testing::make_accumulator(5);
   config.datapath.units[2].ports["a"] = "missing";
-  EXPECT_THROW(validate(config.datapath), util::IrError);
+  EXPECT_EQ(datapath_error(config),
+            "ir: datapath 'acc': port 'add0.a' references unknown wire "
+            "'missing'");
 }
 
 TEST(DatapathValidate, RejectsWidthMismatch) {
   Configuration config = testing::make_accumulator(5);
   config.datapath.wires[0].width = 16;  // acc_q
-  EXPECT_THROW(validate(config.datapath), util::IrError);
+  EXPECT_EQ(datapath_error(config),
+            "ir: datapath 'acc': port 'add0.a' expects width 32 but wire "
+            "'acc_q' has width 16");
 }
 
 TEST(DatapathValidate, RejectsDoubleDriver) {
@@ -55,25 +81,32 @@ TEST(DatapathValidate, RejectsDoubleDriver) {
   Unit extra = config.datapath.units[2];
   extra.name = "add1";
   config.datapath.units.push_back(extra);
-  EXPECT_THROW(validate(config.datapath), util::IrError);
+  EXPECT_EQ(datapath_error(config),
+            "ir: datapath 'acc': wire 'add_out' driven by both add0.out and "
+            "add1.out");
 }
 
 TEST(DatapathValidate, RejectsMissingRequiredPort) {
   Configuration config = testing::make_accumulator(5);
   config.datapath.units[2].ports.erase("b");
-  EXPECT_THROW(validate(config.datapath), util::IrError);
+  EXPECT_EQ(datapath_error(config),
+            "ir: datapath 'acc': unit 'add0' (binop) lacks required port "
+            "'b'");
 }
 
 TEST(DatapathValidate, RejectsControlAsStatus) {
   Configuration config = testing::make_accumulator(5);
   config.datapath.status_wires.push_back("c_en");
-  EXPECT_THROW(validate(config.datapath), util::IrError);
+  EXPECT_EQ(datapath_error(config),
+            "ir: datapath 'acc': wire 'c_en' cannot be both control and "
+            "status");
 }
 
 TEST(DatapathValidate, RejectsWideStatus) {
   Configuration config = testing::make_accumulator(5);
   config.datapath.status_wires[0] = "acc_q";
-  EXPECT_THROW(validate(config.datapath), util::IrError);
+  EXPECT_EQ(datapath_error(config),
+            "ir: datapath 'acc': status wire 'acc_q' must be one bit");
 }
 
 TEST(DatapathValidate, RejectsMemportWithoutMemory) {
@@ -87,43 +120,106 @@ TEST(DatapathValidate, RejectsMemportWithoutMemory) {
                    {"dout", "kt_out"},
                    {"we", "c_en"}};
   config.datapath.units.push_back(memport);
-  EXPECT_THROW(validate(config.datapath), util::IrError);
+  EXPECT_EQ(datapath_error(config),
+            "ir: datapath 'acc': memport 'mp' references unknown memory "
+            "'nowhere'");
+}
+
+TEST(DatapathValidate, RejectsUndeclaredControl) {
+  Configuration config = testing::make_accumulator(5);
+  config.datapath.control_wires.push_back("ghost");
+  EXPECT_EQ(datapath_error(config),
+            "ir: datapath 'acc': control wire 'ghost' is not declared");
+}
+
+TEST(DatapathValidate, TwoFaultsReportTheFirst) {
+  Configuration config = testing::make_accumulator(5);
+  // A unit-level fault in the last unit, a status fault before any unit
+  // is checked, and a duplicate wire name that only matters to lookups.
+  config.datapath.units[4].ports["d"] = "missing";
+  config.datapath.status_wires.push_back("ghost_status");
+  config.datapath.wires.push_back({"zz_extra", 32});
+  config.datapath.wires.push_back({"zz_extra", 32});
+  EXPECT_EQ(datapath_error(config),
+            "ir: datapath 'acc': duplicate wire 'zz_extra'");
+  config.datapath.wires.pop_back();
+  EXPECT_EQ(datapath_error(config),
+            "ir: datapath 'acc': status wire 'ghost_status' is not "
+            "declared");
+  config.datapath.status_wires.pop_back();
+  EXPECT_EQ(datapath_error(config),
+            "ir: datapath 'acc': port 'r_acc.d' references unknown wire "
+            "'missing'");
 }
 
 TEST(FsmValidate, RejectsBadInitial) {
   Configuration config = testing::make_accumulator(5);
   config.fsm.initial = "nope";
-  EXPECT_THROW(validate(config.fsm, config.datapath), util::IrError);
+  EXPECT_EQ(fsm_error(config),
+            "ir: fsm 'acc_fsm': initial state 'nope' does not exist");
 }
 
 TEST(FsmValidate, RejectsUnknownTarget) {
   Configuration config = testing::make_accumulator(5);
   config.fsm.states[0].transitions[0].target = "nope";
-  EXPECT_THROW(validate(config.fsm, config.datapath), util::IrError);
+  EXPECT_EQ(fsm_error(config),
+            "ir: fsm 'acc_fsm': state 'run' targets unknown state 'nope'");
 }
 
 TEST(FsmValidate, RejectsAssignToStatus) {
   Configuration config = testing::make_accumulator(5);
   config.fsm.states[0].controls.push_back({"lt_out", 1});
-  EXPECT_THROW(validate(config.fsm, config.datapath), util::IrError);
+  EXPECT_EQ(fsm_error(config),
+            "ir: fsm 'acc_fsm': state 'run' assigns non-control wire "
+            "'lt_out'");
 }
 
 TEST(FsmValidate, RejectsGuardOnControl) {
   Configuration config = testing::make_accumulator(5);
   config.fsm.states[0].transitions[0].guard = parse_guard("c_en");
-  EXPECT_THROW(validate(config.fsm, config.datapath), util::IrError);
+  EXPECT_EQ(fsm_error(config),
+            "ir: fsm 'acc_fsm': state 'run' guard uses non-status wire "
+            "'c_en'");
 }
 
 TEST(FsmValidate, RejectsValueBeyondWidth) {
   Configuration config = testing::make_accumulator(5);
   config.fsm.states[0].controls[0].value = 2;  // c_en is one bit
-  EXPECT_THROW(validate(config.fsm, config.datapath), util::IrError);
+  EXPECT_EQ(fsm_error(config),
+            "ir: fsm 'acc_fsm': state 'run' assigns value 2 beyond width of "
+            "'c_en'");
 }
 
 TEST(FsmValidate, RejectsNonControlDoneWire) {
   Configuration config = testing::make_accumulator(5);
   config.fsm.done_wire = "lt_out";
-  EXPECT_THROW(validate(config.fsm, config.datapath), util::IrError);
+  EXPECT_EQ(fsm_error(config),
+            "ir: fsm 'acc_fsm': done wire 'lt_out' is not a control wire of "
+            "'acc'");
+}
+
+TEST(FsmValidate, RejectsControlAssignedTwice) {
+  Configuration config = testing::make_accumulator(5);
+  config.fsm.states[0].controls.push_back({"c_en", 0});
+  EXPECT_EQ(fsm_error(config),
+            "ir: fsm 'acc_fsm': state 'run' assigns 'c_en' twice");
+}
+
+TEST(FsmValidate, TwoFaultsReportTheFirst) {
+  Configuration config = testing::make_accumulator(5);
+  // The guard fault and the duplicate state come after the unknown
+  // target in check order, so the target is what gets reported.
+  config.fsm.states[0].transitions[0].target = "nope";
+  config.fsm.states[0].transitions[0].guard = parse_guard("c_en");
+  config.fsm.states.push_back(config.fsm.states[1]);  // duplicate 'halt'
+  EXPECT_EQ(fsm_error(config),
+            "ir: fsm 'acc_fsm': state 'run' targets unknown state 'nope'");
+  config.fsm.states[0].transitions[0].target = "halt";
+  EXPECT_EQ(fsm_error(config),
+            "ir: fsm 'acc_fsm': state 'run' guard uses non-status wire "
+            "'c_en'");
+  config.fsm.states[0].transitions[0].guard = parse_guard("!lt_out");
+  EXPECT_EQ(fsm_error(config), "ir: fsm 'acc_fsm': duplicate state 'halt'");
 }
 
 TEST(OperatorCount, CountsFunctionalUnits) {

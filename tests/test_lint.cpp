@@ -798,7 +798,6 @@ TEST(LintGateFlow, SeededDefectBlocksBeforeSimulation) {
   test.scalar_args = {{"a", 3}, {"n", 8}};
   test.inputs = {{"x", {1, 2, 3, 4, 5, 6, 7, 8}}};
   harness::VerifyOptions options;
-  options.generate_artifacts = false;
   options.post_compile = [](ir::Design& design) {
     // Plant a multi-driver defect: redirect one unit's output onto a
     // wire some other unit already drives.
@@ -856,9 +855,7 @@ TEST(LintGateFlow, CleanDesignIsNotBlocked) {
       "}\n";
   test.scalar_args = {{"a", 5}, {"n", 8}};
   test.inputs = {{"x", {1, 2, 3, 4, 5, 6, 7, 8}}};
-  harness::VerifyOptions options;
-  options.generate_artifacts = false;
-  harness::VerifyOutcome outcome = harness::run_test_case(test, options);
+  harness::VerifyOutcome outcome = harness::run_test_case(test);
   EXPECT_TRUE(outcome.passed) << outcome.message;
   EXPECT_FALSE(outcome.lint_blocked);
   EXPECT_EQ(outcome.lint.errors(), 0u) << to_text(outcome.lint);
@@ -930,6 +927,32 @@ TEST(DataflowSoundness, AbstractionContainsEveryTracedValue) {
   // The property must have had teeth (traces record value *changes* of
   // the clocked wires, so the count is well below cycles x wires).
   EXPECT_GT(values_checked, 300u);
+}
+
+TEST(DataflowControls, LateReachableStateJoinsItsControlValue) {
+  // "halt" becomes reachable only once the counter's range grows past
+  // the target, several fixpoint iterations in; its control value must
+  // then show up in the joined range of the wire it drives (the joined
+  // controls are cached per reachable set).
+  ir::Configuration config = testing::make_accumulator(3);
+  config.datapath.wires.push_back({"mark", 4});
+  config.datapath.control_wires.push_back("mark");
+  config.fsm.states[1].controls.push_back({"mark", 9});
+  ir::Design design =
+      ir::make_single_design("late_design", std::move(config));
+  dataflow::Summary summary = dataflow::analyze(design);
+  ASSERT_EQ(summary.configurations.size(), 1u);
+  const dataflow::ConfigSummary& result =
+      summary.configurations.begin()->second;
+  ASSERT_TRUE(result.analyzed);
+  EXPECT_GE(result.iterations, 4u);
+  ASSERT_EQ(result.state_reachable.size(), 2u);
+  EXPECT_TRUE(result.state_reachable[1]);
+  const dataflow::AbstractValue& mark = result.wires.at("mark");
+  EXPECT_TRUE(mark.contains(sim::Bits(4, 9))) << mark.to_string();
+  EXPECT_TRUE(mark.contains(sim::Bits(4, 0))) << mark.to_string();
+  const dataflow::AbstractValue& done = result.wires.at("done");
+  EXPECT_TRUE(done.contains(sim::Bits(1, 1))) << done.to_string();
 }
 
 // Smoke profile of experiment E11 (EXPERIMENTS.md): the semantic defect

@@ -151,9 +151,7 @@ harness::VerifyOutcome fir_with_ports(unsigned read_ports) {
                  {"h", rng.sequence(8, 256)}};
   test.check_arrays = {"y"};
   test.resources.default_memory_read_ports = read_ports;
-  harness::VerifyOptions options;
-  options.generate_artifacts = false;
-  return harness::run_test_case(test, options);
+  return harness::run_test_case(test);
 }
 
 TEST(MultiPortHls, ResultsIdenticalAcrossPortCounts) {
@@ -191,11 +189,9 @@ TEST(MultiPortHls, ParallelLoadsShaveCycles) {
   test.scalar_args = {{"n", 8}};
   golden::Rng rng(4);
   test.inputs = {{"a", rng.sequence(16, 1000)}};
-  harness::VerifyOptions options;
-  options.generate_artifacts = false;
-  auto narrow = harness::run_test_case(test, options);
+  auto narrow = harness::run_test_case(test);
   test.resources.memory_read_ports["a"] = 2;
-  auto wide = harness::run_test_case(test, options);
+  auto wide = harness::run_test_case(test);
   ASSERT_TRUE(narrow.passed) << narrow.message;
   ASSERT_TRUE(wide.passed) << wide.message;
   EXPECT_LT(wide.run.total_cycles(), narrow.run.total_cycles());

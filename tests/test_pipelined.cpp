@@ -121,9 +121,7 @@ harness::VerifyOutcome verify_with_latency(
   test.scalar_args = std::move(args);
   test.inputs = std::move(inputs);
   test.resources.latencies = std::move(latencies);
-  harness::VerifyOptions options;
-  options.generate_artifacts = false;
-  return harness::run_test_case(test, options);
+  return harness::run_test_case(test);
 }
 
 TEST(PipelinedHls, MultiplyAccumulateMatchesGolden) {
@@ -266,9 +264,7 @@ TEST_P(LatencySweep, FdctWithPipelinedMultipliers) {
   golden::Rng rng(GetParam());
   test.inputs = {{"a", rng.sequence(32, 1 << 16)}};
   test.resources.latencies = {{"mul", GetParam()}, {"add", GetParam() / 2}};
-  harness::VerifyOptions options;
-  options.generate_artifacts = false;
-  auto outcome = harness::run_test_case(test, options);
+  auto outcome = harness::run_test_case(test);
   EXPECT_TRUE(outcome.passed) << outcome.message;
 }
 

@@ -182,11 +182,9 @@ TEST_P(RandomProgramEquivalence, AllThreeExecutionsAgree) {
   test.scalar_args = {{"n", static_cast<std::int64_t>(data_rng.below(16))}};
   test.inputs = {{"a", data_rng.sequence(16, 1 << 20)},
                  {"b", data_rng.sequence(16, 1 << 16)}};
-  harness::VerifyOptions options;
-  options.generate_artifacts = false;
 
   // Golden interpreter vs event-driven simulation (with XML round-trip).
-  harness::VerifyOutcome outcome = harness::run_test_case(test, options);
+  harness::VerifyOutcome outcome = harness::run_test_case(test);
   EXPECT_TRUE(outcome.passed) << outcome.message;
 
   // Naive baseline must agree with the golden model too.
@@ -233,9 +231,7 @@ TEST_P(RandomPartitionedEquivalence, RtgRunsMatchGolden) {
   test.scalar_args = {{"n", static_cast<std::int64_t>(data_rng.below(16))}};
   test.inputs = {{"a", data_rng.sequence(16, 1 << 20)},
                  {"b", data_rng.sequence(16, 1 << 16)}};
-  harness::VerifyOptions options;
-  options.generate_artifacts = false;
-  harness::VerifyOutcome outcome = harness::run_test_case(test, options);
+  harness::VerifyOutcome outcome = harness::run_test_case(test);
   EXPECT_TRUE(outcome.passed) << outcome.message;
   EXPECT_GE(outcome.run.partitions.size(), 2u);
 }
@@ -257,9 +253,7 @@ TEST_P(ResourceSweep, ConstraintsChangeScheduleNotSemantics) {
   test.inputs = {{"a", data_rng.sequence(16, 1 << 20)},
                  {"b", data_rng.sequence(16, 1 << 16)}};
   test.resources.default_limit = GetParam();
-  harness::VerifyOptions options;
-  options.generate_artifacts = false;
-  harness::VerifyOutcome outcome = harness::run_test_case(test, options);
+  harness::VerifyOutcome outcome = harness::run_test_case(test);
   EXPECT_TRUE(outcome.passed) << outcome.message << "\n" << source;
 }
 

@@ -44,9 +44,7 @@ TEST(SuiteIo, LoadsKernelWithSidecars) {
   EXPECT_EQ(test.inputs.at("a"),
             (std::vector<std::uint64_t>{10, 20, 30, 40}));
 
-  VerifyOptions options;
-  options.generate_artifacts = false;
-  VerifyOutcome outcome = run_test_case(test, options);
+  VerifyOutcome outcome = run_test_case(test);
   EXPECT_TRUE(outcome.passed) << outcome.message;
 }
 
@@ -57,7 +55,6 @@ TEST(SuiteIo, SuiteDirRunsEveryKernel) {
   TestSuite suite = load_suite_dir(dir);
   EXPECT_EQ(suite.size(), 2u);
   VerifyOptions options;
-  options.generate_artifacts = false;
   SuiteReport report = suite.run_all(options);
   EXPECT_TRUE(report.all_passed());
   ASSERT_EQ(report.rows.size(), 2u);
@@ -73,9 +70,7 @@ TEST(SuiteIo, RomDirective) {
   util::write_file(dir / "r.a.dat", "5 6\n");
   TestCase test = load_test_case(dir / "r.k");
   EXPECT_TRUE(test.embed_inputs);
-  VerifyOptions options;
-  options.generate_artifacts = false;
-  EXPECT_TRUE(run_test_case(test, options).passed);
+  EXPECT_TRUE(run_test_case(test).passed);
 }
 
 TEST(SuiteIo, Errors) {
