@@ -252,24 +252,17 @@ struct InjectRequest {
   std::uint64_t seed = 1;
   std::uint64_t runs = 40;
   fuzz::GeneratorOptions generator;
-  /// `fti_fuzz inject --4state`: instead of the static lint-recall
-  /// cross-check, plant kUninitRegister defects and measure that 2-state
-  /// differential simulation launders them while the 4-state checker
-  /// reports them (experiment E10).  four_state_report carries the result.
-  bool four_state = false;
-  /// `fti_fuzz inject --semantic`: plant the behaviour-neutral semantic
-  /// defect classes (oob-index, const-false-guard, live-truncation) and
-  /// measure that 2-state differential simulation launders them while
-  /// the dataflow lint tier proves them statically (experiment E11).
-  /// semantic_report carries the result.
-  bool semantic = false;
+  /// The recall experiment: static lint (default), `--semantic` (E11:
+  /// behaviour-neutral classes the dataflow tier must prove) or
+  /// `--4state` (E10: uninit-register defects the 4-state checker must
+  /// report).  The last two also require 2-state differential simulation
+  /// to launder every planted defect.
+  fuzz::InjectMode mode = fuzz::InjectMode::kLint;
 };
 
 struct InjectResult {
   int exit_code = 2;
   fuzz::InjectionReport report;
-  fuzz::FourStateInjectionReport four_state_report;
-  fuzz::SemanticInjectionReport semantic_report;
 };
 
 InjectResult run_inject(const InjectRequest& request,

@@ -115,77 +115,19 @@ InjectResult run_inject(const InjectRequest& request,
   (void)context;
   (void)err;
   InjectResult result;
-  if (request.four_state) {
-    // E10: the dynamic-recall experiment.  In-process only -- no
-    // external simulator involved, so it runs everywhere.
-    result.four_state_report = fuzz::run_four_state_injection(
-        request.seed, request.runs, request.generator);
-    const fuzz::FourStateInjectionOutcome& outcome =
-        result.four_state_report.outcome;
-    out << "uninit-register (FTI-L010, dynamic): " << outcome.injected
-        << " injected across " << outcome.cases_tried << " case(s)\n"
-        << "  2-state lanes still agree (laundered): " << outcome.laundered
-        << "/" << outcome.injected << "\n"
-        << "  4-state checker detected:              " << outcome.detected
-        << "/" << outcome.injected << "\n";
-    if (outcome.missed > 0) {
-      out << "  MISSED " << outcome.missed << ", seeds:";
-      for (std::uint64_t missed_seed : outcome.missed_seeds) {
-        out << " " << missed_seed;
-      }
-      out << "\n";
+  result.report = fuzz::run_injection(request.mode, request.seed,
+                                      request.runs, request.generator);
+  const fuzz::InjectionReport& report = result.report;
+  for (const fuzz::InjectionOutcome& outcome : report.outcomes) {
+    const fuzz::DefectInfo& info = fuzz::defect_info(outcome.defect);
+    out << info.name << " (" << info.rule << ", "
+        << fuzz::to_string(report.mode) << "): " << outcome.detected << "/"
+        << outcome.injected << " detected";
+    if (report.checks_laundering()) {
+      out << ", " << outcome.laundered << "/" << outcome.injected
+          << " laundered by 2-state lanes";
     }
-    if (result.four_state_report.ok()) {
-      out << "PASS: 2-state laundered every defect, 4-state caught every "
-             "one\n";
-      result.exit_code = 0;
-    } else {
-      out << "FAIL: the 4-state recall claim does not hold (see above)\n";
-      result.exit_code = 1;
-    }
-    return result;
-  }
-  if (request.semantic) {
-    // E11: the semantic-recall experiment.  Each class's edit is
-    // behaviour-neutral, so the differential lanes measure laundering
-    // and the dataflow lint tier measures detection.
-    result.semantic_report = fuzz::run_semantic_injection(
-        request.seed, request.runs, request.generator);
-    for (const fuzz::SemanticInjectionOutcome& outcome :
-         result.semantic_report.outcomes) {
-      out << fuzz::to_string(outcome.defect) << " ("
-          << fuzz::expected_rule(outcome.defect) << ", semantic): "
-          << outcome.injected << " injected across " << outcome.cases_tried
-          << " case(s)\n"
-          << "  2-state lanes still agree (laundered): " << outcome.laundered
-          << "/" << outcome.injected << "\n"
-          << "  semantic lint detected:                " << outcome.detected
-          << "/" << outcome.injected << "\n";
-      if (outcome.missed > 0) {
-        out << "  MISSED " << outcome.missed << ", seeds:";
-        for (std::uint64_t missed_seed : outcome.missed_seeds) {
-          out << " " << missed_seed;
-        }
-        out << "\n";
-      }
-    }
-    if (result.semantic_report.ok()) {
-      out << "PASS: 2-state laundered every defect, the semantic tier "
-             "proved every one\n";
-      result.exit_code = 0;
-    } else {
-      out << "FAIL: the semantic recall claim does not hold (see above)\n";
-      result.exit_code = 1;
-    }
-    return result;
-  }
-  result.report =
-      fuzz::run_injection(request.seed, request.runs, request.generator);
-  for (const fuzz::InjectionOutcome& outcome : result.report.outcomes) {
-    out << fuzz::to_string(outcome.defect) << " ("
-        << fuzz::expected_rule(outcome.defect) << "): " << outcome.detected
-        << "/" << outcome.injected << " detected across "
-        << outcome.cases_tried << " case(s)";
+    out << " across " << outcome.cases_tried << " case(s)";
     if (outcome.injected == 0) {
       out << "  [NO APPLICABLE SITE]";
     }
@@ -198,12 +140,17 @@ InjectResult run_inject(const InjectRequest& request,
     }
     out << "\n";
   }
-  if (result.report.ok()) {
-    out << "PASS: every planted defect class was detected\n";
+  if (report.ok()) {
+    out << "PASS: every planted defect was detected"
+        << (report.checks_laundering()
+                ? " and laundered by 2-state simulation"
+                : "")
+        << "\n";
     result.exit_code = 0;
     return result;
   }
-  out << "FAIL: lint recall gap (see above)\n";
+  out << "FAIL: " << fuzz::to_string(report.mode)
+      << " recall gap (see above)\n";
   result.exit_code = 1;
   return result;
 }

@@ -1,6 +1,7 @@
 #include "fti/fuzz/inject.hpp"
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <set>
 
@@ -11,76 +12,6 @@
 #include "fti/xsim/fourstate.hpp"
 
 namespace fti::fuzz {
-
-std::string_view to_string(DefectClass defect) {
-  switch (defect) {
-    case DefectClass::kMultiDriver:
-      return "multi-driver";
-    case DefectClass::kWidthMismatch:
-      return "width-mismatch";
-    case DefectClass::kCombCycle:
-      return "comb-cycle";
-    case DefectClass::kDeadState:
-      return "dead-state";
-    case DefectClass::kUnreachableTransition:
-      return "unreachable-transition";
-    case DefectClass::kReadBeforeWrite:
-      return "read-before-write";
-    case DefectClass::kUninitRegister:
-      return "uninit-register";
-    case DefectClass::kOobIndex:
-      return "oob-index";
-    case DefectClass::kConstFalseGuard:
-      return "const-false-guard";
-    case DefectClass::kLiveTruncation:
-      return "live-truncation";
-  }
-  return "unknown";
-}
-
-std::string_view expected_rule(DefectClass defect) {
-  switch (defect) {
-    case DefectClass::kMultiDriver:
-      return "FTI-L001";
-    case DefectClass::kWidthMismatch:
-      return "FTI-L004";
-    case DefectClass::kCombCycle:
-      return "FTI-L005";
-    case DefectClass::kDeadState:
-      return "FTI-L006";
-    case DefectClass::kUnreachableTransition:
-      return "FTI-L007";
-    case DefectClass::kReadBeforeWrite:
-      return "FTI-L009";
-    case DefectClass::kUninitRegister:
-      return "FTI-L010";  // via the 4-state checker, not static lint
-    case DefectClass::kOobIndex:
-      return "FTI-L012";
-    case DefectClass::kConstFalseGuard:
-      return "FTI-L013";
-    case DefectClass::kLiveTruncation:
-      return "FTI-L014";
-  }
-  return "";
-}
-
-const std::vector<DefectClass>& all_defect_classes() {
-  static const std::vector<DefectClass> kClasses = {
-      DefectClass::kMultiDriver,           DefectClass::kWidthMismatch,
-      DefectClass::kCombCycle,             DefectClass::kDeadState,
-      DefectClass::kUnreachableTransition, DefectClass::kReadBeforeWrite,
-  };
-  return kClasses;
-}
-
-const std::vector<DefectClass>& semantic_defect_classes() {
-  static const std::vector<DefectClass> kClasses = {
-      DefectClass::kOobIndex,
-      DefectClass::kConstFalseGuard,
-      DefectClass::kLiveTruncation,
-  };
-  return kClasses;
-}
 
 namespace {
 
@@ -588,13 +519,84 @@ bool inject_live_truncation(ir::Design& design, Rng& rng) {
   return true;
 }
 
-bool rule_fired(const lint::Report& report, std::string_view rule) {
-  for (const lint::Finding& finding : report.findings) {
+constexpr std::array<DefectInfo, 10> kDefects = {{
+    {DefectClass::kMultiDriver, "multi-driver", "FTI-L001", InjectMode::kLint,
+     inject_multi_driver},
+    {DefectClass::kWidthMismatch, "width-mismatch", "FTI-L004",
+     InjectMode::kLint, inject_width_mismatch},
+    {DefectClass::kCombCycle, "comb-cycle", "FTI-L005", InjectMode::kLint,
+     inject_comb_cycle},
+    {DefectClass::kDeadState, "dead-state", "FTI-L006", InjectMode::kLint,
+     inject_dead_state},
+    {DefectClass::kUnreachableTransition, "unreachable-transition",
+     "FTI-L007", InjectMode::kLint, inject_unreachable_transition},
+    {DefectClass::kReadBeforeWrite, "read-before-write", "FTI-L009",
+     InjectMode::kLint, inject_read_before_write},
+    {DefectClass::kUninitRegister, "uninit-register", "FTI-L010",
+     InjectMode::kFourState, inject_uninit_register},
+    {DefectClass::kOobIndex, "oob-index", "FTI-L012", InjectMode::kSemantic,
+     inject_oob_index},
+    {DefectClass::kConstFalseGuard, "const-false-guard", "FTI-L013",
+     InjectMode::kSemantic, inject_const_false_guard},
+    {DefectClass::kLiveTruncation, "live-truncation", "FTI-L014",
+     InjectMode::kSemantic, inject_live_truncation},
+}};
+
+/// Rows are indexed by DefectClass value.
+constexpr bool rows_in_enum_order() {
+  for (std::size_t index = 0; index < kDefects.size(); ++index) {
+    if (static_cast<std::size_t>(kDefects[index].defect) != index) {
+      return false;
+    }
+  }
+  return true;
+}
+static_assert(rows_in_enum_order());
+
+bool lint_fires(const ir::Design& design, std::string_view rule) {
+  for (const lint::Finding& finding : lint::lint_design(design).findings) {
     if (finding.rule == rule) {
       return true;
     }
   }
   return false;
+}
+
+/// Every 4-state finding reports under FTI-L010, so any finding (or a
+/// run that does not complete) fires.
+bool four_state_fires(const ir::Design& design, std::string_view /*rule*/) {
+  // Every memory defined: the 2-state engines define fresh memories as
+  // zeros, so an undefined image would flood the run with X findings
+  // that have nothing to do with registers.  Register power-up stays X.
+  mem::MemoryPool stimulus;
+  for (const ir::MemoryDecl& memory : design.memory_requirements()) {
+    stimulus.create(memory.name, memory.depth, memory.width);
+  }
+  xsim::FourStateReport report =
+      xsim::run_four_state(design, {&stimulus}).front();
+  return !report.completed || !report.clean();
+}
+
+/// What each mode adds to the shared loop, indexed by InjectMode value.
+struct ModeSpec {
+  std::string_view name;
+  bool (*fires)(const ir::Design& design, std::string_view rule);
+  bool checks_laundering;
+  std::uint64_t salt;  ///< derives the injection RNG from the case seed
+  /// Applied to every generated design before the baseline check.
+  void (*prepare)(ir::Design& design);
+};
+
+constexpr std::array<ModeSpec, 3> kModes = {{
+    {"lint", lint_fires, false, 0x11a7, nullptr},
+    {"semantic", lint_fires, true, 0x5e11, nullptr},
+    // Tied-off resets leave the planted register the only one that
+    // powers up X.
+    {"4-state", four_state_fires, true, 0x11a7, tie_off_register_resets},
+}};
+
+const ModeSpec& mode_spec(InjectMode mode) {
+  return kModes.at(static_cast<std::size_t>(mode));
 }
 
 }  // namespace
@@ -632,45 +634,48 @@ void tie_off_register_resets(ir::Design& design) {
   }
 }
 
-bool inject_defect(ir::Design& design, DefectClass defect, Rng& rng) {
-  switch (defect) {
-    case DefectClass::kMultiDriver:
-      return inject_multi_driver(design, rng);
-    case DefectClass::kWidthMismatch:
-      return inject_width_mismatch(design, rng);
-    case DefectClass::kCombCycle:
-      return inject_comb_cycle(design, rng);
-    case DefectClass::kDeadState:
-      return inject_dead_state(design, rng);
-    case DefectClass::kUnreachableTransition:
-      return inject_unreachable_transition(design, rng);
-    case DefectClass::kReadBeforeWrite:
-      return inject_read_before_write(design, rng);
-    case DefectClass::kUninitRegister:
-      return inject_uninit_register(design, rng);
-    case DefectClass::kOobIndex:
-      return inject_oob_index(design, rng);
-    case DefectClass::kConstFalseGuard:
-      return inject_const_false_guard(design, rng);
-    case DefectClass::kLiveTruncation:
-      return inject_live_truncation(design, rng);
+std::string_view to_string(InjectMode mode) { return mode_spec(mode).name; }
+
+const DefectInfo& defect_info(DefectClass defect) {
+  return kDefects.at(static_cast<std::size_t>(defect));
+}
+
+std::vector<DefectClass> defect_classes(InjectMode mode) {
+  std::vector<DefectClass> classes;
+  for (const DefectInfo& info : kDefects) {
+    if (info.mode == mode) {
+      classes.push_back(info.defect);
+    }
   }
-  return false;
+  return classes;
+}
+
+bool rule_fires(const DefectInfo& info, const ir::Design& design) {
+  return mode_spec(info.mode).fires(design, info.rule);
+}
+
+bool InjectionReport::checks_laundering() const {
+  return mode_spec(mode).checks_laundering;
 }
 
 bool InjectionReport::ok() const {
   for (const InjectionOutcome& outcome : outcomes) {
-    if (outcome.injected == 0 || outcome.missed != 0) {
+    if (outcome.injected == 0 || outcome.missed != 0 ||
+        (checks_laundering() && outcome.laundered != outcome.injected)) {
       return false;
     }
   }
   return !outcomes.empty();
 }
 
-InjectionReport run_injection(std::uint64_t seed, std::uint64_t runs,
+InjectionReport run_injection(InjectMode mode, std::uint64_t seed,
+                              std::uint64_t runs,
                               const GeneratorOptions& options) {
+  const ModeSpec& spec = mode_spec(mode);
   InjectionReport report;
-  for (DefectClass defect : all_defect_classes()) {
+  report.mode = mode;
+  for (DefectClass defect : defect_classes(mode)) {
+    const DefectInfo& info = defect_info(defect);
     InjectionOutcome outcome;
     outcome.defect = defect;
     GeneratorOptions generator = options;
@@ -684,128 +689,25 @@ InjectionReport run_injection(std::uint64_t seed, std::uint64_t runs,
       std::uint64_t case_seed = Rng::derive(seed, index);
       ir::Design design = generate_design_seeded(case_seed, generator);
       ++outcome.cases_tried;
-      // A case only counts when the rule was silent before the edit;
+      if (spec.prepare != nullptr) {
+        spec.prepare(design);
+      }
+      // A case only counts when the detector is silent before the edit;
       // otherwise "detection" would not be attributable to the defect.
-      if (rule_fired(lint::lint_design(design), expected_rule(defect))) {
+      if (rule_fires(info, design)) {
         continue;
       }
-      Rng rng(Rng::derive(case_seed, 0x11a7));
-      if (!inject_defect(design, defect, rng)) {
-        continue;
-      }
-      ++outcome.injected;
-      if (rule_fired(lint::lint_design(design), expected_rule(defect))) {
-        ++outcome.detected;
-      } else {
-        ++outcome.missed;
-        outcome.missed_seeds.push_back(case_seed);
-      }
-    }
-    report.outcomes.push_back(std::move(outcome));
-  }
-  return report;
-}
-
-bool FourStateInjectionReport::ok() const {
-  return outcome.injected > 0 && outcome.missed == 0 &&
-         outcome.laundered == outcome.injected;
-}
-
-FourStateInjectionReport run_four_state_injection(
-    std::uint64_t seed, std::uint64_t runs, const GeneratorOptions& options) {
-  FourStateInjectionReport report;
-  FourStateInjectionOutcome& outcome = report.outcome;
-  for (std::uint64_t index = 0; index < runs; ++index) {
-    std::uint64_t case_seed = Rng::derive(seed, index);
-    ir::Design design = generate_design_seeded(case_seed, options);
-    ++outcome.cases_tried;
-    tie_off_register_resets(design);
-    // Give every memory a fully-defined (zero) stimulus image: the
-    // 2-state engines define fresh memories as zeros, so an undefined
-    // image would flood the 4-state baseline with X findings that have
-    // nothing to do with registers.  Register power-up stays X.
-    mem::MemoryPool stimulus;
-    for (const auto& [node, config] : design.configurations) {
-      for (const ir::MemoryDecl& decl : config.datapath.memories) {
-        if (!stimulus.contains(decl.name)) {
-          stimulus.create(decl.name, decl.depth, decl.width);
-        }
-      }
-    }
-    // Attribution mirrors run_injection's "rule silent before edit":
-    // only designs whose 4-state baseline is already clean count, so a
-    // post-edit finding is the planted defect and nothing else.  Designs
-    // the generator grew a reset-less register into are dirty on their
-    // own and are skipped here -- exactly the attribution filter.
-    xsim::FourStateReport before =
-        xsim::run_four_state(design, {&stimulus}).front();
-    if (!before.completed || !before.clean()) {
-      continue;
-    }
-    Rng rng(Rng::derive(case_seed, 0x11a7));
-    if (!inject_defect(design, DefectClass::kUninitRegister, rng)) {
-      continue;
-    }
-    ++outcome.injected;
-    // (a) The laundering claim: every 2-state lane powers the reset-less
-    // register up at its declared reset value, so the lanes still agree.
-    if (diff_design(design).ok) {
-      ++outcome.laundered;
-    }
-    // (b) The detection claim: under 4-state the register powers up X
-    // and the X reaches the memory write -- an FTI-L010 finding.
-    mem::MemoryPool edited_pool;
-    xsim::FourStateReport after =
-        xsim::run_four_state(design, {&edited_pool}).front();
-    if (!after.findings.empty()) {
-      ++outcome.detected;
-    } else {
-      ++outcome.missed;
-      outcome.missed_seeds.push_back(case_seed);
-    }
-  }
-  return report;
-}
-
-bool SemanticInjectionReport::ok() const {
-  for (const SemanticInjectionOutcome& outcome : outcomes) {
-    if (outcome.injected == 0 || outcome.missed != 0 ||
-        outcome.laundered != outcome.injected) {
-      return false;
-    }
-  }
-  return !outcomes.empty();
-}
-
-SemanticInjectionReport run_semantic_injection(
-    std::uint64_t seed, std::uint64_t runs, const GeneratorOptions& options) {
-  SemanticInjectionReport report;
-  for (DefectClass defect : semantic_defect_classes()) {
-    SemanticInjectionOutcome outcome;
-    outcome.defect = defect;
-    for (std::uint64_t index = 0; index < runs; ++index) {
-      std::uint64_t case_seed = Rng::derive(seed, index);
-      ir::Design design = generate_design_seeded(case_seed, options);
-      ++outcome.cases_tried;
-      // Attribution mirrors run_injection: the expected rule must be
-      // silent on the clean design, so a post-edit finding is the
-      // planted defect and nothing else.
-      if (rule_fired(lint::lint_design(design), expected_rule(defect))) {
-        continue;
-      }
-      Rng rng(Rng::derive(case_seed, 0x5e11));
-      if (!inject_defect(design, defect, rng)) {
+      Rng rng(Rng::derive(case_seed, spec.salt));
+      if (!info.inject(design, rng)) {
         continue;
       }
       ++outcome.injected;
-      // (a) The laundering claim: the edit is behaviour-neutral, so
-      // every 2-state engine still agrees -- functional testing passes
-      // the defective design.
-      if (diff_design(design).ok) {
+      // The laundering claim: every 2-state engine still agrees on the
+      // edited design, so functional testing passes it.
+      if (spec.checks_laundering && diff_design(design).ok) {
         ++outcome.laundered;
       }
-      // (b) The detection claim: the dataflow tier proves the bug.
-      if (rule_fired(lint::lint_design(design), expected_rule(defect))) {
+      if (rule_fires(info, design)) {
         ++outcome.detected;
       } else {
         ++outcome.missed;

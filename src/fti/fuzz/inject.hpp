@@ -1,11 +1,12 @@
-// Defect injection -- the lint-recall half of the fuzz/lint loop.
+// Defect injection -- the recall half of the fuzz/lint loop.
 //
 // The differential fuzzer proves the simulators agree on *valid* designs;
-// defect injection proves the static analyzer notices *invalid* ones.
-// Each DefectClass is one known-bad structural edit planted into an
-// otherwise valid generated design; the cross-check asserts the matching
-// lint rule fires after the edit (and did not fire before it), measuring
-// rule recall instead of trusting it.
+// defect injection proves the checkers notice *invalid* ones.  Each
+// DefectClass is one known-bad edit planted into an otherwise valid
+// generated design; one loop (run_injection) asserts the class's rule
+// fires after the edit and did not fire before it, measuring recall of
+// static lint, the semantic tier and the 4-state checker instead of
+// trusting it.
 #pragma once
 
 #include <cstdint>
@@ -32,15 +33,14 @@ enum class DefectClass {
                            ///< simulation launders it (registers power up
                            ///< at their reset value); only the 4-state
                            ///< checker (xsim::run_four_state) catches it,
-                           ///< reporting under FTI-L010.  Deliberately NOT
-                           ///< in all_defect_classes(): static lint cannot
+                           ///< reporting under FTI-L010.  Its mode is
+                           ///< kFourState, not kLint: static lint cannot
                            ///< see it, so it would break the recall gate.
   // --- Semantic classes (experiment E11).  Each edit is behaviour-
   // neutral -- every 2-state engine still computes the same memory
   // contents, so functional testing passes -- but the dataflow tier
-  // proves the bug pattern statically.  They live in
-  // semantic_defect_classes(), not all_defect_classes(): structural
-  // lint alone cannot see them.
+  // proves the bug pattern statically.  Their mode is kSemantic, not
+  // kLint: structural lint alone cannot see them.
   kOobIndex,               ///< read port with a constant address one past
                            ///< the end of its memory; engines drive the
                            ///< out-of-range dout as 0 (FTI-L012)
@@ -52,70 +52,36 @@ enum class DefectClass {
                            ///< that live bit (FTI-L014)
 };
 
-std::string_view to_string(DefectClass defect);
+/// The three recall experiments.  Each plants its classes into
+/// otherwise valid generated designs and asks its detector whether the
+/// class's rule fires:
+///   kLint      structural classes, lint_design (the static recall gate);
+///   kSemantic  behaviour-neutral classes, lint_design's dataflow tier
+///              (experiment E11);
+///   kFourState kUninitRegister, the 4-state checker over fully defined
+///              memories (experiment E10).
+/// kSemantic and kFourState also check that 2-state differential
+/// simulation launders every planted defect.
+enum class InjectMode { kLint, kSemantic, kFourState };
 
-/// Lint rule ID the injected defect must trigger.  For kUninitRegister
-/// the rule is dynamic: FTI-L010 findings come from the 4-state checker,
-/// not from lint_design.
-std::string_view expected_rule(DefectClass defect);
+std::string_view to_string(InjectMode mode);
 
-/// All statically detectable classes, in declaration order (excludes
-/// kUninitRegister, whose detection needs 4-state execution).
-const std::vector<DefectClass>& all_defect_classes();
-
-/// The semantic classes (kOobIndex, kConstFalseGuard, kLiveTruncation):
-/// detectable only by the abstract-interpretation lint tier, invisible
-/// to 2-state simulation.
-const std::vector<DefectClass>& semantic_defect_classes();
-
-/// Plants the defect into the design (one random applicable site).
-/// Returns false -- leaving the design untouched -- when the design has
-/// no applicable site.  Deterministic for a fixed (design, rng state).
-bool inject_defect(ir::Design& design, DefectClass defect, Rng& rng);
-
-struct InjectionOutcome {
-  DefectClass defect{};
-  std::uint64_t cases_tried = 0;  ///< generated designs examined
-  std::uint64_t injected = 0;     ///< designs that offered a site
-  std::uint64_t detected = 0;     ///< expected rule fired post-edit
-  std::uint64_t missed = 0;       ///< rule stayed silent (a recall bug)
-  /// Seeds of missed cases, for reproduction.
-  std::vector<std::uint64_t> missed_seeds;
+/// One row of the defect-class table.
+struct DefectInfo {
+  DefectClass defect;
+  std::string_view name;  ///< "multi-driver", ...
+  std::string_view rule;  ///< lint rule ID the planted defect must trigger
+  InjectMode mode;        ///< the experiment that measures the class
+  /// Plants the defect at one random applicable site.  Returns false --
+  /// leaving the design untouched -- when the design has no applicable
+  /// site.  Deterministic for a fixed (design, rng state).
+  bool (*inject)(ir::Design& design, Rng& rng);
 };
 
-struct InjectionReport {
-  std::vector<InjectionOutcome> outcomes;
+const DefectInfo& defect_info(DefectClass defect);
 
-  /// Recall holds: every class found at least one applicable site and no
-  /// injected defect went undetected.
-  bool ok() const;
-};
-
-/// Runs the cross-check: for every defect class, generate up to `runs`
-/// designs (case seeds derived from `seed`), plant the defect where a
-/// site exists, and lint before/after.  A case counts as injected only
-/// when the expected rule was silent pre-edit; it must fire post-edit.
-InjectionReport run_injection(std::uint64_t seed, std::uint64_t runs,
-                              const GeneratorOptions& options = {});
-
-/// Recall of the *dynamic* checker (experiment E10): kUninitRegister's
-/// laundering claim, measured.  For each case seed: generate a design
-/// whose 4-state baseline is clean (registers reset, no X reaches an
-/// observable), plant kUninitRegister where a site exists, then
-/// (a) run the 2-state differential lanes on the edited design -- they
-///     should still agree (`laundered`): every 2-state engine powers the
-///     reset-less register up at its reset value, so the defect is
-///     invisible;
-/// (b) run the 4-state checker -- it must report an FTI-L010 finding
-///     (`detected`); a silent case is a recall bug (`missed`).
-struct FourStateInjectionOutcome {
-  std::uint64_t cases_tried = 0;  ///< generated designs examined
-  std::uint64_t injected = 0;     ///< clean baseline + applicable site
-  std::uint64_t laundered = 0;    ///< 2-state lanes still agree post-edit
-  std::uint64_t detected = 0;     ///< 4-state reported a finding post-edit
-  std::uint64_t missed = 0;       ///< 4-state stayed silent (recall bug)
-  std::vector<std::uint64_t> missed_seeds;
-};
+/// The classes `mode` measures, in declaration order.
+std::vector<DefectClass> defect_classes(InjectMode mode);
 
 /// E10 baseline preparation: gives every reset-less register an rst
 /// port tied to a constant 0.  2-state behaviour is untouched (the reset
@@ -126,49 +92,51 @@ struct FourStateInjectionOutcome {
 /// are filtered out by the clean-baseline gate.
 void tie_off_register_resets(ir::Design& design);
 
-struct FourStateInjectionReport {
-  FourStateInjectionOutcome outcome;
+/// The detector `run_injection` asks before and after the edit: does
+/// `info.rule` fire on `design` under `info.mode`?  kLint and kSemantic
+/// lint the design; kFourState runs the 4-state checker with every
+/// memory defined (zero-filled, as 2-state engines define fresh
+/// memories), so only X the design itself creates -- a reset-less
+/// register -- fires; a run that does not complete fires too.
+bool rule_fires(const DefectInfo& info, const ir::Design& design);
 
-  /// The experiment's claim holds: at least one site was found, every
-  /// injected defect was laundered by 2-state simulation, and every one
-  /// was detected by the 4-state checker.
-  bool ok() const;
-};
-
-FourStateInjectionReport run_four_state_injection(
-    std::uint64_t seed, std::uint64_t runs,
-    const GeneratorOptions& options = {});
-
-/// Recall of the *semantic* lint tier (experiment E11), one outcome per
-/// semantic defect class.  For each case seed: generate a design on
-/// which the expected rule is silent, plant the defect where a site
-/// exists, then
-/// (a) run the 2-state differential lanes on the edited design -- they
-///     must still agree (`laundered`): every edit is behaviour-neutral,
-///     so functional testing cannot see the bug;
-/// (b) lint with the semantic tier on -- the expected rule must fire
-///     (`detected`); a silent case is a recall bug (`missed`).
-struct SemanticInjectionOutcome {
+struct InjectionOutcome {
   DefectClass defect{};
   std::uint64_t cases_tried = 0;  ///< generated designs examined
   std::uint64_t injected = 0;     ///< rule silent pre-edit + applicable site
-  std::uint64_t laundered = 0;    ///< 2-state lanes still agree post-edit
-  std::uint64_t detected = 0;     ///< expected rule fired post-edit
+  /// 2-state differential lanes still agree post-edit (kSemantic and
+  /// kFourState only; stays 0 under kLint).
+  std::uint64_t laundered = 0;
+  std::uint64_t detected = 0;     ///< rule fired post-edit
   std::uint64_t missed = 0;       ///< rule stayed silent (a recall bug)
+  /// Seeds of missed cases, for reproduction.
   std::vector<std::uint64_t> missed_seeds;
 };
 
-struct SemanticInjectionReport {
-  std::vector<SemanticInjectionOutcome> outcomes;
+struct InjectionReport {
+  InjectMode mode{};
+  std::vector<InjectionOutcome> outcomes;
 
-  /// The experiment's claim holds for every class: at least one site was
-  /// found, every injected defect was laundered by 2-state simulation,
-  /// and every one was proved statically.
+  /// Whether the mode checks 2-state laundering.
+  bool checks_laundering() const;
+
+  /// The experiment's claim holds: every class found at least one
+  /// applicable site, no injected defect went undetected, and (when
+  /// checked) 2-state simulation laundered every one.
   bool ok() const;
 };
 
-SemanticInjectionReport run_semantic_injection(
-    std::uint64_t seed, std::uint64_t runs,
-    const GeneratorOptions& options = {});
+/// Runs one recall experiment: for every class of `mode`, generate up to
+/// `runs` designs (case seeds derived from `seed`), keep those on which
+/// the detector is silent, plant the defect where a site exists, then
+/// (a) when the mode checks it, run the 2-state differential lanes on
+///     the edited design -- they must still agree (`laundered`);
+/// (b) ask the same detector again -- it must fire (`detected`); a
+///     silent case is a recall bug (`missed`).
+/// Because the detector and its stimulus are identical before and after
+/// the edit, a detection is attributable to the planted defect alone.
+InjectionReport run_injection(InjectMode mode, std::uint64_t seed,
+                              std::uint64_t runs,
+                              const GeneratorOptions& options = {});
 
 }  // namespace fti::fuzz

@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <csignal>
 #include <cstring>
+#include <limits>
 #include <sstream>
 
 #include "fti/elab/engines.hpp"
@@ -38,6 +39,18 @@ std::uint64_t u64_or(const util::JsonValue& doc, std::string_view key,
                      std::uint64_t fallback) {
   const util::JsonValue* value = doc.find(key);
   return value != nullptr ? value->as_u64() : fallback;
+}
+
+/// u64_or for 32-bit fields: a value that does not fit is a protocol
+/// error, never silently wrapped.
+std::uint32_t u32_or(const util::JsonValue& doc, std::string_view key,
+                     std::uint32_t fallback) {
+  std::uint64_t value = u64_or(doc, key, fallback);
+  if (value > std::numeric_limits<std::uint32_t>::max()) {
+    throw protocol_error("\"" + std::string(key) + "\" value " +
+                         std::to_string(value) + " is out of range");
+  }
+  return static_cast<std::uint32_t>(value);
 }
 
 bool bool_or(const util::JsonValue& doc, std::string_view key, bool fallback) {
@@ -439,7 +452,7 @@ std::string Server::submit_job(const std::string& kind,
     request.engine = str_or(doc, "engine", request.engine);
     request.lint_gate = gate_or(doc, request.lint_gate);
     request.semantic = bool_or(doc, "semantic", request.semantic);
-    request.lanes = static_cast<std::uint32_t>(u64_or(doc, "lanes", 1));
+    request.lanes = u32_or(doc, "lanes", 1);
     request.lane_seed = u64_or(doc, "lane_seed", 1);
     job->name = str_or(doc, "name", request.test.name);
     body = [this, request = std::move(request)](std::ostream& out,
@@ -455,9 +468,9 @@ std::string Server::submit_job(const std::string& kind,
     request.engine = str_or(doc, "engine", request.engine);
     request.lint_gate = gate_or(doc, request.lint_gate);
     request.semantic = bool_or(doc, "semantic", request.semantic);
-    request.lanes = static_cast<std::uint32_t>(u64_or(doc, "lanes", 1));
+    request.lanes = u32_or(doc, "lanes", 1);
     request.lane_seed = u64_or(doc, "lane_seed", 1);
-    request.jobs = static_cast<std::uint32_t>(u64_or(doc, "jobs", 1));
+    request.jobs = u32_or(doc, "jobs", 1);
     request.name = str_or(doc, "name", request.suite_dir.filename().string());
     job->name = request.name;
     body = [this, request = std::move(request)](std::ostream& out,

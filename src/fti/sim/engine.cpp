@@ -31,18 +31,22 @@ double EngineResult::total_wall_seconds() const {
   return total;
 }
 
-void Engine::check_batch_lanes(
-    const std::vector<mem::MemoryPool*>& lanes) const {
-  if (lanes.empty()) {
+void Engine::check_lane_count(std::size_t lanes) const {
+  if (lanes == 0) {
     throw util::SimError("engine '" + name() +
                          "': run_batch needs at least one lane");
   }
-  if (lanes.size() > max_lanes()) {
+  if (lanes > max_lanes()) {
     throw util::SimError(
         "engine '" + name() + "': run_batch called with " +
-        std::to_string(lanes.size()) + " lanes, above the engine's maximum "
+        std::to_string(lanes) + " lanes, above the engine's maximum "
         "of " + std::to_string(max_lanes()));
   }
+}
+
+void Engine::check_batch_lanes(
+    const std::vector<mem::MemoryPool*>& lanes) const {
+  check_lane_count(lanes.size());
   for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
     if (lanes[lane] == nullptr) {
       throw util::SimError("engine '" + name() + "': run_batch lane " +

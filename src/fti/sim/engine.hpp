@@ -125,6 +125,11 @@ class Engine {
   /// supports; the default covers the looping fallback.
   virtual std::size_t max_lanes() const { return kDefaultMaxLanes; }
 
+  /// Throws the SimError run_batch raises for `lanes` lanes when the
+  /// count is zero or above max_lanes(), so a caller can reject a batch
+  /// before building its stimulus.
+  void check_lane_count(std::size_t lanes) const;
+
   /// Runs `design` once per stimulus lane: lanes[k] is lane k's memory
   /// pool (its pre-run contents are that lane's stimulus, exactly as a
   /// pool passed to run()), and slot k of the returned vector is lane k's

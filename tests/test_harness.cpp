@@ -50,6 +50,39 @@ TEST(TestCase, OversizedInputThrows) {
   EXPECT_THROW(run_test_case(test), util::IoError);
 }
 
+TEST(TestCase, EngineAndLaneBoundAreCheckedBeforeGoldenRuns) {
+  // n overruns the arrays, so this case's golden run fails with its own
+  // message; only a check made before any golden work (or per-lane pool)
+  // can report the engine's lane bound or an unknown engine instead.
+  TestCase test = square_case();
+  test.scalar_args["n"] = 16;
+  VerifyOptions options;
+  options.lint_gate = lint::Gate::kOff;
+  options.engine = "batched";
+  options.lanes = static_cast<std::uint32_t>(
+      elab::make_engine("batched")->max_lanes() + 1);
+  auto message_of = [&]() -> std::string {
+    try {
+      run_test_case(test, options);
+    } catch (const util::SimError& e) {
+      return e.what();
+    }
+    return "no SimError";
+  };
+  std::string oversized = message_of();
+  EXPECT_NE(oversized.find("engine 'batched': run_batch called with " +
+                           std::to_string(options.lanes) + " lanes"),
+            std::string::npos)
+      << oversized;
+
+  options.lanes = 1;
+  options.engine = "no-such-engine";
+  std::string unknown = message_of();
+  EXPECT_NE(unknown.find("unknown engine 'no-such-engine'"),
+            std::string::npos)
+      << unknown;
+}
+
 TEST(TestCase, CycleBudgetFailureIsAVerdictNotAnException) {
   TestCase test = square_case();
   test.max_cycles = 3;  // far too few

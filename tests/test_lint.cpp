@@ -865,13 +865,15 @@ TEST(LintInjection, EveryDefectClassIsDetected) {
   fuzz::GeneratorOptions generator;
   generator.max_units = 10;
   generator.max_run_cycles = 16;
-  fuzz::InjectionReport report = fuzz::run_injection(21, 6, generator);
-  ASSERT_EQ(report.outcomes.size(), fuzz::all_defect_classes().size());
+  fuzz::InjectionReport report =
+      fuzz::run_injection(fuzz::InjectMode::kLint, 21, 6, generator);
+  ASSERT_EQ(report.outcomes.size(),
+            fuzz::defect_classes(fuzz::InjectMode::kLint).size());
   for (const fuzz::InjectionOutcome& outcome : report.outcomes) {
     EXPECT_GT(outcome.injected, 0u)
-        << "no applicable site for " << fuzz::to_string(outcome.defect);
+        << "no applicable site for " << fuzz::defect_info(outcome.defect).name;
     EXPECT_EQ(outcome.missed, 0u)
-        << fuzz::to_string(outcome.defect) << " missed "
+        << fuzz::defect_info(outcome.defect).name << " missed "
         << outcome.missed << " case(s)";
   }
   EXPECT_TRUE(report.ok());
@@ -962,18 +964,17 @@ TEST(LintInjection, SemanticClassesAreLaunderedAndProved) {
   fuzz::GeneratorOptions generator;
   generator.max_units = 12;
   generator.max_run_cycles = 24;
-  fuzz::SemanticInjectionReport report =
-      fuzz::run_semantic_injection(7, 8, generator);
-  ASSERT_EQ(report.outcomes.size(), fuzz::semantic_defect_classes().size());
-  for (const fuzz::SemanticInjectionOutcome& outcome : report.outcomes) {
-    EXPECT_GT(outcome.injected, 0u)
-        << "no applicable site for " << fuzz::to_string(outcome.defect);
+  fuzz::InjectionReport report =
+      fuzz::run_injection(fuzz::InjectMode::kSemantic, 7, 8, generator);
+  ASSERT_EQ(report.outcomes.size(),
+            fuzz::defect_classes(fuzz::InjectMode::kSemantic).size());
+  for (const fuzz::InjectionOutcome& outcome : report.outcomes) {
+    const std::string_view name = fuzz::defect_info(outcome.defect).name;
+    EXPECT_GT(outcome.injected, 0u) << "no applicable site for " << name;
     EXPECT_EQ(outcome.laundered, outcome.injected)
-        << fuzz::to_string(outcome.defect)
-        << " was visible to a 2-state engine lane";
+        << name << " was visible to a 2-state engine lane";
     EXPECT_EQ(outcome.missed, 0u)
-        << fuzz::to_string(outcome.defect) << " missed " << outcome.missed
-        << " case(s)";
+        << name << " missed " << outcome.missed << " case(s)";
   }
   EXPECT_TRUE(report.ok());
 }
@@ -983,10 +984,10 @@ TEST(LintInjection, InjectionIsDeterministic) {
   ir::Design b = fuzz::generate_design_seeded(99, {});
   fuzz::Rng rng_a(5);
   fuzz::Rng rng_b(5);
-  bool did_a =
-      fuzz::inject_defect(a, fuzz::DefectClass::kMultiDriver, rng_a);
-  bool did_b =
-      fuzz::inject_defect(b, fuzz::DefectClass::kMultiDriver, rng_b);
+  const fuzz::DefectInfo& info =
+      fuzz::defect_info(fuzz::DefectClass::kMultiDriver);
+  bool did_a = info.inject(a, rng_a);
+  bool did_b = info.inject(b, rng_b);
   ASSERT_EQ(did_a, did_b);
   Report report_a = lint_design(a);
   Report report_b = lint_design(b);

@@ -7,12 +7,18 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "fti/compiler/hls.hpp"
 #include "fti/fuzz/generate.hpp"
 #include "fti/fuzz/rand.hpp"
+#include "fti/golden/fdct.hpp"
+#include "fti/golden/fir.hpp"
+#include "fti/golden/hamming.hpp"
+#include "fti/golden/matmul.hpp"
 #include "fti/harness/suite_io.hpp"
 #include "fti/ir/rtg.hpp"
 #include "fti/ir/serde.hpp"
@@ -109,6 +115,59 @@ TEST(XmlRoundTrip, CompactAndIndentedFormsParseAlike) {
 
 // -- fuzz-generated designs through the IR serde ---------------------------
 
+/// The compiled designs `fti verify` round-trips: every sample kernel
+/// under its .args sidecar, and the golden FDCT/FIR/Hamming/matmul
+/// kernels at the sizes the regression benchmark verifies.
+std::vector<std::pair<std::string, ir::Design>> compiled_designs() {
+  std::vector<harness::TestCase> tests;
+  const std::filesystem::path examples =
+      std::filesystem::path(FTI_TEST_DATA_DIR).parent_path().parent_path() /
+      "examples" / "kernels";
+  for (const auto& entry : std::filesystem::directory_iterator(examples)) {
+    if (entry.path().extension() == ".k") {
+      tests.push_back(harness::load_test_case(entry.path()));
+    }
+  }
+  auto golden = [&](std::string name, std::string source,
+                    std::map<std::string, std::int64_t> args) {
+    harness::TestCase test;
+    test.name = std::move(name);
+    test.source = std::move(source);
+    test.scalar_args = std::move(args);
+    tests.push_back(std::move(test));
+  };
+  for (auto [blocks, two_stage] : {std::pair<std::size_t, bool>{1, false},
+                                   {1, true},
+                                   {2, true}}) {
+    golden("fdct", golden::fdct_source(blocks, two_stage),
+           {{"nblocks", static_cast<std::int64_t>(blocks)}});
+  }
+  for (auto [samples, taps] : {std::pair<std::int64_t, std::int64_t>{16, 4},
+                               {32, 8},
+                               {64, 16}}) {
+    golden("fir", golden::fir_source(samples, taps),
+           {{"n", samples}, {"taps", taps}});
+  }
+  for (std::int64_t words : {32, 128}) {
+    golden("hamming", golden::hamming_source(words), {{"n", words}});
+  }
+  for (std::int64_t n : {4, 6, 8}) {
+    golden("matmul", golden::matmul_source(n), {{"n", n}});
+  }
+  std::vector<std::pair<std::string, ir::Design>> designs;
+  for (const harness::TestCase& test : tests) {
+    compiler::CompileOptions options;
+    options.resources = test.resources;
+    options.scalar_args = test.scalar_args;
+    if (test.embed_inputs) {
+      options.rom_contents = test.inputs;
+    }
+    designs.emplace_back(test.name,
+                         compiler::compile_source(test.source, options).design);
+  }
+  return designs;
+}
+
 TEST(DesignRoundTrip, GeneratedDesignsSurviveSerde) {
   fuzz::GeneratorOptions options;
   options.max_units = 14;
@@ -121,6 +180,17 @@ TEST(DesignRoundTrip, GeneratedDesignsSurviveSerde) {
     // parse-then-serialize is the identity on serialized designs.
     EXPECT_EQ(first, xml::to_string(*ir::to_xml(reloaded)))
         << "seed " << seed;
+  }
+  // The same identity on compiled designs: verify relies on it and no
+  // longer re-checks it per run.
+  std::vector<std::pair<std::string, ir::Design>> compiled =
+      compiled_designs();
+  EXPECT_EQ(compiled.size(), 15u);
+  for (const auto& [name, design] : compiled) {
+    std::string first = xml::to_string(*ir::to_xml(design));
+    EXPECT_EQ(first, xml::to_string(*ir::to_xml(
+                         ir::design_from_xml(*xml::parse(first)))))
+        << name;
   }
 }
 

@@ -78,6 +78,18 @@ TEST_F(ServeTest, MalformedAndUnknownRequestsFailSoftly) {
             std::string::npos);
 }
 
+TEST_F(ServeTest, LanesAboveUint32AreAProtocolError) {
+  // 2^32 + 1 does not fit the 32-bit lane count: refused, not wrapped to
+  // a one-lane job.
+  util::JsonValue reply = roundtrip(
+      "{\"cmd\": \"verify\", \"kernel\": \"" +
+      kernel_path("saxpy.k").string() + "\", \"lanes\": 4294967297}");
+  EXPECT_FALSE(reply.at("ok").as_bool());
+  EXPECT_NE(reply.at("error").as_string().find("\"lanes\" value 4294967297"),
+            std::string::npos)
+      << reply.at("error").as_string();
+}
+
 TEST_F(ServeTest, WarmResubmissionHitsCacheWithIdenticalReport) {
   std::string submit = "{\"cmd\": \"verify\", \"kernel\": \"" +
                        kernel_path("saxpy.k").string() + "\"}";

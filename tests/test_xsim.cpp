@@ -455,23 +455,53 @@ TEST(Inject, FourStateCatchesWhatTwoStateLaunders) {
   fuzz::GeneratorOptions options;
   options.max_units = 12;
   options.max_configurations = 2;
-  fuzz::FourStateInjectionReport report =
-      fuzz::run_four_state_injection(/*seed=*/7, /*runs=*/20, options);
-  EXPECT_GT(report.outcome.injected, 0u);
-  EXPECT_EQ(report.outcome.laundered, report.outcome.injected);
-  EXPECT_EQ(report.outcome.detected, report.outcome.injected);
-  EXPECT_EQ(report.outcome.missed, 0u);
+  fuzz::InjectionReport report = fuzz::run_injection(
+      fuzz::InjectMode::kFourState, /*seed=*/7, /*runs=*/20, options);
+  ASSERT_EQ(report.outcomes.size(), 1u);
+  const fuzz::InjectionOutcome& outcome = report.outcomes.front();
+  EXPECT_EQ(outcome.defect, fuzz::DefectClass::kUninitRegister);
+  EXPECT_GT(outcome.injected, 0u);
+  EXPECT_EQ(outcome.laundered, outcome.injected);
+  EXPECT_EQ(outcome.detected, outcome.injected);
+  EXPECT_EQ(outcome.missed, 0u);
   EXPECT_TRUE(report.ok());
 }
 
 TEST(Inject, UninitRegisterIsNotInStaticRecallGate) {
   // Static lint cannot see the defect; it must stay out of the
   // lint-recall class list or the gate would report misses.
-  for (fuzz::DefectClass defect : fuzz::all_defect_classes()) {
+  for (fuzz::DefectClass defect :
+       fuzz::defect_classes(fuzz::InjectMode::kLint)) {
     EXPECT_NE(defect, fuzz::DefectClass::kUninitRegister);
   }
-  EXPECT_EQ(fuzz::expected_rule(fuzz::DefectClass::kUninitRegister),
-            "FTI-L010");
+  const fuzz::DefectInfo& info =
+      fuzz::defect_info(fuzz::DefectClass::kUninitRegister);
+  EXPECT_EQ(info.rule, "FTI-L010");
+  EXPECT_EQ(info.mode, fuzz::InjectMode::kFourState);
+}
+
+TEST(Inject, FourStateDetectorAttributesOnlyThePlantedDefect) {
+  // A design whose fresh memories carry X to an observable: the 4-state
+  // run is clean with every memory defined but reports findings when
+  // memories start undefined.  The loop's detector must call it clean
+  // before the edit -- its stimulus is defined -- and dirty only once
+  // the uninit-register defect is planted, so a detection is the
+  // planted defect's and not the fresh memories'.
+  const fuzz::DefectInfo& info =
+      fuzz::defect_info(fuzz::DefectClass::kUninitRegister);
+  const std::uint64_t case_seed = fuzz::Rng::derive(/*seed=*/1, /*index=*/0);
+  ir::Design design = fuzz::generate_design_seeded(case_seed, {});
+  fuzz::tie_off_register_resets(design);
+  mem::MemoryPool defined;
+  zero_fill(design, defined);
+  ASSERT_TRUE(xsim::run_four_state(design, {&defined}).front().clean());
+  mem::MemoryPool fresh;
+  ASSERT_FALSE(xsim::run_four_state(design, {&fresh}).front().clean());
+
+  EXPECT_FALSE(fuzz::rule_fires(info, design));
+  fuzz::Rng rng(fuzz::Rng::derive(case_seed, 0x11a7));
+  ASSERT_TRUE(info.inject(design, rng));
+  EXPECT_TRUE(fuzz::rule_fires(info, design));
 }
 
 // ------------------------------------------------- cross-check skip path

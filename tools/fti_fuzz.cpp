@@ -35,7 +35,8 @@
 //   --quiet          suppress per-case progress lines
 //
 // Inject options: --seed N, --runs N (cases per defect class),
-// --max-units N, --max-configs N, --smoke (quick ctest profile),
+// --max-units N, --max-configs N, --smoke (quick ctest profile), and at
+// most one experiment other than static lint recall:
 // --4state (experiment E10: plant uninit-register defects, assert the
 // 2-state lanes launder them while the 4-state checker reports them),
 // --semantic (experiment E11: plant behaviour-neutral oob-index /
@@ -65,8 +66,8 @@ namespace {
          "       fti_fuzz replay FILE.xml\n"
          "       fti_fuzz corpus DIR\n"
          "       fti_fuzz inject [--seed N] [--runs N] [--max-units N]\n"
-         "                       [--max-configs N] [--smoke] [--4state]\n"
-         "                       [--semantic]\n";
+         "                       [--max-configs N] [--smoke]\n"
+         "                       [--4state | --semantic]\n";
   std::exit(2);
 }
 
@@ -115,10 +116,17 @@ int run_inject(int argc, char** argv) {
       request.runs = 20;
       request.generator.max_units = 12;
       request.generator.max_run_cycles = 24;
-    } else if (arg == "--4state") {
-      request.four_state = true;
-    } else if (arg == "--semantic") {
-      request.semantic = true;
+    } else if (arg == "--4state" || arg == "--semantic") {
+      fti::fuzz::InjectMode mode = arg == "--4state"
+                                       ? fti::fuzz::InjectMode::kFourState
+                                       : fti::fuzz::InjectMode::kSemantic;
+      if (request.mode != fti::fuzz::InjectMode::kLint &&
+          request.mode != mode) {
+        std::cerr << "fti_fuzz inject: --4state and --semantic select "
+                     "different experiments; name one\n";
+        usage();
+      }
+      request.mode = mode;
     } else {
       usage();
     }

@@ -69,11 +69,14 @@
 // Exit codes (the contract CI scripts rely on, see README):
 //   0  PASS / lint clean (notes allowed)
 //   1  FAIL -- simulation mismatch or incomplete run
-//   2  usage or input error (bad flags, unreadable files, malformed XML)
+//   2  usage or input error (bad flags -- including a flag the command
+//      does not read --, unreadable files, malformed XML)
 //   3  lint errors (fti lint), or the --lint gate blocked on errors
 //   4  lint warnings only (fti lint), or the gate blocked on warnings
 #include <cstring>
 #include <iostream>
+#include <map>
+#include <set>
 
 #include "fti/flow/flow.hpp"
 #include "fti/mem/memfile.hpp"
@@ -141,6 +144,40 @@ struct Cli {
   bool four_state = false;
 };
 
+/// Rejects a flag that `command` does not read: silently ignoring it
+/// would let `fti suite --4state` pass without checking anything.
+/// --verbose, --metrics and --trace are read by every command.
+void require_flag_read(const std::string& command, const std::string& arg) {
+  static const std::map<std::string, std::set<std::string>> kReaders = {
+      {"--arg", {"verify", "translate"}},
+      {"--mem", {"verify", "translate", "run"}},
+      {"--rom", {"verify", "translate"}},
+      {"--check", {"verify"}},
+      {"--emit", {"verify", "translate", "suite"}},
+      {"--out", {"verify", "translate", "suite"}},
+      {"--max-cycles", {"verify", "run"}},
+      {"--vcd", {"verify", "run"}},
+      {"--save", {"verify", "run"}},
+      {"--limit", {"verify", "translate"}},
+      {"--default-limit", {"verify", "translate"}},
+      {"--read-ports", {"verify", "translate"}},
+      {"--json", {"suite"}},
+      {"--xsim", {"verify", "suite"}},
+      {"--4state", {"verify"}},
+      {"--engine", {"verify", "run", "suite"}},
+      {"--lanes", {"verify", "suite"}},
+      {"--lane-seed", {"verify", "suite"}},
+      {"--jobs", {"suite"}},
+      {"--lint", {"verify", "suite"}},
+      {"--semantic", {"verify", "suite"}},
+  };
+  const std::string flag = arg.substr(0, arg.find('='));
+  auto readers = kReaders.find(flag);
+  if (readers != kReaders.end() && !readers->second.count(command)) {
+    throw fti::util::UsageError("fti " + command + " does not read " + flag);
+  }
+}
+
 Cli parse_cli(int argc, char** argv) {
   if (argc < 3) {
     usage();
@@ -148,6 +185,10 @@ Cli parse_cli(int argc, char** argv) {
   Cli cli;
   cli.command = argv[1];
   cli.source_path = argv[2];
+  if (cli.command != "verify" && cli.command != "translate" &&
+      cli.command != "run" && cli.command != "suite") {
+    usage();
+  }
   auto need_value = [&](int& i) -> std::string {
     if (i + 1 >= argc) {
       usage();
@@ -155,6 +196,7 @@ Cli parse_cli(int argc, char** argv) {
     return argv[++i];
   };
   for (int i = 3; i < argc; ++i) {
+    require_flag_read(cli.command, argv[i]);
     // --engine/--lanes/--lane-seed/--jobs/--lint/--metrics/--trace are
     // shared with fti_fuzz via util::consume_tool_flag.
     if (fti::util::consume_tool_flag(cli.flags, argc, argv, i)) {
