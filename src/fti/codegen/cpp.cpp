@@ -99,7 +99,7 @@ class NodeEmitter {
     }
     slots_.assign(widths_.size(), kNone);
     layout_.name = node;
-    layout_.traced = elab::cabi::traced_wires(datapath_);
+    layout_.traced = ir::traced_wires(datapath_);
     for (std::size_t s = 0; s < layout_.traced.size(); ++s) {
       slots_[wire_index_.at(layout_.traced[s])] = s;
     }

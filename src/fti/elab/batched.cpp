@@ -295,7 +295,7 @@ class BatchedSim {
 
     if (options.collect_wire_data) {
       trace_slot_.assign(slots_.size(), kNone);
-      for (const std::string& wire : traced_wires(datapath)) {
+      for (const std::string& wire : ir::traced_wires(datapath)) {
         trace_slot_[index_of(wire)] = trace_names_.size();
         trace_names_.push_back(wire);
         trace_index_.push_back(index_of(wire));

@@ -506,7 +506,7 @@ sim::EnginePartition CompiledEngine::run_partition(
   // Layout re-derived from the IR; the module was generated from a
   // design with the same canonical hash, so any disagreement means a
   // broken emitter or loader, not a user error.
-  std::vector<std::string> traced = cabi::traced_wires(config.datapath);
+  std::vector<std::string> traced = ir::traced_wires(config.datapath);
   std::vector<std::string> memories = cabi::memory_order(config.datapath);
   std::vector<const ir::Unit*> writers = cabi::write_units(config.datapath);
   std::vector<std::size_t> offsets = cabi::taken_offsets(config.fsm);

@@ -25,7 +25,7 @@
 //
 // Layout rules shared by the emitter and the host loader (cabi::*
 // helpers below): `memories` pointers follow datapath memory
-// declaration order; trace/finals slots follow elab::traced_wires order
+// declaration order; trace/finals slots follow ir::traced_wires order
 // (register q wires then control wires, declaration order);
 // `mem_write` indices follow declaration order of the write-capable
 // memory ports; `visits`/`taken` follow FSM state/transition
@@ -141,22 +141,6 @@ typedef struct FtiCompiledDesignV1 {
   const FtiCompiledNodeV1* nodes;
 } FtiCompiledDesignV1;
 )abi";
-
-/// Finals/trace slot order: register q wires then control wires, in
-/// datapath declaration order.  Must match elab::traced_wires (the
-/// engine asserts the two agree on every run).
-inline std::vector<std::string> traced_wires(const ir::Datapath& datapath) {
-  std::vector<std::string> wires;
-  for (const ir::Unit& unit : datapath.units) {
-    if (unit.kind == ir::UnitKind::kRegister) {
-      wires.push_back(unit.port("q"));
-    }
-  }
-  for (const std::string& control : datapath.control_wires) {
-    wires.push_back(control);
-  }
-  return wires;
-}
 
 /// ABI memory-pointer order: memory declaration order.
 inline std::vector<std::string> memory_order(const ir::Datapath& datapath) {

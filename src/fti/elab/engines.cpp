@@ -3,6 +3,7 @@
 #include <deque>
 #include <map>
 #include <mutex>
+#include <string_view>
 #include <utility>
 
 #include "fti/elab/batched.hpp"
@@ -15,19 +16,6 @@
 #include "fti/util/file_io.hpp"
 
 namespace fti::elab {
-
-std::vector<std::string> traced_wires(const ir::Datapath& datapath) {
-  std::vector<std::string> wires;
-  for (const ir::Unit& unit : datapath.units) {
-    if (unit.kind == ir::UnitKind::kRegister) {
-      wires.push_back(unit.port("q"));
-    }
-  }
-  for (const std::string& control : datapath.control_wires) {
-    wires.push_back(control);
-  }
-  return wires;
-}
 
 void record_partition(const sim::EnginePartition& run) {
   // Partition-granularity aggregation from the kernel's own stats --
@@ -103,7 +91,7 @@ sim::EnginePartition EventEngine::run_partition(
       options.on_netlist(name, live.netlist);
     }
     if (options.collect_wire_data) {
-      for (const std::string& wire : traced_wires(config.datapath)) {
+      for (const std::string& wire : ir::traced_wires(config.datapath)) {
         sim::Net& net = live.netlist.net(wire);
         sim::Probe& probe = live.netlist.add_component<sim::Probe>(
             "engine_probe." + wire, net);
@@ -136,7 +124,7 @@ sim::EnginePartition EventEngine::run_partition(
 }
 
 // ---------------------------------------------------------------------------
-// NaiveEngine
+// SweepEngine
 
 sim::FsmCoverage coverage_from_counts(
     const ir::Fsm& fsm, const std::vector<std::uint64_t>& visits,
@@ -159,18 +147,18 @@ namespace {
 
 using sim::Bits;
 
-/// The conventional strategy the paper's engine is measured against:
-/// every clock cycle, evaluate EVERY combinational unit in repeated full
-/// sweeps until the netlist settles, regardless of activity.  Produces
-/// bit-identical results to the event kernel (same operator semantics), so
-/// benchmarks isolate the scheduling strategy.
-class NaiveSim {
+constexpr std::size_t kUntraced = static_cast<std::size_t>(-1);
+
+/// One partition of the full-sweep interpreter (see SweepEngine).
+class SweepSim {
  public:
-  NaiveSim(const ir::Configuration& config, mem::MemoryPool& pool,
-           const sim::EngineRunOptions& options)
-      : config_(config), options_(options) {
-    ir::validate(config.datapath);
-    ir::validate(config.fsm, config.datapath);
+  SweepSim(const std::string& engine, const ir::Configuration& config,
+           mem::MemoryPool& pool, const sim::EngineRunOptions& options,
+           const SweepEngine::BinopFn& eval_binop)
+      : engine_(engine),
+        config_(config),
+        options_(options),
+        eval_binop_(eval_binop) {
     const ir::Datapath& datapath = config.datapath;
     for (const ir::Wire& wire : datapath.wires) {
       wire_index_.emplace(wire.name, values_.size());
@@ -188,43 +176,60 @@ class NaiveSim {
       images_.emplace(memory.name, &image);
     }
     for (const ir::Unit& unit : datapath.units) {
-      if (unit.kind == ir::UnitKind::kRegister) {
-        registers_.push_back(&unit);
-      } else if (unit.kind == ir::UnitKind::kBinOp && unit.latency > 0) {
-        pipelined_.push_back(&unit);
-        pipelines_[&unit].assign(unit.latency - 1,
-                                 Bits(values_[wire_index_.at(
-                                          unit.port("out"))].width(),
-                                      0));
-      } else if (unit.kind == ir::UnitKind::kMemPort) {
-        // Read paths are combinational; write-capable ports act at edges.
-        if (unit.mem_mode != ir::MemMode::kWrite) {
+      switch (unit.kind) {
+        case ir::UnitKind::kRegister:
+          registers_.push_back(&unit);
+          break;
+        case ir::UnitKind::kBinOp:
+          if (unit.latency > 0) {
+            pipelined_.push_back(&unit);
+            pipelines_[&unit].assign(
+                unit.latency - 1,
+                Bits(width_of(unit.port("out")), 0));
+          } else {
+            combinational_.push_back(&unit);
+          }
+          break;
+        case ir::UnitKind::kMemPort:
+          // Read paths are combinational; write-capable ports act at
+          // edges.
+          if (unit.mem_mode != ir::MemMode::kWrite) {
+            combinational_.push_back(&unit);
+          }
+          if (unit.mem_mode != ir::MemMode::kRead) {
+            write_ports_.push_back(&unit);
+          }
+          break;
+        default:
           combinational_.push_back(&unit);
-        }
-        if (unit.mem_mode != ir::MemMode::kRead) {
-          memports_.push_back(&unit);
-        }
-      } else {
-        combinational_.push_back(&unit);
+          break;
       }
     }
     state_ = config.fsm.state_index(config.fsm.initial);
-    done_index_ = wire_index_.at(config.fsm.done_wire);
+    done_index_ = index_of(config.fsm.done_wire);
     visits_.assign(config.fsm.states.size(), 0);
     taken_.resize(config.fsm.states.size());
     for (std::size_t i = 0; i < config.fsm.states.size(); ++i) {
       taken_[i].assign(config.fsm.states[i].transitions.size(), 0);
+    }
+    if (options.collect_wire_data) {
+      trace_slot_.assign(values_.size(), kUntraced);
+      for (std::string& wire : ir::traced_wires(datapath)) {
+        trace_slot_[index_of(wire)] = traced_.size();
+        traced_.push_back({index_of(wire), std::move(wire), {}});
+      }
     }
   }
 
   sim::EnginePartition run(const std::string& node) {
     sim::EnginePartition result;
     result.node = node;
-    // Registers power up holding their reset value, like the event
-    // kernel's Register::initialize (bitstream-initialised flops).
+    // Time zero mirrors the kernel's initialization: registers power up
+    // holding their reset value (bitstream-initialised flops), the
+    // initial FSM state drives its control vector, then the
+    // combinational sea settles.
     for (const ir::Unit* reg : registers_) {
-      std::size_t index = index_of(reg->port("q"));
-      values_[index] = Bits(values_[index].width(), reg->reset_value);
+      set_value(index_of(reg->port("q")), Bits(reg->width, reg->reset_value));
     }
     visits_[state_] += 1;
     drive_controls(result.stats);
@@ -251,31 +256,59 @@ class NaiveSim {
     result.stats.timesteps = result.cycles + 1;
     result.stats.end_time = result.cycles * options_.clock_period;
     result.coverage = coverage_from_counts(config_.fsm, visits_, taken_);
+    // Every traced wire reports, even if idle.
+    for (TracedWire& wire : traced_) {
+      result.finals.emplace(wire.name, values_[wire.index].u());
+      result.traces.emplace(wire.name, std::move(wire.changes));
+    }
   }
 
   std::size_t index_of(const std::string& wire) const {
     return wire_index_.at(wire);
   }
 
-  const Bits& value(const ir::Unit& unit, const std::string& port) const {
-    return values_[wire_index_.at(unit.port(port))];
+  std::uint32_t width_of(const std::string& wire) const {
+    return values_[index_of(wire)].width();
+  }
+
+  const Bits& value(const ir::Unit& unit, std::string_view port) const {
+    return values_[index_of(unit.port(port))];
+  }
+
+  /// Writes a clocked wire; traced wires record their change stream, like
+  /// a Probe on the net.  Returns whether the value changed.
+  bool set_value(std::size_t index, const Bits& next) {
+    if (values_[index] == next) {
+      return false;
+    }
+    values_[index] = next;
+    if (!trace_slot_.empty() && trace_slot_[index] != kUntraced) {
+      traced_[trace_slot_[index]].changes.push_back(next.u());
+    }
+    return true;
+  }
+
+  Bits eval_fu(ops::BinOp op, const Bits& a, const Bits& b,
+               std::uint32_t out_width) const {
+    if (eval_binop_) {
+      return eval_binop_(op, a, b, out_width);
+    }
+    return ops::eval_binop(op, a, b, out_width);
   }
 
   /// Moore outputs of the current FSM state; unassigned controls are zero.
   void drive_controls(sim::KernelStats& stats) {
-    const ir::Datapath& datapath = config_.datapath;
-    for (const std::string& control : datapath.control_wires) {
+    const ir::State& state = config_.fsm.states[state_];
+    for (const std::string& control : config_.datapath.control_wires) {
       std::size_t index = index_of(control);
       Bits next(values_[index].width(), 0);
-      for (const ir::ControlAssign& assign :
-           config_.fsm.states[state_].controls) {
+      for (const ir::ControlAssign& assign : state.controls) {
         if (assign.wire == control) {
           next = Bits(values_[index].width(), assign.value);
           break;
         }
       }
-      if (!(values_[index] == next)) {
-        values_[index] = next;
+      if (set_value(index, next)) {
         ++stats.events;
       }
     }
@@ -285,35 +318,31 @@ class NaiveSim {
     Bits result;
     std::size_t out_index = 0;
     switch (unit.kind) {
-      case ir::UnitKind::kBinOp: {
+      case ir::UnitKind::kBinOp:
         out_index = index_of(unit.port("out"));
-        result = ops::eval_binop(unit.binop, value(unit, "a"),
-                                 value(unit, "b"),
-                                 values_[out_index].width());
+        result = eval_fu(unit.binop, value(unit, "a"), value(unit, "b"),
+                         values_[out_index].width());
         break;
-      }
-      case ir::UnitKind::kUnOp: {
+      case ir::UnitKind::kUnOp:
         out_index = index_of(unit.port("out"));
         result = ops::eval_unop(unit.unop, value(unit, "a"),
                                 values_[out_index].width());
         break;
-      }
-      case ir::UnitKind::kConst: {
+      case ir::UnitKind::kConst:
         out_index = index_of(unit.port("out"));
         result = Bits(values_[out_index].width(), unit.value);
         break;
-      }
       case ir::UnitKind::kMux: {
         out_index = index_of(unit.port("out"));
         std::uint64_t sel = value(unit, "sel").u();
-        if (sel >= unit.mux_inputs) {
-          result = Bits(values_[out_index].width(), 0);
-        } else {
-          result = value(unit, "in" + std::to_string(sel));
-        }
+        result = sel < unit.mux_inputs
+                     ? value(unit, "in" + std::to_string(sel))
+                     : Bits(values_[out_index].width(), 0);
         break;
       }
       case ir::UnitKind::kMemPort: {
+        // Asynchronous read path; transient out-of-range addresses read
+        // zero, matching the SRAM components.
         out_index = index_of(unit.port("dout"));
         const mem::MemoryImage& image = *images_.at(unit.memory);
         std::uint64_t address = value(unit, "addr").u();
@@ -350,36 +379,39 @@ class NaiveSim {
         return;
       }
     }
-    throw util::SimError("baseline: combinational loop in datapath '" +
+    throw util::SimError(engine_ + ": combinational loop in datapath '" +
                          config_.datapath.name + "'");
   }
 
+  /// Two-phase edge: sample every sequential element against settled
+  /// pre-edge values, then commit registers, pipeline stages, memory
+  /// writes and the FSM transition together.
   void clock_edge(sim::KernelStats& stats) {
-    // Sample everything with pre-edge values, then commit.
-    struct RegUpdate {
-      std::size_t out_index;
-      Bits value;
-    };
-    std::vector<RegUpdate> reg_updates;
+    updates_.clear();
     for (const ir::Unit* reg : registers_) {
       ++stats.evaluations;
       if (reg->has_port("rst") && !value(*reg, "rst").is_zero()) {
-        reg_updates.push_back({index_of(reg->port("q")),
-                               Bits(reg->width, reg->reset_value)});
+        updates_.push_back({index_of(reg->port("q")),
+                            Bits(reg->width, reg->reset_value)});
         continue;
       }
       if (reg->has_port("en") && value(*reg, "en").is_zero()) {
         continue;
       }
-      reg_updates.push_back({index_of(reg->port("q")), value(*reg, "d")});
+      updates_.push_back({index_of(reg->port("q")), value(*reg, "d")});
     }
-    struct MemUpdate {
-      mem::MemoryImage* image;
-      std::uint64_t address;
-      std::uint64_t data;
-    };
-    std::vector<MemUpdate> mem_updates;
-    for (const ir::Unit* port : memports_) {
+    // Pipelined FUs sample pre-edge operands and retire the oldest stage.
+    for (const ir::Unit* unit : pipelined_) {
+      ++stats.evaluations;
+      std::deque<Bits>& stages = pipelines_[unit];
+      stages.push_back(eval_fu(unit->binop, value(*unit, "a"),
+                               value(*unit, "b"),
+                               width_of(unit->port("out"))));
+      updates_.push_back({index_of(unit->port("out")), stages.front()});
+      stages.pop_front();
+    }
+    writes_.clear();
+    for (const ir::Unit* port : write_ports_) {
       ++stats.evaluations;
       if (value(*port, "we").is_zero()) {
         continue;
@@ -387,32 +419,19 @@ class NaiveSim {
       std::uint64_t address = value(*port, "addr").u();
       mem::MemoryImage* image = images_.at(port->memory);
       if (address >= image->depth()) {
-        throw util::SimError("baseline: sram '" + port->name +
-                             "' write out of range");
+        throw util::SimError(engine_ + ": sram '" + port->name +
+                             "' write to address " + std::to_string(address) +
+                             " beyond depth " +
+                             std::to_string(image->depth()));
       }
-      mem_updates.push_back({image, address, value(*port, "din").u()});
+      writes_.push_back({image, address, value(*port, "din").u()});
     }
-    // Pipelined FUs sample pre-edge operands and retire the oldest stage.
-    struct PipeUpdate {
-      std::size_t out_index;
-      Bits value;
-    };
-    std::vector<PipeUpdate> pipe_updates;
-    for (const ir::Unit* unit : pipelined_) {
-      ++stats.evaluations;
-      std::deque<Bits>& stages = pipelines_[unit];
-      stages.push_back(ops::eval_binop(
-          unit->binop, value(*unit, "a"), value(*unit, "b"),
-          values_[index_of(unit->port("out"))].width()));
-      pipe_updates.push_back({index_of(unit->port("out")), stages.front()});
-      stages.pop_front();
-    }
-    // FSM transition on pre-edge status values.
+    // FSM transition on pre-edge status values: the first true guard.
     const ir::State& current = config_.fsm.states[state_];
     for (std::size_t t = 0; t < current.transitions.size(); ++t) {
-      const ir::Transition& transition = current.transitions[t];
       bool taken = true;
-      for (const ir::GuardLiteral& literal : transition.guard.literals) {
+      for (const ir::GuardLiteral& literal :
+           current.transitions[t].guard.literals) {
         bool level = !values_[index_of(literal.status)].is_zero();
         if (level != literal.expected) {
           taken = false;
@@ -421,31 +440,42 @@ class NaiveSim {
       }
       if (taken) {
         ++taken_[state_][t];
-        state_ = config_.fsm.state_index(transition.target);
+        state_ = config_.fsm.state_index(current.transitions[t].target);
         visits_[state_] += 1;
         break;
       }
     }
-    for (const RegUpdate& update : reg_updates) {
-      if (!(values_[update.out_index] == update.value)) {
-        values_[update.out_index] = update.value;
+    for (const Update& update : updates_) {
+      if (set_value(update.index, update.value)) {
         ++stats.events;
       }
     }
-    for (const PipeUpdate& update : pipe_updates) {
-      if (!(values_[update.out_index] == update.value)) {
-        values_[update.out_index] = update.value;
-        ++stats.events;
-      }
-    }
-    for (const MemUpdate& update : mem_updates) {
-      update.image->write(update.address, update.data);
+    for (const MemWrite& write : writes_) {
+      write.image->write(write.address, write.data);
       ++stats.events;
     }
   }
 
+  struct Update {
+    std::size_t index;
+    Bits value;
+  };
+  struct MemWrite {
+    mem::MemoryImage* image;
+    std::uint64_t address;
+    std::uint64_t data;
+  };
+  struct TracedWire {
+    std::size_t index;
+    std::string name;
+    /// Value-change stream, initial zero omitted.
+    std::vector<std::uint64_t> changes;
+  };
+
+  const std::string& engine_;
   const ir::Configuration& config_;
   const sim::EngineRunOptions& options_;
+  const SweepEngine::BinopFn& eval_binop_;
   std::map<std::string, std::size_t> wire_index_;
   std::vector<Bits> values_;
   std::map<std::string, mem::MemoryImage*> images_;
@@ -453,29 +483,36 @@ class NaiveSim {
   std::vector<const ir::Unit*> registers_;
   std::vector<const ir::Unit*> pipelined_;
   std::map<const ir::Unit*, std::deque<Bits>> pipelines_;
-  std::vector<const ir::Unit*> memports_;
-  std::size_t state_;
-  std::size_t done_index_;
+  std::vector<const ir::Unit*> write_ports_;
+  std::size_t state_ = 0;
+  std::size_t done_index_ = 0;
   std::vector<std::uint64_t> visits_;
   std::vector<std::vector<std::uint64_t>> taken_;
+  /// Filled only when wire data is collected; trace_slot_ maps each
+  /// wire to its traced_ slot (kUntraced if none).
+  std::vector<TracedWire> traced_;
+  std::vector<std::size_t> trace_slot_;
+  std::vector<Update> updates_;
+  std::vector<MemWrite> writes_;
 };
 
 }  // namespace
 
-const std::string& NaiveEngine::name() const {
-  static const std::string kName = "naive";
-  return kName;
-}
-
-sim::EnginePartition NaiveEngine::run_partition(
+sim::EnginePartition SweepEngine::run_partition(
     const ir::Design& design, const std::string& node, mem::MemoryPool& pool,
     const sim::EngineRunOptions& options, std::size_t partition_index) {
   (void)partition_index;
   util::Stopwatch watch;
-  NaiveSim simulator(design.configuration(node), pool, options);
+  SweepSim simulator(name(), design.configuration(node), pool, options,
+                     eval_binop_);
   sim::EnginePartition run = simulator.run(node);
   run.wall_seconds = watch.seconds();
   return run;
+}
+
+const std::string& NaiveEngine::name() const {
+  static const std::string kName = "naive";
+  return kName;
 }
 
 // ---------------------------------------------------------------------------

@@ -4,36 +4,31 @@
 //  * EventEngine    -- the event-driven kernel (elaborate to a netlist of
 //                      components, calendar-queue scheduling).  The
 //                      paper's engine; the only one with net tracing.
-//  * NaiveEngine    -- the conventional full-evaluation baseline: every
-//                      cycle, sweep EVERY combinational unit until the
-//                      values settle (E3's comparison point).
+//  * SweepEngine    -- the full-sweep interpreter: every cycle, sweep
+//                      EVERY combinational unit until the values settle.
+//                      Registered as "naive" (E3's full-evaluation
+//                      baseline) and built by fuzz::ReferenceEngine, the
+//                      fuzzer's oracle ("reference").
 //  * BatchedEngine  -- statically scheduled evaluation of the levelized
 //                      schedule over N lanes (batched.hpp); registered
 //                      as "batched" and, for one-lane runs, "levelized".
 //  * CompiledEngine -- the levelized schedule lowered to native code
 //                      (compiled.hpp).
-//
-// The fuzzer's reference interpreter implements the same interface from
-// the fuzz layer (fuzz/reference.hpp).
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fti/elab/rtg_exec.hpp"
 #include "fti/ir/rtg.hpp"
 #include "fti/mem/storage.hpp"
+#include "fti/ops/alu.hpp"
 #include "fti/sim/engine.hpp"
 
 namespace fti::elab {
-
-/// The wires engines report finals/traces for: register q wires first,
-/// then control wires, in datapath declaration order.  Clocked wires are
-/// glitch-free by construction, hence comparable across scheduling
-/// strategies; combinational wires are not (engines settle them in
-/// different orders).
-std::vector<std::string> traced_wires(const ir::Datapath& datapath);
 
 /// Builds the coverage report the FsmExecutor produces, from the visit and
 /// per-transition take counters the sweep engines maintain (`visits[i]` /
@@ -69,14 +64,39 @@ class EventEngine final : public PartitionedEngine {
                                      std::size_t partition_index) override;
 };
 
-class NaiveEngine final : public PartitionedEngine {
+/// The full-sweep interpreter: settle sweeps over the whole combinational
+/// list, then a two-phase clock edge (sample every register, pipeline
+/// stage, memory write and the FSM transition against pre-edge values,
+/// then commit).  No event queue, no schedule, no generated code: beyond
+/// the RTG loop and the coverage report it shares only ops/semantics.hpp
+/// and ir::traced_wires with the other engines, which is what makes it
+/// the fuzzer's oracle.  Counts every unit evaluation
+/// (KernelStats::evaluations) and every settle sweep (delta_cycles).
+class SweepEngine : public PartitionedEngine {
  public:
-  const std::string& name() const override;
+  /// Binary-FU semantics override; null means ops::eval_binop.
+  using BinopFn = std::function<sim::Bits(ops::BinOp, const sim::Bits&,
+                                          const sim::Bits&, std::uint32_t)>;
+
+  bool reports_wire_data() const override { return true; }
   sim::EnginePartition run_partition(const ir::Design& design,
                                      const std::string& node,
                                      mem::MemoryPool& pool,
                                      const sim::EngineRunOptions& options,
                                      std::size_t partition_index) override;
+
+ protected:
+  explicit SweepEngine(BinopFn eval_binop = nullptr)
+      : eval_binop_(std::move(eval_binop)) {}
+
+ private:
+  BinopFn eval_binop_;
+};
+
+/// The sweep under the name E3 measures it by.
+class NaiveEngine final : public SweepEngine {
+ public:
+  const std::string& name() const override;
 };
 
 /// Registers "event", "naive", "levelized", "batched" and "compiled"

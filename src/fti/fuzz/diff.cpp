@@ -60,7 +60,7 @@ Observation run_lane(const ir::Design& design, const DiffOptions& options,
   }
 }
 
-/// The eighth lane: the emitted Verilog run by an external simulator.
+/// The xsim lane: the emitted Verilog run by an external simulator.
 /// Unlike the engine lanes this one executes generated *text*, so it is
 /// the only lane that can catch codegen::verilog emission bugs.  The
 /// stimulus pool is empty, mirroring run_engine_path: memories power up

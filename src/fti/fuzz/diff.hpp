@@ -1,20 +1,24 @@
 // N-way differential driver -- runs one design through every execution
 // engine the infrastructure offers and demands bit-exact agreement.
 //
-// Lanes compared (all behind the common sim::Engine interface):
+// Lanes compared (all but "xsim" behind the common sim::Engine interface):
 //  1. "kernel"    -- the event-driven sim::Kernel elaboration (probes on
 //                    every clocked wire, harvested before each partition
 //                    is torn down),
-//  2. "reference" -- the fuzz reference interpreter (a structurally
-//                    independent cycle-level engine, see reference.hpp),
-//  3. "naive"     -- the harness's full-sweep baseline simulator,
-//  4. "batched"   -- the levelized-schedule sweep (elab/batched.hpp) at
+//  2. "reference" -- the full-sweep interpreter, the oracle (see
+//                    reference.hpp); the registry name "naive" builds
+//                    the same sweep, so it is not a separate default lane,
+//  3. "batched"   -- the levelized-schedule sweep (elab/batched.hpp) at
 //                    one lane; the registry name "levelized" builds the
 //                    same engine, so it is not a separate default lane,
-//  5. "roundtrip" -- the event kernel again on the design after an XML
+//  4. "roundtrip" -- the event kernel again on the design after an XML
 //                    serialisation round trip (to_xml -> to_string ->
 //                    parse -> design_from_xml), which drags the serde
-//                    layer into the differential net.
+//                    layer into the differential net,
+//  5. "compiled"  -- the levelized schedule lowered to native code, when
+//                    a host C++ toolchain is available (auto_compiled),
+//  6. "xsim"      -- the emitted Verilog under an external simulator,
+//                    opt-in (auto_xsim).
 //
 // Observables: completion verdict, per-partition cycle counts, final
 // register/control values, per-wire value-change traces and final memory
@@ -46,7 +50,7 @@ struct DiffOptions {
   /// "reference" lane is special-cased to honour `reference` above (so
   /// injected operator bugs reach it); every other name goes through
   /// elab::make_engine.
-  std::vector<std::string> engines{"reference", "naive", "batched"};
+  std::vector<std::string> engines{"reference", "batched"};
   /// Append a "compiled" lane when a host C++ toolchain is available and
   /// `engines` does not already name it.  The lane builds one-shot
   /// modules (elab::CompiledTier::kOneShot: -O0, never written to the
@@ -64,8 +68,8 @@ struct DiffOptions {
 };
 
 /// What one execution lane observed.  Engines that cannot report a given
-/// observable leave it empty and the comparison skips it (the naive
-/// baseline reports no per-wire data, only cycles and memories).
+/// observable leave it empty and the comparison skips it (an engine
+/// without wire data reports only cycles and memories).
 struct Observation {
   std::string engine;
   bool completed = false;

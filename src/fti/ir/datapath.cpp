@@ -138,6 +138,19 @@ std::size_t Datapath::count_kind(UnitKind kind) const {
   return n;
 }
 
+std::vector<std::string> traced_wires(const Datapath& datapath) {
+  std::vector<std::string> wires;
+  for (const Unit& unit : datapath.units) {
+    if (unit.kind == UnitKind::kRegister) {
+      wires.push_back(unit.port("q"));
+    }
+  }
+  for (const std::string& control : datapath.control_wires) {
+    wires.push_back(control);
+  }
+  return wires;
+}
+
 std::uint32_t select_width(std::uint32_t inputs) {
   std::uint32_t width = 1;
   while ((1u << width) < inputs) {

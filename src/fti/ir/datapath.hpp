@@ -107,6 +107,14 @@ struct Datapath {
   std::size_t count_kind(UnitKind kind) const;
 };
 
+/// The wires every engine reports finals/traces for, in this order:
+/// register q wires first, then control wires, in declaration order.
+/// Clocked wires are glitch-free by construction, hence comparable across
+/// scheduling strategies; combinational wires are not (engines settle
+/// them in different orders).  The compiled ABI's finals/trace slots and
+/// the external-simulator bench follow the same order.
+std::vector<std::string> traced_wires(const Datapath& datapath);
+
 /// Name lookups over one datapath, built in one pass; the first
 /// declaration of a name wins, as in Datapath::find_wire/find_memory.
 /// A per-call snapshot for whole-datapath checks (validate, lint), which

@@ -1,10 +1,10 @@
 // Pluggable execution engines.
 //
 // Every way this infrastructure can execute a design -- the event-driven
-// kernel, the naive full-evaluation baseline, the batched sweep over the
-// levelized schedule (also registered as "levelized", its one-lane
-// form), the compiled engine, the fuzzer's reference interpreter --
-// implements one interface:
+// kernel, the full-sweep interpreter (registered as "naive" and, as the
+// fuzzer's oracle, "reference"), the batched sweep over the levelized
+// schedule (also registered as "levelized", its one-lane form), the
+// compiled engine -- implements one interface:
 // configure the design's partitions over a memory pool, run each to its
 // stop condition, and report the same observables (cycles, KernelStats,
 // stop reason, FSM coverage, optional per-wire data).  Callers select an

@@ -4,7 +4,7 @@
 #include <set>
 
 #include "fti/codegen/verilog.hpp"
-#include "fti/elab/engines.hpp"
+#include "fti/ir/datapath.hpp"
 #include "fti/util/error.hpp"
 #include "fti/xml/transform.hpp"
 
@@ -89,7 +89,7 @@ Testbench make_testbench(const ir::Design& design,
   for (std::size_t k = 0; k < bench.nodes.size(); ++k) {
     const ir::Datapath& datapath =
         design.configuration(bench.nodes[k]).datapath;
-    for (const std::string& wire : elab::traced_wires(datapath)) {
+    for (const std::string& wire : ir::traced_wires(datapath)) {
       bench.traced.push_back({bench.nodes[k], wire, id(wire),
                               datapath.wire(wire).width});
     }

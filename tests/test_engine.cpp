@@ -248,6 +248,18 @@ TEST_P(EngineParity, DoneAtExactBudgetIsDoneNotMaxTime) {
   EXPECT_FALSE(capped.completed);
   EXPECT_EQ(capped.partitions[0].reason, sim::Kernel::StopReason::kMaxTime);
   EXPECT_EQ(capped.partitions[0].cycles, cycles - 1);
+
+  // A zero budget means unlimited: the run completes at its natural
+  // length.
+  sim::EngineRunOptions unlimited;
+  unlimited.max_cycles_per_partition = 0;
+  mem::MemoryPool unlimited_pool;
+  sim::EngineResult free_run =
+      engine()->run(design, unlimited_pool, unlimited);
+  EXPECT_TRUE(free_run.completed);
+  EXPECT_EQ(free_run.partitions[0].reason,
+            sim::Kernel::StopReason::kDoneNet);
+  EXPECT_EQ(free_run.partitions[0].cycles, cycles);
 }
 
 TEST_P(EngineParity, CombinationalLoopFailsLoudly) {

@@ -122,7 +122,6 @@ TEST(Fuzz, CorpusReprosStayFixed) {
     // Shrunk repros may never assert done, so cap the replay budget.
     DiffOptions options;
     options.max_cycles_per_partition = 512;
-    options.reference.max_cycles_per_partition = 512;
     DiffResult result = diff_design(entry.design, options);
     EXPECT_TRUE(result.ok)
         << "previously fixed bug resurfaced:\n"

@@ -20,8 +20,9 @@
 //   --max-units N    upper bound on random units per design
 //   --max-configs N  upper bound on temporal partitions per design
 //   --engine NAME    engine lane compared against the kernel (repeatable;
-//                    replaces the default reference/naive/batched set;
-//                    "levelized" names the batched engine again)
+//                    replaces the default reference/batched set;
+//                    "levelized" names the batched engine again and
+//                    "naive" the reference sweep)
 //   --lanes N        batched stimulus lanes per design (default 64,
 //                    0 disables the lane check)
 //   --smoke          fixed quick profile used by ctest (~seconds)
