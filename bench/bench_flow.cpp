@@ -27,7 +27,6 @@
 #include "fti/compiler/interp.hpp"
 #include "fti/compiler/parser.hpp"
 #include "fti/elab/engines.hpp"
-#include "fti/elab/rtg_exec.hpp"
 #include "fti/golden/fdct.hpp"
 #include "fti/golden/hamming.hpp"
 #include "fti/golden/rng.hpp"
@@ -133,7 +132,7 @@ void run_flow(const std::string& name, const std::string& source,
   stage("golden execution", 0);
 
   // HADES-equivalent event simulation (fsm.class / rtg.class execution)
-  auto run = fti::elab::run_design(design, sim_pool);
+  auto run = fti::elab::EventEngine().run(design, sim_pool);
   stage("event-driven simulation", 0);
 
   // comparison of data content

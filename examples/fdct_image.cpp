@@ -79,21 +79,20 @@ int main(int argc, char** argv) {
 
   fti::sim::VcdWriter vcd("fdct");
   bool vcd_attached = false;
-  fti::elab::RtgRunOptions run_options;
+  fti::sim::EngineRunOptions run_options;
   run_options.tracer = &vcd;  // installed on the first partition's kernel
-  run_options.on_elaborated = [&](const std::string& node,
-                                  fti::elab::ElaboratedConfig& live) {
+  run_options.on_netlist = [&](const std::string& node,
+                               fti::sim::Netlist& netlist) {
     if (vcd_attached) {
       return;  // watch only the first partition's nets
     }
     vcd_attached = true;
-    vcd.watch(*live.clock);
-    vcd.watch(*live.done);
-    vcd.watch(live.netlist.net("r_v_b_q"));   // block index register
-    vcd.watch(live.netlist.net("r_v_i_q"));   // line index register
-    (void)node;
+    vcd.watch(netlist.net("clk"));
+    vcd.watch(netlist.net(compiled.design.configuration(node).fsm.done_wire));
+    vcd.watch(netlist.net("r_v_b_q"));   // block index register
+    vcd.watch(netlist.net("r_v_i_q"));   // line index register
   };
-  auto run = fti::elab::run_design(compiled.design, pool, run_options);
+  auto run = fti::elab::EventEngine().run(compiled.design, pool, run_options);
   if (!run.completed) {
     std::cerr << "simulation did not complete\n";
     return 1;

@@ -1,11 +1,12 @@
 // Hamming(7,4) decoder with injected transmission errors -- the paper's
-// second workload.  Demonstrates probes and assertions: a NetAssertion
-// checks that the decoder never emits a value above 15, and a Probe counts
-// writes on the output memory port.
+// second workload.  Demonstrates in-simulation assertions: a NetAssertion
+// attached through EngineRunOptions::on_netlist checks that the decoder
+// never emits a value above 15.
 //
 // Usage: hamming_decoder [words] [error_stride]
 #include <iostream>
 
+#include "fti/elab/engines.hpp"
 #include "fti/golden/hamming.hpp"
 #include "fti/harness/testcase.hpp"
 #include "fti/sim/probe.hpp"
@@ -22,7 +23,7 @@ int main(int argc, char** argv) {
                   fti::golden::make_codewords(words, 2026, error_stride)}};
   test.check_arrays = {"data"};
 
-  // Instrumented run: compile once, attach probes, simulate.
+  // Instrumented run: compile once, attach the assertion, simulate.
   fti::compiler::CompileOptions compile_options;
   compile_options.scalar_args = test.scalar_args;
   auto compiled =
@@ -32,24 +33,17 @@ int main(int argc, char** argv) {
   pool.create("data", words, 8);
   fti::harness::load_inputs(pool, "code", test.inputs.at("code"));
 
-  fti::sim::NetAssertion* range_check = nullptr;
-  std::size_t range_violations = 0;
-  fti::elab::RtgRunOptions run_options;
-  run_options.on_elaborated = [&](const std::string&,
-                                  fti::elab::ElaboratedConfig& live) {
+  fti::sim::EngineRunOptions run_options;
+  run_options.on_netlist = [](const std::string&,
+                              fti::sim::Netlist& netlist) {
     // Nibbles are 4 bits: anything above 15 on the data-memory din port
-    // is a decoder bug caught *during* simulation, not after.
-    range_check = &live.netlist.add_component<fti::sim::NetAssertion>(
-        "nibble-range", live.netlist.net("mp_data_din"),
+    // is a decoder bug caught *during* simulation, not after -- the
+    // assertion throws SimError and the run stops at the violation.
+    netlist.add_component<fti::sim::NetAssertion>(
+        "nibble-range", netlist.net("mp_data_din"),
         [](const fti::sim::Bits& value) { return value.u() <= 15; });
   };
-  // Harvest before the partition (and the assertion with it) is torn down.
-  run_options.on_partition_done = [&](const std::string&,
-                                      fti::elab::ElaboratedConfig&,
-                                      const fti::elab::PartitionRun&) {
-    range_violations = range_check->violation_count();
-  };
-  auto run = fti::elab::run_design(compiled.design, pool, run_options);
+  auto run = fti::elab::EventEngine().run(compiled.design, pool, run_options);
   if (!run.completed) {
     std::cerr << "simulation did not complete\n";
     return 1;
@@ -59,7 +53,7 @@ int main(int argc, char** argv) {
             << " corrupted) in " << run.total_cycles() << " cycles, "
             << run.total_events() << " events, " << run.total_wall_seconds()
             << " s\n";
-  std::cout << "range assertion violations: " << range_violations << "\n";
+  std::cout << "range assertion (data nibble <= 15) held\n";
 
   // Cross-check against the reference decoder.
   std::vector<std::uint64_t> expected;

@@ -67,7 +67,7 @@ int main() {
   pool.create("mask", kN, 8);
   pool.create("hist", 2, 32);
   fti::harness::load_inputs(pool, "src", test.inputs.at("src"));
-  fti::elab::run_design(outcome.compiled.design, pool);
+  fti::elab::EventEngine().run(outcome.compiled.design, pool);
   std::cout << "\nhistogram: dark=" << pool.get("hist").words()[0]
             << " bright=" << pool.get("hist").words()[1] << " of " << kN
             << " pixels\n";

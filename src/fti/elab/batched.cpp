@@ -14,6 +14,7 @@
 #include "fti/obs/metrics.hpp"
 #include "fti/obs/trace.hpp"
 #include "fti/ops/alu.hpp"
+#include "fti/ops/clock.hpp"
 #include "fti/util/error.hpp"
 #include "fti/util/file_io.hpp"
 
@@ -1256,7 +1257,7 @@ class BatchedSim {
         (cycle_ + 1) * comb_units_ +
         cycle_ * (registers_.size() + pipelined_.size() + writes_.size());
     result.stats.timesteps = cycle_ + 1;
-    result.stats.end_time = cycle_ * options_.clock_period;
+    result.stats.end_time = cycle_ * ops::ClockGen::kDefaultPeriod;
     for (std::size_t t = 0; t < trace_names_.size(); ++t) {
       result.finals.emplace(trace_names_[t], get(trace_index_[t], lane));
       result.traces[trace_names_[t]] = std::move(lane_traces_[lane][t]);

@@ -23,6 +23,7 @@
 #include "fti/elab/compiled_abi.hpp"
 #include "fti/elab/levelized.hpp"
 #include "fti/obs/metrics.hpp"
+#include "fti/ops/clock.hpp"
 #include "fti/util/error.hpp"
 #include "fti/util/file_io.hpp"
 
@@ -582,7 +583,7 @@ sim::EnginePartition CompiledEngine::run_partition(
   result.stats.evaluations = io.evaluations;
   result.stats.delta_cycles = io.delta_cycles;
   result.stats.timesteps = io.cycles + 1;
-  result.stats.end_time = io.cycles * options.clock_period;
+  result.stats.end_time = io.cycles * ops::ClockGen::kDefaultPeriod;
   if (options.collect_wire_data) {
     for (std::size_t s = 0; s < traced.size(); ++s) {
       result.finals.emplace(traced[s], finals[s]);

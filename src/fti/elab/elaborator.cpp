@@ -13,8 +13,7 @@
 namespace fti::elab {
 
 std::unique_ptr<ElaboratedConfig> elaborate(const ir::Configuration& config,
-                                            mem::MemoryPool& pool,
-                                            const ElabOptions& options) {
+                                            mem::MemoryPool& pool) {
   const ir::Datapath& datapath = config.datapath;
   ir::validate(datapath);
   ir::validate(config.fsm, datapath);
@@ -28,8 +27,8 @@ std::unique_ptr<ElaboratedConfig> elaborate(const ir::Configuration& config,
 
   sim::Net& clock = netlist.create_net("clk", 1);
   elaborated->clock = &clock;
-  elaborated->clock_gen = &netlist.add_component<ops::ClockGen>(
-      "clkgen", clock, options.clock_period);
+  elaborated->clock_gen =
+      &netlist.add_component<ops::ClockGen>("clkgen", clock);
 
   for (const ir::Wire& wire : datapath.wires) {
     netlist.create_net(wire.name, wire.width);

@@ -15,10 +15,6 @@
 
 namespace fti::elab {
 
-struct ElabOptions {
-  sim::Time clock_period = ops::ClockGen::kDefaultPeriod;
-};
-
 /// A live, runnable configuration.  Owns the netlist; memory storage stays
 /// in the caller's pool so it survives this object.
 struct ElaboratedConfig {
@@ -35,9 +31,9 @@ struct ElaboratedConfig {
 
 /// Validates and elaborates `config`; memories named by the datapath are
 /// created in (or fetched from) `pool`.  The reserved net name "clk" is
-/// added for the clock; a datapath wire of that name is rejected.
+/// added for the clock (period ops::ClockGen::kDefaultPeriod); a datapath
+/// wire of that name is rejected.
 std::unique_ptr<ElaboratedConfig> elaborate(const ir::Configuration& config,
-                                            mem::MemoryPool& pool,
-                                            const ElabOptions& options = {});
+                                            mem::MemoryPool& pool);
 
 }  // namespace fti::elab

@@ -8,12 +8,15 @@
 
 #include "fti/elab/batched.hpp"
 #include "fti/elab/compiled.hpp"
+#include "fti/elab/elaborator.hpp"
 #include "fti/obs/metrics.hpp"
 #include "fti/obs/trace.hpp"
 #include "fti/ops/alu.hpp"
+#include "fti/ops/clock.hpp"
 #include "fti/sim/probe.hpp"
 #include "fti/util/error.hpp"
 #include "fti/util/file_io.hpp"
+#include "fti/util/logging.hpp"
 
 namespace fti::elab {
 
@@ -75,51 +78,56 @@ const std::string& EventEngine::name() const {
 sim::EnginePartition EventEngine::run_partition(
     const ir::Design& design, const std::string& node, mem::MemoryPool& pool,
     const sim::EngineRunOptions& options, std::size_t partition_index) {
+  util::Stopwatch watch;
+  // Reconfiguration: the previous partition's netlist is gone; only the
+  // pool persists.  Elaboration cost is part of the configuration's wall
+  // time, as bitstream loading would be on the FPGA.
   const ir::Configuration& config = design.configuration(node);
-  RtgRunOptions ropts;
-  ropts.elab.clock_period = options.clock_period;
-  ropts.max_cycles_per_partition = options.max_cycles_per_partition;
-  ropts.max_deltas = options.max_deltas;
-  ropts.tracer = options.tracer;
-
-  std::vector<std::pair<std::string, sim::Probe*>> probes;
-  std::map<std::string, std::uint64_t> finals;
-  std::map<std::string, std::vector<std::uint64_t>> traces;
-  ropts.on_elaborated = [&](const std::string& name,
-                            ElaboratedConfig& live) {
-    if (options.on_netlist) {
-      options.on_netlist(name, live.netlist);
-    }
-    if (options.collect_wire_data) {
-      for (const std::string& wire : ir::traced_wires(config.datapath)) {
-        sim::Net& net = live.netlist.net(wire);
-        sim::Probe& probe = live.netlist.add_component<sim::Probe>(
-            "engine_probe." + wire, net);
-        probes.emplace_back(wire, &probe);
-      }
-    }
-  };
-  if (options.collect_wire_data) {
-    // Harvest while the netlist is still alive.
-    ropts.on_partition_done = [&](const std::string&, ElaboratedConfig& live,
-                                  const PartitionRun&) {
-      for (const auto& [wire, probe] : probes) {
-        finals.emplace(wire, live.netlist.net(wire).u());
-        std::vector<std::uint64_t>& trace = traces[wire];
-        for (const sim::Probe::Sample& sample : probe->samples()) {
-          trace.push_back(sample.value.u());
-        }
-      }
-    };
+  std::unique_ptr<ElaboratedConfig> live;
+  {
+    obs::ScopedSpan span("elaborate:" + node, "elab");
+    live = elaborate(config, pool);
+    obs::counter("elab.configurations").inc();
   }
-  bool attach_tracer =
-      options.tracer != nullptr &&
-      (options.trace_node.empty() ? partition_index == 0
-                                  : options.trace_node == node);
-  sim::EnginePartition run =
-      run_one_partition(config, node, pool, ropts, attach_tracer);
-  run.finals = std::move(finals);
-  run.traces = std::move(traces);
+  if (options.on_netlist) {
+    options.on_netlist(node, live->netlist);
+  }
+  std::vector<std::pair<std::string, sim::Probe*>> probes;
+  if (options.collect_wire_data) {
+    for (const std::string& wire : ir::traced_wires(config.datapath)) {
+      probes.emplace_back(wire, &live->netlist.add_component<sim::Probe>(
+                                    "engine_probe." + wire,
+                                    live->netlist.net(wire)));
+    }
+  }
+
+  sim::Kernel kernel(live->netlist);
+  if (partition_index == 0 && options.tracer != nullptr) {
+    kernel.set_tracer(options.tracer);
+  }
+  sim::Time max_time = options.max_cycles_per_partition == 0
+                           ? sim::kNoTimeLimit
+                           : options.max_cycles_per_partition *
+                                 ops::ClockGen::kDefaultPeriod;
+  sim::EnginePartition run;
+  run.node = node;
+  run.reason = kernel.run(max_time, live->done);
+  run.cycles = live->clock_gen->cycles();
+  run.stats = kernel.stats();
+  run.coverage = live->fsm->coverage();
+  run.wall_seconds = watch.seconds();
+  // Harvest while the netlist is still alive.
+  for (const auto& [wire, probe] : probes) {
+    run.finals.emplace(wire, live->netlist.net(wire).u());
+    std::vector<std::uint64_t>& trace = run.traces[wire];
+    for (const sim::Probe::Sample& sample : probe->samples()) {
+      trace.push_back(sample.value.u());
+    }
+  }
+  FTI_LOG(kInfo, "rtg") << "partition '" << node << "': "
+                        << sim::to_string(run.reason) << " after "
+                        << run.cycles << " cycles, " << run.stats.events
+                        << " events";
   return run;
 }
 
@@ -148,6 +156,9 @@ namespace {
 using sim::Bits;
 
 constexpr std::size_t kUntraced = static_cast<std::size_t>(-1);
+
+/// Settle sweeps per cycle before the sweep reports a combinational loop.
+constexpr std::uint32_t kMaxSweeps = 1000;
 
 /// One partition of the full-sweep interpreter (see SweepEngine).
 class SweepSim {
@@ -254,7 +265,7 @@ class SweepSim {
  private:
   void finish(sim::EnginePartition& result) {
     result.stats.timesteps = result.cycles + 1;
-    result.stats.end_time = result.cycles * options_.clock_period;
+    result.stats.end_time = result.cycles * ops::ClockGen::kDefaultPeriod;
     result.coverage = coverage_from_counts(config_.fsm, visits_, taken_);
     // Every traced wire reports, even if idle.
     for (TracedWire& wire : traced_) {
@@ -364,7 +375,7 @@ class SweepSim {
 
   /// Full-evaluation sweeps until the combinational logic settles.
   void settle(sim::KernelStats& stats) {
-    for (std::uint32_t sweep = 0; sweep < options_.max_sweeps; ++sweep) {
+    for (std::uint32_t sweep = 0; sweep < kMaxSweeps; ++sweep) {
       ++stats.delta_cycles;
       bool changed = false;
       for (const ir::Unit* unit : combinational_) {

@@ -22,7 +22,6 @@
 #include <utility>
 #include <vector>
 
-#include "fti/elab/rtg_exec.hpp"
 #include "fti/ir/rtg.hpp"
 #include "fti/mem/storage.hpp"
 #include "fti/ops/alu.hpp"
@@ -52,6 +51,10 @@ class PartitionedEngine : public sim::Engine {
                         const sim::EngineRunOptions& options = {}) override;
 };
 
+/// The event kernel: each partition is elaborated into a fresh netlist
+/// (elaborator.hpp), handed to EngineRunOptions::on_netlist, probed when
+/// collect_wire_data is set, run to done with the tracer on partition 0
+/// only, and harvested before the netlist is torn down.
 class EventEngine final : public PartitionedEngine {
  public:
   const std::string& name() const override;
@@ -71,7 +74,9 @@ class EventEngine final : public PartitionedEngine {
 /// the RTG loop and the coverage report it shares only ops/semantics.hpp
 /// and ir::traced_wires with the other engines, which is what makes it
 /// the fuzzer's oracle.  Counts every unit evaluation
-/// (KernelStats::evaluations) and every settle sweep (delta_cycles).
+/// (KernelStats::evaluations) and every settle sweep (delta_cycles); a
+/// cycle that does not settle within 1000 sweeps is reported as a
+/// combinational loop.
 class SweepEngine : public PartitionedEngine {
  public:
   /// Binary-FU semantics override; null means ops::eval_binop.

@@ -82,8 +82,8 @@ void FsmExecutor::initialize(sim::Kernel& kernel) {
   drive_controls(kernel, /*force=*/true);
 }
 
-FsmCoverage FsmExecutor::coverage() const {
-  FsmCoverage report;
+sim::FsmCoverage FsmExecutor::coverage() const {
+  sim::FsmCoverage report;
   report.fsm = name();
   for (std::size_t i = 0; i < states_.size(); ++i) {
     report.states.push_back({states_[i].name, visits_[i]});

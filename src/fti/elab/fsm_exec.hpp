@@ -21,11 +21,6 @@
 
 namespace fti::elab {
 
-/// Coverage now lives in sim (every engine reports it through the common
-/// Engine interface); the alias keeps existing elab::FsmCoverage users
-/// compiling.
-using FsmCoverage = sim::FsmCoverage;
-
 class FsmExecutor : public sim::Component {
  public:
   /// `control_nets[i]` is the net for `datapath.control_wires[i]`; same
@@ -50,7 +45,7 @@ class FsmExecutor : public sim::Component {
   const std::vector<std::uint64_t>& state_visits() const { return visits_; }
 
   /// Full state/transition coverage of the run so far.
-  FsmCoverage coverage() const;
+  sim::FsmCoverage coverage() const;
 
  private:
   struct CompiledLiteral {

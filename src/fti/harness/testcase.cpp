@@ -41,10 +41,8 @@ namespace {
 
 /// Creates pool images for every array parameter and fills the declared
 /// inputs, so golden and simulated runs start from identical memory.
-void prime_pool(const compiler::Program& program,
-                const compiler::SemaInfo& sema, const TestCase& test,
-                mem::MemoryPool& pool, bool load_values) {
-  (void)program;
+void prime_pool(const compiler::SemaInfo& sema, const TestCase& test,
+                mem::MemoryPool& pool) {
   for (const auto& [name, param] : sema.arrays) {
     pool.create(name, param.array_size, compiler::width_of(param.type));
   }
@@ -52,10 +50,34 @@ void prime_pool(const compiler::Program& program,
     if (sema.arrays.find(name) == sema.arrays.end()) {
       throw util::IoError("test case feeds unknown array '" + name + "'");
     }
-    if (load_values) {
-      load_inputs(pool, name, values);
-    }
+    load_inputs(pool, name, values);
   }
+}
+
+/// Applies this request's lint gate to `report`: records the view the
+/// request asked for (semantic tier filtered out unless requested) in
+/// `outcome` and, when the gate blocks, fails the outcome and writes the
+/// .verdict file if emitting.  Returns true when blocked.
+bool lint_gate_blocks(const lint::Report& report, const TestCase& test,
+                      const VerifyOptions& options, VerifyOutcome& outcome) {
+  if (options.lint_gate == lint::Gate::kOff) {
+    return false;
+  }
+  outcome.lint = options.semantic ? report : lint::without_semantic(report);
+  if (!lint::blocks(options.lint_gate, outcome.lint)) {
+    return false;
+  }
+  outcome.lint_blocked = true;
+  outcome.passed = false;
+  outcome.message = "lint gate: design '" + outcome.lint.design + "' has " +
+                    std::to_string(outcome.lint.errors()) + " error(s), " +
+                    std::to_string(outcome.lint.warnings()) +
+                    " warning(s); simulation not started";
+  if (!options.emit_dir.empty()) {
+    util::write_file(options.emit_dir / (test.name + ".verdict"),
+                     outcome.message + "\n");
+  }
+  return true;
 }
 
 /// Seed-derived random stimulus for lanes k >= 1 of a batched verify.
@@ -233,21 +255,10 @@ VerifyOutcome run_test_case(const TestCase& test,
     // still blocks exactly like a cold run would.
     outcome.cache_hit = true;
     outcome.compile_seconds = watch.seconds();
-    if (options.lint_gate != lint::Gate::kOff) {
-      // The cached report carries the semantic tier; a --semantic=off
-      // request sees the filtered view without re-running the fixpoint.
-      outcome.lint = options.semantic ? entry->lint
-                                      : lint::without_semantic(entry->lint);
-      if (lint::blocks(options.lint_gate, outcome.lint)) {
-        outcome.lint_blocked = true;
-        outcome.passed = false;
-        outcome.message =
-            "lint gate: design '" + outcome.lint.design + "' has " +
-            std::to_string(outcome.lint.errors()) + " error(s), " +
-            std::to_string(outcome.lint.warnings()) +
-            " warning(s); simulation not started";
-        return outcome;
-      }
+    // The cached report carries the semantic tier; a --semantic=off
+    // request sees the filtered view without re-running the fixpoint.
+    if (lint_gate_blocks(entry->lint, test, options, outcome)) {
+      return outcome;
     }
     design = entry->design.get();
   } else {
@@ -283,23 +294,8 @@ VerifyOutcome run_test_case(const TestCase& test,
       lint_options.semantic = options.semantic || cacheable;
       lint_report = lint::lint_design(outcome.compiled.design, lint_options);
     }
-    if (options.lint_gate != lint::Gate::kOff) {
-      outcome.lint = options.semantic ? lint_report
-                                      : lint::without_semantic(lint_report);
-      if (lint::blocks(options.lint_gate, outcome.lint)) {
-        outcome.lint_blocked = true;
-        outcome.passed = false;
-        outcome.message =
-            "lint gate: design '" + outcome.lint.design + "' has " +
-            std::to_string(outcome.lint.errors()) + " error(s), " +
-            std::to_string(outcome.lint.warnings()) +
-            " warning(s); simulation not started";
-        if (!options.emit_dir.empty()) {
-          util::write_file(options.emit_dir / (test.name + ".verdict"),
-                           outcome.message + "\n");
-        }
-        return outcome;
-      }
+    if (lint_gate_blocks(lint_report, test, options, outcome)) {
+      return outcome;
     }
 
     // 3. XML round-trip (the simulator consumes the re-parsed design).
@@ -349,7 +345,7 @@ VerifyOutcome run_test_case(const TestCase& test,
   for (std::uint32_t lane = 0; lane < lane_count; ++lane) {
     check_cancel(options);
     if (lane == 0) {
-      prime_pool(program, sema, test, golden_pools[0], /*load_values=*/true);
+      prime_pool(sema, test, golden_pools[0]);
     } else {
       prime_random_lane(sema, options.lane_seed, lane, golden_pools[lane]);
     }
@@ -377,7 +373,7 @@ VerifyOutcome run_test_case(const TestCase& test,
       if (lane != 0) {
         prime_random_lane(sema, options.lane_seed, lane, pools[lane]);
       } else if (!test.embed_inputs) {
-        prime_pool(program, sema, test, pools[0], /*load_values=*/true);
+        prime_pool(sema, test, pools[0]);
       }
       ptrs.push_back(&pools[lane]);
     }

@@ -145,7 +145,7 @@ struct VerifyOutcome {
   compiler::CompileResult compiled;
   /// True when options.design_cache served this run warm.
   bool cache_hit = false;
-  elab::RtgRunResult run;
+  sim::EngineResult run;
   compiler::InterpStats golden_stats;
   FlowArtifacts artifacts;
   std::size_t mismatches = 0;

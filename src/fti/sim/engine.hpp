@@ -38,23 +38,16 @@ namespace fti::sim {
 class Netlist;
 
 struct EngineRunOptions {
-  /// Simulation-time units per clock cycle (event engine).
-  Time clock_period = 10;
   /// Per-partition cycle budget before giving up (0 = unlimited -- then a
   /// design that never raises done runs forever, so leave this set).
   std::uint64_t max_cycles_per_partition = 50'000'000;
-  /// Settle-sweep limit per cycle for full-evaluation engines.
-  std::uint32_t max_sweeps = 1000;
-  /// Delta-cycle limit per timestep for the event engine.
-  std::uint32_t max_deltas = 65536;
   /// Record finals/traces of the clocked wires in each EnginePartition.
   /// Only engines with reports_wire_data() honour this.
   bool collect_wire_data = false;
-  /// Tracer (e.g. a VcdWriter) installed on ONE partition: the node named
-  /// by `trace_node`, or the first partition when empty.  Only engines
-  /// with supports_tracing() honour this.
+  /// Tracer (e.g. a VcdWriter) installed on the first partition only: a
+  /// tracer watches nets by identity and each partition owns a fresh
+  /// netlist.  Only engines with supports_tracing() honour this.
   Tracer* tracer = nullptr;
-  std::string trace_node;
   /// Netlist-building engines call this after each partition's netlist is
   /// elaborated and before it runs (probe/watch attachment).  The netlist
   /// is destroyed when the partition is torn down.
@@ -113,7 +106,7 @@ class Engine {
                            const EngineRunOptions& options = {}) = 0;
 
   /// Runs a single named configuration (the CPU-as-sequencer case in
-  /// cosim).  `partition_index` selects the tracer partition.
+  /// cosim).  Only `partition_index` 0 gets EngineRunOptions::tracer.
   virtual EnginePartition run_partition(const ir::Design& design,
                                         const std::string& node,
                                         mem::MemoryPool& pool,

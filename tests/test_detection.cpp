@@ -13,7 +13,7 @@
 #include "fti/compiler/interp.hpp"
 #include "fti/compiler/parser.hpp"
 #include "fti/compiler/sema.hpp"
-#include "fti/elab/rtg_exec.hpp"
+#include "fti/elab/engines.hpp"
 #include "fti/golden/rng.hpp"
 #include "fti/harness/testcase.hpp"
 #include "fti/ir/serde.hpp"
@@ -57,9 +57,9 @@ struct Flow {
     sim_pool.create("a", 8, 32);
     sim_pool.create("b", 8, 32);
     harness::load_inputs(sim_pool, "a", input);
-    elab::RtgRunOptions run_options;
+    sim::EngineRunOptions run_options;
     run_options.max_cycles_per_partition = 100000;
-    auto run = elab::run_design(design, sim_pool, run_options);
+    auto run = elab::EventEngine().run(design, sim_pool, run_options);
     if (!run.completed) {
       return false;  // non-termination is also a detected failure
     }
@@ -219,7 +219,7 @@ TEST(Detection, WrongInitContentsAreCaught) {
   compiler::run_program(flow.program, golden_pool, interp_options);
 
   mem::MemoryPool sim_pool;  // fresh: elaboration applies the bogus init
-  auto run = elab::run_design(design, sim_pool);
+  auto run = elab::EventEngine().run(design, sim_pool);
   ASSERT_TRUE(run.completed);
   EXPECT_NE(golden_pool.get("b").words(), sim_pool.get("b").words());
 }

@@ -2,7 +2,7 @@
 
 #include "fti/compiler/hls.hpp"
 #include "fti/elab/elaborator.hpp"
-#include "fti/elab/rtg_exec.hpp"
+#include "fti/elab/engines.hpp"
 #include "fti/sim/probe.hpp"
 #include "fti/sim/vcd.hpp"
 #include "fti/util/error.hpp"
@@ -87,7 +87,7 @@ TEST(RtgExec, RunsPartitionsInSequence) {
       "}\n",
       options);
   mem::MemoryPool pool;
-  RtgRunResult result = run_design(compiled.design, pool);
+  sim::EngineResult result = EventEngine().run(compiled.design, pool);
   ASSERT_TRUE(result.completed);
   ASSERT_EQ(result.partitions.size(), 2u);
   EXPECT_EQ(result.partitions[0].node, "seq_p0");
@@ -109,38 +109,65 @@ TEST(RtgExec, CycleBudgetYieldsIncomplete) {
       "}\n",
       options);
   mem::MemoryPool pool;
-  RtgRunOptions run_options;
+  sim::EngineRunOptions run_options;
   run_options.max_cycles_per_partition = 1000;
-  RtgRunResult result = run_design(compiled.design, pool, run_options);
+  sim::EngineResult result =
+      EventEngine().run(compiled.design, pool, run_options);
   EXPECT_FALSE(result.completed);
   ASSERT_EQ(result.partitions.size(), 1u);
   EXPECT_EQ(result.partitions[0].reason, sim::Kernel::StopReason::kMaxTime);
 }
 
-TEST(RtgExec, OnElaboratedHookCanAttachInstrumentation) {
+TEST(RtgExec, OnNetlistHookCanAttachInstrumentation) {
   ir::Design design = ir::make_single_design(
       "probe_design", fti::testing::make_accumulator(4));
   mem::MemoryPool pool;
-  RtgRunOptions options;
-  sim::Probe* probe = nullptr;
+  sim::EngineRunOptions options;
+  bool attached = false;
   std::size_t observed_changes = 0;
-  options.on_elaborated = [&](const std::string& node,
-                              ElaboratedConfig& live) {
+  // The component dies with the partition's netlist, so it reports
+  // through its predicate while the partition runs.
+  options.on_netlist = [&](const std::string& node, sim::Netlist& netlist) {
     EXPECT_EQ(node, "acc");
-    probe = &live.netlist.add_component<sim::Probe>(
-        "probe", live.netlist.net("acc_q"));
+    netlist.add_component<sim::NetAssertion>(
+        "watch", netlist.net("acc_q"), [&](const sim::Bits&) {
+          ++observed_changes;
+          return true;
+        });
+    attached = true;
   };
-  // The probe dies with the partition's netlist: harvest it in the
-  // partition-done hook, not after run_design.
-  options.on_partition_done = [&](const std::string&, ElaboratedConfig&,
-                                  const PartitionRun&) {
-    ASSERT_NE(probe, nullptr);
-    observed_changes = probe->change_count();
-  };
-  RtgRunResult result = run_design(design, pool, options);
+  sim::EngineResult result = EventEngine().run(design, pool, options);
+  ASSERT_TRUE(attached);
   ASSERT_TRUE(result.completed);
   // acc took values 1..5 (plus the final overshoot load to 5+... ).
   EXPECT_GE(observed_changes, 4u);
+}
+
+/// Counts the tracer callbacks of one run.
+class CountingTracer : public sim::Tracer {
+ public:
+  void on_change(sim::Time, const sim::Net&) override { ++changes; }
+  void on_finish(sim::Time) override { ++finishes; }
+
+  std::size_t changes = 0;
+  std::size_t finishes = 0;
+};
+
+TEST(RtgExec, TracerWatchesFirstPartitionOnly) {
+  compiler::CompileOptions options;
+  auto compiled = compiler::compile_source(
+      "kernel two(int m[2]) { m[0] = 1; stage; m[1] = 2; }", options);
+  ASSERT_EQ(compiled.design.configurations.size(), 2u);
+  mem::MemoryPool pool;
+  CountingTracer tracer;
+  sim::EngineRunOptions run_options;
+  run_options.tracer = &tracer;
+  sim::EngineResult result =
+      EventEngine().run(compiled.design, pool, run_options);
+  ASSERT_TRUE(result.completed);
+  ASSERT_EQ(result.partitions.size(), 2u);
+  EXPECT_EQ(tracer.finishes, 1u);
+  EXPECT_GT(tracer.changes, 0u);
 }
 
 TEST(RtgExec, StatsPerPartitionAreIndependent) {
@@ -155,7 +182,7 @@ TEST(RtgExec, StatsPerPartitionAreIndependent) {
       "}\n",
       options);
   mem::MemoryPool pool;
-  RtgRunResult result = run_design(compiled.design, pool);
+  sim::EngineResult result = EventEngine().run(compiled.design, pool);
   ASSERT_TRUE(result.completed);
   // 16 iterations vs 2: the first partition runs much longer.
   EXPECT_GT(result.partitions[0].cycles, result.partitions[1].cycles);
@@ -201,9 +228,9 @@ TEST(Coverage, FullyCoveredLoop) {
       "}\n",
       options);
   mem::MemoryPool pool;
-  RtgRunResult result = run_design(compiled.design, pool);
+  sim::EngineResult result = EventEngine().run(compiled.design, pool);
   ASSERT_TRUE(result.completed);
-  const FsmCoverage& coverage = result.partitions[0].coverage;
+  const sim::FsmCoverage& coverage = result.partitions[0].coverage;
   EXPECT_TRUE(coverage.full()) << coverage.to_string();
   EXPECT_EQ(coverage.percent(), 100.0);
   EXPECT_EQ(coverage.states_visited(), coverage.states.size());
@@ -234,9 +261,9 @@ TEST(Coverage, UntakenBranchIsReported) {
   mem::MemoryPool pool;
   pool.create("a", 4, 32);  // all zeros: condition never true
   pool.create("b", 4, 32);
-  RtgRunResult result = run_design(compiled.design, pool);
+  sim::EngineResult result = EventEngine().run(compiled.design, pool);
   ASSERT_TRUE(result.completed);
-  const FsmCoverage& coverage = result.partitions[0].coverage;
+  const sim::FsmCoverage& coverage = result.partitions[0].coverage;
   EXPECT_FALSE(coverage.full());
   EXPECT_LT(coverage.percent(), 100.0);
   EXPECT_NE(coverage.to_string().find("never"), std::string::npos);
@@ -249,7 +276,7 @@ TEST(Coverage, PerPartitionReports) {
   auto compiled = compiler::compile_source(
       "kernel two(int m[2]) { m[0] = 1; stage; m[1] = 2; }", options);
   mem::MemoryPool pool;
-  RtgRunResult result = run_design(compiled.design, pool);
+  sim::EngineResult result = EventEngine().run(compiled.design, pool);
   ASSERT_TRUE(result.completed);
   ASSERT_EQ(result.partitions.size(), 2u);
   for (const auto& partition : result.partitions) {

@@ -266,8 +266,6 @@ TEST_P(EngineParity, CombinationalLoopFailsLoudly) {
   ir::Design design = inverter_loop_design();
   sim::EngineRunOptions options;
   options.max_cycles_per_partition = 100;  // the loop must hit first
-  options.max_sweeps = 64;
-  options.max_deltas = 64;
   mem::MemoryPool pool;
   try {
     engine()->run(design, pool, options);

@@ -144,7 +144,7 @@ TEST(Integration, BaselineSimulatorAgreesOnFdct) {
   mem::MemoryPool event_pool;
   event_pool.create("in", 64, 8);
   harness::load_inputs(event_pool, "in", test.inputs.at("in"));
-  auto event_run = elab::run_design(compiled.design, event_pool);
+  auto event_run = elab::EventEngine().run(compiled.design, event_pool);
   ASSERT_TRUE(event_run.completed);
 
   mem::MemoryPool naive_pool;
@@ -178,7 +178,7 @@ TEST(Integration, BaselineSimulatorAgreesOnTwoStage) {
   mem::MemoryPool event_pool;
   event_pool.create("in", 64, 8);
   harness::load_inputs(event_pool, "in", test.inputs.at("in"));
-  auto event_run = elab::run_design(compiled.design, event_pool);
+  auto event_run = elab::EventEngine().run(compiled.design, event_pool);
   ASSERT_TRUE(event_run.completed);
 
   mem::MemoryPool naive_pool;

@@ -215,7 +215,7 @@ TEST(MultiPortBaseline, AgreesWithEventKernel) {
   event_pool.create("a", 16, 16);
   event_pool.create("out", 8, 32);
   harness::load_inputs(event_pool, "a", inputs);
-  auto event_run = elab::run_design(compiled.design, event_pool);
+  auto event_run = elab::EventEngine().run(compiled.design, event_pool);
   ASSERT_TRUE(event_run.completed);
 
   mem::MemoryPool naive_pool;

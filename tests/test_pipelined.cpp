@@ -234,7 +234,7 @@ TEST(PipelinedBaseline, AgreesWithEventKernel) {
   event_pool.create("x", 16, 16);
   event_pool.create("y", 16, 16);
   harness::load_inputs(event_pool, "x", inputs);
-  auto event_run = elab::run_design(compiled.design, event_pool);
+  auto event_run = elab::EventEngine().run(compiled.design, event_pool);
   ASSERT_TRUE(event_run.completed);
 
   mem::MemoryPool naive_pool;

@@ -13,8 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include "fti/elab/elaborator.hpp"
 #include "fti/elab/engines.hpp"
-#include "fti/elab/rtg_exec.hpp"
 #include "fti/fuzz/generate.hpp"
 #include "fti/fuzz/reference.hpp"
 #include "fti/ir/rtg.hpp"
@@ -32,58 +32,55 @@ std::filesystem::path golden_path() {
   return std::filesystem::path(FTI_TEST_DATA_DIR) / "accumulator.vcd";
 }
 
-/// Runs the shared accumulator design with `tracer` installed and probes
-/// attached to the named wires; returns the harvested probe samples.
-struct TracedRun {
-  elab::RtgRunResult result;
-  std::map<std::string, std::vector<sim::Probe::Sample>> samples;
-};
-
-TracedRun run_accumulator(std::uint64_t target, sim::Tracer* tracer,
-                          const std::vector<std::string>& probed,
-                          std::size_t max_samples = 0,
-                          std::vector<bool>* overflowed = nullptr) {
+/// Runs the shared accumulator design through the event engine with `vcd`
+/// installed, watching clk, acc_q and done.
+sim::EngineResult trace_accumulator(std::uint64_t target,
+                                    sim::VcdWriter& vcd) {
   ir::Design design = ir::make_single_design(
       "acc", testing::make_accumulator(target));
   mem::MemoryPool pool;
-  elab::RtgRunOptions options;
-  options.tracer = tracer;
+  sim::EngineRunOptions options;
+  options.tracer = &vcd;
+  options.on_netlist = [&](const std::string&, sim::Netlist& netlist) {
+    vcd.watch(netlist.net("clk"));
+    vcd.watch(netlist.net("acc_q"));
+    vcd.watch(netlist.net("done"));
+  };
+  return elab::EventEngine().run(design, pool, options);
+}
+
+/// One accumulator configuration, elaborated and run on the kernel with
+/// probes (capped at `max_samples`, 0 = uncapped) on the named wires.
+struct ProbedRun {
+  sim::Kernel::StopReason reason = sim::Kernel::StopReason::kIdle;
+  std::map<std::string, std::vector<sim::Probe::Sample>> samples;
+  std::vector<bool> overflowed;
+};
+
+ProbedRun probe_accumulator(std::uint64_t target,
+                            const std::vector<std::string>& probed,
+                            std::size_t max_samples = 0) {
+  mem::MemoryPool pool;
+  auto live = elab::elaborate(testing::make_accumulator(target), pool);
   std::vector<std::pair<std::string, sim::Probe*>> probes;
-  options.on_elaborated = [&](const std::string&,
-                              elab::ElaboratedConfig& cfg) {
-    if (tracer != nullptr) {
-      auto* vcd = dynamic_cast<sim::VcdWriter*>(tracer);
-      if (vcd != nullptr) {
-        vcd->watch(cfg.netlist.net("clk"));
-        vcd->watch(cfg.netlist.net("acc_q"));
-        vcd->watch(cfg.netlist.net("done"));
-      }
-    }
-    for (const std::string& wire : probed) {
-      probes.emplace_back(wire, &cfg.netlist.add_component<sim::Probe>(
-                                    "probe." + wire,
-                                    cfg.netlist.net(wire), max_samples));
-    }
-  };
-  TracedRun run;
-  options.on_partition_done = [&](const std::string&,
-                                  elab::ElaboratedConfig&,
-                                  const elab::PartitionRun&) {
-    for (const auto& [wire, probe] : probes) {
-      run.samples[wire] = probe->samples();
-      if (overflowed != nullptr) {
-        overflowed->push_back(probe->overflowed());
-      }
-    }
-  };
-  run.result = elab::run_design(design, pool, options);
+  for (const std::string& wire : probed) {
+    probes.emplace_back(wire, &live->netlist.add_component<sim::Probe>(
+                                  "probe." + wire, live->netlist.net(wire),
+                                  max_samples));
+  }
+  sim::Kernel kernel(live->netlist);
+  ProbedRun run;
+  run.reason = kernel.run(100000, live->done);
+  for (const auto& [wire, probe] : probes) {
+    run.samples[wire] = probe->samples();
+    run.overflowed.push_back(probe->overflowed());
+  }
   return run;
 }
 
 TEST(Vcd, GoldenAccumulatorDump) {
   sim::VcdWriter vcd("acc");
-  TracedRun run = run_accumulator(3, &vcd, {});
-  ASSERT_TRUE(run.result.completed);
+  ASSERT_TRUE(trace_accumulator(3, vcd).completed);
   std::string text = vcd.str();
   if (std::getenv("FTI_REGEN_GOLDEN") != nullptr) {
     util::write_file(golden_path(), text);
@@ -96,8 +93,7 @@ TEST(Vcd, GoldenAccumulatorDump) {
 
 TEST(Vcd, DumpStructure) {
   sim::VcdWriter vcd("acc");
-  TracedRun run = run_accumulator(2, &vcd, {});
-  ASSERT_TRUE(run.result.completed);
+  ASSERT_TRUE(trace_accumulator(2, vcd).completed);
   std::string text = vcd.str();
   // Header, one $var per watched net, then the body in time order.
   EXPECT_NE(text.find("$scope module acc $end"), std::string::npos);
@@ -112,8 +108,8 @@ TEST(Vcd, DumpStructure) {
 }
 
 TEST(Probe, SamplesOrderedAndExact) {
-  TracedRun run = run_accumulator(3, nullptr, {"acc_q", "done"});
-  ASSERT_TRUE(run.result.completed);
+  ProbedRun run = probe_accumulator(3, {"acc_q", "done"});
+  ASSERT_EQ(run.reason, sim::Kernel::StopReason::kDoneNet);
   const auto& acc = run.samples.at("acc_q");
   // acc loads target + 1 values: 1, 2, 3, 4 (power-up zero is not a
   // change, so the probe starts at the first increment).
@@ -135,15 +131,14 @@ TEST(Probe, SamplesOrderedAndExact) {
 }
 
 TEST(Probe, OverflowKeepsCountingChanges) {
-  std::vector<bool> overflowed;
-  TracedRun run = run_accumulator(5, nullptr, {"acc_q"}, 2, &overflowed);
-  ASSERT_TRUE(run.result.completed);
+  ProbedRun run = probe_accumulator(5, {"acc_q"}, 2);
+  ASSERT_EQ(run.reason, sim::Kernel::StopReason::kDoneNet);
   const auto& acc = run.samples.at("acc_q");
   ASSERT_EQ(acc.size(), 2u);
   EXPECT_EQ(acc[0].value.u(), 1u);
   EXPECT_EQ(acc[1].value.u(), 2u);
-  ASSERT_EQ(overflowed.size(), 1u);
-  EXPECT_TRUE(overflowed.front());
+  ASSERT_EQ(run.overflowed.size(), 1u);
+  EXPECT_TRUE(run.overflowed.front());
 }
 
 TEST(Vcd, EmptyNetlist) {
@@ -189,8 +184,8 @@ TEST(BatchedGolden, LaneZeroMatchesSingleLaneReferenceRun) {
   // Cross-check against the event kernel's probe instrumentation: the
   // traced acc_q change sequence must equal the probe's samples (values
   // 1..target+1, per the Moore-timing contract above).
-  TracedRun probe_run = run_accumulator(3, nullptr, {"acc_q"});
-  ASSERT_TRUE(probe_run.result.completed);
+  ProbedRun probe_run = probe_accumulator(3, {"acc_q"});
+  ASSERT_EQ(probe_run.reason, sim::Kernel::StopReason::kDoneNet);
   const auto& samples = probe_run.samples.at("acc_q");
   const std::vector<std::uint64_t>& trace = got.traces.at("acc_q");
   ASSERT_EQ(trace.size(), samples.size());
@@ -203,8 +198,7 @@ TEST(BatchedGolden, LaneZeroMatchesSingleLaneReferenceRun) {
 
 TEST(VcdReader, RoundTripsWriterDump) {
   sim::VcdWriter vcd("acc");
-  TracedRun run = run_accumulator(3, &vcd, {});
-  ASSERT_TRUE(run.result.completed);
+  ASSERT_TRUE(trace_accumulator(3, vcd).completed);
   sim::VcdDocument doc = sim::parse_vcd(vcd.str());
   EXPECT_EQ(doc.timescale, "1ns");
   ASSERT_EQ(doc.vars.size(), 3u);  // clk, acc_q, done
@@ -250,15 +244,15 @@ TEST(VcdReader, PropertyRoundTripMatchesEngineTraces) {
     // Instrumented event run with every net watched.
     sim::VcdWriter vcd(design.rtg.initial);
     mem::MemoryPool vcd_pool;
-    elab::RtgRunOptions run_options;
+    sim::EngineRunOptions run_options;
     run_options.tracer = &vcd;
-    run_options.on_elaborated = [&](const std::string&,
-                                    elab::ElaboratedConfig& cfg) {
-      for (const auto& net : cfg.netlist.nets()) {
+    run_options.on_netlist = [&](const std::string&, sim::Netlist& netlist) {
+      for (const auto& net : netlist.nets()) {
         vcd.watch(*net);
       }
     };
-    elab::RtgRunResult traced = elab::run_design(design, vcd_pool, run_options);
+    sim::EngineResult traced =
+        elab::EventEngine().run(design, vcd_pool, run_options);
     ASSERT_EQ(traced.completed, expected.completed) << "seed " << seed;
     if (!expected.completed) {
       continue;
