@@ -135,11 +135,10 @@ void BM_ElaborateFdct(benchmark::State& state) {
   auto compiled =
       fti::compiler::compile_source(fti::golden::fdct_source(1, false),
                                     options);
-  const fti::ir::Configuration& config =
-      compiled.design.configuration("fdct");
+  const fti::elab::CheckedDesign checked(compiled.design);
   for (auto _ : state) {
     fti::mem::MemoryPool pool;
-    auto live = fti::elab::elaborate(config, pool);
+    auto live = fti::elab::elaborate(checked, "fdct", pool);
     benchmark::DoNotOptimize(live->netlist.component_count());
   }
 }

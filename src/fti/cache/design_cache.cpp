@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <utility>
-#include <vector>
 
 #include "fti/obs/metrics.hpp"
 
@@ -17,8 +16,6 @@ struct ObsCounters {
   obs::Counter& misses = obs::counter("cache.misses");
   obs::Counter& insertions = obs::counter("cache.insertions");
   obs::Counter& evictions = obs::counter("cache.evictions");
-  obs::Counter& schedule_builds = obs::counter("cache.schedule_builds");
-  obs::Counter& schedule_hits = obs::counter("cache.schedule_hits");
 };
 
 ObsCounters& obs_counters() {
@@ -26,58 +23,17 @@ ObsCounters& obs_counters() {
   return counters;
 }
 
-/// Process-global registry behind the engines' schedule provider.  The
-/// provider itself is installed once and stays installed; it consults
-/// whatever caches are alive at call time, so cache destruction (tests
-/// build and drop many) never leaves a dangling provider.
-std::mutex& registry_mutex() {
-  static std::mutex mutex;
-  return mutex;
-}
-
-std::vector<DesignCache*>& registry() {
-  static std::vector<DesignCache*> caches;
-  return caches;
-}
-
 }  // namespace
 
-elab::SharedSchedule provider_lookup(const ir::Design& design,
-                                     const std::string& node) {
-  // Snapshot the entry (a shared_ptr) under the registry lock, build or
-  // fetch the schedule outside it.
-  DesignCache::Entry owner;
-  DesignCache* cache = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(registry_mutex());
-    for (DesignCache* candidate : registry()) {
-      owner = candidate->find_by_address(&design);
-      if (owner) {
-        cache = candidate;
-        break;
-      }
-    }
-  }
-  if (!owner) {
-    return nullptr;  // not a cached design: engines build fresh
-  }
-  return cache->schedule_for(owner, node);
-}
+CachedDesign::CachedDesign(const Key& ir_key, ir::Design ir_design,
+                           lint::Report report)
+    : key(ir_key),
+      design(std::make_shared<const ir::Design>(std::move(ir_design))),
+      lint(std::move(report)),
+      checked(*design) {}
 
 DesignCache::DesignCache(std::size_t max_entries)
-    : max_entries_(std::max<std::size_t>(1, max_entries)) {
-  std::lock_guard<std::mutex> lock(registry_mutex());
-  if (registry().empty()) {
-    elab::set_schedule_provider(provider_lookup);
-  }
-  registry().push_back(this);
-}
-
-DesignCache::~DesignCache() {
-  std::lock_guard<std::mutex> lock(registry_mutex());
-  std::vector<DesignCache*>& caches = registry();
-  caches.erase(std::remove(caches.begin(), caches.end(), this), caches.end());
-}
+    : max_entries_(std::max<std::size_t>(1, max_entries)) {}
 
 DesignCache::Entry DesignCache::find(const Key& key) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -95,6 +51,10 @@ DesignCache::Entry DesignCache::find(const Key& key) {
 
 DesignCache::Entry DesignCache::insert(const Key& key, ir::Design design,
                                        lint::Report lint) {
+  // Validated outside the lock; a racing insert of the same key wastes
+  // only this check.
+  auto entry = std::make_shared<const CachedDesign>(key, std::move(design),
+                                                    std::move(lint));
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = entries_.find(key);
   if (it != entries_.end()) {
@@ -102,13 +62,8 @@ DesignCache::Entry DesignCache::insert(const Key& key, ir::Design design,
     order_.splice(order_.begin(), order_, it->second.position);
     return it->second.entry;
   }
-  auto entry = std::make_shared<CachedDesign>();
-  entry->key = key;
-  entry->design = std::make_shared<const ir::Design>(std::move(design));
-  entry->lint = std::move(lint);
   order_.push_front(key);
   entries_.emplace(key, Slot{entry, order_.begin()});
-  by_address_.emplace(entry->design.get(), entry);
   insertions_.fetch_add(1, std::memory_order_relaxed);
   obs_counters().insertions.inc();
   evict_over_capacity_locked();
@@ -149,28 +104,7 @@ void DesignCache::alias_source(const Key& source_key, const Key& ir_key) {
 
 std::shared_ptr<const elab::LevelizedSchedule> DesignCache::schedule_for(
     const Entry& entry, const std::string& node) {
-  {
-    std::lock_guard<std::mutex> lock(entry->schedule_mutex);
-    auto it = entry->schedules.find(node);
-    if (it != entry->schedules.end()) {
-      schedule_hits_.fetch_add(1, std::memory_order_relaxed);
-      obs_counters().schedule_hits.inc();
-      // Aliasing: the handle keeps the entry (and so the design the
-      // schedule's steps point into) alive past eviction.
-      return {entry, it->second.get()};
-    }
-  }
-  // Build outside the lock; racing builders produce identical schedules
-  // (build_levelized_schedule is deterministic) and first-in wins.
-  auto built = std::make_shared<const elab::LevelizedSchedule>(
-      elab::build_levelized_schedule(
-          entry->design->configuration(node).datapath));
-  schedule_builds_.fetch_add(1, std::memory_order_relaxed);
-  obs_counters().schedule_builds.inc();
-  std::lock_guard<std::mutex> lock(entry->schedule_mutex);
-  auto [it, inserted] = entry->schedules.emplace(node, std::move(built));
-  (void)inserted;
-  return {entry, it->second.get()};
+  return {entry, &entry->checked.schedule(node)};
 }
 
 DesignCache::Stats DesignCache::stats() const {
@@ -179,8 +113,6 @@ DesignCache::Stats DesignCache::stats() const {
   stats.misses = misses_.load(std::memory_order_relaxed);
   stats.insertions = insertions_.load(std::memory_order_relaxed);
   stats.evictions = evictions_.load(std::memory_order_relaxed);
-  stats.schedule_builds = schedule_builds_.load(std::memory_order_relaxed);
-  stats.schedule_hits = schedule_hits_.load(std::memory_order_relaxed);
   return stats;
 }
 
@@ -189,18 +121,10 @@ std::size_t DesignCache::size() const {
   return entries_.size();
 }
 
-DesignCache::Entry DesignCache::find_by_address(const ir::Design* design) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = by_address_.find(design);
-  return it == by_address_.end() ? nullptr : it->second;
-}
-
 void DesignCache::evict_over_capacity_locked() {
   while (entries_.size() > max_entries_) {
     const Key& victim = order_.back();
-    auto it = entries_.find(victim);
-    by_address_.erase(it->second.entry->design.get());
-    entries_.erase(it);
+    entries_.erase(victim);
     order_.pop_back();
     evictions_.fetch_add(1, std::memory_order_relaxed);
     obs_counters().evictions.inc();

@@ -89,19 +89,16 @@ class NodeEmitter {
               std::string& out)
       : config_(design.configuration(node)),
         datapath_(config_.datapath),
+        wires_(datapath_),
         schedule_(schedule),
         node_(node),
         index_(node_index),
         out_(out) {
-    for (const ir::Wire& wire : datapath_.wires) {
-      wire_index_.emplace(wire.name, widths_.size());
-      widths_.push_back(wire.width);
-    }
-    slots_.assign(widths_.size(), kNone);
+    slots_.assign(datapath_.wires.size(), kNone);
     layout_.name = node;
     layout_.traced = ir::traced_wires(datapath_);
     for (std::size_t s = 0; s < layout_.traced.size(); ++s) {
-      slots_[wire_index_.at(layout_.traced[s])] = s;
+      slots_[wires_.slot(layout_.traced[s])] = s;
     }
     layout_.memories = elab::cabi::memory_order(datapath_);
     for (std::size_t m = 0; m < layout_.memories.size(); ++m) {
@@ -153,10 +150,7 @@ class NodeEmitter {
   }
 
   std::size_t index_of(const std::string& wire) const {
-    auto it = wire_index_.find(wire);
-    FTI_ASSERT(it != wire_index_.end(),
-               "codegen: unknown wire '" + wire + "'");
-    return it->second;
+    return wires_.slot(wire);
   }
 
   std::string ref(const std::string& wire) const {
@@ -164,7 +158,7 @@ class NodeEmitter {
   }
 
   std::uint32_t width_of(const std::string& wire) const {
-    return widths_[index_of(wire)];
+    return datapath_.wires[index_of(wire)].width;
   }
 
   /// Sign-bit constant of `wire` for the ops/semantics.hpp calls.
@@ -218,18 +212,19 @@ class NodeEmitter {
     // Constant units fold into the wire initializer: single-driver rules
     // make a const's output wire otherwise unwritten, and the first read
     // anywhere happens after the first sweep would have assigned it.
-    std::vector<std::uint64_t> init(widths_.size(), 0);
-    std::vector<const ir::Unit*> folded(widths_.size(), nullptr);
+    std::vector<std::uint64_t> init(datapath_.wires.size(), 0);
+    std::vector<const ir::Unit*> folded(datapath_.wires.size(), nullptr);
     for (const ir::Unit& unit : datapath_.units) {
       if (unit.kind == ir::UnitKind::kConst) {
         std::size_t out = index_of(unit.port("out"));
-        init[out] = unit.value & mask_of(widths_[out]);
+        init[out] = unit.value & mask_of(datapath_.wires[out].width);
         folded[out] = &unit;
       }
     }
-    for (std::size_t i = 0; i < widths_.size(); ++i) {
-      std::string comment = "wire '" + escaped(datapath_.wires[i].name) +
-                            "' width " + std::to_string(widths_[i]);
+    for (std::size_t i = 0; i < datapath_.wires.size(); ++i) {
+      const ir::Wire& wire = datapath_.wires[i];
+      std::string comment = "wire '" + escaped(wire.name) + "' width " +
+                            std::to_string(wire.width);
       if (folded[i] != nullptr) {
         comment += " (const '" + escaped(folded[i]->name) + "' folded)";
       }
@@ -294,7 +289,7 @@ class NodeEmitter {
         if (c != 0) {
           row += ", ";
         }
-        row += u64(value & mask_of(widths_[index_of(controls[c])]));
+        row += u64(value & mask_of(width_of(controls[c])));
       }
       row += "},  /* '" + escaped(st.name) + "' */";
       ln(row);
@@ -321,7 +316,7 @@ class NodeEmitter {
       std::string out_port =
           unit.kind == ir::UnitKind::kMemPort ? "dout" : "out";
       std::size_t out = index_of(unit.port(out_port));
-      std::uint32_t out_width = widths_[out];
+      std::uint32_t out_width = datapath_.wires[out].width;
       std::string expr;
       switch (unit.kind) {
         case ir::UnitKind::kBinOp:
@@ -386,7 +381,8 @@ class NodeEmitter {
         continue;
       }
       std::size_t q = index_of(unit.port("q"));
-      std::uint64_t reset = unit.reset_value & mask_of(widths_[q]);
+      std::uint64_t reset =
+          unit.reset_value & mask_of(datapath_.wires[q].width);
       if (reset == 0) {
         continue;
       }
@@ -557,12 +553,12 @@ class NodeEmitter {
 
   const ir::Configuration& config_;
   const ir::Datapath& datapath_;
+  /// Local: emit_cpp also serves callers holding a plain ir::Design.
+  const ir::DatapathIndex wires_;
   const elab::LevelizedSchedule& schedule_;
   std::string node_;
   std::size_t index_;
   std::string& out_;
-  std::map<std::string, std::size_t> wire_index_;
-  std::vector<std::uint32_t> widths_;
   std::vector<std::size_t> slots_;
   std::map<std::string, std::size_t> memory_index_;
   std::vector<std::size_t> taken_offsets_;

@@ -49,7 +49,7 @@ struct CppModule {
 
 /// Emits the module for `design`.  `schedules` is parallel to
 /// `design.rtg.nodes` and each entry must have been built from that
-/// node's configuration (acquire_levelized_schedule provides them; a
+/// node's configuration (elab::CheckedDesign::schedule provides them; a
 /// combinational cycle therefore fails before emission starts).
 /// `ir_hash` is the 32-hex module key baked into the module and
 /// re-checked at every load.

@@ -16,7 +16,7 @@ constexpr std::uint32_t kWord = 32;
 CoSimResult CoSimSystem::run(const CpuProgram& program,
                              const CoSimOptions& options) {
   program.validate();
-  ir::validate(design_);
+  const elab::CheckedDesign checked(design_);
   const std::vector<CpuInsn>& insns = program.instructions();
   CoSimResult result;
   auto reg = [&result](int index) {
@@ -104,7 +104,7 @@ CoSimResult CoSimSystem::run(const CpuProgram& program,
         if (insn.node.empty()) {
           // Run the design's whole RTG sequence.
           sim::EngineResult run =
-              fabric->run(design_, pool_, options.fabric);
+              fabric->run(checked, pool_, options.fabric);
           if (!run.completed) {
             throw util::SimError(
                 "cosim: fabric did not complete its RTG sequence");
@@ -114,7 +114,7 @@ CoSimResult CoSimSystem::run(const CpuProgram& program,
         } else {
           // Run one configuration: the CPU is the sequencer.
           sim::EnginePartition run = fabric->run_partition(
-              design_, insn.node, pool_, options.fabric, 0);
+              checked, insn.node, pool_, options.fabric, 0);
           if (run.reason != sim::Kernel::StopReason::kDoneNet) {
             throw util::SimError("cosim: configuration '" + insn.node +
                                  "' stopped with reason '" +

@@ -72,28 +72,24 @@ struct XLane {
 template <bool kFourState>
 class BatchedSim {
  public:
-  /// `schedule` must have been built from this exact `config` object
-  /// (see acquire_levelized_schedule); it is consumed during
-  /// construction only.
-  BatchedSim(const ir::Configuration& config,
+  /// Runs configuration `node` of `design` over one lane per pool.
+  BatchedSim(const CheckedDesign& design, const std::string& node,
              const std::vector<mem::MemoryPool*>& pools,
              const sim::EngineRunOptions& options,
-             const LevelizedSchedule& schedule,
              std::vector<XLane*> x_lanes = {})
-      : config_(config),
+      : config_(design.design().configuration(node)),
+        index_(design.index(node)),
         options_(options),
         lanes_(pools.size()),
         words_((pools.size() + 63) / 64),
         x_lanes_(std::move(x_lanes)) {
     tail_mask_ = lanes_ % 64 == 0 ? ~0ull : (1ull << (lanes_ % 64)) - 1;
-    ir::validate(config.datapath);
-    ir::validate(config.fsm, config.datapath);
-    const ir::Datapath& datapath = config.datapath;
+    const ir::Datapath& datapath = config_.datapath;
+    const LevelizedSchedule& schedule = design.schedule(node);
 
     std::size_t bit_words = 0;
     std::size_t wide_words = 0;
     for (const ir::Wire& wire : datapath.wires) {
-      wire_index_.emplace(wire.name, slots_.size());
       Slot slot;
       slot.width = wire.width;
       slot.packed = wire.width == 1;
@@ -108,21 +104,14 @@ class BatchedSim {
       wide_x_.assign(wide_words, 0);
     }
 
-    // One image per (memory, lane); creation and init-if-fresh follow the
-    // single-lane engines so a pre-primed pool is that lane's stimulus.
+    // One image per (memory, lane), acquired as the single-lane engines
+    // do, so a pre-primed pool is that lane's stimulus.
     for (const ir::MemoryDecl& memory : datapath.memories) {
       std::vector<mem::MemoryImage*> images(lanes_);
       std::vector<std::vector<std::uint64_t>*> unknown(kFourState ? lanes_ : 0);
       for (std::size_t lane = 0; lane < lanes_; ++lane) {
-        mem::MemoryPool& pool = *pools[lane];
-        bool fresh = !pool.contains(memory.name);
-        mem::MemoryImage& image =
-            pool.create(memory.name, memory.depth, memory.width);
-        if (fresh) {
-          for (std::size_t i = 0; i < memory.init.size(); ++i) {
-            image.write(i, memory.init[i]);
-          }
-        }
+        bool fresh = false;
+        mem::MemoryImage& image = acquire_memory(*pools[lane], memory, &fresh);
         images[lane] = &image;
         if constexpr (kFourState) {
           // A lane's mask is made with its image, so an image the pool
@@ -243,7 +232,7 @@ class BatchedSim {
         scanned_.push_back(r);
       }
     }
-    for (const ir::State& state : config.fsm.states) {
+    for (const ir::State& state : config_.fsm.states) {
       CompiledState compiled;
       for (const std::string& control : datapath.control_wires) {
         std::uint64_t value = 0;
@@ -274,23 +263,23 @@ class BatchedSim {
           ct.literals.emplace_back(index_of(literal.status),
                                    literal.expected);
         }
-        ct.target = config.fsm.state_index(transition.target);
+        ct.target = config_.fsm.state_index(transition.target);
         compiled.transitions.push_back(std::move(ct));
       }
       states_.push_back(std::move(compiled));
     }
-    done_index_ = index_of(config.fsm.done_wire);
-    state_.assign(lanes_, config.fsm.state_index(config.fsm.initial));
+    done_index_ = index_of(config_.fsm.done_wire);
+    state_.assign(lanes_, config_.fsm.state_index(config_.fsm.initial));
     driven_.assign(lanes_, kNone);
     state_lanes_.assign(states_.size() * words_, 0);
     occupied_flag_.assign(states_.size(), 0);
     visits_.assign(lanes_,
-                   std::vector<std::uint64_t>(config.fsm.states.size(), 0));
+                   std::vector<std::uint64_t>(config_.fsm.states.size(), 0));
     taken_.resize(lanes_);
     for (std::size_t lane = 0; lane < lanes_; ++lane) {
-      taken_[lane].resize(config.fsm.states.size());
-      for (std::size_t i = 0; i < config.fsm.states.size(); ++i) {
-        taken_[lane][i].assign(config.fsm.states[i].transitions.size(), 0);
+      taken_[lane].resize(config_.fsm.states.size());
+      for (std::size_t i = 0; i < config_.fsm.states.size(); ++i) {
+        taken_[lane][i].assign(config_.fsm.states[i].transitions.size(), 0);
       }
     }
 
@@ -465,7 +454,7 @@ class BatchedSim {
   };
 
   std::size_t index_of(const std::string& wire) const {
-    return wire_index_.at(wire);
+    return index_.slot(wire);
   }
 
   Exec classify(const CombOp& op) const {
@@ -1269,6 +1258,7 @@ class BatchedSim {
   }
 
   const ir::Configuration& config_;
+  const ir::DatapathIndex& index_;
   const sim::EngineRunOptions& options_;
   std::size_t lanes_;
   std::size_t words_;
@@ -1277,7 +1267,6 @@ class BatchedSim {
   std::vector<std::uint8_t> x_hits_;  ///< per lane and site: seen X
   std::string node_;
   std::uint64_t tail_mask_;
-  std::map<std::string, std::size_t> wire_index_;
   std::vector<Slot> slots_;
   std::vector<std::uint64_t> bit_vals_;
   std::vector<std::uint64_t> wide_vals_;
@@ -1335,10 +1324,9 @@ class BatchedSim {
 /// feeds no engine.* metrics.
 template <bool kFourState>
 std::vector<sim::EngineResult> run_lanes(
-    const std::string& name, const ir::Design& design,
+    const std::string& name, const CheckedDesign& design,
     const std::vector<mem::MemoryPool*>& lanes,
     const sim::EngineRunOptions& options, const std::vector<XLane*>& x) {
-  ir::validate(design);
   const bool metrics = obs::enabled() && !kFourState;
   util::Stopwatch watch;
   std::vector<sim::EngineResult> results(lanes.size());
@@ -1351,7 +1339,7 @@ std::vector<sim::EngineResult> run_lanes(
   std::uint64_t lane_sweeps = 0;
   std::uint64_t levels_swept = 0;
   std::uint64_t lane_cycles = 0;
-  std::string node = design.rtg.initial;
+  std::string node = design.design().rtg.initial;
   while (!node.empty() && !live.empty()) {
     std::vector<mem::MemoryPool*> pools;
     std::vector<XLane*> x_live;
@@ -1366,9 +1354,8 @@ std::vector<sim::EngineResult> run_lanes(
     {
       obs::ScopedSpan span(name + ":" + node, "engine");
       util::Stopwatch partition_watch;
-      SharedSchedule schedule = acquire_levelized_schedule(design, node);
-      BatchedSim<kFourState> simulator(design.configuration(node), pools,
-                                       options, *schedule, std::move(x_live));
+      BatchedSim<kFourState> simulator(design, node, pools, options,
+                                       std::move(x_live));
       runs = simulator.run(node);
       double share =
           partition_watch.seconds() / static_cast<double>(runs.size());
@@ -1398,7 +1385,7 @@ std::vector<sim::EngineResult> run_lanes(
       }
     }
     live = std::move(next_live);
-    node = design.rtg.successor(node);
+    node = design.design().rtg.successor(node);
   }
   if (metrics) {
     obs::counter("engine.lane_sweeps").add(lane_sweeps);
@@ -1419,14 +1406,13 @@ std::vector<sim::EngineResult> run_lanes(
 const std::string& BatchedEngine::name() const { return name_; }
 
 sim::EnginePartition BatchedEngine::run_partition(
-    const ir::Design& design, const std::string& node, mem::MemoryPool& pool,
-    const sim::EngineRunOptions& options, std::size_t partition_index) {
+    const CheckedDesign& design, const std::string& node,
+    mem::MemoryPool& pool, const sim::EngineRunOptions& options,
+    std::size_t partition_index) {
   (void)partition_index;
   util::Stopwatch watch;
   std::vector<mem::MemoryPool*> pools{&pool};
-  SharedSchedule schedule = acquire_levelized_schedule(design, node);
-  BatchedSim<false> simulator(design.configuration(node), pools, options,
-                              *schedule);
+  BatchedSim<false> simulator(design, node, pools, options);
   std::vector<sim::EnginePartition> runs = simulator.run(node);
   sim::EnginePartition run = std::move(runs.front());
   run.wall_seconds = watch.seconds();
@@ -1439,14 +1425,14 @@ sim::EnginePartition BatchedEngine::run_partition(
 }
 
 std::vector<sim::EngineResult> BatchedEngine::run_batch(
-    const ir::Design& design, const std::vector<mem::MemoryPool*>& lanes,
+    const CheckedDesign& design, const std::vector<mem::MemoryPool*>& lanes,
     const sim::EngineRunOptions& options) {
   check_batch_lanes(lanes);
   return run_lanes<false>(name(), design, lanes, options, {});
 }
 
 std::vector<FourStateLane> run_four_state_lanes(
-    const ir::Design& design, const std::vector<mem::MemoryPool*>& lanes,
+    const CheckedDesign& design, const std::vector<mem::MemoryPool*>& lanes,
     const FourStateOptions& options) {
   std::vector<XLane> x(lanes.size());
   std::vector<XLane*> x_lanes;

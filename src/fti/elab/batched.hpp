@@ -75,11 +75,11 @@ struct FourStateLane {
 /// Runs every lane of `design` under 4-state semantics in one batched
 /// sweep per partition.  Each pool is that lane's stimulus and, like
 /// run_batch, ends up holding the lane's final memory contents (unknown
-/// words read back as zero).  Infrastructure errors -- invalid IR, a
-/// combinational cycle, a write to a known address beyond a memory's
-/// depth -- throw, as in 2-state runs.
+/// words read back as zero).  Infrastructure errors -- invalid IR (raised
+/// building the handle), a combinational cycle, a write to a known
+/// address beyond a memory's depth -- throw, as in 2-state runs.
 std::vector<FourStateLane> run_four_state_lanes(
-    const ir::Design& design, const std::vector<mem::MemoryPool*>& lanes,
+    const CheckedDesign& design, const std::vector<mem::MemoryPool*>& lanes,
     const FourStateOptions& options);
 
 class BatchedEngine final : public PartitionedEngine {
@@ -89,7 +89,7 @@ class BatchedEngine final : public PartitionedEngine {
       : name_(std::move(name)) {}
   const std::string& name() const override;
   bool reports_wire_data() const override { return true; }
-  sim::EnginePartition run_partition(const ir::Design& design,
+  sim::EnginePartition run_partition(const CheckedDesign& design,
                                      const std::string& node,
                                      mem::MemoryPool& pool,
                                      const sim::EngineRunOptions& options,
@@ -97,7 +97,7 @@ class BatchedEngine final : public PartitionedEngine {
   /// All lanes in one schedule sweep.  Lane wall_seconds report an even
   /// share of the batch, so summing over lanes gives the batch wall time.
   std::vector<sim::EngineResult> run_batch(
-      const ir::Design& design, const std::vector<mem::MemoryPool*>& lanes,
+      const CheckedDesign& design, const std::vector<mem::MemoryPool*>& lanes,
       const sim::EngineRunOptions& options = {}) override;
 
  private:

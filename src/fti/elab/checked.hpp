@@ -1,0 +1,72 @@
+// The checked design: a design is validated once, then run many times.
+//
+// Every engine entry point (sim::Engine::run/run_batch/run_partition,
+// elaborate, the 4-state lanes, the compiled module registry, the fuzz
+// lane checker) takes a CheckedDesign instead of a bare ir::Design.
+// Building one runs ir::validate once and indexes the wires of every
+// configuration, so no engine re-checks the design per run or keeps a
+// private name-to-slot map.  The levelized schedule of each node and the
+// design's canonical hash are built on first request and shared by every
+// later run, from any thread.
+//
+// A handle views the design it was built from: the design must outlive
+// the handle and must not change while it lives (the indexes and the
+// schedules point into it).  Callers build one per job -- a verify run,
+// a fuzz case shared by every lane and reference twin, a shrink
+// candidate -- and the design cache keeps one per entry, so a warm hit
+// runs with no validation and no schedule build.
+#pragma once
+
+#include <map>
+#include <memory>
+#include <mutex>
+#include <optional>
+#include <string>
+#include <string_view>
+
+#include "fti/cache/ir_hash.hpp"
+#include "fti/elab/levelized.hpp"
+#include "fti/ir/rtg.hpp"
+
+namespace fti::elab {
+
+class CheckedDesign {
+ public:
+  /// Validates `design` (throws ir::validate's IrError) and indexes every
+  /// configuration.  Not explicit: a plain ir::Design converts wherever a
+  /// handle is expected, at the cost of one check per call.
+  CheckedDesign(const ir::Design& design);
+
+  CheckedDesign(const CheckedDesign&) = delete;
+  CheckedDesign& operator=(const CheckedDesign&) = delete;
+
+  const ir::Design& design() const { return design_; }
+
+  /// Wire index of `node`'s datapath (see ir::DatapathIndex::slot).
+  const ir::DatapathIndex& index(std::string_view node) const;
+
+  /// The levelized schedule of `node`, built on the first request and
+  /// counted in `elab.schedule_builds`; later requests count in
+  /// `elab.schedule_hits`.  Throws SimError on a combinational cycle, on
+  /// every request.
+  const LevelizedSchedule& schedule(std::string_view node) const;
+
+  /// cache::hash_design(design()), computed on the first request.
+  const cache::Key& key() const;
+
+ private:
+  struct Node {
+    ir::DatapathIndex index;
+    /// Filled on first request, under mutex_.
+    mutable std::unique_ptr<const LevelizedSchedule> schedule;
+  };
+
+  const Node& node(std::string_view name) const;
+
+  const ir::Design& design_;
+  std::map<std::string, Node, std::less<>> nodes_;
+  mutable std::mutex mutex_;
+  mutable std::optional<cache::Key> key_;
+};
+
+}  // namespace fti::elab

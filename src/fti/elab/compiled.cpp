@@ -255,11 +255,11 @@ class ModuleRegistry {
   /// emit+compile at `tier`.  A kReused acquire skips a loaded one-shot
   /// module and builds (and publishes) an -O2 one.  nullptr when no host
   /// compiler is usable (caller falls back); throws SimError on compile
-  /// failure.  Slots are keyed by IR hash alone: the fingerprint is
-  /// fixed for the registry's life.
-  std::shared_ptr<Module> acquire(const ir::Design& design,
+  /// failure.  Slots are keyed by IR hash alone (memoized on the
+  /// handle): the fingerprint is fixed for the registry's life.
+  std::shared_ptr<Module> acquire(const CheckedDesign& design,
                                   CompiledTier tier) {
-    cache::Key ir_key = cache::hash_design(design);
+    const cache::Key& ir_key = design.key();
     std::shared_ptr<Slot> slot = slot_for(ir_key.to_string());
     std::lock_guard<std::mutex> lock(slot->mutex);
     if (slot->module != nullptr &&
@@ -327,24 +327,21 @@ class ModuleRegistry {
     return slot;
   }
 
-  std::shared_ptr<Module> build(const ir::Design& design,
+  std::shared_ptr<Module> build(const CheckedDesign& design,
                                 const cache::Key& key, cache::SoStore& store,
                                 const std::string& cxx, CompiledTier tier,
                                 const std::shared_ptr<Slot>& slot) {
     bool one_shot = tier == CompiledTier::kOneShot;
     util::Stopwatch watch;
-    // Schedules come through acquire_levelized_schedule so the design
-    // cache's memo serves compiled and interpreted engines alike, and a
-    // combinational cycle fails here with the schedule builder's
-    // SimError before any compiler runs.
-    std::vector<SharedSchedule> owned;
+    // Schedules come from the handle's memo, shared with the interpreted
+    // engines, and a combinational cycle fails here with the schedule
+    // builder's SimError before any compiler runs.
     std::vector<const LevelizedSchedule*> schedules;
-    for (const std::string& node : design.rtg.nodes) {
-      owned.push_back(acquire_levelized_schedule(design, node));
-      schedules.push_back(owned.back().get());
+    for (const std::string& node : design.design().rtg.nodes) {
+      schedules.push_back(&design.schedule(node));
     }
     codegen::CppModule emitted =
-        codegen::emit_cpp(design, key.to_string(), schedules);
+        codegen::emit_cpp(design.design(), key.to_string(), schedules);
     std::string src = store.scratch_path(key, ".cpp");
     std::string obj = store.scratch_path(key, ".so.tmp");
     std::string log = store.scratch_path(key, ".log");
@@ -375,8 +372,8 @@ class ModuleRegistry {
       std::remove(obj.c_str());
       std::remove(src.c_str());
       slot->error = "compiled: host compiler '" + cxx +
-                    "' failed on generated code for design '" + design.name +
-                    "' (" + describe_status(rc) + ")" +
+                    "' failed on generated code for design '" +
+                    design.design().name + "' (" + describe_status(rc) + ")" +
                     (stderr_text.empty() ? "" : ":\n" + stderr_text);
       throw util::SimError(slot->error);
     }
@@ -479,8 +476,9 @@ const std::string& CompiledEngine::name() const {
 }
 
 sim::EnginePartition CompiledEngine::run_partition(
-    const ir::Design& design, const std::string& node, mem::MemoryPool& pool,
-    const sim::EngineRunOptions& options, std::size_t partition_index) {
+    const CheckedDesign& design, const std::string& node,
+    mem::MemoryPool& pool, const sim::EngineRunOptions& options,
+    std::size_t partition_index) {
   util::Stopwatch watch;
   std::shared_ptr<Module> module =
       ModuleRegistry::instance().acquire(design, tier_);
@@ -494,13 +492,12 @@ sim::EnginePartition CompiledEngine::run_partition(
     return fallback.run_partition(design, node, pool, options,
                                   partition_index);
   }
-  const ir::Configuration& config = design.configuration(node);
-  ir::validate(config.datapath);
-  ir::validate(config.fsm, config.datapath);
+  const ir::Configuration& config = design.design().configuration(node);
   auto it = module->nodes.find(node);
   if (it == module->nodes.end()) {
-    throw util::SimError("compiled: module for design '" + design.name +
-                         "' has no node '" + node + "'");
+    throw util::SimError("compiled: module for design '" +
+                         design.design().name + "' has no node '" + node +
+                         "'");
   }
   const FtiCompiledNodeV1* fn = it->second;
 
@@ -517,22 +514,14 @@ sim::EnginePartition CompiledEngine::run_partition(
       fn->state_count != config.fsm.states.size() ||
       fn->taken_count != offsets.back()) {
     throw util::SimError("compiled: module layout mismatch for node '" +
-                         node + "' of design '" + design.name + "'");
+                         node + "' of design '" + design.design().name + "'");
   }
 
-  // Memory pool wiring, identical to the interpreted engines: create
-  // idempotently, apply the IR init image only on first creation.
+  // Memory pool wiring, identical to the interpreted engines.
   std::map<std::string, mem::MemoryImage*> images;
   std::vector<const unsigned long long*> memory_words;
   for (const ir::MemoryDecl& memory : config.datapath.memories) {
-    bool fresh = !pool.contains(memory.name);
-    mem::MemoryImage& image =
-        pool.create(memory.name, memory.depth, memory.width);
-    if (fresh) {
-      for (std::size_t i = 0; i < memory.init.size(); ++i) {
-        image.write(i, memory.init[i]);
-      }
-    }
+    mem::MemoryImage& image = acquire_memory(pool, memory);
     images.emplace(memory.name, &image);
     // std::uint64_t is unsigned long on LP64; the ABI fixes unsigned
     // long long.  Same 64-bit representation, so the cast is sound.

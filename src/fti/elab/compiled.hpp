@@ -106,7 +106,7 @@ class CompiledEngine final : public PartitionedEngine {
 
   const std::string& name() const override;
   bool reports_wire_data() const override { return true; }
-  sim::EnginePartition run_partition(const ir::Design& design,
+  sim::EnginePartition run_partition(const CheckedDesign& design,
                                      const std::string& node,
                                      mem::MemoryPool& pool,
                                      const sim::EngineRunOptions& options,

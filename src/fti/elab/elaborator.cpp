@@ -1,26 +1,22 @@
 #include "fti/elab/elaborator.hpp"
 
+#include <map>
+#include <optional>
+
+#include "fti/elab/engines.hpp"
 #include "fti/ops/alu.hpp"
 #include "fti/ops/constant.hpp"
 #include "fti/ops/mux.hpp"
 #include "fti/ops/pipelined.hpp"
-#include <map>
-#include <optional>
-
 #include "fti/ops/register.hpp"
-#include "fti/util/error.hpp"
 
 namespace fti::elab {
 
-std::unique_ptr<ElaboratedConfig> elaborate(const ir::Configuration& config,
+std::unique_ptr<ElaboratedConfig> elaborate(const CheckedDesign& design,
+                                            const std::string& node,
                                             mem::MemoryPool& pool) {
+  const ir::Configuration& config = design.design().configuration(node);
   const ir::Datapath& datapath = config.datapath;
-  ir::validate(datapath);
-  ir::validate(config.fsm, datapath);
-  if (datapath.find_wire("clk") != nullptr) {
-    throw util::IrError("datapath '" + datapath.name +
-                        "' declares the reserved wire name 'clk'");
-  }
 
   auto elaborated = std::make_unique<ElaboratedConfig>();
   sim::Netlist& netlist = elaborated->netlist;
@@ -34,16 +30,7 @@ std::unique_ptr<ElaboratedConfig> elaborate(const ir::Configuration& config,
     netlist.create_net(wire.name, wire.width);
   }
   for (const ir::MemoryDecl& memory : datapath.memories) {
-    bool fresh = !pool.contains(memory.name);
-    mem::MemoryImage& image =
-        pool.create(memory.name, memory.depth, memory.width);
-    // ROM contents are power-up state: applied only when this elaboration
-    // created the memory, never when a previous partition already owns it.
-    if (fresh) {
-      for (std::size_t i = 0; i < memory.init.size(); ++i) {
-        image.write(i, memory.init[i]);
-      }
-    }
+    acquire_memory(pool, memory);
   }
 
   for (const ir::Unit& unit : datapath.units) {

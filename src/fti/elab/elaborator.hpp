@@ -6,6 +6,7 @@
 #include <memory>
 #include <vector>
 
+#include "fti/elab/checked.hpp"
 #include "fti/elab/fsm_exec.hpp"
 #include "fti/ir/rtg.hpp"
 #include "fti/mem/sram.hpp"
@@ -29,11 +30,12 @@ struct ElaboratedConfig {
   std::vector<mem::MultiPortSram*> srams;
 };
 
-/// Validates and elaborates `config`; memories named by the datapath are
-/// created in (or fetched from) `pool`.  The reserved net name "clk" is
-/// added for the clock (period ops::ClockGen::kDefaultPeriod); a datapath
-/// wire of that name is rejected.
-std::unique_ptr<ElaboratedConfig> elaborate(const ir::Configuration& config,
+/// Elaborates configuration `node` of the checked design; memories named
+/// by the datapath are created in (or fetched from) `pool`.  The net
+/// "clk" is added for the clock (period ops::ClockGen::kDefaultPeriod);
+/// validation reserves the name, so no datapath wire can clash.
+std::unique_ptr<ElaboratedConfig> elaborate(const CheckedDesign& design,
+                                            const std::string& node,
                                             mem::MemoryPool& pool);
 
 }  // namespace fti::elab

@@ -20,6 +20,22 @@
 
 namespace fti::elab {
 
+mem::MemoryImage& acquire_memory(mem::MemoryPool& pool,
+                                 const ir::MemoryDecl& memory, bool* fresh) {
+  const bool created = !pool.contains(memory.name);
+  mem::MemoryImage& image =
+      pool.create(memory.name, memory.depth, memory.width);
+  if (created) {
+    for (std::size_t i = 0; i < memory.init.size(); ++i) {
+      image.write(i, memory.init[i]);
+    }
+  }
+  if (fresh != nullptr) {
+    *fresh = created;
+  }
+  return image;
+}
+
 void record_partition(const sim::EnginePartition& run) {
   // Partition-granularity aggregation from the kernel's own stats --
   // the per-event loops stay untouched, so the instrumented engines
@@ -39,14 +55,13 @@ void record_partition(const sim::EnginePartition& run) {
   }
 }
 
-sim::EngineResult PartitionedEngine::run(const ir::Design& design,
+sim::EngineResult PartitionedEngine::run(const CheckedDesign& design,
                                          mem::MemoryPool& pool,
                                          const sim::EngineRunOptions& options) {
-  ir::validate(design);
   sim::EngineResult result;
   result.completed = true;
   result.has_wire_data = options.collect_wire_data && reports_wire_data();
-  std::string node = design.rtg.initial;
+  std::string node = design.design().rtg.initial;
   std::size_t index = 0;
   while (!node.empty()) {
     sim::EnginePartition run;
@@ -61,7 +76,7 @@ sim::EngineResult PartitionedEngine::run(const ir::Design& design,
       result.completed = false;
       return result;
     }
-    node = design.rtg.successor(node);
+    node = design.design().rtg.successor(node);
     ++index;
   }
   return result;
@@ -76,17 +91,18 @@ const std::string& EventEngine::name() const {
 }
 
 sim::EnginePartition EventEngine::run_partition(
-    const ir::Design& design, const std::string& node, mem::MemoryPool& pool,
-    const sim::EngineRunOptions& options, std::size_t partition_index) {
+    const CheckedDesign& design, const std::string& node,
+    mem::MemoryPool& pool, const sim::EngineRunOptions& options,
+    std::size_t partition_index) {
   util::Stopwatch watch;
   // Reconfiguration: the previous partition's netlist is gone; only the
   // pool persists.  Elaboration cost is part of the configuration's wall
   // time, as bitstream loading would be on the FPGA.
-  const ir::Configuration& config = design.configuration(node);
+  const ir::Configuration& config = design.design().configuration(node);
   std::unique_ptr<ElaboratedConfig> live;
   {
     obs::ScopedSpan span("elaborate:" + node, "elab");
-    live = elaborate(config, pool);
+    live = elaborate(design, node, pool);
     obs::counter("elab.configurations").inc();
   }
   if (options.on_netlist) {
@@ -164,17 +180,20 @@ constexpr std::uint32_t kMaxSweeps = 1000;
 class SweepSim {
  public:
   SweepSim(const std::string& engine, const ir::Configuration& config,
-           mem::MemoryPool& pool, const sim::EngineRunOptions& options,
+           const ir::DatapathIndex& index, mem::MemoryPool& pool,
+           const sim::EngineRunOptions& options,
            const SweepEngine::BinopFn& eval_binop)
       : engine_(engine),
         config_(config),
+        index_(index),
         options_(options),
         eval_binop_(eval_binop) {
     const ir::Datapath& datapath = config.datapath;
     for (const ir::Wire& wire : datapath.wires) {
-      wire_index_.emplace(wire.name, values_.size());
       values_.emplace_back(wire.width, 0);
     }
+    // The oracle keeps its own copy of the power-up rule (init applied
+    // only by the configuration that creates the memory).
     for (const ir::MemoryDecl& memory : datapath.memories) {
       bool fresh = !pool.contains(memory.name);
       mem::MemoryImage& image =
@@ -275,7 +294,7 @@ class SweepSim {
   }
 
   std::size_t index_of(const std::string& wire) const {
-    return wire_index_.at(wire);
+    return index_.slot(wire);
   }
 
   std::uint32_t width_of(const std::string& wire) const {
@@ -485,9 +504,9 @@ class SweepSim {
 
   const std::string& engine_;
   const ir::Configuration& config_;
+  const ir::DatapathIndex& index_;
   const sim::EngineRunOptions& options_;
   const SweepEngine::BinopFn& eval_binop_;
-  std::map<std::string, std::size_t> wire_index_;
   std::vector<Bits> values_;
   std::map<std::string, mem::MemoryImage*> images_;
   std::vector<const ir::Unit*> combinational_;
@@ -510,12 +529,13 @@ class SweepSim {
 }  // namespace
 
 sim::EnginePartition SweepEngine::run_partition(
-    const ir::Design& design, const std::string& node, mem::MemoryPool& pool,
-    const sim::EngineRunOptions& options, std::size_t partition_index) {
+    const CheckedDesign& design, const std::string& node,
+    mem::MemoryPool& pool, const sim::EngineRunOptions& options,
+    std::size_t partition_index) {
   (void)partition_index;
   util::Stopwatch watch;
-  SweepSim simulator(name(), design.configuration(node), pool, options,
-                     eval_binop_);
+  SweepSim simulator(name(), design.design().configuration(node),
+                     design.index(node), pool, options, eval_binop_);
   sim::EnginePartition run = simulator.run(node);
   run.wall_seconds = watch.seconds();
   return run;

@@ -22,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "fti/elab/checked.hpp"
 #include "fti/ir/rtg.hpp"
 #include "fti/mem/storage.hpp"
 #include "fti/ops/alu.hpp"
@@ -36,18 +37,27 @@ sim::FsmCoverage coverage_from_counts(
     const ir::Fsm& fsm, const std::vector<std::uint64_t>& visits,
     const std::vector<std::vector<std::uint64_t>>& taken);
 
+/// The pool's image of `memory`, created on first use.  Its <init>
+/// contents are power-up state, applied only when this call created the
+/// image: later partitions see what earlier ones computed, and an image
+/// the caller primed is that run's stimulus.  `fresh` (when given) says
+/// whether the call created it.
+mem::MemoryImage& acquire_memory(mem::MemoryPool& pool,
+                                 const ir::MemoryDecl& memory,
+                                 bool* fresh = nullptr);
+
 /// Adds one finished partition to the engine.* observability counters
 /// (a no-op while obs is disabled).  PartitionedEngine::run records each
 /// partition it runs; an engine with its own run_batch records each
 /// lane's partitions the same way.
 void record_partition(const sim::EnginePartition& run);
 
-/// Shared temporal-partition loop: validate the design, run each RTG node
-/// through run_partition, stop early (completed == false) when one misses
-/// its done signal.  Backends implement run_partition only.
+/// Shared temporal-partition loop: run each RTG node of the checked
+/// design through run_partition, stop early (completed == false) when
+/// one misses its done signal.  Backends implement run_partition only.
 class PartitionedEngine : public sim::Engine {
  public:
-  sim::EngineResult run(const ir::Design& design, mem::MemoryPool& pool,
+  sim::EngineResult run(const CheckedDesign& design, mem::MemoryPool& pool,
                         const sim::EngineRunOptions& options = {}) override;
 };
 
@@ -60,7 +70,7 @@ class EventEngine final : public PartitionedEngine {
   const std::string& name() const override;
   bool supports_tracing() const override { return true; }
   bool reports_wire_data() const override { return true; }
-  sim::EnginePartition run_partition(const ir::Design& design,
+  sim::EnginePartition run_partition(const CheckedDesign& design,
                                      const std::string& node,
                                      mem::MemoryPool& pool,
                                      const sim::EngineRunOptions& options,
@@ -71,12 +81,12 @@ class EventEngine final : public PartitionedEngine {
 /// list, then a two-phase clock edge (sample every register, pipeline
 /// stage, memory write and the FSM transition against pre-edge values,
 /// then commit).  No event queue, no schedule, no generated code: beyond
-/// the RTG loop and the coverage report it shares only ops/semantics.hpp
-/// and ir::traced_wires with the other engines, which is what makes it
-/// the fuzzer's oracle.  Counts every unit evaluation
-/// (KernelStats::evaluations) and every settle sweep (delta_cycles); a
-/// cycle that does not settle within 1000 sweeps is reported as a
-/// combinational loop.
+/// the RTG loop, the coverage report and the handle's wire index (a name
+/// lookup) it shares only ops/semantics.hpp and ir::traced_wires with
+/// the other engines, which is what makes it the fuzzer's oracle.
+/// Counts every unit evaluation (KernelStats::evaluations) and every
+/// settle sweep (delta_cycles); a cycle that does not settle within 1000
+/// sweeps is reported as a combinational loop.
 class SweepEngine : public PartitionedEngine {
  public:
   /// Binary-FU semantics override; null means ops::eval_binop.
@@ -84,7 +94,7 @@ class SweepEngine : public PartitionedEngine {
                                           const sim::Bits&, std::uint32_t)>;
 
   bool reports_wire_data() const override { return true; }
-  sim::EnginePartition run_partition(const ir::Design& design,
+  sim::EnginePartition run_partition(const CheckedDesign& design,
                                      const std::string& node,
                                      mem::MemoryPool& pool,
                                      const sim::EngineRunOptions& options,

@@ -1,7 +1,6 @@
 #include "fti/elab/levelized.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <map>
 #include <utility>
 
@@ -83,24 +82,8 @@ LevelizedSchedule build_levelized_schedule(const ir::Datapath& datapath) {
   return schedule;
 }
 
-namespace {
-
-std::atomic<ScheduleProvider> g_schedule_provider{nullptr};
-
-}  // namespace
-
-void set_schedule_provider(ScheduleProvider provider) {
-  g_schedule_provider.store(provider, std::memory_order_release);
-}
-
-SharedSchedule acquire_levelized_schedule(const ir::Design& design,
-                                          const std::string& node) {
-  if (ScheduleProvider provider =
-          g_schedule_provider.load(std::memory_order_acquire)) {
-    if (SharedSchedule schedule = provider(design, node)) {
-      return schedule;
-    }
-  }
+std::shared_ptr<const LevelizedSchedule> acquire_levelized_schedule(
+    const ir::Design& design, const std::string& node) {
   return std::make_shared<const LevelizedSchedule>(
       build_levelized_schedule(design.configuration(node).datapath));
 }

@@ -10,7 +10,8 @@
 // The batched engine (batched.hpp) interprets the schedule, in 2-state
 // or 4-state mode; the registry name "levelized" is that engine at one
 // lane.  The compiled engine lowers it to C++, and the lint analyzer
-// walks it too.
+// walks it too.  The engines take each node's schedule from the design's
+// CheckedDesign handle (checked.hpp), which builds it once.
 //
 // Combinational cycles are detected at schedule-build time instead of via
 // the kernel's delta-cycle limit, so a bad design fails before the first
@@ -45,31 +46,11 @@ struct LevelizedSchedule {
 /// cycle.
 LevelizedSchedule build_levelized_schedule(const ir::Datapath& datapath);
 
-/// Shared handle to an immutable schedule.  The steps point into the
-/// datapath the schedule was built from, so the handle's owner must
-/// keep that design alive (the design cache hands out aliasing
-/// pointers that do exactly that).
-using SharedSchedule = std::shared_ptr<const LevelizedSchedule>;
-
-/// Memoization hook for schedules.  Given the design being elaborated
-/// and the RTG node, a provider returns a schedule previously built
-/// from *that design object* (pointer identity -- a provider must never
-/// return a schedule built from a different design instance, even an
-/// equal-content one, because the steps would dangle), or nullptr to
-/// decline, in which case the engines build fresh.  Installed
-/// process-wide by the design cache (cache/design_cache.hpp).
-using ScheduleProvider = SharedSchedule (*)(const ir::Design& design,
-                                            const std::string& node);
-
-/// Replaces the process-global provider; nullptr restores the default
-/// (always build fresh).  Thread-safe against acquire calls.
-void set_schedule_provider(ScheduleProvider provider);
-
-/// The schedule for `design.configuration(node)`: from the installed
-/// provider when it has one, freshly built otherwise.  This is the one
-/// entry point the batched and compiled engines use, so installing a
-/// provider accelerates both.
-SharedSchedule acquire_levelized_schedule(const ir::Design& design,
-                                          const std::string& node);
+/// A freshly built schedule for `design.configuration(node)`; its steps
+/// point into that datapath, so the caller keeps the design alive.  The
+/// engines take theirs from CheckedDesign::schedule (checked.hpp), which
+/// builds each node's once per handle.
+std::shared_ptr<const LevelizedSchedule> acquire_levelized_schedule(
+    const ir::Design& design, const std::string& node);
 
 }  // namespace fti::elab

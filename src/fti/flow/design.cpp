@@ -25,7 +25,7 @@ RunDesignResult run_design(const RunDesignRequest& request,
   (void)context;
   RunDesignResult result;
   ir::Design design = ir::load_design_files(request.design_path);
-  ir::validate(design);
+  const elab::CheckedDesign checked(design);
   mem::MemoryPool pool;
   // Memories named by --mem are pre-created and loaded (overriding any
   // <init> contents); everything else is created at elaboration time.
@@ -47,18 +47,9 @@ RunDesignResult run_design(const RunDesignRequest& request,
       result.exit_code = 2;
       return result;
     }
-    run_options.tracer = &vcd;
-    run_options.on_netlist = [&vcd](const std::string&,
-                                    sim::Netlist& netlist) {
-      if (vcd.watched_count() > 0) {
-        return;
-      }
-      for (const auto& net : netlist.nets()) {
-        vcd.watch(*net);
-      }
-    };
+    vcd.trace(run_options);
   }
-  auto run = engine->run(design, pool, run_options);
+  auto run = engine->run(checked, pool, run_options);
   out << "design '" << design.name << "': "
       << (run.completed ? "completed" : "DID NOT COMPLETE") << "\n";
   util::TextTable table(

@@ -20,6 +20,14 @@ VerifyResult run_verify(const VerifyRequest& request,
   VerifyResult result;
   const harness::TestCase& test = request.test;
   bool instrumented = !request.vcd_path.empty() || !request.saves.empty();
+  auto engine = elab::make_engine(request.engine);
+  // A usage error, so it is raised before any verification work.
+  if (!request.vcd_path.empty() && !engine->supports_tracing()) {
+    err << "error: engine '" << engine->name()
+        << "' does not support --vcd (use --engine event)\n";
+    result.exit_code = 2;
+    return result;
+  }
 
   harness::VerifyOptions options;
   options.emit_dir = request.emit_dir;
@@ -127,27 +135,11 @@ VerifyResult run_verify(const VerifyRequest& request,
     for (const auto& [name, values] : test.inputs) {
       harness::load_inputs(pool, name, values);
     }
-    auto engine = elab::make_engine(request.engine);
     sim::VcdWriter vcd(test.name);
     sim::EngineRunOptions run_options;
     run_options.max_cycles_per_partition = test.max_cycles;
     if (!request.vcd_path.empty()) {
-      if (!engine->supports_tracing()) {
-        err << "error: engine '" << engine->name()
-            << "' does not support --vcd (use --engine event)\n";
-        result.exit_code = 2;
-        return result;
-      }
-      run_options.tracer = &vcd;
-      run_options.on_netlist = [&vcd](const std::string&,
-                                      sim::Netlist& netlist) {
-        if (vcd.watched_count() > 0) {
-          return;
-        }
-        for (const auto& net : netlist.nets()) {
-          vcd.watch(*net);
-        }
-      };
+      vcd.trace(run_options);
     }
     engine->run(outcome.compiled.design, pool, run_options);
     if (!request.vcd_path.empty()) {

@@ -19,7 +19,7 @@ constexpr std::size_t kMaxMismatchLines = 25;
 /// One lane: a fresh pool, one engine, observables flattened to the
 /// "<node>/<wire>" keys the comparison uses.  Engine exceptions become
 /// `error` so a crashing lane is itself a reportable disagreement.
-Observation run_engine_path(const ir::Design& design,
+Observation run_engine_path(const elab::CheckedDesign& design,
                             const DiffOptions& options, sim::Engine& engine,
                             std::string label) {
   mem::MemoryPool pool;
@@ -43,8 +43,8 @@ Observation run_engine_path(const ir::Design& design,
   }
 }
 
-Observation run_lane(const ir::Design& design, const DiffOptions& options,
-                     const std::string& name) {
+Observation run_lane(const elab::CheckedDesign& design,
+                     const DiffOptions& options, const std::string& name) {
   if (name == "reference") {
     ReferenceEngine engine(options.reference);
     return run_engine_path(design, options, engine, name);
@@ -240,7 +240,8 @@ std::vector<std::string> compare_observation_pair(const Observation& a,
   return std::move(scratch.mismatches);
 }
 
-DiffResult diff_design(const ir::Design& design, const DiffOptions& options) {
+DiffResult diff_design(const elab::CheckedDesign& design,
+                       const DiffOptions& options) {
   register_reference_engine();
   DiffResult result;
   {
@@ -261,12 +262,13 @@ DiffResult diff_design(const ir::Design& design, const DiffOptions& options) {
         run_engine_path(design, options, engine, "compiled"));
   }
   if (options.check_roundtrip) {
-    result.observations.push_back(run_roundtrip_path(design, options));
+    result.observations.push_back(
+        run_roundtrip_path(design.design(), options));
   }
   if (options.auto_xsim && xsim::xsim_available() &&
       result.observations.front().error.empty() &&
       result.observations.front().completed) {
-    result.observations.push_back(run_xsim_path(design, options));
+    result.observations.push_back(run_xsim_path(design.design(), options));
   }
   {
     Reporter report(result);

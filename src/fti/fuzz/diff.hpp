@@ -97,8 +97,10 @@ struct DiffResult {
 };
 
 /// Runs all execution lanes on `design` and cross-checks every
-/// observation against the first (the event kernel).
-DiffResult diff_design(const ir::Design& design,
+/// observation against the first (the event kernel).  Every lane but
+/// the round trip, which re-checks the re-parsed design, runs the
+/// caller's handle.
+DiffResult diff_design(const elab::CheckedDesign& design,
                        const DiffOptions& options = {});
 
 /// Flattens one finished engine run plus its memory pool into the

@@ -118,7 +118,10 @@ FuzzReport run_fuzz(const FuzzOptions& options) {
     if (design.configuration_count() > 1) {
       multi_config.fetch_add(1, std::memory_order_relaxed);
     }
-    DiffResult diff = diff_design(design, options.diff);
+    // One check for the case: every diff lane, the batched lane sweep
+    // and all of its reference twins run this handle.
+    const elab::CheckedDesign checked(design);
+    DiffResult diff = diff_design(checked, options.diff);
     cases_run.fetch_add(1, std::memory_order_relaxed);
     if (!diff.observations.empty()) {
       total_cycles.fetch_add(diff.observations.front().total_cycles,
@@ -136,7 +139,8 @@ FuzzReport run_fuzz(const FuzzOptions& options) {
       lane_options.max_cycles_per_partition =
           options.diff.max_cycles_per_partition;
       obs::ScopedSpan lane_span("lanes:" + std::to_string(index), "fuzz");
-      LaneCheckResult lane_check = check_lanes(design, case_seed, lane_options);
+      LaneCheckResult lane_check =
+          check_lanes(checked, case_seed, lane_options);
       obs::counter("fuzz.lane_checks").inc();
       total_cycles.fetch_add(lane_check.lane_cycles,
                              std::memory_order_relaxed);
@@ -155,7 +159,7 @@ FuzzReport run_fuzz(const FuzzOptions& options) {
           256, 4 * lane_check.max_cycles_observed);
       return record_failure(
           index, case_seed, design, std::move(lane_check.mismatches),
-          [&](const ir::Design& candidate) {
+          [&](const elab::CheckedDesign& candidate) {
             return !check_lanes(candidate, case_seed, shrink_lanes).ok;
           });
     }
@@ -173,7 +177,7 @@ FuzzReport run_fuzz(const FuzzOptions& options) {
     shrink_diff.max_cycles_per_partition = shrink_cycle_budget(diff);
     return record_failure(
         index, case_seed, design, diff.mismatches,
-        [&](const ir::Design& candidate) {
+        [&](const elab::CheckedDesign& candidate) {
           return !diff_design(candidate, shrink_diff).ok;
         });
   };

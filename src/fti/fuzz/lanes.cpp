@@ -22,7 +22,7 @@ constexpr std::uint64_t kLaneSalt = 0x6c616e6573ull;  // "lanes"
 /// already caps its own lines via compare_observation_pair.
 constexpr std::size_t kMaxReportLines = 50;
 
-Observation observe_reference(const ir::Design& design,
+Observation observe_reference(const elab::CheckedDesign& design,
                               mem::MemoryPool& pool,
                               const sim::EngineRunOptions& ropts) {
   ReferenceEngine engine{ReferenceOptions{}};
@@ -51,7 +51,8 @@ void prime_lane_pool(const ir::Design& design, std::uint64_t seed,
   }
 }
 
-LaneCheckResult check_lanes(const ir::Design& design, std::uint64_t seed,
+LaneCheckResult check_lanes(const elab::CheckedDesign& design,
+                            std::uint64_t seed,
                             const LaneCheckOptions& options) {
   LaneCheckResult result;
   result.lanes = options.lanes;
@@ -65,7 +66,7 @@ LaneCheckResult check_lanes(const ir::Design& design, std::uint64_t seed,
   std::vector<mem::MemoryPool*> lanes;
   lanes.reserve(options.lanes);
   for (std::uint32_t lane = 0; lane < options.lanes; ++lane) {
-    prime_lane_pool(design, seed, lane, pools[lane]);
+    prime_lane_pool(design.design(), seed, lane, pools[lane]);
     lanes.push_back(&pools[lane]);
   }
   std::unique_ptr<sim::Engine> batched = elab::make_engine("batched");
@@ -88,7 +89,7 @@ LaneCheckResult check_lanes(const ir::Design& design, std::uint64_t seed,
         observe_result("batched", std::move(runs[lane]), pools[lane]);
     result.lane_cycles += got.total_cycles;
     mem::MemoryPool twin;
-    prime_lane_pool(design, seed, lane, twin);
+    prime_lane_pool(design.design(), seed, lane, twin);
     Observation want = observe_reference(design, twin, ropts);
     result.max_cycles_observed = std::max(
         {result.max_cycles_observed, got.total_cycles, want.total_cycles});

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "fti/elab/checked.hpp"
 #include "fti/ir/rtg.hpp"
 #include "fti/mem/storage.hpp"
 
@@ -45,10 +46,12 @@ struct LaneCheckResult {
 void prime_lane_pool(const ir::Design& design, std::uint64_t seed,
                      std::uint32_t lane, mem::MemoryPool& pool);
 
-/// Runs the check described above.  Throws SimError when options.lanes
-/// is zero (the batched engine rejects empty batches; callers disable
-/// the check instead of passing 0 here).
-LaneCheckResult check_lanes(const ir::Design& design, std::uint64_t seed,
+/// Runs the check described above; the batched run and every reference
+/// twin share the one handle.  Throws SimError when options.lanes is
+/// zero (the batched engine rejects empty batches; callers disable the
+/// check instead of passing 0 here).
+LaneCheckResult check_lanes(const elab::CheckedDesign& design,
+                            std::uint64_t seed,
                             const LaneCheckOptions& options = {});
 
 }  // namespace fti::fuzz

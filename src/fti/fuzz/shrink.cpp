@@ -91,24 +91,21 @@ class Shrinker {
     return result_.evaluations < options_.max_evaluations;
   }
 
+  /// Checks `candidate` once and runs the predicate on its handle; an
+  /// invalid candidate is rejected without spending an evaluation.
+  bool still_fails(const ir::Design& candidate) {
+    try {
+      const elab::CheckedDesign checked(candidate);
+      ++result_.evaluations;
+      return predicate_(checked);
+    } catch (const util::Error&) {
+      return false;
+    }
+  }
+
   /// Keeps `candidate` iff it is valid IR and still fails.
   bool accept(ir::Design candidate, const std::string& step) {
-    if (!budget_left()) {
-      return false;
-    }
-    try {
-      ir::validate(candidate);
-    } catch (const util::Error&) {
-      return false;
-    }
-    ++result_.evaluations;
-    bool still_failing = false;
-    try {
-      still_failing = predicate_(candidate);
-    } catch (const util::Error&) {
-      still_failing = false;
-    }
-    if (!still_failing) {
+    if (!budget_left() || !still_fails(candidate)) {
       return false;
     }
     result_.design = std::move(candidate);

@@ -6,6 +6,7 @@
 // assignments / guard literals, drop memories and their ports, clear
 // power-up images, halve a bit-width class -- keeping a mutation only when
 // the candidate still passes ir::validate AND still fails the predicate.
+// Each candidate is checked once: the predicate receives its handle.
 // Runs passes to a fixpoint, so the repro XML checked into the corpus is a
 // local minimum: removing any single element makes the bug disappear.
 #pragma once
@@ -14,12 +15,13 @@
 #include <functional>
 #include <string>
 
+#include "fti/elab/checked.hpp"
 #include "fti/ir/rtg.hpp"
 
 namespace fti::fuzz {
 
 /// Returns true while the candidate design still exhibits the failure.
-using FailurePredicate = std::function<bool(const ir::Design&)>;
+using FailurePredicate = std::function<bool(const elab::CheckedDesign&)>;
 
 struct ShrinkOptions {
   /// Upper bound on predicate evaluations; shrinking stops (keeping the

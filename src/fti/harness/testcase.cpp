@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <optional>
 
 #include "fti/cache/design_cache.hpp"
 #include "fti/codegen/dot.hpp"
@@ -242,12 +243,14 @@ VerifyOutcome run_test_case(const TestCase& test,
     entry = options.design_cache->find_source(source_key);
   }
 
-  // The design the simulator consumes: the cached entry's design on a
-  // hit, this run's round-tripped design otherwise.  When caching, even
-  // the cold run simulates the instance the cache now owns, so the
-  // schedule provider memoizes from the very first run.
-  const ir::Design* design = nullptr;
+  // The design the simulator consumes, checked once for every run
+  // below: the cached entry's handle on a hit, a handle on this run's
+  // round-tripped design otherwise.  When caching, even the cold run
+  // simulates through the handle the cache now owns, so its schedule
+  // memo serves from the very first run.
+  const elab::CheckedDesign* checked = nullptr;
   ir::Design local_design;
+  std::optional<elab::CheckedDesign> local_checked;
 
   if (entry) {
     // Warm path: HLS, lint and the round-trip are skipped; the gate is
@@ -260,7 +263,7 @@ VerifyOutcome run_test_case(const TestCase& test,
     if (lint_gate_blocks(entry->lint, test, options, outcome)) {
       return outcome;
     }
-    design = entry->design.get();
+    checked = &entry->checked;
   } else {
     // 1. Compile.
     compiler::CompileOptions compile_options;
@@ -317,14 +320,15 @@ VerifyOutcome run_test_case(const TestCase& test,
       entry = options.design_cache->insert(ir_key, std::move(local_design),
                                            std::move(lint_report));
       options.design_cache->alias_source(source_key, ir_key);
-      design = entry->design.get();
+      checked = &entry->checked;
     } else {
-      design = &local_design;
+      checked = &local_checked.emplace(local_design);
     }
   }
   check_cancel(options);
   if (!options.emit_dir.empty()) {
-    outcome.artifacts = emit_artifacts(*design, test, options.emit_dir);
+    outcome.artifacts =
+        emit_artifacts(checked->design(), test, options.emit_dir);
   }
   outcome.artifacts.lo_source = util::count_lines(test.source);
 
@@ -385,7 +389,7 @@ VerifyOutcome run_test_case(const TestCase& test,
   sim::EngineRunOptions run_options;
   run_options.max_cycles_per_partition = test.max_cycles;
   std::vector<sim::EngineResult> runs =
-      engine->run_batch(*design, lane_ptrs, run_options);
+      engine->run_batch(*checked, lane_ptrs, run_options);
   outcome.sim_seconds = watch.seconds();
   check_cancel(options);
   for (std::uint32_t lane = 0; lane < lane_count; ++lane) {
@@ -463,7 +467,7 @@ VerifyOutcome run_test_case(const TestCase& test,
       xsim::XsimOptions xsim_options;
       xsim_options.max_cycles_per_partition = test.max_cycles;
       outcome.xsim_check =
-          xsim::cross_check(*design, stimulus[0], xsim_options);
+          xsim::cross_check(*checked, stimulus[0], xsim_options);
       if (outcome.xsim_check.ran && !outcome.xsim_check.ok &&
           outcome.passed) {
         outcome.passed = false;
@@ -476,7 +480,7 @@ VerifyOutcome run_test_case(const TestCase& test,
       xsim::FourStateOptions four_state_options;
       four_state_options.max_cycles_per_partition = test.max_cycles;
       outcome.four_state =
-          xsim::run_four_state(*design, stimulus_ptrs, four_state_options);
+          xsim::run_four_state(*checked, stimulus_ptrs, four_state_options);
     }
   }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "fti/obs/metrics.hpp"
 #include "fti/util/error.hpp"
 
 namespace fti::ir {
@@ -238,7 +239,8 @@ std::uint32_t expected_port_width(const Unit& unit, std::string_view port,
 }
 
 DatapathIndex::DatapathIndex(const Datapath& datapath)
-    : controls_(datapath.control_wires.begin(), datapath.control_wires.end()),
+    : datapath_(&datapath),
+      controls_(datapath.control_wires.begin(), datapath.control_wires.end()),
       statuses_(datapath.status_wires.begin(), datapath.status_wires.end()) {
   wires_.reserve(datapath.wires.size());
   for (const Wire& wire : datapath.wires) {
@@ -252,6 +254,15 @@ DatapathIndex::DatapathIndex(const Datapath& datapath)
 const Wire* DatapathIndex::find_wire(std::string_view wire_name) const {
   auto it = wires_.find(wire_name);
   return it == wires_.end() ? nullptr : it->second;
+}
+
+std::size_t DatapathIndex::slot(std::string_view wire_name) const {
+  const Wire* wire = find_wire(wire_name);
+  if (wire == nullptr) {
+    throw util::IrError("datapath '" + datapath_->name + "' has no wire '" +
+                        std::string(wire_name) + "'");
+  }
+  return static_cast<std::size_t>(wire - datapath_->wires.data());
 }
 
 const MemoryDecl* DatapathIndex::find_memory(
@@ -269,6 +280,8 @@ bool contains(const std::vector<std::string>& names, std::string_view name) {
 }  // namespace
 
 void validate(const Datapath& datapath) {
+  static obs::Counter& validations = obs::counter("ir.validations");
+  validations.inc();
   auto err = [&datapath](const std::string& message) {
     throw util::IrError("datapath '" + datapath.name + "': " + message);
   };
@@ -411,6 +424,11 @@ void validate(const Datapath& datapath) {
       err("memory '" + unit.memory + "' has two write-capable ports ('" +
           std::string(it->second) + "' and '" + unit.name + "')");
     }
+  }
+
+  if (index.find_wire("clk") != nullptr) {
+    throw util::IrError("datapath '" + datapath.name +
+                        "' declares the reserved wire name 'clk'");
   }
 }
 

@@ -117,16 +117,20 @@ std::vector<std::string> traced_wires(const Datapath& datapath);
 
 /// Name lookups over one datapath, built in one pass; the first
 /// declaration of a name wins, as in Datapath::find_wire/find_memory.
-/// A per-call snapshot for whole-datapath checks (validate, lint), which
-/// would be quadratic over the find_* scans: the IR is edited in place
-/// (HLS, fault injection, shrinking), so it keeps no index of its own.
-/// Views the datapath's strings -- it must not outlive or see a change
-/// to the datapath it indexes.
+/// The IR is edited in place (HLS, fault injection, shrinking), so it
+/// keeps no index of its own: whole-datapath checks (validate, lint, the
+/// C++ emitter) build one per call, and elab::CheckedDesign keeps one per
+/// configuration for the engines.  Views the datapath's strings -- it
+/// must not outlive or see a change to the datapath it indexes.
 class DatapathIndex {
  public:
   explicit DatapathIndex(const Datapath& datapath);
 
   const Wire* find_wire(std::string_view wire_name) const;
+  /// The wire's slot: its position in Datapath::wires, the order every
+  /// engine lays out its value storage in.  Throws IrError for a name the
+  /// datapath does not declare.
+  std::size_t slot(std::string_view wire_name) const;
   const MemoryDecl* find_memory(std::string_view memory_name) const;
   bool is_control(std::string_view wire_name) const {
     return controls_.count(wire_name) != 0;
@@ -136,6 +140,7 @@ class DatapathIndex {
   }
 
  private:
+  const Datapath* datapath_;
   std::unordered_map<std::string_view, const Wire*> wires_;
   std::unordered_map<std::string_view, const MemoryDecl*> memories_;
   std::unordered_set<std::string_view> controls_;
@@ -144,7 +149,9 @@ class DatapathIndex {
 
 /// Structural checks: unique names, ports reference existing wires with the
 /// right widths, single driver per wire, required ports present, memports
-/// reference declared memories.  Throws IrError with a precise message.
+/// reference declared memories, no wire named "clk" (the clock net every
+/// engine and HDL backend adds).  Throws IrError with a precise message.
+/// Counts each call in the `ir.validations` obs counter.
 void validate(const Datapath& datapath);
 
 /// Width a mux select wire must have to address `inputs` inputs.

@@ -656,7 +656,7 @@ ObsCounters& counters() {
 class ConfigAnalyzer {
  public:
   explicit ConfigAnalyzer(const ir::Configuration& config)
-      : config_(config) {}
+      : config_(config), index_(config.datapath) {}
 
   /// False when the configuration is structurally broken (fails
   /// ir::validate or has a combinational cycle); the structural rules
@@ -674,7 +674,6 @@ class ConfigAnalyzer {
 
     const ir::Datapath& datapath = config_.datapath;
     for (const ir::Wire& wire : datapath.wires) {
-      wire_index_.emplace(wire.name, values_.size());
       // Undriven wires read as constant 0, exactly as in the engines.
       values_.push_back(AbstractValue::constant(wire.width, 0));
     }
@@ -836,8 +835,8 @@ class ConfigAnalyzer {
     out.analyzed = true;
     out.iterations = iterations;
     out.widened = widened;
-    for (const auto& [name, index] : wire_index_) {
-      out.wires.emplace(name, values_[index]);
+    for (std::size_t slot = 0; slot < values_.size(); ++slot) {
+      out.wires.emplace(config_.datapath.wires[slot].name, values_[slot]);
     }
     out.state_reachable = reachable_;
     if (obs::enabled()) {
@@ -850,13 +849,13 @@ class ConfigAnalyzer {
   }
 
   const AbstractValue& value_of(const std::string& wire) const {
-    return values_[wire_index_.at(wire)];
+    return values_[index_of(wire)];
   }
 
   /// The declaration of wire `name` (its slot is its position in the
   /// datapath).
   const ir::Wire& wire(const std::string& name) const {
-    return config_.datapath.wires[wire_index_.at(name)];
+    return config_.datapath.wires[index_of(name)];
   }
 
   std::size_t initial_state() const { return initial_; }
@@ -901,7 +900,7 @@ class ConfigAnalyzer {
   };
 
   std::size_t index_of(const std::string& wire) const {
-    return wire_index_.at(wire);
+    return index_.slot(wire);
   }
 
   /// Drives controls (joined over reachable states) and sequential
@@ -1050,7 +1049,8 @@ class ConfigAnalyzer {
   }
 
   const ir::Configuration& config_;
-  std::map<std::string, std::size_t> wire_index_;
+  /// Local: lint runs on raw IR that no CheckedDesign covers.
+  const ir::DatapathIndex index_;
   std::vector<AbstractValue> values_;
   std::vector<Register> registers_;
   std::vector<Pipe> pipes_;

@@ -56,7 +56,8 @@ void Engine::check_batch_lanes(
 }
 
 std::vector<EngineResult> Engine::run_batch(
-    const ir::Design& design, const std::vector<mem::MemoryPool*>& lanes,
+    const elab::CheckedDesign& design,
+    const std::vector<mem::MemoryPool*>& lanes,
     const EngineRunOptions& options) {
   check_batch_lanes(lanes);
   std::vector<EngineResult> results;

@@ -11,9 +11,15 @@
 // engine by name through a string-keyed factory registry, which is what
 // the `--engine=` flags of `fti run`/`verify`/`fuzz` resolve against.
 //
+// Engines run a validated design: every entry point takes the
+// elab::CheckedDesign handle (elab/checked.hpp), which checks the design
+// once and carries each configuration's wire index and levelized
+// schedule, so no engine validates per run.  The handle converts from a
+// plain ir::Design, paying that check per call.
+//
 // The interface lives in sim so it can be implemented from any layer;
-// it refers to the IR and memory pool only through forward declarations
-// (fti_sim does not link fti_ir or fti_mem).
+// it refers to the design handle and memory pool only through forward
+// declarations (fti_sim does not link fti_elab, fti_ir or fti_mem).
 #pragma once
 
 #include <functional>
@@ -25,9 +31,9 @@
 #include "fti/sim/coverage.hpp"
 #include "fti/sim/kernel.hpp"
 
-namespace fti::ir {
-struct Design;
-}  // namespace fti::ir
+namespace fti::elab {
+class CheckedDesign;
+}  // namespace fti::elab
 
 namespace fti::mem {
 class MemoryPool;
@@ -102,12 +108,13 @@ class Engine {
   /// stopping early when one exhausts its cycle budget -- then
   /// completed == false).  Throws SimError for in-run failures
   /// (combinational loops, bad memory writes).
-  virtual EngineResult run(const ir::Design& design, mem::MemoryPool& pool,
+  virtual EngineResult run(const elab::CheckedDesign& design,
+                           mem::MemoryPool& pool,
                            const EngineRunOptions& options = {}) = 0;
 
   /// Runs a single named configuration (the CPU-as-sequencer case in
   /// cosim).  Only `partition_index` 0 gets EngineRunOptions::tracer.
-  virtual EnginePartition run_partition(const ir::Design& design,
+  virtual EnginePartition run_partition(const elab::CheckedDesign& design,
                                         const std::string& node,
                                         mem::MemoryPool& pool,
                                         const EngineRunOptions& options,
@@ -133,7 +140,8 @@ class Engine {
   /// lane by lane, so every engine accepts batches; engines that override
   /// it (the `batched` engine) evaluate all lanes in one sweep.
   virtual std::vector<EngineResult> run_batch(
-      const ir::Design& design, const std::vector<mem::MemoryPool*>& lanes,
+      const elab::CheckedDesign& design,
+      const std::vector<mem::MemoryPool*>& lanes,
       const EngineRunOptions& options = {});
 
  protected:

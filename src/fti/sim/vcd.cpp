@@ -1,5 +1,7 @@
 #include "fti/sim/vcd.hpp"
 
+#include "fti/sim/engine.hpp"
+#include "fti/sim/netlist.hpp"
 #include "fti/util/error.hpp"
 #include "fti/util/file_io.hpp"
 
@@ -23,6 +25,18 @@ void VcdWriter::watch(const Net& net) {
              "net '" + net.name() + "' watched twice");
   nets_.push_back({&net, net.name(), net.width(), code_for(nets_.size()),
                    Bits(), false});
+}
+
+void VcdWriter::trace(EngineRunOptions& options) {
+  options.tracer = this;
+  options.on_netlist = [this](const std::string&, Netlist& netlist) {
+    if (!nets_.empty()) {
+      return;
+    }
+    for (const auto& net : netlist.nets()) {
+      watch(*net);
+    }
+  };
 }
 
 VcdWriter::Entry* VcdWriter::find_entry(const Net& net) {

@@ -15,6 +15,8 @@
 
 namespace fti::sim {
 
+struct EngineRunOptions;
+
 class VcdWriter : public Tracer {
  public:
   /// `module_name` labels the single scope in the dump.
@@ -34,6 +36,11 @@ class VcdWriter : public Tracer {
   void write_file(const std::filesystem::path& path) const;
 
   std::size_t watched_count() const { return nets_.size(); }
+
+  /// Dumps an engine run: installs this writer as `options.tracer` and
+  /// an on_netlist hook that watches every net of the first partition,
+  /// the only one a tracer sees.  The writer must outlive the run.
+  void trace(EngineRunOptions& options);
 
  private:
   struct Entry {

@@ -422,7 +422,7 @@ XsimRun run_external(
   return run;
 }
 
-XsimCheck cross_check(const ir::Design& design,
+XsimCheck cross_check(const elab::CheckedDesign& design,
                       const mem::MemoryPool& stimulus,
                       const XsimOptions& options) {
   XsimCheck check;
@@ -464,7 +464,7 @@ XsimCheck cross_check(const ir::Design& design,
     ref_memories[name] = pool.get(name).words();
   }
 
-  check.run = run_external(design, stimulus, options,
+  check.run = run_external(design.design(), stimulus, options,
                            reference.completed ? ref_memories
                                                : decltype(ref_memories){});
   if (!check.run.ran) {

@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "fti/elab/checked.hpp"
 #include "fti/ir/rtg.hpp"
 #include "fti/mem/storage.hpp"
 
@@ -106,7 +107,7 @@ struct XsimCheck {
 /// completion, per-partition cycles, finals, traces and final memory
 /// images bit for bit.  The levelized finals double as the bench's
 /// embedded self-check expectation.
-XsimCheck cross_check(const ir::Design& design,
+XsimCheck cross_check(const elab::CheckedDesign& design,
                       const mem::MemoryPool& stimulus,
                       const XsimOptions& options = {});
 

@@ -23,7 +23,8 @@ std::vector<lint::Finding> FourStateReport::to_lint() const {
 }
 
 std::vector<FourStateReport> run_four_state(
-    const ir::Design& design, const std::vector<mem::MemoryPool*>& lanes,
+    const elab::CheckedDesign& design,
+    const std::vector<mem::MemoryPool*>& lanes,
     const FourStateOptions& options) {
   std::vector<FourStateReport> reports;
   std::size_t findings = 0;

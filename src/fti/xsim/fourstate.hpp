@@ -52,7 +52,8 @@ struct FourStateReport : elab::FourStateLane {
 /// combinational cycles, a write to a known address beyond a memory's
 /// depth) propagate as exceptions, like the engines.
 std::vector<FourStateReport> run_four_state(
-    const ir::Design& design, const std::vector<mem::MemoryPool*>& lanes,
+    const elab::CheckedDesign& design,
+    const std::vector<mem::MemoryPool*>& lanes,
     const FourStateOptions& options = {});
 
 }  // namespace fti::xsim

@@ -162,20 +162,52 @@ TEST(DesignCache, SourceAliasFollowsEviction) {
   EXPECT_EQ(cache.find_source(source_key), nullptr);
 }
 
+/// Enables obs for the scope, restoring the previous setting after.
+class ObsOn {
+ public:
+  ObsOn() : was_enabled_(obs::enabled()) { obs::set_enabled(true); }
+  ~ObsOn() { obs::set_enabled(was_enabled_); }
+
+ private:
+  bool was_enabled_;
+};
+
 TEST(DesignCache, ScheduleMemoBuildsOncePerNode) {
+  ObsOn obs_on;
+  obs::Counter& builds = obs::counter("elab.schedule_builds");
+  obs::Counter& hits = obs::counter("elab.schedule_hits");
   DesignCache cache(4);
   ir::Design design = compile_case(square_case());
   std::string node = design.rtg.nodes.front();
   Key key = hash_design(design);
   auto entry = cache.insert(key, std::move(design), lint::Report{});
 
+  const std::uint64_t builds_before = builds.value();
+  const std::uint64_t hits_before = hits.value();
   auto first = cache.schedule_for(entry, node);
   auto second = cache.schedule_for(entry, node);
   ASSERT_NE(first, nullptr);
   EXPECT_EQ(first.get(), second.get());
-  DesignCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.schedule_builds, 1u);
-  EXPECT_EQ(stats.schedule_hits, 1u);
+  EXPECT_EQ(builds.value() - builds_before, 1u);
+  EXPECT_EQ(hits.value() - hits_before, 1u);
+}
+
+TEST(DesignCache, WarmHitNeverRevalidates) {
+  ObsOn obs_on;
+  obs::Counter& validations = obs::counter("ir.validations");
+  harness::TestCase test = square_case();
+  DesignCache cache(4);
+  harness::VerifyOptions options;
+  options.design_cache = &cache;
+  harness::VerifyOutcome cold = harness::run_test_case(test, options);
+  ASSERT_TRUE(cold.passed) << cold.message;
+
+  const std::uint64_t before = validations.value();
+  harness::VerifyOutcome warm = harness::run_test_case(test, options);
+  EXPECT_TRUE(warm.cache_hit);
+  EXPECT_TRUE(warm.passed) << warm.message;
+  EXPECT_EQ(validations.value(), before)
+      << "a warm hit re-validated the cached design";
 }
 
 /// The tentpole invariant: a cache-hit run must be indistinguishable

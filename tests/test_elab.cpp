@@ -11,10 +11,25 @@
 namespace fti::elab {
 namespace {
 
+/// One configuration as a checked single-node design; elaborate() keeps
+/// references into the design, so both live as long as the netlist.
+struct SingleDesign {
+  explicit SingleDesign(ir::Configuration config)
+      : design(ir::make_single_design("single", std::move(config))),
+        checked(design) {}
+
+  std::unique_ptr<ElaboratedConfig> elaborate(mem::MemoryPool& pool) const {
+    return elab::elaborate(checked, design.rtg.initial, pool);
+  }
+
+  ir::Design design;
+  CheckedDesign checked;
+};
+
 TEST(Elaborator, BuildsAccumulatorNetlist) {
-  ir::Configuration config = fti::testing::make_accumulator(5);
+  SingleDesign single(fti::testing::make_accumulator(5));
   mem::MemoryPool pool;
-  auto live = elaborate(config, pool);
+  auto live = single.elaborate(pool);
   EXPECT_NE(live->clock, nullptr);
   EXPECT_NE(live->done, nullptr);
   EXPECT_NE(live->fsm, nullptr);
@@ -25,9 +40,9 @@ TEST(Elaborator, BuildsAccumulatorNetlist) {
 }
 
 TEST(Elaborator, AccumulatorRunsToDone) {
-  ir::Configuration config = fti::testing::make_accumulator(5);
+  SingleDesign single(fti::testing::make_accumulator(5));
   mem::MemoryPool pool;
-  auto live = elaborate(config, pool);
+  auto live = single.elaborate(pool);
   sim::Kernel kernel(live->netlist);
   auto reason = kernel.run(100000, live->done);
   EXPECT_EQ(reason, sim::Kernel::StopReason::kDoneNet);
@@ -37,9 +52,9 @@ TEST(Elaborator, AccumulatorRunsToDone) {
 }
 
 TEST(Elaborator, FsmStateVisitCoverage) {
-  ir::Configuration config = fti::testing::make_accumulator(3);
+  SingleDesign single(fti::testing::make_accumulator(3));
   mem::MemoryPool pool;
-  auto live = elaborate(config, pool);
+  auto live = single.elaborate(pool);
   sim::Kernel kernel(live->netlist);
   kernel.run(100000, live->done);
   const auto& visits = live->fsm->state_visits();
@@ -52,15 +67,13 @@ TEST(Elaborator, FsmStateVisitCoverage) {
 TEST(Elaborator, RejectsReservedClockName) {
   ir::Configuration config = fti::testing::make_accumulator(3);
   config.datapath.wires.push_back({"clk", 1});
-  mem::MemoryPool pool;
-  EXPECT_THROW(elaborate(config, pool), util::IrError);
+  EXPECT_THROW(SingleDesign{config}, util::IrError);
 }
 
 TEST(Elaborator, RejectsInvalidIr) {
   ir::Configuration config = fti::testing::make_accumulator(3);
   config.datapath.units[2].ports["a"] = "missing";
-  mem::MemoryPool pool;
-  EXPECT_THROW(elaborate(config, pool), util::IrError);
+  EXPECT_THROW(SingleDesign{config}, util::IrError);
 }
 
 TEST(Elaborator, CreatesPoolMemories) {
@@ -68,8 +81,8 @@ TEST(Elaborator, CreatesPoolMemories) {
   auto compiled = compiler::compile_source(
       "kernel k(int a[8]) { a[0] = 1; }", options);
   mem::MemoryPool pool;
-  auto live =
-      elaborate(compiled.design.configuration("k"), pool);
+  const CheckedDesign checked(compiled.design);
+  auto live = elaborate(checked, "k", pool);
   EXPECT_TRUE(pool.contains("a"));
   EXPECT_EQ(pool.get("a").depth(), 8u);
   EXPECT_EQ(live->srams.size(), 1u);
@@ -205,11 +218,13 @@ TEST(MemoryInit, AppliedOnceAcrossPartitions) {
   p1.fsm.name = "acc2_fsm";
   p1.datapath.memories.push_back({"rom", 2, 8, {10, 20}});
 
+  SingleDesign first(std::move(p0));
+  SingleDesign second(std::move(p1));
   mem::MemoryPool pool;
-  auto live0 = elaborate(p0, pool);
+  auto live0 = first.elaborate(pool);
   EXPECT_EQ(pool.get("rom").words(), (std::vector<std::uint64_t>{10, 20}));
   pool.get("rom").write(0, 77);  // partition 0's computation
-  auto live1 = elaborate(p1, pool);
+  auto live1 = second.elaborate(pool);
   EXPECT_EQ(pool.get("rom").words(), (std::vector<std::uint64_t>{77, 20}));
 }
 
@@ -235,15 +250,25 @@ TEST(Coverage, FullyCoveredLoop) {
   EXPECT_EQ(coverage.percent(), 100.0);
   EXPECT_EQ(coverage.states_visited(), coverage.states.size());
   // The loop branch was taken both ways: 4 body entries + 1 exit.
-  std::uint64_t body_taken = 0;
-  std::uint64_t exit_taken = 0;
+  const sim::FsmCoverage::TransitionCov* body = nullptr;
   for (const auto& transition : coverage.transitions) {
     if (transition.guard != "1") {
-      body_taken = transition.taken;
+      ASSERT_EQ(body, nullptr) << "one conditional branch expected";
+      body = &transition;
     }
   }
-  (void)exit_taken;
-  EXPECT_EQ(body_taken, 4u);
+  ASSERT_NE(body, nullptr);
+  // The exit is the branch state's fall-through (guard "1").
+  const sim::FsmCoverage::TransitionCov* exit = nullptr;
+  for (const auto& transition : coverage.transitions) {
+    if (transition.from == body->from && transition.guard == "1") {
+      exit = &transition;
+    }
+  }
+  ASSERT_NE(exit, nullptr) << coverage.to_string();
+  EXPECT_NE(exit->to, body->to);
+  EXPECT_EQ(body->taken, 4u);
+  EXPECT_EQ(exit->taken, 1u);
 }
 
 TEST(Coverage, UntakenBranchIsReported) {

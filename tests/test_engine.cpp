@@ -115,14 +115,14 @@ TEST(EngineRegistry, CustomEngineCanBeRegistered) {
       static const std::string kName = "stub";
       return kName;
     }
-    sim::EngineResult run(const ir::Design&, mem::MemoryPool&,
+    sim::EngineResult run(const elab::CheckedDesign&, mem::MemoryPool&,
                           const sim::EngineRunOptions&) override {
       sim::EngineResult result;
       result.completed = true;
       return result;
     }
-    sim::EnginePartition run_partition(const ir::Design&, const std::string&,
-                                       mem::MemoryPool&,
+    sim::EnginePartition run_partition(const elab::CheckedDesign&,
+                                       const std::string&, mem::MemoryPool&,
                                        const sim::EngineRunOptions&,
                                        std::size_t) override {
       return {};
@@ -278,6 +278,30 @@ TEST_P(EngineParity, CombinationalLoopFailsLoudly) {
     EXPECT_NE(std::string(error.what()).find("combinational"),
               std::string::npos)
         << GetParam() << ": " << error.what();
+  }
+}
+
+TEST_P(EngineParity, ReservedClockWireIsRejectedWithOneMessage) {
+  // "clk" is the clock net every engine and HDL backend adds, so a
+  // datapath wire of that name is invalid IR under every engine, not
+  // only under the one that builds a netlist.
+  ir::Design design = accumulator_design(3);
+  design.configurations.begin()->second.datapath.wires.push_back({"clk", 1});
+  const std::string expected =
+      "ir: datapath 'acc' declares the reserved wire name 'clk'";
+  for (bool batch : {false, true}) {
+    mem::MemoryPool pool;
+    try {
+      if (batch) {
+        engine()->run_batch(design, {&pool});
+      } else {
+        engine()->run(design, pool);
+      }
+      FAIL() << "engine '" << GetParam() << "' ran a design with a 'clk' "
+             << (batch ? "wire in run_batch" : "wire");
+    } catch (const util::IrError& error) {
+      EXPECT_EQ(std::string(error.what()), expected) << GetParam();
+    }
   }
 }
 

@@ -104,6 +104,24 @@ TEST(FlowVerify, InstrumentedRequestsRunCold) {
   std::filesystem::remove(request.vcd_path);
 }
 
+TEST(FlowVerify, VcdOnUntracedEngineIsUsageErrorBeforeAnyWork) {
+  VerifyRequest request;
+  request.test = square_case();
+  request.engine = "batched";
+  request.vcd_path =
+      std::filesystem::temp_directory_path() / "fti_flow_untraced.vcd";
+  std::ostringstream out;
+  std::ostringstream err;
+  FlowContext context;
+  VerifyResult result = run_verify(request, context, out, err);
+  EXPECT_EQ(result.exit_code, 2);
+  EXPECT_EQ(out.str().find("PASS"), std::string::npos) << out.str();
+  EXPECT_NE(err.str().find("engine 'batched' does not support --vcd"),
+            std::string::npos)
+      << err.str();
+  EXPECT_FALSE(std::filesystem::exists(request.vcd_path));
+}
+
 TEST(FlowVerify, PreCancelledContextThrows) {
   std::atomic<bool> cancel{true};
   FlowContext context;

@@ -103,7 +103,7 @@ TEST(Fuzz, ShrinkerReachesSmallValidFixpoint) {
   // An always-failing predicate makes the shrinker drive the design to
   // its structural minimum; every intermediate candidate must validate.
   ShrinkResult result =
-      shrink(design, [](const ir::Design&) { return true; });
+      shrink(design, [](const elab::CheckedDesign&) { return true; });
   EXPECT_LT(ir_node_count(result.design), before);
   EXPECT_NO_THROW(ir::validate(result.design));
   EXPECT_FALSE(result.steps.empty());

@@ -61,7 +61,10 @@ ProbedRun probe_accumulator(std::uint64_t target,
                             const std::vector<std::string>& probed,
                             std::size_t max_samples = 0) {
   mem::MemoryPool pool;
-  auto live = elab::elaborate(testing::make_accumulator(target), pool);
+  ir::Design design =
+      ir::make_single_design("acc", testing::make_accumulator(target));
+  const elab::CheckedDesign checked(design);
+  auto live = elab::elaborate(checked, design.rtg.initial, pool);
   std::vector<std::pair<std::string, sim::Probe*>> probes;
   for (const std::string& wire : probed) {
     probes.emplace_back(wire, &live->netlist.add_component<sim::Probe>(
