@@ -30,7 +30,7 @@ CachedDesign::CachedDesign(const Key& ir_key, ir::Design ir_design,
     : key(ir_key),
       design(std::make_shared<const ir::Design>(std::move(ir_design))),
       lint(std::move(report)),
-      checked(*design) {}
+      checked(*design, ir_key) {}
 
 DesignCache::DesignCache(std::size_t max_entries)
     : max_entries_(std::max<std::size_t>(1, max_entries)) {}

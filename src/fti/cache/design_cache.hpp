@@ -71,12 +71,14 @@ class DesignCache {
   /// Entry for `key`, refreshed to most-recently-used; nullptr on miss.
   Entry find(const Key& key);
 
-  /// Stores `design` (its lint report alongside) under `key` and
-  /// returns the entry; throws IrError, storing nothing, when the design
-  /// fails ir::validate.  If the key is already present -- two jobs
-  /// racing the same cold design -- the existing entry wins and is
-  /// returned, so concurrent readers all converge on one design object.
-  /// May evict the least-recently-used entries over capacity.
+  /// Stores `design` (its lint report alongside) under `key`, which must
+  /// be cache::hash_design(design), and returns the entry; the entry's
+  /// handle reports `key` without hashing the design again.  Throws
+  /// IrError, storing nothing, when the design fails ir::validate.  If
+  /// the key is already present -- two jobs racing the same cold design
+  /// -- the existing entry wins and is returned, so concurrent readers
+  /// all converge on one design object.  May evict the
+  /// least-recently-used entries over capacity.
   Entry insert(const Key& key, ir::Design design, lint::Report lint);
 
   /// Entry reachable through a source-level alias; nullptr when the

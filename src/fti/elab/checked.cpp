@@ -12,6 +12,11 @@ CheckedDesign::CheckedDesign(const ir::Design& design) : design_(design) {
   }
 }
 
+CheckedDesign::CheckedDesign(const ir::Design& design, const cache::Key& key)
+    : CheckedDesign(design) {
+  key_ = key;
+}
+
 const CheckedDesign::Node& CheckedDesign::node(std::string_view name) const {
   auto it = nodes_.find(name);
   if (it == nodes_.end()) {

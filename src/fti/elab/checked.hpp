@@ -36,6 +36,9 @@ class CheckedDesign {
   /// configuration.  Not explicit: a plain ir::Design converts wherever a
   /// handle is expected, at the cost of one check per call.
   CheckedDesign(const ir::Design& design);
+  /// As above, for a caller that has already hashed the design: `key`
+  /// must be cache::hash_design(design), and key() returns it unhashed.
+  CheckedDesign(const ir::Design& design, const cache::Key& key);
 
   CheckedDesign(const CheckedDesign&) = delete;
   CheckedDesign& operator=(const CheckedDesign&) = delete;

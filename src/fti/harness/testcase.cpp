@@ -339,13 +339,15 @@ VerifyOutcome run_test_case(const TestCase& test,
   std::unique_ptr<sim::Engine> engine = elab::make_engine(options.engine);
   engine->check_lane_count(lane_count);
 
-  // 4. Golden runs, one per stimulus lane.  Lane 0 replays the declared
-  //    inputs; lanes k >= 1 replay the same seed-derived random contents
-  //    the matching simulated lane starts from.
+  // 4. Golden runs, one per stimulus lane, of one lowered program.  Lane
+  //    0 replays the declared inputs; lanes k >= 1 replay the same
+  //    seed-derived random contents the matching simulated lane starts
+  //    from.
   watch.reset();
   std::deque<mem::MemoryPool> golden_pools(lane_count);
   compiler::InterpOptions interp_options;
   interp_options.scalar_args = test.scalar_args;
+  const compiler::GoldenProgram golden(program, sema, interp_options);
   for (std::uint32_t lane = 0; lane < lane_count; ++lane) {
     check_cancel(options);
     if (lane == 0) {
@@ -353,8 +355,7 @@ VerifyOutcome run_test_case(const TestCase& test,
     } else {
       prime_random_lane(sema, options.lane_seed, lane, golden_pools[lane]);
     }
-    compiler::InterpStats stats =
-        compiler::run_program(program, golden_pools[lane], interp_options);
+    compiler::InterpStats stats = golden.run(golden_pools[lane]);
     if (lane == 0) {
       outcome.golden_stats = stats;
     }

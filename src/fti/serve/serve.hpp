@@ -34,6 +34,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <functional>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -121,8 +122,15 @@ class Server {
   std::unique_ptr<util::TaskQueue> queue_;
   int listen_fd_ = -1;
   std::thread accept_thread_;
+  /// One connection's handler thread; `finished` is its last write.
+  struct Connection {
+    std::thread thread;
+    std::atomic<bool> finished{false};
+  };
+  /// Joins and drops the connections whose handler has returned.
+  void reap_finished_connections();
   std::mutex conns_mutex_;
-  std::vector<std::thread> conns_;
+  std::list<Connection> conns_;
 
   mutable std::mutex mutex_;
   std::condition_variable jobs_cv_;

@@ -274,14 +274,14 @@ void Server::shutdown() {
     queue_->stop_and_join();
     queue_.reset();
   }
-  std::vector<std::thread> conns;
+  std::list<Connection> conns;
   {
     std::lock_guard<std::mutex> lock(conns_mutex_);
     conns.swap(conns_);
   }
-  for (std::thread& thread : conns) {
-    if (thread.joinable()) {
-      thread.join();
+  for (Connection& conn : conns) {
+    if (conn.thread.joinable()) {
+      conn.thread.join();
     }
   }
   if (!options_.socket_path.empty()) {
@@ -296,6 +296,9 @@ std::uint64_t Server::finished_jobs() const {
 
 void Server::accept_loop() {
   while (!stopping_.load(std::memory_order_acquire)) {
+    // A finished handler still holds its stack until joined, so the
+    // daemon's footprint would otherwise grow with every connection.
+    reap_finished_connections();
     pollfd pfd{listen_fd_, POLLIN, 0};
     int ready = ::poll(&pfd, 1, 200);
     if (ready <= 0) {
@@ -306,7 +309,23 @@ void Server::accept_loop() {
       continue;
     }
     std::lock_guard<std::mutex> lock(conns_mutex_);
-    conns_.emplace_back([this, fd] { handle_connection(fd); });
+    Connection& conn = conns_.emplace_back();
+    conn.thread = std::thread([this, fd, &conn] {
+      handle_connection(fd);
+      conn.finished.store(true, std::memory_order_release);
+    });
+  }
+}
+
+void Server::reap_finished_connections() {
+  std::lock_guard<std::mutex> lock(conns_mutex_);
+  for (auto it = conns_.begin(); it != conns_.end();) {
+    if (it->finished.load(std::memory_order_acquire)) {
+      it->thread.join();
+      it = conns_.erase(it);
+    } else {
+      ++it;
+    }
   }
 }
 

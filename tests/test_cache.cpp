@@ -128,6 +128,21 @@ TEST(DesignCache, InsertFindAndStats) {
   EXPECT_EQ(cache.size(), 1u);
 }
 
+TEST(DesignCache, EntryHandleReportsItsInsertKeyWithoutRehashing) {
+  DesignCache cache(4);
+  ir::Design design = compile_case(square_case());
+  Key key = hash_design(design);
+  EXPECT_EQ(cache.insert(key, design, lint::Report{})->checked.key(), key);
+
+  // Under a key the design does not hash to, the handle still reports
+  // the insert key: it was handed over, not computed a second time.
+  DesignCache other(4);
+  Key planted{key.hi ^ 1, key.lo};
+  EXPECT_EQ(other.insert(planted, std::move(design), lint::Report{})
+                ->checked.key(),
+            planted);
+}
+
 TEST(DesignCache, LruEvictsOldestUnderTinyCapacity) {
   DesignCache cache(2);
   std::vector<Key> keys;
