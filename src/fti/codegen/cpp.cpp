@@ -1,11 +1,10 @@
 #include "fti/codegen/cpp.hpp"
 
 #include <cstdint>
-#include <map>
 
 #include "fti/codegen/semantics_text.hpp"
 #include "fti/elab/compiled_abi.hpp"
-#include "fti/ir/comb_graph.hpp"
+#include "fti/ir/slots.hpp"
 #include "fti/ops/alu.hpp"
 #include "fti/util/error.hpp"
 
@@ -89,21 +88,19 @@ class NodeEmitter {
               std::string& out)
       : config_(design.configuration(node)),
         datapath_(config_.datapath),
-        wires_(datapath_),
+        slots_(ir::resolve_slots(config_, ir::DatapathIndex(datapath_))),
         schedule_(schedule),
         node_(node),
         index_(node_index),
         out_(out) {
-    slots_.assign(datapath_.wires.size(), kNone);
+    trace_of_.assign(datapath_.wires.size(), kNone);
     layout_.name = node;
     layout_.traced = ir::traced_wires(datapath_);
-    for (std::size_t s = 0; s < layout_.traced.size(); ++s) {
-      slots_[wires_.slot(layout_.traced[s])] = s;
+    for (std::size_t s = 0; s < slots_.traced.size(); ++s) {
+      trace_of_[slots_.traced[s]] = s;
     }
+    // Declaration order, so a memport's resolved memory is its m index.
     layout_.memories = elab::cabi::memory_order(datapath_);
-    for (std::size_t m = 0; m < layout_.memories.size(); ++m) {
-      memory_index_.emplace(layout_.memories[m], m);
-    }
     for (const ir::Unit* unit : elab::cabi::write_units(datapath_)) {
       layout_.write_memories.push_back(unit->memory);
     }
@@ -131,8 +128,7 @@ class NodeEmitter {
     ln("  unsigned long long events = 0ull;");
     ln("  unsigned long long evals = 0ull;");
     ln("  unsigned long long deltas = 0ull;");
-    ln("  unsigned long long state = " +
-       u64(config_.fsm.state_index(config_.fsm.initial)) + ";");
+    ln("  unsigned long long state = " + u64(slots_.initial) + ";");
     emit_pipe_state();
     emit_drive_controls();
     emit_sweep();
@@ -142,39 +138,35 @@ class NodeEmitter {
   }
 
  private:
-  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  static constexpr std::size_t kNone = ir::kNone;
 
   void ln(const std::string& text) {
     out_ += text;
     out_ += '\n';
   }
 
-  std::size_t index_of(const std::string& wire) const {
-    return wires_.slot(wire);
+  static std::string ref(std::size_t wire) {
+    return "w" + std::to_string(wire);
   }
 
-  std::string ref(const std::string& wire) const {
-    return "w" + std::to_string(index_of(wire));
-  }
-
-  std::uint32_t width_of(const std::string& wire) const {
-    return datapath_.wires[index_of(wire)].width;
+  std::uint32_t width_of(std::size_t wire) const {
+    return datapath_.wires[wire].width;
   }
 
   /// Sign-bit constant of `wire` for the ops/semantics.hpp calls.
-  std::string sign_of(const std::string& wire) const {
+  std::string sign_of(std::size_t wire) const {
     return hex64(ops::sign_bit(width_of(wire)));
   }
 
-  std::string binop_expr(ops::BinOp op, const std::string& a,
-                         const std::string& b, std::uint32_t out_width) const {
+  std::string binop_expr(ops::BinOp op, std::size_t a, std::size_t b,
+                         std::uint32_t out_width) const {
     return masked("op_" + std::string(ops::to_string(op)) + "(" + ref(a) +
                       ", " + ref(b) + ", " + sign_of(a) + ", " + sign_of(b) +
                       ")",
                   out_width);
   }
 
-  std::string unop_expr(ops::UnOp op, const std::string& a,
+  std::string unop_expr(ops::UnOp op, std::size_t a,
                         std::uint32_t out_width) const {
     return masked("op_" + std::string(ops::to_string(op)) + "(" + ref(a) +
                       ", " + sign_of(a) + ")",
@@ -185,11 +177,11 @@ class NodeEmitter {
   /// events count changes; traced slots also append to the host's trace ring.
   void emit_commit(const std::string& indent, std::size_t wire,
                    const std::string& expr) {
-    std::string w = "w" + std::to_string(wire);
+    std::string w = ref(wire);
     std::string body = "{ unsigned long long v = " + expr + "; if (" + w +
                        " != v) { " + w + " = v; ++events;";
-    if (slots_[wire] != kNone) {
-      body += " if (collect) io->trace(io->host, " + u64(slots_[wire]) +
+    if (trace_of_[wire] != kNone) {
+      body += " if (collect) io->trace(io->host, " + u64(trace_of_[wire]) +
               ", v);";
     }
     body += " } }";
@@ -197,12 +189,11 @@ class NodeEmitter {
   }
 
   void emit_memories() {
-    for (std::size_t m = 0; m < layout_.memories.size(); ++m) {
-      const ir::MemoryDecl* memory =
-          datapath_.find_memory(layout_.memories[m]);
+    for (std::size_t m = 0; m < datapath_.memories.size(); ++m) {
+      const ir::MemoryDecl& memory = datapath_.memories[m];
       ln("  const unsigned long long* m" + std::to_string(m) +
          " = io->memories[" + u64(m) + "];  /* sram '" +
-         escaped(memory->name) + "' depth " + std::to_string(memory->depth) +
+         escaped(memory.name) + "' depth " + std::to_string(memory.depth) +
          " */");
       ln("  (void)m" + std::to_string(m) + ";");
     }
@@ -216,7 +207,7 @@ class NodeEmitter {
     std::vector<const ir::Unit*> folded(datapath_.wires.size(), nullptr);
     for (const ir::Unit& unit : datapath_.units) {
       if (unit.kind == ir::UnitKind::kConst) {
-        std::size_t out = index_of(unit.port("out"));
+        std::size_t out = slots_.of(unit).out;
         init[out] = unit.value & mask_of(datapath_.wires[out].width);
         folded[out] = &unit;
       }
@@ -265,7 +256,7 @@ class NodeEmitter {
   /// count alone; the table lands in .rodata where the host compiler
   /// handles it in milliseconds.
   void emit_drive_controls() {
-    const std::vector<std::string>& controls = datapath_.control_wires;
+    const std::vector<std::size_t>& controls = slots_.controls;
     if (controls.empty()) {
       ln("  auto drive_controls = [&]() {};");
       return;
@@ -276,30 +267,25 @@ class NodeEmitter {
        std::to_string(config_.fsm.states.size()) + "][" +
        std::to_string(controls.size()) + "] = {");
     for (std::size_t s = 0; s < config_.fsm.states.size(); ++s) {
-      const ir::State& st = config_.fsm.states[s];
+      std::vector<std::uint64_t> values(controls.size(), 0);
+      for (const auto& [control, value] : slots_.states[s].controls) {
+        values[control] = value;
+      }
       std::string row = "    {";
       for (std::size_t c = 0; c < controls.size(); ++c) {
-        std::uint64_t value = 0;
-        for (const ir::ControlAssign& assign : st.controls) {
-          if (assign.wire == controls[c]) {
-            value = assign.value;
-            break;
-          }
-        }
         if (c != 0) {
           row += ", ";
         }
-        row += u64(value & mask_of(width_of(controls[c])));
+        row += u64(values[c] & mask_of(width_of(controls[c])));
       }
-      row += "},  /* '" + escaped(st.name) + "' */";
+      row += "},  /* '" + escaped(config_.fsm.states[s].name) + "' */";
       ln(row);
     }
     ln("  };");
     ln("  auto drive_controls = [&]() {");
     ln("    const unsigned long long* row = fti_ctrl[state];");
     for (std::size_t c = 0; c < controls.size(); ++c) {
-      emit_commit("    ", index_of(controls[c]),
-                  "row[" + std::to_string(c) + "]");
+      emit_commit("    ", controls[c], "row[" + std::to_string(c) + "]");
     }
     ln("  };");
   }
@@ -313,36 +299,31 @@ class NodeEmitter {
       if (unit.kind == ir::UnitKind::kConst) {
         continue;  // folded into the wire initializer
       }
-      std::string out_port =
-          unit.kind == ir::UnitKind::kMemPort ? "dout" : "out";
-      std::size_t out = index_of(unit.port(out_port));
+      const ir::UnitSlots& port = slots_.of(unit);
+      std::size_t out = port.out;
       std::uint32_t out_width = datapath_.wires[out].width;
       std::string expr;
       switch (unit.kind) {
         case ir::UnitKind::kBinOp:
-          expr = binop_expr(unit.binop, unit.port("a"), unit.port("b"),
-                            out_width);
+          expr = binop_expr(unit.binop, port.a, port.b, out_width);
           break;
         case ir::UnitKind::kUnOp:
-          expr = unop_expr(unit.unop, unit.port("a"), out_width);
+          expr = unop_expr(unit.unop, port.a, out_width);
           break;
         case ir::UnitKind::kMux: {
-          std::string sel = ref(unit.port("sel"));
-          for (std::uint32_t i = 0; i < unit.mux_inputs; ++i) {
-            expr += sel + " == " + u64(i) + " ? " +
-                    ref(unit.port("in" + std::to_string(i))) + " : ";
+          std::string sel = ref(port.sel);
+          for (std::size_t i = 0; i < port.in.size(); ++i) {
+            expr += sel + " == " + u64(i) + " ? " + ref(port.in[i]) + " : ";
           }
           expr += "0ull";
           break;
         }
         case ir::UnitKind::kMemPort: {
-          const ir::MemoryDecl* memory = datapath_.find_memory(unit.memory);
-          std::string addr = ref(unit.port("addr"));
-          std::string word = "m" +
-                             std::to_string(memory_index_.at(unit.memory)) +
-                             "[" + addr + "]";
-          expr = addr + " < " + u64(memory->depth) + " ? " +
-                 masked(word, out_width) + " : 0ull";
+          std::string addr = ref(port.addr);
+          std::string word =
+              "m" + std::to_string(port.memory) + "[" + addr + "]";
+          expr = addr + " < " + u64(datapath_.memories[port.memory].depth) +
+                 " ? " + masked(word, out_width) + " : 0ull";
           break;
         }
         case ir::UnitKind::kConst:
@@ -364,7 +345,7 @@ class NodeEmitter {
     if (!layout_.traced.empty()) {
       ln("    if (collect) {");
       for (std::size_t s = 0; s < layout_.traced.size(); ++s) {
-        ln("      io->finals[" + u64(s) + "] = " + ref(layout_.traced[s]) +
+        ln("      io->finals[" + u64(s) + "] = " + ref(slots_.traced[s]) +
            ";");
       }
       ln("    }");
@@ -380,26 +361,23 @@ class NodeEmitter {
       if (unit.kind != ir::UnitKind::kRegister) {
         continue;
       }
-      std::size_t q = index_of(unit.port("q"));
-      std::uint64_t reset =
-          unit.reset_value & mask_of(datapath_.wires[q].width);
+      std::size_t q = slots_.of(unit).q;
+      std::uint64_t reset = unit.reset_value & mask_of(width_of(q));
       if (reset == 0) {
         continue;
       }
-      std::string line = "  w" + std::to_string(q) + " = " + u64(reset) +
-                         "; ++events;";
-      if (slots_[q] != kNone) {
-        line += " if (collect) io->trace(io->host, " + u64(slots_[q]) +
-                ", w" + std::to_string(q) + ");";
+      std::string line = "  " + ref(q) + " = " + u64(reset) + "; ++events;";
+      if (trace_of_[q] != kNone) {
+        line += " if (collect) io->trace(io->host, " + u64(trace_of_[q]) +
+                ", " + ref(q) + ");";
       }
       ln(line + "  /* reset '" + escaped(unit.name) + "' */");
     }
-    ln("  io->visits[" + u64(config_.fsm.state_index(config_.fsm.initial)) +
-       "] += 1ull;");
+    ln("  io->visits[" + u64(slots_.initial) + "] += 1ull;");
     ln("  drive_controls();");
     ln("  sweep();");
     ln("  for (;;) {");
-    ln("    if (" + ref(config_.fsm.done_wire) + " != 0ull) break;");
+    ln("    if (" + ref(slots_.done) + " != 0ull) break;");
     ln("    if (io->max_cycles != 0ull && cycles >= io->max_cycles) {");
     ln("      finish();");
     ln("      return 1;");
@@ -434,24 +412,23 @@ class NodeEmitter {
        u64(registers.size() + pipes.size() + writes.size()) + ";");
     for (std::size_t r = 0; r < registers.size(); ++r) {
       const ir::Unit& unit = *registers[r];
+      const ir::UnitSlots& port = slots_.of(unit);
       std::string n = "rn" + std::to_string(r);
       std::string c = "rc" + std::to_string(r);
-      std::string d = ref(unit.port("d"));
-      std::uint64_t reset =
-          unit.reset_value & mask_of(width_of(unit.port("q")));
-      bool has_rst = unit.has_port("rst");
-      bool has_en = unit.has_port("en");
+      std::string d = ref(port.d);
+      std::uint64_t reset = unit.reset_value & mask_of(width_of(port.q));
+      bool has_rst = port.rst != kNone;
+      bool has_en = port.en != kNone;
       if (has_rst && has_en) {
         ln("    unsigned long long " + n + " = 0ull; int " + c + " = 1;");
-        ln("    if (" + ref(unit.port("rst")) + " != 0ull) " + n + " = " +
-           u64(reset) + "; else if (" + ref(unit.port("en")) + " == 0ull) " +
-           c + " = 0; else " + n + " = " + d + ";");
+        ln("    if (" + ref(port.rst) + " != 0ull) " + n + " = " +
+           u64(reset) + "; else if (" + ref(port.en) + " == 0ull) " + c +
+           " = 0; else " + n + " = " + d + ";");
       } else if (has_rst) {
-        ln("    unsigned long long " + n + " = " + ref(unit.port("rst")) +
+        ln("    unsigned long long " + n + " = " + ref(port.rst) +
            " != 0ull ? " + u64(reset) + " : " + d + ";");
       } else if (has_en) {
-        ln("    int " + c + " = " + ref(unit.port("en")) +
-           " != 0ull ? 1 : 0;");
+        ln("    int " + c + " = " + ref(port.en) + " != 0ull ? 1 : 0;");
         ln("    unsigned long long " + n + " = " + d + ";");
       } else {
         ln("    unsigned long long " + n + " = " + d + ";");
@@ -459,9 +436,9 @@ class NodeEmitter {
     }
     for (std::size_t p = 0; p < pipes.size(); ++p) {
       const ir::Unit& unit = *pipes[p];
-      std::uint32_t width = width_of(unit.port("out"));
+      const ir::UnitSlots& port = slots_.of(unit);
       std::string eval =
-          binop_expr(unit.binop, unit.port("a"), unit.port("b"), width);
+          binop_expr(unit.binop, port.a, port.b, width_of(port.out));
       std::string v = "pv" + std::to_string(p);
       if (unit.latency == 1) {
         ln("    unsigned long long " + v + " = " + eval + ";");
@@ -476,20 +453,21 @@ class NodeEmitter {
     }
     for (std::size_t j = 0; j < writes.size(); ++j) {
       const ir::Unit& unit = *writes[j];
-      const ir::MemoryDecl* memory = datapath_.find_memory(unit.memory);
+      const ir::UnitSlots& port = slots_.of(unit);
+      const std::size_t depth = datapath_.memories[port.memory].depth;
       std::string m = "wrm" + std::to_string(j);
       std::string a = "wra" + std::to_string(j);
       std::string d = "wrd" + std::to_string(j);
       ln("    int " + m + " = 0; unsigned long long " + a +
          " = 0ull, " + d + " = 0ull;");
-      ln("    if (" + ref(unit.port("we")) + " != 0ull) {");
-      ln("      " + a + " = " + ref(unit.port("addr")) + ";");
-      ln("      if (" + a + " >= " + u64(memory->depth) + ") {");
+      ln("    if (" + ref(port.we) + " != 0ull) {");
+      ln("      " + a + " = " + ref(port.addr) + ";");
+      ln("      if (" + a + " >= " + u64(depth) + ") {");
       ln("        return fti_fail(io, \"compiled: sram '" +
          escaped(unit.name) + "' write to address \", " + a +
-         ", \" beyond depth " + std::to_string(memory->depth) + "\");");
+         ", \" beyond depth " + std::to_string(depth) + "\");");
       ln("      }");
-      ln("      " + m + " = 1; " + d + " = " + ref(unit.port("din")) + ";");
+      ln("      " + m + " = 1; " + d + " = " + ref(port.din) + ";");
       ln("    }");
     }
     // FSM transition on pre-edge status values; first match wins, no
@@ -503,7 +481,8 @@ class NodeEmitter {
       ln("      case " + u64(s) + ": {  /* '" + escaped(st.name) + "' */");
       for (std::size_t t = 0; t < st.transitions.size(); ++t) {
         const ir::Transition& transition = st.transitions[t];
-        std::size_t target = config_.fsm.state_index(transition.target);
+        const ir::TransitionSlots& resolved = slots_.states[s].transitions[t];
+        std::size_t target = resolved.target;
         std::string action = "io->taken[" + u64(taken_offsets_[s] + t) +
                              "] += 1ull; state = " + u64(target) +
                              "; io->visits[" + u64(target) +
@@ -513,12 +492,11 @@ class NodeEmitter {
           break;  // later transitions are unreachable
         }
         std::string cond;
-        for (const ir::GuardLiteral& literal : transition.guard.literals) {
+        for (const auto& [status, expected] : resolved.literals) {
           if (!cond.empty()) {
             cond += " && ";
           }
-          cond += ref(literal.status) +
-                  (literal.expected ? " != 0ull" : " == 0ull");
+          cond += ref(status) + (expected ? " != 0ull" : " == 0ull");
         }
         ln("        if (" + cond + ") { " + action + " }");
       }
@@ -529,11 +507,10 @@ class NodeEmitter {
     // Commit phase: registers then pipeline outputs (the interpreter's
     // commit order), then memory writes through the host callback.
     for (std::size_t r = 0; r < registers.size(); ++r) {
-      const ir::Unit& unit = *registers[r];
-      std::size_t q = index_of(unit.port("q"));
+      const ir::UnitSlots& port = slots_.of(*registers[r]);
+      std::size_t q = port.q;
       std::string n = "rn" + std::to_string(r);
-      bool conditional = unit.has_port("en");
-      if (conditional) {
+      if (port.en != kNone) {
         ln("    if (rc" + std::to_string(r) + " != 0)");
         emit_commit("      ", q, n);
       } else {
@@ -541,8 +518,7 @@ class NodeEmitter {
       }
     }
     for (std::size_t p = 0; p < pipes.size(); ++p) {
-      emit_commit("    ", index_of(pipes[p]->port("out")),
-                  "pv" + std::to_string(p));
+      emit_commit("    ", slots_.of(*pipes[p]).out, "pv" + std::to_string(p));
     }
     for (std::size_t j = 0; j < writes.size(); ++j) {
       ln("    if (wrm" + std::to_string(j) +
@@ -553,14 +529,15 @@ class NodeEmitter {
 
   const ir::Configuration& config_;
   const ir::Datapath& datapath_;
-  /// Local: emit_cpp also serves callers holding a plain ir::Design.
-  const ir::DatapathIndex wires_;
+  /// Resolved here: emit_cpp also serves callers holding a plain
+  /// ir::Design.
+  const ir::ConfigSlots slots_;
   const elab::LevelizedSchedule& schedule_;
   std::string node_;
   std::size_t index_;
   std::string& out_;
-  std::vector<std::size_t> slots_;
-  std::map<std::string, std::size_t> memory_index_;
+  /// Per wire, its position among the traced wires (kNone if untraced).
+  std::vector<std::size_t> trace_of_;
   std::vector<std::size_t> taken_offsets_;
   CppNodeLayout layout_;
 };

@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "fti/elab/levelized.hpp"
-#include "fti/ir/comb_graph.hpp"
 #include "fti/mem/storage.hpp"
 #include "fti/obs/metrics.hpp"
 #include "fti/obs/trace.hpp"
@@ -23,12 +22,7 @@ namespace {
 
 using sim::Bits;
 
-constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-
-const std::string& comb_output(const ir::Unit& unit) {
-  return unit.kind == ir::UnitKind::kMemPort ? unit.port("dout")
-                                             : unit.port("out");
-}
+using ir::kNone;
 
 /// What a 4-state lane carries from one configuration to the next: the
 /// unknown mask of every memory image it has touched, its report, and
@@ -78,7 +72,7 @@ class BatchedSim {
              const sim::EngineRunOptions& options,
              std::vector<XLane*> x_lanes = {})
       : config_(design.design().configuration(node)),
-        index_(design.index(node)),
+        resolved_(design.slots(node)),
         options_(options),
         lanes_(pools.size()),
         words_((pools.size() + 63) / 64),
@@ -129,7 +123,6 @@ class BatchedSim {
           unknown[lane] = &mask;
         }
       }
-      image_index_.emplace(memory.name, mem_images_.size());
       mem_images_.push_back(std::move(images));
       mem_x_.push_back(std::move(unknown));
     }
@@ -140,46 +133,49 @@ class BatchedSim {
     comb_units_ = schedule.steps.size();
     for (const LevelizedSchedule::Step& step : schedule.steps) {
       const ir::Unit& unit = *step.unit;
+      const ir::UnitSlots& port = resolved_.of(unit);
       if (unit.kind == ir::UnitKind::kConst) {
-        std::size_t out = index_of(comb_output(unit));
         for (std::size_t lane = 0; lane < lanes_; ++lane) {
-          put_raw(out, lane, unit.value);
+          put_raw(port.out, lane, unit.value);
         }
         continue;
       }
       CombOp op;
       op.kind = unit.kind;
-      op.out = index_of(comb_output(unit));
+      op.out = port.out;
       op.width = slots_[op.out].width;
       op.binop = unit.binop;
       op.unop = unit.unop;
       op.mux_inputs = unit.mux_inputs;
-      for (const std::string& wire : ir::comb_input_wires(unit)) {
-        op.ins.push_back(index_of(wire));
+      // The kind's inputs, a mux's select first: a, b / sel, in... / addr.
+      for (std::size_t wire : {port.sel, port.a, port.b, port.addr}) {
+        if (wire != kNone) {
+          op.ins.push_back(wire);
+        }
       }
-      if (unit.kind == ir::UnitKind::kMemPort) {
-        op.mem = image_index_.at(unit.memory);
-      }
+      op.ins.insert(op.ins.end(), port.in.begin(), port.in.end());
+      op.mem = port.memory;
       op.exec = kFourState ? Exec::kXLane : classify(op);
       comb_.push_back(std::move(op));
     }
 
     for (const ir::Unit& unit : datapath.units) {
+      const ir::UnitSlots& port = resolved_.of(unit);
       if (unit.kind == ir::UnitKind::kRegister) {
         RegOp reg;
-        reg.q = index_of(unit.port("q"));
-        reg.d = index_of(unit.port("d"));
-        reg.en = unit.has_port("en") ? index_of(unit.port("en")) : kNone;
-        reg.rst = unit.has_port("rst") ? index_of(unit.port("rst")) : kNone;
+        reg.q = port.q;
+        reg.d = port.d;
+        reg.en = port.en;
+        reg.rst = port.rst;
         reg.reset = unit.reset_value & Bits::mask(slots_[reg.q].width);
         // en and rst are always 1-bit; 4-state registers sample per lane.
         reg.word = slots_[reg.q].packed && !kFourState;
         registers_.push_back(std::move(reg));
       } else if (unit.kind == ir::UnitKind::kBinOp && unit.latency > 0) {
         PipeOp pipe;
-        pipe.out = index_of(unit.port("out"));
-        pipe.a = index_of(unit.port("a"));
-        pipe.b = index_of(unit.port("b"));
+        pipe.out = port.out;
+        pipe.a = port.a;
+        pipe.b = port.b;
         pipe.binop = unit.binop;
         pipe.width = slots_[pipe.out].width;
         pipe.latency = unit.latency;
@@ -191,10 +187,10 @@ class BatchedSim {
       } else if (unit.kind == ir::UnitKind::kMemPort &&
                  unit.mem_mode != ir::MemMode::kRead) {
         WriteOp write;
-        write.addr = index_of(unit.port("addr"));
-        write.din = index_of(unit.port("din"));
-        write.we = index_of(unit.port("we"));
-        write.mem = image_index_.at(unit.memory);
+        write.addr = port.addr;
+        write.din = port.din;
+        write.we = port.we;
+        write.mem = port.memory;
         write.name = unit.name;
         write.memory = unit.memory;
         writes_.push_back(std::move(write));
@@ -215,10 +211,10 @@ class BatchedSim {
     reg_load_.assign(registers_.size() * words_, 0);
     pending_.assign(registers_.size(), 0);
 
+    const std::vector<std::size_t>& controls = resolved_.controls;
     std::vector<std::size_t> control_of(slots_.size(), kNone);
-    for (const std::string& control : datapath.control_wires) {
-      control_of[index_of(control)] = control_index_.size();
-      control_index_.push_back(index_of(control));
+    for (std::size_t c = 0; c < controls.size(); ++c) {
+      control_of[controls[c]] = c;
     }
     // A register whose enable and reset are both FSM controls loads
     // exactly in the states that assert one of them, so the edge looks
@@ -232,21 +228,17 @@ class BatchedSim {
         scanned_.push_back(r);
       }
     }
-    for (const ir::State& state : config_.fsm.states) {
+    for (const ir::StateSlots& state : resolved_.states) {
       CompiledState compiled;
-      for (const std::string& control : datapath.control_wires) {
-        std::uint64_t value = 0;
-        for (const ir::ControlAssign& assign : state.controls) {
-          if (assign.wire == control) {
-            value = assign.value;
-            break;
-          }
+      compiled.controls.assign(controls.size(), 0);
+      for (const auto& [control, value] : state.controls) {
+        compiled.controls[control] =
+            value & Bits::mask(slots_[controls[control]].width);
+      }
+      for (std::size_t c = 0; c < controls.size(); ++c) {
+        if (compiled.controls[c] != 0) {
+          compiled.asserted.push_back(c);
         }
-        value &= Bits::mask(slots_[index_of(control)].width);
-        if (value != 0) {
-          compiled.asserted.push_back(compiled.controls.size());
-        }
-        compiled.controls.push_back(value);
       }
       auto asserts = [&](std::size_t wire) {
         return wire != kNone && compiled.controls[control_of[wire]] != 0;
@@ -257,19 +249,9 @@ class BatchedSim {
           compiled.loads.push_back(r);
         }
       }
-      for (const ir::Transition& transition : state.transitions) {
-        CompiledTransition ct;
-        for (const ir::GuardLiteral& literal : transition.guard.literals) {
-          ct.literals.emplace_back(index_of(literal.status),
-                                   literal.expected);
-        }
-        ct.target = config_.fsm.state_index(transition.target);
-        compiled.transitions.push_back(std::move(ct));
-      }
       states_.push_back(std::move(compiled));
     }
-    done_index_ = index_of(config_.fsm.done_wire);
-    state_.assign(lanes_, config_.fsm.state_index(config_.fsm.initial));
+    state_.assign(lanes_, resolved_.initial);
     driven_.assign(lanes_, kNone);
     state_lanes_.assign(states_.size() * words_, 0);
     occupied_flag_.assign(states_.size(), 0);
@@ -285,10 +267,10 @@ class BatchedSim {
 
     if (options.collect_wire_data) {
       trace_slot_.assign(slots_.size(), kNone);
-      for (const std::string& wire : ir::traced_wires(datapath)) {
-        trace_slot_[index_of(wire)] = trace_names_.size();
-        trace_names_.push_back(wire);
-        trace_index_.push_back(index_of(wire));
+      for (std::size_t wire : resolved_.traced) {
+        trace_slot_[wire] = trace_names_.size();
+        trace_names_.push_back(datapath.wires[wire].name);
+        trace_index_.push_back(wire);
       }
     }
     lane_traces_.assign(
@@ -339,7 +321,7 @@ class BatchedSim {
       // reads as not done.
       if constexpr (kFourState) {
         for_each_lane(
-            [&](std::size_t w) { return unknown_where(done_index_, w); },
+            [&](std::size_t w) { return unknown_where(resolved_.done, w); },
             [&](std::size_t lane) {
               if (first_hit(lane, 0)) {
                 finding(lane, config_.fsm.done_wire,
@@ -349,7 +331,7 @@ class BatchedSim {
             });
       }
       for_each_lane(
-          [&](std::size_t w) { return active_where(done_index_, w); },
+          [&](std::size_t w) { return active_where(resolved_.done, w); },
           [&](std::size_t lane) {
             finish(results[lane], lane, sim::Kernel::StopReason::kDoneNet);
           });
@@ -442,20 +424,12 @@ class BatchedSim {
     std::uint64_t* word;
     std::uint64_t unknown;
   };
-  struct CompiledTransition {
-    std::vector<std::pair<std::size_t, bool>> literals;
-    std::size_t target;
-  };
+  /// A state's control row; its transitions are resolved_'s.
   struct CompiledState {
     std::vector<std::uint64_t> controls;
     std::vector<std::size_t> asserted;  ///< controls[c] != 0
     std::vector<std::size_t> loads;     ///< control-gated registers loading
-    std::vector<CompiledTransition> transitions;
   };
-
-  std::size_t index_of(const std::string& wire) const {
-    return index_.slot(wire);
-  }
 
   Exec classify(const CombOp& op) const {
     auto packed = [&](std::size_t wire) { return slots_[wire].packed; };
@@ -815,7 +789,7 @@ class BatchedSim {
       driven_[lane] = state_[lane];
       const CompiledState& state = states_[state_[lane]];
       auto drive = [&](std::size_t c) {
-        commit(control_index_[c], lane, state.controls[c]);
+        commit(resolved_.controls[c], lane, state.controls[c]);
       };
       if (last != kNone) {
         std::for_each(states_[last].asserted.begin(),
@@ -1097,12 +1071,12 @@ class BatchedSim {
     // Each state's lanes take its first transition whose guard holds,
     // evaluated a packed word of lanes at a time.
     for (std::size_t s : occupied_) {
-      const CompiledState& current = states_[s];
+      const ir::StateSlots& current = resolved_.states[s];
       for (std::size_t w = 0; w < words_; ++w) {
         std::uint64_t rest = state_lanes_[s * words_ + w];
         for (std::size_t t = 0; t < current.transitions.size() && rest != 0;
              ++t) {
-          const CompiledTransition& transition = current.transitions[t];
+          const ir::TransitionSlots& transition = current.transitions[t];
           std::uint64_t taken = rest;
           for (const auto& [status, expected] : transition.literals) {
             if constexpr (kFourState) {
@@ -1258,7 +1232,7 @@ class BatchedSim {
   }
 
   const ir::Configuration& config_;
-  const ir::DatapathIndex& index_;
+  const ir::ConfigSlots& resolved_;
   const sim::EngineRunOptions& options_;
   std::size_t lanes_;
   std::size_t words_;
@@ -1272,7 +1246,6 @@ class BatchedSim {
   std::vector<std::uint64_t> wide_vals_;
   std::vector<std::uint64_t> bit_x_;   ///< 4-state: unknown masks
   std::vector<std::uint64_t> wide_x_;  ///< of bit_vals_/wide_vals_
-  std::map<std::string, std::size_t> image_index_;
   std::vector<std::vector<mem::MemoryImage*>> mem_images_;
   /// 4-state: per memory and lane, the image's unknown mask.
   std::vector<std::vector<std::vector<std::uint64_t>*>> mem_x_;
@@ -1289,10 +1262,8 @@ class BatchedSim {
   std::vector<std::uint8_t> pending_;  ///< r is in loaded_
   std::vector<MemWrite> mem_writes_;
   std::vector<MaskWrite> mask_writes_;  ///< 4-state: mem_writes_'s masks
-  std::vector<std::size_t> control_index_;
   std::vector<CompiledState> states_;
   std::size_t depth_ = 0;
-  std::size_t done_index_;
   std::vector<std::size_t> state_;
   std::vector<std::size_t> driven_;  ///< state whose controls each lane drove
   std::vector<std::uint64_t> state_lanes_;  ///< per state, its active lanes

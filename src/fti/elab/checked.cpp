@@ -8,7 +8,9 @@ namespace fti::elab {
 CheckedDesign::CheckedDesign(const ir::Design& design) : design_(design) {
   ir::validate(design);
   for (const auto& [name, config] : design.configurations) {
-    nodes_.emplace(name, Node{ir::DatapathIndex(config.datapath), nullptr});
+    nodes_.emplace(name, Node{ir::resolve_slots(
+                                  config, ir::DatapathIndex(config.datapath)),
+                              nullptr});
   }
 }
 
@@ -26,8 +28,8 @@ const CheckedDesign::Node& CheckedDesign::node(std::string_view name) const {
   return it->second;
 }
 
-const ir::DatapathIndex& CheckedDesign::index(std::string_view name) const {
-  return node(name).index;
+const ir::ConfigSlots& CheckedDesign::slots(std::string_view name) const {
+  return node(name).slots;
 }
 
 const LevelizedSchedule& CheckedDesign::schedule(std::string_view name) const {

@@ -3,11 +3,14 @@
 // Every engine entry point (sim::Engine::run/run_batch/run_partition,
 // elaborate, the 4-state lanes, the compiled module registry, the fuzz
 // lane checker) takes a CheckedDesign instead of a bare ir::Design.
-// Building one runs ir::validate once and indexes the wires of every
-// configuration, so no engine re-checks the design per run or keeps a
-// private name-to-slot map.  The levelized schedule of each node and the
-// design's canonical hash are built on first request and shared by every
-// later run, from any thread.
+// Building one runs ir::validate once and resolves every wire, port,
+// memory, control, guard and state name of every configuration to a
+// position (ir::ConfigSlots; a wire's slot is its declaration position,
+// the layout every engine stores values in), so no engine re-checks the
+// design per run or looks a name up while it runs.  The
+// levelized schedule of each node and the design's canonical hash are
+// built on first request and shared by every later run, from any
+// thread.
 //
 // A handle views the design it was built from: the design must outlive
 // the handle and must not change while it lives (the indexes and the
@@ -27,14 +30,15 @@
 #include "fti/cache/ir_hash.hpp"
 #include "fti/elab/levelized.hpp"
 #include "fti/ir/rtg.hpp"
+#include "fti/ir/slots.hpp"
 
 namespace fti::elab {
 
 class CheckedDesign {
  public:
-  /// Validates `design` (throws ir::validate's IrError) and indexes every
-  /// configuration.  Not explicit: a plain ir::Design converts wherever a
-  /// handle is expected, at the cost of one check per call.
+  /// Validates `design` (throws ir::validate's IrError) and resolves every
+  /// configuration's names.  Not explicit: a plain ir::Design converts
+  /// wherever a handle is expected, at the cost of one check per call.
   CheckedDesign(const ir::Design& design);
   /// As above, for a caller that has already hashed the design: `key`
   /// must be cache::hash_design(design), and key() returns it unhashed.
@@ -45,8 +49,8 @@ class CheckedDesign {
 
   const ir::Design& design() const { return design_; }
 
-  /// Wire index of `node`'s datapath (see ir::DatapathIndex::slot).
-  const ir::DatapathIndex& index(std::string_view node) const;
+  /// `node`'s names resolved to positions (ir/slots.hpp).
+  const ir::ConfigSlots& slots(std::string_view node) const;
 
   /// The levelized schedule of `node`, built on the first request and
   /// counted in `elab.schedule_builds`; later requests count in
@@ -59,7 +63,7 @@ class CheckedDesign {
 
  private:
   struct Node {
-    ir::DatapathIndex index;
+    ir::ConfigSlots slots;
     /// Filled on first request, under mutex_.
     mutable std::unique_ptr<const LevelizedSchedule> schedule;
   };

@@ -1,9 +1,7 @@
 #include "fti/elab/engines.hpp"
 
 #include <deque>
-#include <map>
 #include <mutex>
-#include <string_view>
 #include <utility>
 
 #include "fti/elab/batched.hpp"
@@ -176,16 +174,18 @@ constexpr std::size_t kUntraced = static_cast<std::size_t>(-1);
 /// Settle sweeps per cycle before the sweep reports a combinational loop.
 constexpr std::uint32_t kMaxSweeps = 1000;
 
-/// One partition of the full-sweep interpreter (see SweepEngine).
+/// One partition of the full-sweep interpreter (see SweepEngine).  It
+/// reads ports, memories, controls and FSM states from the handle's
+/// resolved table, so a cycle looks no name up.
 class SweepSim {
  public:
   SweepSim(const std::string& engine, const ir::Configuration& config,
-           const ir::DatapathIndex& index, mem::MemoryPool& pool,
+           const ir::ConfigSlots& slots, mem::MemoryPool& pool,
            const sim::EngineRunOptions& options,
            const SweepEngine::BinopFn& eval_binop)
       : engine_(engine),
         config_(config),
-        index_(index),
+        slots_(slots),
         options_(options),
         eval_binop_(eval_binop) {
     const ir::Datapath& datapath = config.datapath;
@@ -203,40 +203,40 @@ class SweepSim {
           image.write(i, memory.init[i]);
         }
       }
-      images_.emplace(memory.name, &image);
+      images_.push_back(&image);
     }
-    for (const ir::Unit& unit : datapath.units) {
+    for (std::size_t u = 0; u < datapath.units.size(); ++u) {
+      const ir::Unit& unit = datapath.units[u];
       switch (unit.kind) {
         case ir::UnitKind::kRegister:
-          registers_.push_back(&unit);
+          registers_.push_back(u);
           break;
         case ir::UnitKind::kBinOp:
           if (unit.latency > 0) {
-            pipelined_.push_back(&unit);
-            pipelines_[&unit].assign(
+            pipelined_.push_back(u);
+            pipelines_.emplace_back(
                 unit.latency - 1,
-                Bits(width_of(unit.port("out")), 0));
+                Bits(values_[slots.units[u].out].width(), 0));
           } else {
-            combinational_.push_back(&unit);
+            combinational_.push_back(u);
           }
           break;
         case ir::UnitKind::kMemPort:
           // Read paths are combinational; write-capable ports act at
           // edges.
           if (unit.mem_mode != ir::MemMode::kWrite) {
-            combinational_.push_back(&unit);
+            combinational_.push_back(u);
           }
           if (unit.mem_mode != ir::MemMode::kRead) {
-            write_ports_.push_back(&unit);
+            write_ports_.push_back(u);
           }
           break;
         default:
-          combinational_.push_back(&unit);
+          combinational_.push_back(u);
           break;
       }
     }
-    state_ = config.fsm.state_index(config.fsm.initial);
-    done_index_ = index_of(config.fsm.done_wire);
+    state_ = slots.initial;
     visits_.assign(config.fsm.states.size(), 0);
     taken_.resize(config.fsm.states.size());
     for (std::size_t i = 0; i < config.fsm.states.size(); ++i) {
@@ -244,9 +244,9 @@ class SweepSim {
     }
     if (options.collect_wire_data) {
       trace_slot_.assign(values_.size(), kUntraced);
-      for (std::string& wire : ir::traced_wires(datapath)) {
-        trace_slot_[index_of(wire)] = traced_.size();
-        traced_.push_back({index_of(wire), std::move(wire), {}});
+      for (std::size_t wire : slots.traced) {
+        trace_slot_[wire] = traced_.size();
+        traced_.push_back({wire, datapath.wires[wire].name, {}});
       }
     }
   }
@@ -258,14 +258,15 @@ class SweepSim {
     // holding their reset value (bitstream-initialised flops), the
     // initial FSM state drives its control vector, then the
     // combinational sea settles.
-    for (const ir::Unit* reg : registers_) {
-      set_value(index_of(reg->port("q")), Bits(reg->width, reg->reset_value));
+    for (std::size_t reg : registers_) {
+      const ir::Unit& unit = config_.datapath.units[reg];
+      set_value(slots_.units[reg].q, Bits(unit.width, unit.reset_value));
     }
     visits_[state_] += 1;
     drive_controls(result.stats);
     settle(result.stats);
     result.reason = sim::Kernel::StopReason::kMaxTime;
-    while (values_[done_index_].is_zero()) {
+    while (values_[slots_.done].is_zero()) {
       if (options_.max_cycles_per_partition != 0 &&
           result.cycles >= options_.max_cycles_per_partition) {
         finish(result);
@@ -293,18 +294,6 @@ class SweepSim {
     }
   }
 
-  std::size_t index_of(const std::string& wire) const {
-    return index_.slot(wire);
-  }
-
-  std::uint32_t width_of(const std::string& wire) const {
-    return values_[index_of(wire)].width();
-  }
-
-  const Bits& value(const ir::Unit& unit, std::string_view port) const {
-    return values_[index_of(unit.port(port))];
-  }
-
   /// Writes a clocked wire; traced wires record their change stream, like
   /// a Probe on the net.  Returns whether the value changed.
   bool set_value(std::size_t index, const Bits& next) {
@@ -328,12 +317,12 @@ class SweepSim {
 
   /// Moore outputs of the current FSM state; unassigned controls are zero.
   void drive_controls(sim::KernelStats& stats) {
-    const ir::State& state = config_.fsm.states[state_];
-    for (const std::string& control : config_.datapath.control_wires) {
-      std::size_t index = index_of(control);
+    const ir::StateSlots& state = slots_.states[state_];
+    for (std::size_t c = 0; c < slots_.controls.size(); ++c) {
+      std::size_t index = slots_.controls[c];
       Bits next(values_[index].width(), 0);
-      for (const ir::ControlAssign& assign : state.controls) {
-        if (assign.wire == control) {
+      for (const ir::StateSlots::Assign& assign : state.controls) {
+        if (assign.control == c) {
           next = Bits(values_[index].width(), assign.value);
           break;
         }
@@ -344,51 +333,45 @@ class SweepSim {
     }
   }
 
-  bool evaluate_unit(const ir::Unit& unit) {
+  bool evaluate_unit(std::size_t u) {
+    const ir::Unit& unit = config_.datapath.units[u];
+    const ir::UnitSlots& port = slots_.units[u];
+    FTI_ASSERT(unit.kind != ir::UnitKind::kRegister,
+               "register in combinational list");
+    const std::uint32_t width = values_[port.out].width();
     Bits result;
-    std::size_t out_index = 0;
     switch (unit.kind) {
       case ir::UnitKind::kBinOp:
-        out_index = index_of(unit.port("out"));
-        result = eval_fu(unit.binop, value(unit, "a"), value(unit, "b"),
-                         values_[out_index].width());
+        result = eval_fu(unit.binop, values_[port.a], values_[port.b], width);
         break;
       case ir::UnitKind::kUnOp:
-        out_index = index_of(unit.port("out"));
-        result = ops::eval_unop(unit.unop, value(unit, "a"),
-                                values_[out_index].width());
+        result = ops::eval_unop(unit.unop, values_[port.a], width);
         break;
       case ir::UnitKind::kConst:
-        out_index = index_of(unit.port("out"));
-        result = Bits(values_[out_index].width(), unit.value);
+        result = Bits(width, unit.value);
         break;
       case ir::UnitKind::kMux: {
-        out_index = index_of(unit.port("out"));
-        std::uint64_t sel = value(unit, "sel").u();
-        result = sel < unit.mux_inputs
-                     ? value(unit, "in" + std::to_string(sel))
-                     : Bits(values_[out_index].width(), 0);
+        std::uint64_t sel = values_[port.sel].u();
+        result = sel < unit.mux_inputs ? values_[port.in[sel]] : Bits(width, 0);
         break;
       }
       case ir::UnitKind::kMemPort: {
         // Asynchronous read path; transient out-of-range addresses read
         // zero, matching the SRAM components.
-        out_index = index_of(unit.port("dout"));
-        const mem::MemoryImage& image = *images_.at(unit.memory);
-        std::uint64_t address = value(unit, "addr").u();
+        const mem::MemoryImage& image = *images_[port.memory];
+        std::uint64_t address = values_[port.addr].u();
         result = address < image.depth()
-                     ? Bits(values_[out_index].width(),
-                            image.words()[address])
-                     : Bits(values_[out_index].width(), 0);
+                     ? Bits(width, image.words()[address])
+                     : Bits(width, 0);
         break;
       }
       case ir::UnitKind::kRegister:
-        FTI_ASSERT(false, "register in combinational list");
+        break;
     }
-    if (values_[out_index] == result) {
+    if (values_[port.out] == result) {
       return false;
     }
-    values_[out_index] = result;
+    values_[port.out] = result;
     return true;
   }
 
@@ -397,9 +380,9 @@ class SweepSim {
     for (std::uint32_t sweep = 0; sweep < kMaxSweeps; ++sweep) {
       ++stats.delta_cycles;
       bool changed = false;
-      for (const ir::Unit* unit : combinational_) {
+      for (std::size_t unit : combinational_) {
         ++stats.evaluations;
-        bool unit_changed = evaluate_unit(*unit);
+        bool unit_changed = evaluate_unit(unit);
         if (unit_changed) {
           ++stats.events;
         }
@@ -418,51 +401,54 @@ class SweepSim {
   /// writes and the FSM transition together.
   void clock_edge(sim::KernelStats& stats) {
     updates_.clear();
-    for (const ir::Unit* reg : registers_) {
+    for (std::size_t reg : registers_) {
+      const ir::UnitSlots& port = slots_.units[reg];
       ++stats.evaluations;
-      if (reg->has_port("rst") && !value(*reg, "rst").is_zero()) {
-        updates_.push_back({index_of(reg->port("q")),
-                            Bits(reg->width, reg->reset_value)});
+      if (port.rst != ir::kNone && !values_[port.rst].is_zero()) {
+        const ir::Unit& unit = config_.datapath.units[reg];
+        updates_.push_back({port.q, Bits(unit.width, unit.reset_value)});
         continue;
       }
-      if (reg->has_port("en") && value(*reg, "en").is_zero()) {
+      if (port.en != ir::kNone && values_[port.en].is_zero()) {
         continue;
       }
-      updates_.push_back({index_of(reg->port("q")), value(*reg, "d")});
+      updates_.push_back({port.q, values_[port.d]});
     }
     // Pipelined FUs sample pre-edge operands and retire the oldest stage.
-    for (const ir::Unit* unit : pipelined_) {
+    for (std::size_t p = 0; p < pipelined_.size(); ++p) {
+      const ir::UnitSlots& port = slots_.units[pipelined_[p]];
       ++stats.evaluations;
-      std::deque<Bits>& stages = pipelines_[unit];
-      stages.push_back(eval_fu(unit->binop, value(*unit, "a"),
-                               value(*unit, "b"),
-                               width_of(unit->port("out"))));
-      updates_.push_back({index_of(unit->port("out")), stages.front()});
+      std::deque<Bits>& stages = pipelines_[p];
+      stages.push_back(eval_fu(config_.datapath.units[pipelined_[p]].binop,
+                               values_[port.a], values_[port.b],
+                               values_[port.out].width()));
+      updates_.push_back({port.out, stages.front()});
       stages.pop_front();
     }
     writes_.clear();
-    for (const ir::Unit* port : write_ports_) {
+    for (std::size_t unit : write_ports_) {
+      const ir::UnitSlots& port = slots_.units[unit];
       ++stats.evaluations;
-      if (value(*port, "we").is_zero()) {
+      if (values_[port.we].is_zero()) {
         continue;
       }
-      std::uint64_t address = value(*port, "addr").u();
-      mem::MemoryImage* image = images_.at(port->memory);
+      std::uint64_t address = values_[port.addr].u();
+      mem::MemoryImage* image = images_[port.memory];
       if (address >= image->depth()) {
-        throw util::SimError(engine_ + ": sram '" + port->name +
+        throw util::SimError(engine_ + ": sram '" +
+                             config_.datapath.units[unit].name +
                              "' write to address " + std::to_string(address) +
                              " beyond depth " +
                              std::to_string(image->depth()));
       }
-      writes_.push_back({image, address, value(*port, "din").u()});
+      writes_.push_back({image, address, values_[port.din].u()});
     }
     // FSM transition on pre-edge status values: the first true guard.
-    const ir::State& current = config_.fsm.states[state_];
+    const ir::StateSlots& current = slots_.states[state_];
     for (std::size_t t = 0; t < current.transitions.size(); ++t) {
       bool taken = true;
-      for (const ir::GuardLiteral& literal :
-           current.transitions[t].guard.literals) {
-        bool level = !values_[index_of(literal.status)].is_zero();
+      for (const ir::LiteralSlot& literal : current.transitions[t].literals) {
+        bool level = !values_[literal.status].is_zero();
         if (level != literal.expected) {
           taken = false;
           break;
@@ -470,7 +456,7 @@ class SweepSim {
       }
       if (taken) {
         ++taken_[state_][t];
-        state_ = config_.fsm.state_index(current.transitions[t].target);
+        state_ = current.transitions[t].target;
         visits_[state_] += 1;
         break;
       }
@@ -504,18 +490,18 @@ class SweepSim {
 
   const std::string& engine_;
   const ir::Configuration& config_;
-  const ir::DatapathIndex& index_;
+  const ir::ConfigSlots& slots_;
   const sim::EngineRunOptions& options_;
   const SweepEngine::BinopFn& eval_binop_;
   std::vector<Bits> values_;
-  std::map<std::string, mem::MemoryImage*> images_;
-  std::vector<const ir::Unit*> combinational_;
-  std::vector<const ir::Unit*> registers_;
-  std::vector<const ir::Unit*> pipelined_;
-  std::map<const ir::Unit*, std::deque<Bits>> pipelines_;
-  std::vector<const ir::Unit*> write_ports_;
+  std::vector<mem::MemoryImage*> images_;  ///< parallel to the memories
+  /// Unit positions by role, in declaration order.
+  std::vector<std::size_t> combinational_;
+  std::vector<std::size_t> registers_;
+  std::vector<std::size_t> pipelined_;
+  std::vector<std::deque<Bits>> pipelines_;  ///< parallel to pipelined_
+  std::vector<std::size_t> write_ports_;
   std::size_t state_ = 0;
-  std::size_t done_index_ = 0;
   std::vector<std::uint64_t> visits_;
   std::vector<std::vector<std::uint64_t>> taken_;
   /// Filled only when wire data is collected; trace_slot_ maps each
@@ -535,7 +521,7 @@ sim::EnginePartition SweepEngine::run_partition(
   (void)partition_index;
   util::Stopwatch watch;
   SweepSim simulator(name(), design.design().configuration(node),
-                     design.index(node), pool, options, eval_binop_);
+                     design.slots(node), pool, options, eval_binop_);
   sim::EnginePartition run = simulator.run(node);
   run.wall_seconds = watch.seconds();
   return run;

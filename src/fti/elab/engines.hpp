@@ -3,7 +3,10 @@
 // Every backend shares one RTG loop (PartitionedEngine):
 //  * EventEngine    -- the event-driven kernel (elaborate to a netlist of
 //                      components, calendar-queue scheduling).  The
-//                      paper's engine; the only one with net tracing.
+//                      paper's engine; the only one with net tracing,
+//                      and the only one that wires its units and FSM by
+//                      name rather than through the handle's resolved
+//                      slots, so engine parity also checks the resolver.
 //  * SweepEngine    -- the full-sweep interpreter: every cycle, sweep
 //                      EVERY combinational unit until the values settle.
 //                      Registered as "naive" (E3's full-evaluation
@@ -81,9 +84,12 @@ class EventEngine final : public PartitionedEngine {
 /// list, then a two-phase clock edge (sample every register, pipeline
 /// stage, memory write and the FSM transition against pre-edge values,
 /// then commit).  No event queue, no schedule, no generated code: beyond
-/// the RTG loop, the coverage report and the handle's wire index (a name
-/// lookup) it shares only ops/semantics.hpp and ir::traced_wires with
-/// the other engines, which is what makes it the fuzzer's oracle.
+/// the RTG loop, the coverage report and the handle's resolved names
+/// (ir::ConfigSlots: where each port, control and state is, not what to
+/// do with it) it shares only ops/semantics.hpp and ir::traced_wires
+/// with the other engines, which is what makes it the fuzzer's oracle.
+/// Its zero default for unassigned controls, first-true transition and
+/// power-up rule are its own.
 /// Counts every unit evaluation (KernelStats::evaluations) and every
 /// settle sweep (delta_cycles); a cycle that does not settle within 1000
 /// sweeps is reported as a combinational loop.

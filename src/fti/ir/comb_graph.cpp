@@ -2,9 +2,28 @@
 
 #include <algorithm>
 #include <map>
+#include <string_view>
+#include <utility>
 
 namespace fti::ir {
 
+std::string CombCycle::to_string() const {
+  std::string out;
+  for (const Unit* unit : units) {
+    out += unit->name;
+    out += " -> ";
+  }
+  if (!units.empty()) {
+    out += units.front()->name;
+  }
+  return out;
+}
+
+namespace {
+
+/// True when the unit's output settles within the current cycle;
+/// registers, pipelined binops and write-only memory ports commit at the
+/// clock edge instead.
 bool is_combinational(const Unit& unit) {
   switch (unit.kind) {
     case UnitKind::kBinOp:
@@ -22,6 +41,8 @@ bool is_combinational(const Unit& unit) {
   return false;
 }
 
+/// Wires the unit reads on its combinational path; ports it lacks are
+/// skipped.
 std::vector<std::string> comb_input_wires(const Unit& unit) {
   std::vector<std::string> inputs;
   auto add = [&unit, &inputs](std::string_view port) {
@@ -54,6 +75,7 @@ std::vector<std::string> comb_input_wires(const Unit& unit) {
   return inputs;
 }
 
+/// The wire the unit's combinational output drives, or nullptr.
 const std::string* comb_output_wire(const Unit& unit) {
   if (!is_combinational(unit)) {
     return nullptr;
@@ -64,20 +86,6 @@ const std::string* comb_output_wire(const Unit& unit) {
   }
   return &unit.port(port);
 }
-
-std::string CombCycle::to_string() const {
-  std::string out;
-  for (const Unit* unit : units) {
-    out += unit->name;
-    out += " -> ";
-  }
-  if (!units.empty()) {
-    out += units.front()->name;
-  }
-  return out;
-}
-
-namespace {
 
 /// Iterative Tarjan over the producer -> consumer edges of the
 /// combinational units.  Designs are user input (the fuzzer shrinks some
@@ -169,55 +177,94 @@ class Tarjan {
 
 }  // namespace
 
-std::vector<CombCycle> find_combinational_cycles(const Datapath& datapath) {
-  std::vector<const Unit*> comb;
+CombGraph::CombGraph(const Datapath& datapath) {
   for (const Unit& unit : datapath.units) {
     if (is_combinational(unit)) {
-      comb.push_back(&unit);
+      units_.push_back(&unit);
     }
   }
-  std::map<std::string, std::size_t> producer;
-  for (std::size_t i = 0; i < comb.size(); ++i) {
-    if (const std::string* wire = comb_output_wire(*comb[i])) {
+  std::map<std::string_view, std::size_t> producer;
+  for (std::size_t i = 0; i < units_.size(); ++i) {
+    if (const std::string* wire = comb_output_wire(*units_[i])) {
       producer.emplace(*wire, i);
     }
   }
-  std::vector<std::vector<std::size_t>> successors(comb.size());
-  for (std::size_t i = 0; i < comb.size(); ++i) {
-    for (const std::string& wire : comb_input_wires(*comb[i])) {
+  successors_.resize(units_.size());
+  for (std::size_t i = 0; i < units_.size(); ++i) {
+    for (const std::string& wire : comb_input_wires(*units_[i])) {
       auto it = producer.find(wire);
       if (it != producer.end()) {
-        successors[it->second].push_back(i);
+        successors_[it->second].push_back(i);
       }
     }
   }
+}
 
+std::optional<std::vector<CombGraph::Ranked>> CombGraph::levelize() const {
+  std::vector<std::size_t> indegree(units_.size(), 0);
+  for (const std::vector<std::size_t>& successors : successors_) {
+    for (std::size_t successor : successors) {
+      ++indegree[successor];
+    }
+  }
+  // Rank r holds every unit whose inputs are all satisfied by ranks < r.
+  std::vector<Ranked> order;
+  std::vector<std::size_t> level;
+  for (std::size_t i = 0; i < units_.size(); ++i) {
+    if (indegree[i] == 0) {
+      level.push_back(i);
+    }
+  }
+  for (std::size_t rank = 0; !level.empty(); ++rank) {
+    std::vector<std::size_t> next;
+    for (std::size_t i : level) {
+      order.push_back({units_[i], rank});
+      for (std::size_t successor : successors_[i]) {
+        if (--indegree[successor] == 0) {
+          next.push_back(successor);
+        }
+      }
+    }
+    std::sort(next.begin(), next.end());
+    level = std::move(next);
+  }
+  if (order.size() != units_.size()) {
+    return std::nullopt;
+  }
+  return order;
+}
+
+std::vector<CombCycle> find_combinational_cycles(const Datapath& datapath) {
+  return CombGraph(datapath).cycles();
+}
+
+std::vector<CombCycle> CombGraph::cycles() const {
   std::vector<CombCycle> cycles;
   for (std::vector<std::size_t>& component :
-       Tarjan(successors).components()) {
+       Tarjan(successors_).components()) {
     // Reconstruct an actual path through the component: walk producer ->
     // consumer edges restricted to the component (lowest-id successor
     // first, for determinism) until the walk closes on a visited unit.
-    std::vector<bool> in_component(comb.size(), false);
+    std::vector<bool> in_component(units_.size(), false);
     for (std::size_t member : component) {
       in_component[member] = true;
     }
     std::vector<std::size_t> walk{component.front()};
-    std::vector<std::size_t> position(comb.size(), 0);
-    std::vector<bool> visited(comb.size(), false);
+    std::vector<std::size_t> position(units_.size(), 0);
+    std::vector<bool> visited(units_.size(), false);
     visited[walk.front()] = true;
     position[walk.front()] = 0;
     std::size_t loop_start = 0;
     while (true) {
-      std::size_t best = comb.size();
-      for (std::size_t successor : successors[walk.back()]) {
+      std::size_t best = units_.size();
+      for (std::size_t successor : successors_[walk.back()]) {
         if (in_component[successor]) {
           best = std::min(best, successor);
         }
       }
       // A strongly connected component guarantees an in-component
       // successor, but a malformed graph must not hang the analysis.
-      if (best == comb.size()) {
+      if (best == units_.size()) {
         break;
       }
       if (visited[best]) {
@@ -230,7 +277,7 @@ std::vector<CombCycle> find_combinational_cycles(const Datapath& datapath) {
     }
     CombCycle cycle;
     for (std::size_t i = loop_start; i < walk.size(); ++i) {
-      cycle.units.push_back(comb[walk[i]]);
+      cycle.units.push_back(units_[walk[i]]);
     }
     cycles.push_back(std::move(cycle));
   }

@@ -1,36 +1,24 @@
 // Combinational-dependency analysis over a datapath -- the graph every
 // static scheduler and checker needs: which units evaluate inside one
-// clock cycle, which wires they read, which wire they drive, and whether
-// the read-after-drive relation is acyclic.
+// clock cycle (latency-0 binops, unops, constants, muxes and the
+// asynchronous memory read path), which wires they read, which wire they
+// drive, and whether the read-after-drive relation is acyclic.
 //
-// Shared by the levelized engine (schedule build + cycle rejection) and
-// the `fti::lint` static analyzer (FTI-L005), so both report the same
-// cycles the same way.  All accessors are tolerant of malformed units
-// (missing ports), because lint runs on designs that have not passed
-// ir::validate.
+// Shared by the levelized schedule (Kahn order + cycle rejection), the
+// dataflow lint tier and the structural analyzer (FTI-L005), so all
+// order units and report cycles the same way.  The graph tolerates
+// malformed units (missing ports are skipped), because lint runs on
+// designs that have not passed ir::validate.
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "fti/ir/datapath.hpp"
 
 namespace fti::ir {
-
-/// True when the unit's output settles within the current cycle: latency-0
-/// binops, unops, constants, muxes and the asynchronous memory read path.
-/// Registers, pipelined binops and write-only memory ports commit at the
-/// clock edge instead.
-bool is_combinational(const Unit& unit);
-
-/// Wires the unit reads on its combinational path (its schedule
-/// dependencies).  Ports the unit lacks are skipped instead of throwing.
-std::vector<std::string> comb_input_wires(const Unit& unit);
-
-/// Wire driven by the unit's combinational output, or nullptr when the
-/// unit has no combinational output or the port is unconnected.
-const std::string* comb_output_wire(const Unit& unit);
 
 /// One combinational cycle, as an ordered path through the datapath:
 /// units[0] feeds units[1] feeds ... feeds units.back() feeds units[0].
@@ -42,10 +30,34 @@ struct CombCycle {
   std::string to_string() const;
 };
 
-/// Every combinational cycle in the datapath, one per strongly connected
-/// component of the wire-dependency graph (Tarjan), in declaration order
-/// of the cycle's first unit.  An empty result means the datapath is
-/// levelizable.
+/// The combinational units of a datapath, in declaration order, with
+/// their producer -> consumer edges (one per read of a wire another
+/// combinational unit drives; the first driver of a wire wins).
+class CombGraph {
+ public:
+  explicit CombGraph(const Datapath& datapath);
+
+  struct Ranked {
+    const Unit* unit;
+    /// Longest combinational distance from a sequential/constant source.
+    std::size_t rank;
+  };
+
+  /// Level-synchronous topological order (Kahn): by rank, declaration
+  /// order within a rank.  std::nullopt when the graph has a cycle.
+  std::optional<std::vector<Ranked>> levelize() const;
+
+  /// Every combinational cycle, one per strongly connected component
+  /// (Tarjan), in declaration order of the cycle's first unit.  An empty
+  /// result means the datapath is levelizable.
+  std::vector<CombCycle> cycles() const;
+
+ private:
+  std::vector<const Unit*> units_;
+  std::vector<std::vector<std::size_t>> successors_;
+};
+
+/// CombGraph(datapath).cycles().
 std::vector<CombCycle> find_combinational_cycles(const Datapath& datapath);
 
 }  // namespace fti::ir

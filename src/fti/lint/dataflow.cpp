@@ -4,8 +4,8 @@
 #include <limits>
 #include <set>
 
-#include "fti/elab/levelized.hpp"
 #include "fti/ir/comb_graph.hpp"
+#include "fti/ir/slots.hpp"
 #include "fti/obs/metrics.hpp"
 #include "fti/obs/trace.hpp"
 #include "fti/ops/alu.hpp"
@@ -635,7 +635,7 @@ constexpr std::size_t kWidenAfter = 4;
 /// final sweep stay sound).
 constexpr std::size_t kMaxIterations = 128;
 
-constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+using ir::kNone;
 
 struct ObsCounters {
   obs::Counter& analyses = obs::counter("dataflow.analyses");
@@ -655,8 +655,7 @@ ObsCounters& counters() {
 /// clock edge, Moore FSM) lifted to AbstractValue.
 class ConfigAnalyzer {
  public:
-  explicit ConfigAnalyzer(const ir::Configuration& config)
-      : config_(config), index_(config.datapath) {}
+  explicit ConfigAnalyzer(const ir::Configuration& config) : config_(config) {}
 
   /// False when the configuration is structurally broken (fails
   /// ir::validate or has a combinational cycle); the structural rules
@@ -668,107 +667,50 @@ class ConfigAnalyzer {
     } catch (const std::exception&) {
       return false;
     }
-    if (!ir::find_combinational_cycles(config_.datapath).empty()) {
+    const auto order = ir::CombGraph(config_.datapath).levelize();
+    if (!order) {
       return false;
     }
 
     const ir::Datapath& datapath = config_.datapath;
+    // Resolved here: lint runs on raw IR that no CheckedDesign covers.
+    slots_ = ir::resolve_slots(config_, ir::DatapathIndex(datapath));
     for (const ir::Wire& wire : datapath.wires) {
       // Undriven wires read as constant 0, exactly as in the engines.
       values_.push_back(AbstractValue::constant(wire.width, 0));
     }
     for (const ir::Unit& unit : datapath.units) {
+      const ir::UnitSlots& port = slots_.of(unit);
       if (unit.kind == ir::UnitKind::kRegister) {
-        Register reg;
-        reg.q = index_of(unit.port("q"));
-        reg.d = index_of(unit.port("d"));
-        reg.en = unit.has_port("en") ? index_of(unit.port("en")) : kNone;
-        reg.rst = unit.has_port("rst") ? index_of(unit.port("rst")) : kNone;
-        reg.reset = AbstractValue::constant(unit.width, unit.reset_value);
-        reg.state = reg.reset;
-        registers_.push_back(std::move(reg));
+        const AbstractValue reset =
+            AbstractValue::constant(unit.width, unit.reset_value);
+        registers_.push_back({&port, reset, reset});
       } else if (unit.kind == ir::UnitKind::kBinOp && unit.latency > 0) {
-        Pipe pipe;
-        pipe.out = index_of(unit.port("out"));
-        pipe.a = index_of(unit.port("a"));
-        pipe.b = index_of(unit.port("b"));
-        pipe.binop = unit.binop;
-        pipe.width = values_[pipe.out].width;
         // Fresh pipeline stages present zero until the first sample
         // drains through.
-        pipe.state = AbstractValue::constant(pipe.width, 0);
-        pipes_.push_back(std::move(pipe));
+        const std::uint32_t width = values_[port.out].width;
+        pipes_.push_back(
+            {&port, unit.binop, AbstractValue::constant(width, 0)});
       }
     }
-    // Resolve every scheduled unit's wire slots once: settle() runs on
-    // every fixpoint iteration.
-    const elab::LevelizedSchedule schedule =
-        elab::build_levelized_schedule(datapath);
-    for (const elab::LevelizedSchedule::Step& scheduled : schedule.steps) {
-      const ir::Unit& unit = *scheduled.unit;
-      Step step;
-      step.unit = &unit;
-      switch (unit.kind) {
-        case ir::UnitKind::kBinOp:
-          step.b = index_of(unit.port("b"));
-          [[fallthrough]];
-        case ir::UnitKind::kUnOp:
-          step.a = index_of(unit.port("a"));
-          [[fallthrough]];
-        case ir::UnitKind::kConst:
-          step.out = index_of(unit.port("out"));
-          break;
-        case ir::UnitKind::kMux:
-          step.out = index_of(unit.port("out"));
-          step.a = index_of(unit.port("sel"));
-          for (std::uint32_t i = 0; i < unit.mux_inputs; ++i) {
-            step.inputs.push_back(
-                index_of(unit.port("in" + std::to_string(i))));
-          }
-          break;
-        case ir::UnitKind::kMemPort:
-          step.out = index_of(unit.port("dout"));
-          break;
-        case ir::UnitKind::kRegister:
-          continue;  // sequential: driven from reg.state, not the sweep
-      }
-      steps_.push_back(std::move(step));
+    // The engines' levelized order (elab::build_levelized_schedule ranks
+    // the same graph).
+    for (const ir::CombGraph::Ranked& step : *order) {
+      steps_.push_back({step.unit, &slots_.of(*step.unit)});
     }
-    for (const std::string& control : datapath.control_wires) {
-      control_index_.push_back(index_of(control));
-    }
-    std::map<std::string_view, std::size_t> state_of;
-    for (std::size_t s = 0; s < config_.fsm.states.size(); ++s) {
-      state_of.emplace(config_.fsm.states[s].name, s);  // first one wins
-    }
-    std::map<std::string_view, std::uint64_t> assigned;
-    for (const ir::State& state : config_.fsm.states) {
-      CompiledState compiled;
-      // The first assignment of a wire wins; unassigned controls read 0.
-      assigned.clear();
-      for (const ir::ControlAssign& assign : state.controls) {
-        assigned.emplace(assign.wire, assign.value);
+    for (const ir::StateSlots& state : slots_.states) {
+      // Unassigned controls read 0.
+      std::vector<AbstractValue>& row = state_controls_.emplace_back();
+      for (std::size_t control : slots_.controls) {
+        row.push_back(AbstractValue::constant(values_[control].width, 0));
       }
-      for (std::size_t c = 0; c < control_index_.size(); ++c) {
-        auto value = assigned.find(datapath.control_wires[c]);
-        compiled.controls.push_back(AbstractValue::constant(
-            values_[control_index_[c]].width,
-            value == assigned.end() ? 0 : value->second));
+      for (const auto& [control, value] : state.controls) {
+        row[control] = AbstractValue::constant(
+            values_[slots_.controls[control]].width, value);
       }
-      for (const ir::Transition& transition : state.transitions) {
-        CompiledTransition ct;
-        for (const ir::GuardLiteral& literal : transition.guard.literals) {
-          ct.literals.emplace_back(index_of(literal.status),
-                                   literal.expected);
-        }
-        ct.target = state_of.at(transition.target);
-        compiled.transitions.push_back(std::move(ct));
-      }
-      states_.push_back(std::move(compiled));
     }
-    initial_ = state_of.at(config_.fsm.initial);
     reachable_.assign(config_.fsm.states.size(), false);
-    reachable_[initial_] = true;
+    reachable_[slots_.initial] = true;
     return true;
   }
 
@@ -782,16 +724,17 @@ class ConfigAnalyzer {
       changed = expand_reachable();
       const bool widen_now = iterations >= kWidenAfter;
       for (Register& reg : registers_) {
+        const ir::UnitSlots& port = *reg.port;
         AbstractValue next = reg.state;
         const bool reset_forced =
-            reg.rst != kNone && values_[reg.rst].must_be_nonzero();
-        if (reg.rst != kNone && values_[reg.rst].can_be_nonzero()) {
+            port.rst != kNone && values_[port.rst].must_be_nonzero();
+        if (port.rst != kNone && values_[port.rst].can_be_nonzero()) {
           next.join(reg.reset);
         }
         const bool load_possible =
-            reg.en == kNone || values_[reg.en].can_be_nonzero();
+            port.en == kNone || values_[port.en].can_be_nonzero();
         if (!reset_forced && load_possible) {
-          next.join(values_[reg.d]);
+          next.join(values_[port.d]);
         }
         if (widen_now) {
           next.widen(reg.state);
@@ -804,8 +747,8 @@ class ConfigAnalyzer {
       }
       for (Pipe& pipe : pipes_) {
         AbstractValue next = pipe.state;
-        next.join(transfer_binop(pipe.binop, values_[pipe.a],
-                                 values_[pipe.b], pipe.width));
+        next.join(transfer_binop(pipe.binop, values_[pipe.port->a],
+                                 values_[pipe.port->b], pipe.state.width));
         if (widen_now) {
           next.widen(pipe.state);
         }
@@ -848,60 +791,27 @@ class ConfigAnalyzer {
     }
   }
 
-  const AbstractValue& value_of(const std::string& wire) const {
-    return values_[index_of(wire)];
-  }
+  /// The value of the wire in `slot`.
+  const AbstractValue& value(std::size_t slot) const { return values_[slot]; }
 
-  /// The declaration of wire `name` (its slot is its position in the
-  /// datapath).
-  const ir::Wire& wire(const std::string& name) const {
-    return config_.datapath.wires[index_of(name)];
-  }
-
-  std::size_t initial_state() const { return initial_; }
-
-  /// Index of the state transition `t` of state `s` targets.
-  std::size_t target(std::size_t s, std::size_t t) const {
-    return states_[s].transitions[t].target;
-  }
+  const ir::ConfigSlots& slots() const { return slots_; }
 
  private:
   struct Register {
-    std::size_t q = kNone;
-    std::size_t d = kNone;
-    std::size_t en = kNone;
-    std::size_t rst = kNone;
+    const ir::UnitSlots* port;
     AbstractValue reset;
     AbstractValue state;
   };
   struct Pipe {
-    std::size_t out = kNone;
-    std::size_t a = kNone;
-    std::size_t b = kNone;
-    ops::BinOp binop{};
-    std::uint32_t width = 1;
+    const ir::UnitSlots* port;
+    ops::BinOp binop;
     AbstractValue state;
   };
-  struct CompiledTransition {
-    std::vector<std::pair<std::size_t, bool>> literals;
-    std::size_t target = kNone;
-  };
-  struct CompiledState {
-    std::vector<AbstractValue> controls;
-    std::vector<CompiledTransition> transitions;
-  };
-  /// One combinational unit of the schedule with its wire slots resolved.
+  /// One combinational unit of the schedule, in schedule order.
   struct Step {
-    const ir::Unit* unit = nullptr;
-    std::size_t out = kNone;
-    std::size_t a = kNone;  ///< operand a; a mux's select
-    std::size_t b = kNone;
-    std::vector<std::size_t> inputs;  ///< a mux's data inputs
+    const ir::Unit* unit;
+    const ir::UnitSlots* port;
   };
-
-  std::size_t index_of(const std::string& wire) const {
-    return index_.slot(wire);
-  }
 
   /// Drives controls (joined over reachable states) and sequential
   /// outputs, then evaluates the combinational sweep in schedule order.
@@ -909,39 +819,40 @@ class ConfigAnalyzer {
     // The joined controls are a pure function of the reachable set, which
     // changes on few iterations: re-join (in state order -- join
     // normalizes, so order matters) only when it differs from the last.
+    const std::vector<std::size_t>& controls = slots_.controls;
     if (reachable_ != joined_over_) {
       joined_over_ = reachable_;
       joined_controls_.clear();
-      for (std::size_t c = 0; c < control_index_.size(); ++c) {
-        AbstractValue joined =
-            AbstractValue::bot(values_[control_index_[c]].width);
-        for (std::size_t s = 0; s < states_.size(); ++s) {
+      for (std::size_t c = 0; c < controls.size(); ++c) {
+        AbstractValue joined = AbstractValue::bot(values_[controls[c]].width);
+        for (std::size_t s = 0; s < state_controls_.size(); ++s) {
           if (reachable_[s]) {
-            joined.join(states_[s].controls[c]);
+            joined.join(state_controls_[s][c]);
           }
         }
         joined_controls_.push_back(joined);
       }
     }
-    for (std::size_t c = 0; c < control_index_.size(); ++c) {
-      values_[control_index_[c]] = joined_controls_[c];
+    for (std::size_t c = 0; c < controls.size(); ++c) {
+      values_[controls[c]] = joined_controls_[c];
     }
     for (const Register& reg : registers_) {
-      values_[reg.q] = reg.state;
+      values_[reg.port->q] = reg.state;
     }
     for (const Pipe& pipe : pipes_) {
-      values_[pipe.out] = pipe.state;
+      values_[pipe.port->out] = pipe.state;
     }
     for (const Step& step : steps_) {
       const ir::Unit& unit = *step.unit;
-      AbstractValue& out = values_[step.out];
+      const ir::UnitSlots& port = *step.port;
+      AbstractValue& out = values_[port.out];
       switch (unit.kind) {
         case ir::UnitKind::kBinOp:
-          out = transfer_binop(unit.binop, values_[step.a], values_[step.b],
+          out = transfer_binop(unit.binop, values_[port.a], values_[port.b],
                                out.width);
           break;
         case ir::UnitKind::kUnOp:
-          out = transfer_unop(unit.unop, values_[step.a], out.width);
+          out = transfer_unop(unit.unop, values_[port.a], out.width);
           break;
         case ir::UnitKind::kConst:
           out = AbstractValue::constant(out.width, unit.value);
@@ -951,13 +862,13 @@ class ConfigAnalyzer {
             out = AbstractValue::top(out.width);
             break;
           }
-          const AbstractValue& sel = values_[step.a];
+          const AbstractValue& sel = values_[port.sel];
           AbstractValue joined = AbstractValue::bot(out.width);
           const std::uint64_t lo = sel.umin;
           const std::uint64_t hi =
               std::min<std::uint64_t>(sel.umax, unit.mux_inputs - 1);
           for (std::uint64_t i = lo; i <= hi; ++i) {
-            joined.join(values_[step.inputs[i]]);
+            joined.join(values_[port.in[i]]);
           }
           if (sel.umax >= unit.mux_inputs) {
             // Out-of-range selects drive zero.
@@ -982,12 +893,13 @@ class ConfigAnalyzer {
   /// only grows across iterations.
   bool expand_reachable() {
     bool changed = false;
-    for (std::size_t s = 0; s < states_.size(); ++s) {
+    for (std::size_t s = 0; s < slots_.states.size(); ++s) {
       if (!reachable_[s]) {
         continue;
       }
       bool shadowed = false;
-      for (const CompiledTransition& transition : states_[s].transitions) {
+      for (const ir::TransitionSlots& transition :
+           slots_.states[s].transitions) {
         if (shadowed) {
           break;
         }
@@ -1003,7 +915,7 @@ class ConfigAnalyzer {
         if (!feasible) {
           continue;
         }
-        if (transition.target != kNone && !reachable_[transition.target]) {
+        if (!reachable_[transition.target]) {
           reachable_[transition.target] = true;
           changed = true;
         }
@@ -1015,20 +927,21 @@ class ConfigAnalyzer {
 
   /// Per-state transition verdicts from the settled fixpoint values.
   void record_verdicts(ConfigSummary& out) const {
-    out.transitions.resize(states_.size());
-    for (std::size_t s = 0; s < states_.size(); ++s) {
-      out.transitions[s].assign(states_[s].transitions.size(),
-                                TransitionVerdict::kMaybe);
+    out.transitions.resize(slots_.states.size());
+    for (std::size_t s = 0; s < slots_.states.size(); ++s) {
+      const std::vector<ir::TransitionSlots>& transitions =
+          slots_.states[s].transitions;
+      out.transitions[s].assign(transitions.size(), TransitionVerdict::kMaybe);
       if (!reachable_[s]) {
         continue;
       }
       bool shadowed = false;
-      for (std::size_t t = 0; t < states_[s].transitions.size(); ++t) {
+      for (std::size_t t = 0; t < transitions.size(); ++t) {
         if (shadowed) {
           out.transitions[s][t] = TransitionVerdict::kShadowed;
           continue;
         }
-        const CompiledTransition& transition = states_[s].transitions[t];
+        const ir::TransitionSlots& transition = transitions[t];
         bool feasible = true;
         bool definite = true;
         for (const auto& [status, expected] : transition.literals) {
@@ -1049,15 +962,13 @@ class ConfigAnalyzer {
   }
 
   const ir::Configuration& config_;
-  /// Local: lint runs on raw IR that no CheckedDesign covers.
-  const ir::DatapathIndex index_;
+  ir::ConfigSlots slots_;
   std::vector<AbstractValue> values_;
   std::vector<Register> registers_;
   std::vector<Pipe> pipes_;
-  std::vector<std::size_t> control_index_;
   std::vector<Step> steps_;
-  std::vector<CompiledState> states_;
-  std::size_t initial_ = kNone;
+  /// Per state, the value it drives on each control.
+  std::vector<std::vector<AbstractValue>> state_controls_;
   std::vector<bool> reachable_;
   /// The reachable set joined_controls_ was last computed over.
   std::vector<bool> joined_over_;
@@ -1077,7 +988,7 @@ class RuleEmitter {
 
   void emit() {
     for (const ir::Unit& unit : config_.datapath.units) {
-      emit_unit(unit);
+      emit_unit(unit, analyzer_.slots().of(unit));
     }
     emit_fsm();
   }
@@ -1089,14 +1000,13 @@ class RuleEmitter {
         {std::string(rule), severity, node_, object, std::move(message)});
   }
 
-  void emit_unit(const ir::Unit& unit) {
+  void emit_unit(const ir::Unit& unit, const ir::UnitSlots& port) {
+    const std::vector<ir::Wire>& wires = config_.datapath.wires;
     switch (unit.kind) {
       case ir::UnitKind::kMemPort: {
-        const AbstractValue& addr =
-            analyzer_.value_of(unit.port("addr"));
-        const ir::MemoryDecl* memory =
-            config_.datapath.find_memory(unit.memory);
-        const auto depth = static_cast<std::uint64_t>(memory->depth);
+        const AbstractValue& addr = analyzer_.value(port.addr);
+        const auto depth = static_cast<std::uint64_t>(
+            config_.datapath.memories[port.memory].depth);
         if (addr.umin >= depth) {
           add("FTI-L012", Severity::kError, unit.name,
               "memport '" + unit.name + "' address range " +
@@ -1113,8 +1023,7 @@ class RuleEmitter {
       case ir::UnitKind::kBinOp: {
         if (unit.binop == ops::BinOp::kDiv ||
             unit.binop == ops::BinOp::kRem) {
-          const AbstractValue& divisor =
-              analyzer_.value_of(unit.port("b"));
+          const AbstractValue& divisor = analyzer_.value(port.b);
           const bool division = unit.binop == ops::BinOp::kDiv;
           // Warning, not error, even when provable: the ALU defines
           // division by zero deterministically (quotient all-ones,
@@ -1136,8 +1045,8 @@ class RuleEmitter {
           }
         }
         if (ops::is_comparison(unit.binop)) {
-          const AbstractValue& a = analyzer_.value_of(unit.port("a"));
-          const AbstractValue& b = analyzer_.value_of(unit.port("b"));
+          const AbstractValue& a = analyzer_.value(port.a);
+          const AbstractValue& b = analyzer_.value(port.b);
           const int verdict = compare_verdict(unit.binop, a, b);
           if (verdict >= 0) {
             add("FTI-L017", Severity::kWarning, unit.name,
@@ -1151,12 +1060,12 @@ class RuleEmitter {
         break;
       }
       case ir::UnitKind::kUnOp: {
-        const ir::Wire& in = analyzer_.wire(unit.port("a"));
-        const std::uint32_t out_width = analyzer_.wire(unit.port("out")).width;
+        const ir::Wire& in = wires[port.a];
+        const std::uint32_t out_width = wires[port.out].width;
         if (in.width <= out_width) {
           break;
         }
-        const AbstractValue& value = analyzer_.value_of(in.name);
+        const AbstractValue& value = analyzer_.value(port.a);
         if (unit.unop == ops::UnOp::kPass) {
           const bool live_known =
               out_width < 64 && (value.known_value >> out_width) != 0;
@@ -1182,11 +1091,11 @@ class RuleEmitter {
         break;
       }
       case ir::UnitKind::kRegister: {
-        if (!unit.has_port("en")) {
+        if (port.en == kNone) {
           break;
         }
-        const std::string& en = unit.port("en");
-        const AbstractValue& enable = analyzer_.value_of(en);
+        const std::string& en = wires[port.en].name;
+        const AbstractValue& enable = analyzer_.value(port.en);
         if (enable.must_be_zero()) {
           add("FTI-L016", Severity::kWarning, unit.name,
               "register '" + unit.name + "' can never load: enable '" +
@@ -1203,18 +1112,19 @@ class RuleEmitter {
 
   void emit_fsm() {
     const ir::Fsm& fsm = config_.fsm;
+    const ir::ConfigSlots& slots = analyzer_.slots();
     // Syntactic BFS reachability (what FTI-L006 sees); FTI-L016 reports
     // only the states the dataflow tier newly proves dead.
     std::vector<bool> syntactic(fsm.states.size(), false);
     std::vector<std::size_t> frontier;
-    syntactic[analyzer_.initial_state()] = true;
-    frontier.push_back(analyzer_.initial_state());
+    syntactic[slots.initial] = true;
+    frontier.push_back(slots.initial);
     while (!frontier.empty()) {
       const std::size_t current = frontier.back();
       frontier.pop_back();
-      for (std::size_t t = 0; t < fsm.states[current].transitions.size();
-           ++t) {
-        const std::size_t target = analyzer_.target(current, t);
+      for (const ir::TransitionSlots& transition :
+           slots.states[current].transitions) {
+        const std::size_t target = transition.target;
         if (!syntactic[target]) {
           syntactic[target] = true;
           frontier.push_back(target);
@@ -1248,8 +1158,8 @@ class RuleEmitter {
                   " to '" + transition.target +
                   "' can never fire: guard '" +
                   ir::to_string(transition.guard) +
-                  "' is provably false (" + dead_witness(transition.guard) +
-                  ")");
+                  "' is provably false (" +
+                  dead_witness(slots.states[s].transitions[t]) + ")");
         } else if (verdict == TransitionVerdict::kShadowed &&
                    !state.transitions[always_at].guard.always()) {
           add("FTI-L013", Severity::kWarning, state.name,
@@ -1280,13 +1190,14 @@ class RuleEmitter {
   }
 
   /// The first literal that can never match, as the witness.
-  std::string dead_witness(const ir::Guard& guard) const {
-    for (const ir::GuardLiteral& literal : guard.literals) {
-      const AbstractValue& value = analyzer_.value_of(literal.status);
+  std::string dead_witness(const ir::TransitionSlots& transition) const {
+    for (const auto& [status, expected] : transition.literals) {
+      const AbstractValue& value = analyzer_.value(status);
       const bool impossible =
-          literal.expected ? !value.can_be_nonzero() : !value.can_be_zero();
+          expected ? !value.can_be_nonzero() : !value.can_be_zero();
       if (impossible) {
-        return "status '" + literal.status + "' range " + value.to_string();
+        return "status '" + config_.datapath.wires[status].name + "' range " +
+               value.to_string();
       }
     }
     return "guard range analysis";

@@ -71,6 +71,56 @@ ir::Design inverter_loop_design() {
   return ir::make_single_design("looped", {std::move(dp), std::move(fsm)});
 }
 
+/// A 4-bit counter steps a 12-input mux through every input, one per
+/// cycle, and a register samples the selected constant (100 + i): its
+/// trace is 100..111 only if "in10"/"in11" are inputs 10 and 11, not
+/// where the port map sorts them (after "in1").
+ir::Design wide_mux_design() {
+  ir::Datapath dp;
+  dp.name = "wide_mux";
+  dp.wires = {{"sel", 4}, {"next", 4}, {"one", 4}, {"last", 4},
+              {"lt", 1},  {"m_out", 16}, {"r_q", 16}, {"run", 1},
+              {"done", 1}};
+  dp.control_wires = {"run", "done"};
+  dp.status_wires = {"lt"};
+  auto add = [&dp](std::string name, ir::UnitKind kind, std::uint32_t width,
+                   std::map<std::string, std::string, std::less<>> ports) {
+    ir::Unit& unit = dp.units.emplace_back();
+    unit.name = std::move(name);
+    unit.kind = kind;
+    unit.width = width;
+    unit.ports = std::move(ports);
+    return &unit;
+  };
+  add("k_one", ir::UnitKind::kConst, 4, {{"out", "one"}})->value = 1;
+  add("k_last", ir::UnitKind::kConst, 4, {{"out", "last"}})->value = 11;
+  add("inc", ir::UnitKind::kBinOp, 4,
+      {{"a", "sel"}, {"b", "one"}, {"out", "next"}})->binop = ops::BinOp::kAdd;
+  add("cmp", ir::UnitKind::kBinOp, 4,
+      {{"a", "sel"}, {"b", "last"}, {"out", "lt"}})->binop = ops::BinOp::kLtu;
+  add("count", ir::UnitKind::kRegister, 4,
+      {{"d", "next"}, {"q", "sel"}, {"en", "run"}});
+  std::map<std::string, std::string, std::less<>> mux_ports = {
+      {"sel", "sel"}, {"out", "m_out"}};
+  for (int i = 0; i < 12; ++i) {
+    const std::string wire = "k" + std::to_string(i);
+    dp.wires.push_back({wire, 16});
+    add("k_" + wire, ir::UnitKind::kConst, 16, {{"out", wire}})->value =
+        100 + i;
+    mux_ports.emplace("in" + std::to_string(i), wire);
+  }
+  add("mux", ir::UnitKind::kMux, 16, std::move(mux_ports))->mux_inputs = 12;
+  add("r", ir::UnitKind::kRegister, 16, {{"d", "m_out"}, {"q", "r_q"}});
+
+  ir::Fsm fsm;
+  fsm.name = "wide_mux_fsm";
+  fsm.initial = "go";
+  fsm.done_wire = "done";
+  fsm.states = {{"go", {{"run", 1}}, {{ir::parse_guard("!lt"), "stop"}}},
+                {"stop", {{"done", 1}}, {}}};
+  return ir::make_single_design("wide_mux", {std::move(dp), std::move(fsm)});
+}
+
 // ---------------------------------------------------------------------------
 // Registry.
 
@@ -218,6 +268,29 @@ TEST_P(EngineParity, AccumulatorRunMatchesEventEngine) {
     EXPECT_EQ(result.partitions[0].finals.at("done"), 1u);
     EXPECT_EQ(result.partitions[0].finals, expected.partitions[0].finals);
     EXPECT_EQ(result.partitions[0].traces, expected.partitions[0].traces);
+  }
+}
+
+TEST_P(EngineParity, TwelveInputMuxSelectsInputsByNumber) {
+  ir::Design design = wide_mux_design();
+  sim::EngineRunOptions options;
+  options.collect_wire_data = true;
+  mem::MemoryPool event_pool;
+  sim::EngineResult expected =
+      elab::EventEngine().run(design, event_pool, options);
+  ASSERT_TRUE(expected.completed);
+  const std::vector<std::uint64_t> selected = {
+      100, 101, 102, 103, 104, 105, 106, 107, 108, 109, 110, 111};
+  ASSERT_EQ(expected.partitions[0].traces.at("r_q"), selected);
+
+  mem::MemoryPool pool;
+  std::unique_ptr<sim::Engine> backend = engine();
+  sim::EngineResult result = backend->run(design, pool, options);
+  ASSERT_TRUE(result.completed);
+  EXPECT_EQ(result.partitions[0].cycles, expected.partitions[0].cycles);
+  if (backend->reports_wire_data()) {
+    EXPECT_EQ(result.partitions[0].traces, expected.partitions[0].traces);
+    EXPECT_EQ(result.partitions[0].finals, expected.partitions[0].finals);
   }
 }
 
