@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "fti/elab/levelized.hpp"
+#include "fti/elab/slices.hpp"
 #include "fti/mem/storage.hpp"
 #include "fti/obs/metrics.hpp"
 #include "fti/obs/trace.hpp"
@@ -48,10 +49,12 @@ struct XLane {
 /// functions of ops/semantics.hpp, the single definition of the corner
 /// cases, so every lane's arithmetic matches the reference interpreter.
 ///
-/// The clock edge does work in proportion to what changes, not to the
-/// design's size: registers gated by FSM controls are looked up by
-/// state, the FSM steps a packed word of lanes at a time, and a lane
-/// drives only the controls its old or new state asserts.
+/// Each cycle does work in proportion to what the occupied FSM states
+/// can observe, not to the design's size: the sweep evaluates only the
+/// union of their slices (slices.hpp), registers gated by FSM controls
+/// are looked up by state, the FSM steps a packed word of lanes at a
+/// time, and the lanes taking a transition drive only the controls it
+/// changes.
 ///
 /// BatchedSim<true> is the 4-state mode (batched.hpp): bit_x_/wide_x_
 /// hold each wire's unknown mask at the same offsets as its values,
@@ -73,13 +76,14 @@ class BatchedSim {
              std::vector<XLane*> x_lanes = {})
       : config_(design.design().configuration(node)),
         resolved_(design.slots(node)),
+        schedule_(design.schedule(node)),
+        slices_(design.slices(node)),
         options_(options),
         lanes_(pools.size()),
         words_((pools.size() + 63) / 64),
         x_lanes_(std::move(x_lanes)) {
     tail_mask_ = lanes_ % 64 == 0 ? ~0ull : (1ull << (lanes_ % 64)) - 1;
     const ir::Datapath& datapath = config_.datapath;
-    const LevelizedSchedule& schedule = design.schedule(node);
 
     std::size_t bit_words = 0;
     std::size_t wide_words = 0;
@@ -129,9 +133,9 @@ class BatchedSim {
 
     // Constants are stored once here -- nothing else drives their wires
     // -- so the sweep never revisits them.
-    depth_ = schedule.depth;
-    comb_units_ = schedule.steps.size();
-    for (const LevelizedSchedule::Step& step : schedule.steps) {
+    depth_ = schedule_.depth;
+    comb_units_ = schedule_.steps.size();
+    for (const LevelizedSchedule::Step& step : schedule_.steps) {
       const ir::Unit& unit = *step.unit;
       const ir::UnitSlots& port = resolved_.of(unit);
       if (unit.kind == ir::UnitKind::kConst) {
@@ -211,59 +215,16 @@ class BatchedSim {
     reg_load_.assign(registers_.size() * words_, 0);
     pending_.assign(registers_.size(), 0);
 
-    const std::vector<std::size_t>& controls = resolved_.controls;
-    std::vector<std::size_t> control_of(slots_.size(), kNone);
-    for (std::size_t c = 0; c < controls.size(); ++c) {
-      control_of[controls[c]] = c;
-    }
-    // A register whose enable and reset are both FSM controls loads
-    // exactly in the states that assert one of them, so the edge looks
-    // it up by state; the rest are scanned every edge.
-    auto gated = [&](const RegOp& reg) {
-      return reg.en != kNone && control_of[reg.en] != kNone &&
-             (reg.rst == kNone || control_of[reg.rst] != kNone);
-    };
-    for (std::size_t r = 0; r < registers_.size(); ++r) {
-      if (!gated(registers_[r])) {
-        scanned_.push_back(r);
-      }
-    }
+    const std::size_t states = resolved_.states.size();
+    state_lanes_.assign(states * words_, 0);
+    next_lanes_.assign(states * words_, 0);
+    placed_.assign(states, 0);
+    occupied_set_.assign(slices_.state_words, 0);
     for (const ir::StateSlots& state : resolved_.states) {
-      CompiledState compiled;
-      compiled.controls.assign(controls.size(), 0);
-      for (const auto& [control, value] : state.controls) {
-        compiled.controls[control] =
-            value & Bits::mask(slots_[controls[control]].width);
-      }
-      for (std::size_t c = 0; c < controls.size(); ++c) {
-        if (compiled.controls[c] != 0) {
-          compiled.asserted.push_back(c);
-        }
-      }
-      auto asserts = [&](std::size_t wire) {
-        return wire != kNone && compiled.controls[control_of[wire]] != 0;
-      };
-      for (std::size_t r = 0; r < registers_.size(); ++r) {
-        const RegOp& reg = registers_[r];
-        if (gated(reg) && (asserts(reg.en) || asserts(reg.rst))) {
-          compiled.loads.push_back(r);
-        }
-      }
-      states_.push_back(std::move(compiled));
+      transition_base_.push_back(transitions_);
+      transitions_ += state.transitions.size();
     }
-    state_.assign(lanes_, resolved_.initial);
-    driven_.assign(lanes_, kNone);
-    state_lanes_.assign(states_.size() * words_, 0);
-    occupied_flag_.assign(states_.size(), 0);
-    visits_.assign(lanes_,
-                   std::vector<std::uint64_t>(config_.fsm.states.size(), 0));
-    taken_.resize(lanes_);
-    for (std::size_t lane = 0; lane < lanes_; ++lane) {
-      taken_[lane].resize(config_.fsm.states.size());
-      for (std::size_t i = 0; i < config_.fsm.states.size(); ++i) {
-        taken_[lane][i].assign(config_.fsm.states[i].transitions.size(), 0);
-      }
-    }
+    taken_.assign(lanes_ * transitions_, 0);
 
     if (options.collect_wire_data) {
       trace_slot_.assign(slots_.size(), kNone);
@@ -277,7 +238,7 @@ class BatchedSim {
         lanes_, std::vector<std::vector<std::uint64_t>>(trace_names_.size()));
     events_.assign(lanes_, 0);
     word_events_.assign(words_, 0);
-    x_sites_ = 1 + states_.size() + 3 * writes_.size();
+    x_sites_ = 1 + states + 3 * writes_.size();
     x_hits_.assign(kFourState ? lanes_ * x_sites_ : 0, 0);
     active_.assign(words_, ~0ull);
     active_.back() &= tail_mask_;
@@ -290,6 +251,9 @@ class BatchedSim {
   /// Sum over sweeps of the number of lanes still active in each -- the
   /// unit the obs `engine.lane_sweeps` counter aggregates.
   std::uint64_t lane_sweeps() const { return lane_sweeps_; }
+  /// Combinational ops evaluated so far, summed over sweeps -- the unit
+  /// the obs `engine.ops_swept` counter aggregates.
+  std::uint64_t ops_swept() const { return ops_swept_; }
 
   std::vector<sim::EnginePartition> run(const std::string& node) {
     node_ = node;
@@ -309,10 +273,13 @@ class BatchedSim {
         }
       }
     }
-    for (std::size_t lane = 0; lane < lanes_; ++lane) {
-      ++visits_[lane][state_[lane]];
+    // Every lane starts in the initial state, driving its controls.
+    std::copy(active_.begin(), active_.end(),
+              state_lanes_.begin() + resolved_.initial * words_);
+    occupied_.push_back(resolved_.initial);
+    for (std::size_t w = 0; w < words_; ++w) {
+      drive(slices_.power_up, w, active_[w]);
     }
-    drive_controls();
     sweep();
     for (;;) {
       // Done is checked before the budget, so a lane whose done rises in
@@ -346,7 +313,6 @@ class BatchedSim {
         break;
       }
       clock_edge();
-      drive_controls();
       sweep();
       ++cycle_;
     }
@@ -424,13 +390,6 @@ class BatchedSim {
     std::uint64_t* word;
     std::uint64_t unknown;
   };
-  /// A state's control row; its transitions are resolved_'s.
-  struct CompiledState {
-    std::vector<std::uint64_t> controls;
-    std::vector<std::size_t> asserted;  ///< controls[c] != 0
-    std::vector<std::size_t> loads;     ///< control-gated registers loading
-  };
-
   Exec classify(const CombOp& op) const {
     auto packed = [&](std::size_t wire) { return slots_[wire].packed; };
     switch (op.kind) {
@@ -758,45 +717,48 @@ class BatchedSim {
     }
   }
 
-  /// Groups the active lanes by FSM state: `occupied_` lists the states
-  /// some active lane is in, `state_lanes_` holds each one's lane mask.
-  void group_lanes() {
-    for (std::size_t s : occupied_) {
-      std::fill_n(state_lanes_.data() + s * words_, words_, 0);
-      occupied_flag_[s] = 0;
-    }
-    occupied_.clear();
-    for_each_active([&](std::size_t lane) {
-      std::size_t s = state_[lane];
-      if (occupied_flag_[s] == 0) {
-        occupied_flag_[s] = 1;
-        occupied_.push_back(s);
+  /// Drives `changes` in the lanes of word `w` set in `lanes`.  Nothing
+  /// else drives a control wire, so each of those lanes holds a different
+  /// value on every wire listed (the values of the state it leaves, or
+  /// zero at power-up): every lane changes and appends to the wire's
+  /// trace.  The events are counted at finish, from the lane's
+  /// transition counts, so a run that reports no wire data drives only
+  /// the wires a cycle reads.
+  void drive(const ControlChanges& changes, std::size_t w,
+             std::uint64_t lanes) {
+    const std::size_t count =
+        trace_slot_.empty() ? changes.read : changes.wires.size();
+    for (std::size_t i = 0; i < count; ++i) {
+      const auto& [wire, value] = changes.wires[i];
+      const Slot& slot = slots_[wire];
+      if (slot.packed) {
+        std::uint64_t& word = bit_vals_[slot.offset + w];
+        word = value != 0 ? word | lanes : word & ~lanes;
+      } else {
+        for_each_bit(lanes, w * 64, [&](std::size_t lane) {
+          wide_vals_[slot.offset + lane] = value;
+        });
       }
-      state_lanes_[s * words_ + lane / 64] |= 1ull << (lane % 64);
-    });
+      const std::size_t trace = trace_slot_.empty() ? kNone : trace_slot_[wire];
+      if (trace != kNone) {
+        for_each_bit(lanes, w * 64, [&](std::size_t lane) {
+          lane_traces_[lane][trace].push_back(value);
+        });
+      }
+    }
   }
 
-  /// Moore outputs of each lane's current state; lanes differ once their
-  /// FSMs diverge, so controls drive per lane.  Nothing else drives a
-  /// control wire, so only the controls asserted by the state a lane
-  /// last drove or by its current one can change (all start at zero).
-  void drive_controls() {
-    for_each_active([&](std::size_t lane) {
-      std::size_t last = driven_[lane];
-      if (last == state_[lane]) {
-        return;
-      }
-      driven_[lane] = state_[lane];
-      const CompiledState& state = states_[state_[lane]];
-      auto drive = [&](std::size_t c) {
-        commit(resolved_.controls[c], lane, state.controls[c]);
-      };
-      if (last != kNone) {
-        std::for_each(states_[last].asserted.begin(),
-                      states_[last].asserted.end(), drive);
-      }
-      std::for_each(state.asserted.begin(), state.asserted.end(), drive);
-    });
+  /// Adds `lanes` of word `w` to state `s` in the grouping the FSM step
+  /// is building.
+  void place(std::size_t s, std::size_t w, std::uint64_t lanes) {
+    if (lanes == 0) {
+      return;
+    }
+    if (placed_[s] != generation_) {
+      placed_[s] = generation_;
+      next_occupied_.push_back(s);
+    }
+    next_lanes_[s * words_ + w] |= lanes;
   }
 
   void eval_lane(const CombOp& op, std::size_t lane) {
@@ -872,84 +834,114 @@ class BatchedSim {
     put_x(op.out, lane, out.x);
   }
 
-  /// One rank-ordered pass over all lanes.  Word- and wide-classified
-  /// ops evaluate every lane (finished lanes recompute the same frozen
-  /// values, which is harmless and branch-free); lane loops skip
-  /// finished lanes.
+  /// One rank-ordered pass over all lanes of the ops in the slices of
+  /// the occupied states (slices.hpp): the one state's list when every
+  /// active lane is in it, otherwise each op whose state set meets the
+  /// occupied set.  An op outside those slices keeps a stale value no
+  /// active lane reads before it is next evaluated.
   void sweep() {
     ++sweeps_;
     lane_sweeps_ += active_count_;
-    for (const CombOp& op : comb_) {
-      switch (op.exec) {
-        case Exec::kWordBin: {
-          const std::uint64_t* a = word_ptr(op.ins[0]);
-          const std::uint64_t* b = word_ptr(op.ins[1]);
-          std::uint64_t* out = word_ptr(op.out);
-          if (op.binop == ops::BinOp::kAnd) {
-            for (std::size_t w = 0; w < words_; ++w) {
-              out[w] = a[w] & b[w];
-            }
-          } else if (op.binop == ops::BinOp::kOr) {
-            for (std::size_t w = 0; w < words_; ++w) {
-              out[w] = a[w] | b[w];
-            }
-          } else {
-            for (std::size_t w = 0; w < words_; ++w) {
-              out[w] = a[w] ^ b[w];
-            }
-          }
-          break;
-        }
-        case Exec::kWordNot: {
-          const std::uint64_t* a = word_ptr(op.ins[0]);
-          std::uint64_t* out = word_ptr(op.out);
-          for (std::size_t w = 0; w < words_; ++w) {
-            out[w] = ~a[w] & word_mask(w);
-          }
-          break;
-        }
-        case Exec::kWordCopy: {
-          const std::uint64_t* a = word_ptr(op.ins[0]);
-          std::uint64_t* out = word_ptr(op.out);
-          for (std::size_t w = 0; w < words_; ++w) {
-            out[w] = a[w];
-          }
-          break;
-        }
-        case Exec::kWordMux: {
-          const std::uint64_t* sel = word_ptr(op.ins[0]);
-          const std::uint64_t* in0 = word_ptr(op.ins[1]);
-          const std::uint64_t* in1 = word_ptr(op.ins[2]);
-          std::uint64_t* out = word_ptr(op.out);
-          for (std::size_t w = 0; w < words_; ++w) {
-            out[w] = (sel[w] & in1[w]) | (~sel[w] & in0[w]);
-          }
-          break;
-        }
-        case Exec::kWideBin:
-          wide_bin(op);
-          break;
-        case Exec::kWideCmp:
-          wide_cmp(op);
-          break;
-        case Exec::kWideUn:
-          wide_un(op);
-          break;
-        case Exec::kWideMux:
-          wide_mux(op);
-          break;
-        case Exec::kWideMem:
-          wide_mem(op);
-          break;
-        case Exec::kLaneLoop:
-          for_each_active([&](std::size_t lane) { eval_lane(op, lane); });
-          break;
-        case Exec::kXLane:
-          if constexpr (kFourState) {
-            for_each_active([&](std::size_t lane) { eval_lane_x(op, lane); });
-          }
-          break;
+    if (occupied_.size() == 1) {
+      const std::vector<std::uint32_t>& ops =
+          slices_.states[occupied_.front()].ops;
+      ops_swept_ += ops.size();
+      for (std::uint32_t op : ops) {
+        eval(comb_[op]);
       }
+      return;
+    }
+    const std::size_t state_words = slices_.state_words;
+    std::fill(occupied_set_.begin(), occupied_set_.end(), 0);
+    for (std::size_t s : occupied_) {
+      occupied_set_[s / 64] |= 1ull << (s % 64);
+    }
+    const std::uint64_t* states = slices_.op_states.data();
+    for (std::size_t op = 0; op < comb_.size(); ++op, states += state_words) {
+      std::uint64_t meets = 0;
+      for (std::size_t k = 0; k < state_words; ++k) {
+        meets |= states[k] & occupied_set_[k];
+      }
+      if (meets != 0) {
+        ++ops_swept_;
+        eval(comb_[op]);
+      }
+    }
+  }
+
+  /// Evaluates one op.  Word- and wide-classified ops evaluate every lane
+  /// (finished lanes recompute the same frozen values, which is harmless
+  /// and branch-free); lane loops skip finished lanes.
+  void eval(const CombOp& op) {
+    switch (op.exec) {
+      case Exec::kWordBin: {
+        const std::uint64_t* a = word_ptr(op.ins[0]);
+        const std::uint64_t* b = word_ptr(op.ins[1]);
+        std::uint64_t* out = word_ptr(op.out);
+        if (op.binop == ops::BinOp::kAnd) {
+          for (std::size_t w = 0; w < words_; ++w) {
+            out[w] = a[w] & b[w];
+          }
+        } else if (op.binop == ops::BinOp::kOr) {
+          for (std::size_t w = 0; w < words_; ++w) {
+            out[w] = a[w] | b[w];
+          }
+        } else {
+          for (std::size_t w = 0; w < words_; ++w) {
+            out[w] = a[w] ^ b[w];
+          }
+        }
+        break;
+      }
+      case Exec::kWordNot: {
+        const std::uint64_t* a = word_ptr(op.ins[0]);
+        std::uint64_t* out = word_ptr(op.out);
+        for (std::size_t w = 0; w < words_; ++w) {
+          out[w] = ~a[w] & word_mask(w);
+        }
+        break;
+      }
+      case Exec::kWordCopy: {
+        const std::uint64_t* a = word_ptr(op.ins[0]);
+        std::uint64_t* out = word_ptr(op.out);
+        for (std::size_t w = 0; w < words_; ++w) {
+          out[w] = a[w];
+        }
+        break;
+      }
+      case Exec::kWordMux: {
+        const std::uint64_t* sel = word_ptr(op.ins[0]);
+        const std::uint64_t* in0 = word_ptr(op.ins[1]);
+        const std::uint64_t* in1 = word_ptr(op.ins[2]);
+        std::uint64_t* out = word_ptr(op.out);
+        for (std::size_t w = 0; w < words_; ++w) {
+          out[w] = (sel[w] & in1[w]) | (~sel[w] & in0[w]);
+        }
+        break;
+      }
+      case Exec::kWideBin:
+        wide_bin(op);
+        break;
+      case Exec::kWideCmp:
+        wide_cmp(op);
+        break;
+      case Exec::kWideUn:
+        wide_un(op);
+        break;
+      case Exec::kWideMux:
+        wide_mux(op);
+        break;
+      case Exec::kWideMem:
+        wide_mem(op);
+        break;
+      case Exec::kLaneLoop:
+        for_each_active([&](std::size_t lane) { eval_lane(op, lane); });
+        break;
+      case Exec::kXLane:
+        if constexpr (kFourState) {
+          for_each_active([&](std::size_t lane) { eval_lane_x(op, lane); });
+        }
+        break;
     }
   }
 
@@ -963,10 +955,9 @@ class BatchedSim {
   /// scanned register's enable or reset also loads (all-X), and X on a
   /// write port or a guard is a finding.
   void clock_edge() {
-    group_lanes();
     for (std::size_t s : occupied_) {
       const std::uint64_t* lanes = state_lanes_.data() + s * words_;
-      for (std::size_t r : states_[s].loads) {
+      for (std::size_t r : slices_.states[s].loads) {
         if (pending_[r] == 0) {
           pending_[r] = 1;
           loaded_.push_back(r);
@@ -977,7 +968,7 @@ class BatchedSim {
         }
       }
     }
-    for (std::size_t r : scanned_) {
+    for (std::size_t r : slices_.scanned) {
       const RegOp& reg = registers_[r];
       std::uint64_t* load = reg_load_.data() + r * words_;
       std::uint64_t any = 0;
@@ -1052,8 +1043,8 @@ class BatchedSim {
     mask_writes_.clear();
     for (const WriteOp& write : writes_) {
       if constexpr (kFourState) {
-        sample_write_x(write,
-                       1 + states_.size() + 3 * (&write - writes_.data()));
+        sample_write_x(write, 1 + resolved_.states.size() +
+                                  3 * (&write - writes_.data()));
         continue;
       }
       for_each_lane(
@@ -1069,11 +1060,16 @@ class BatchedSim {
           });
     }
     // Each state's lanes take its first transition whose guard holds,
-    // evaluated a packed word of lanes at a time.
+    // evaluated a packed word of lanes at a time.  The lanes that take
+    // one drive the controls it changes (no guard reads a control:
+    // validate rejects a status wire that is one) and regroup under its
+    // target, so the grouping is ready for the sweep and the next edge.
+    ++generation_;
     for (std::size_t s : occupied_) {
       const ir::StateSlots& current = resolved_.states[s];
+      const StateSlice& slice = slices_.states[s];
       for (std::size_t w = 0; w < words_; ++w) {
-        std::uint64_t rest = state_lanes_[s * words_ + w];
+        std::uint64_t rest = std::exchange(state_lanes_[s * words_ + w], 0);
         for (std::size_t t = 0; t < current.transitions.size() && rest != 0;
              ++t) {
           const ir::TransitionSlots& transition = current.transitions[t];
@@ -1094,15 +1090,23 @@ class BatchedSim {
             std::uint64_t high = active_where(status, w);
             taken &= expected ? high : ~high;
           }
+          if (taken == 0) {
+            continue;
+          }
           rest &= ~taken;
+          drive(slice.changes[t], w, taken);
+          place(transition.target, w, taken);
+          std::uint64_t* counts = taken_.data() + transition_base_[s] + t;
           for_each_bit(taken, w * 64, [&](std::size_t lane) {
-            ++taken_[lane][s][t];
-            state_[lane] = transition.target;
-            ++visits_[lane][transition.target];
+            ++counts[lane * transitions_];
           });
         }
+        place(s, w, rest);
       }
     }
+    occupied_.swap(next_occupied_);
+    next_occupied_.clear();
+    state_lanes_.swap(next_lanes_);
     for (std::size_t r : loaded_) {
       const RegOp& reg = registers_[r];
       const std::uint64_t* next = reg_next_.data() + reg.next;
@@ -1212,9 +1216,28 @@ class BatchedSim {
   /// closed forms of it.
   void finish(sim::EnginePartition& result, std::size_t lane,
               sim::Kernel::StopReason reason) {
+    // The lane's transition counts give its coverage (each taken
+    // transition visits its target) and its control events (each one
+    // changes the controls it lists; power-up drives the initial ones).
+    const std::size_t states = resolved_.states.size();
+    const std::uint64_t* counts = taken_.data() + lane * transitions_;
+    std::vector<std::uint64_t> visits(states, 0);
+    std::vector<std::vector<std::uint64_t>> taken(states);
+    std::uint64_t drives = slices_.power_up.wires.size();
+    visits[resolved_.initial] = 1;
+    for (std::size_t s = 0; s < states; ++s) {
+      const std::vector<ir::TransitionSlots>& transitions =
+          resolved_.states[s].transitions;
+      for (std::size_t t = 0; t < transitions.size(); ++t) {
+        const std::uint64_t n = counts[transition_base_[s] + t];
+        taken[s].push_back(n);
+        visits[transitions[t].target] += n;
+        drives += n * slices_.states[s].changes[t].wires.size();
+      }
+    }
     result.reason = reason;
     result.cycles = cycle_;
-    result.stats.events = events_[lane] + word_events_[lane / 64];
+    result.stats.events = events_[lane] + word_events_[lane / 64] + drives;
     result.stats.delta_cycles = cycle_ + 1;
     result.stats.evaluations =
         (cycle_ + 1) * comb_units_ +
@@ -1225,14 +1248,21 @@ class BatchedSim {
       result.finals.emplace(trace_names_[t], get(trace_index_[t], lane));
       result.traces[trace_names_[t]] = std::move(lane_traces_[lane][t]);
     }
-    result.coverage =
-        coverage_from_counts(config_.fsm, visits_[lane], taken_[lane]);
-    active_[lane / 64] &= ~(1ull << (lane % 64));
+    result.coverage = coverage_from_counts(config_.fsm, visits, taken);
+    const std::uint64_t bit = 1ull << (lane % 64);
+    active_[lane / 64] &= ~bit;
+    for (std::size_t s : occupied_) {
+      state_lanes_[s * words_ + lane / 64] &= ~bit;
+    }
     --active_count_;
   }
 
   const ir::Configuration& config_;
   const ir::ConfigSlots& resolved_;
+  /// Requested before the slices, whose first build needs it, so the
+  /// handle counts this run's request as the build or hit.
+  const LevelizedSchedule& schedule_;
+  const StateSlices& slices_;
   const sim::EngineRunOptions& options_;
   std::size_t lanes_;
   std::size_t words_;
@@ -1257,20 +1287,27 @@ class BatchedSim {
   std::vector<std::uint64_t> reg_next_;
   std::vector<std::uint64_t> reg_next_x_;  ///< 4-state: reg_next_'s masks
   std::vector<std::uint64_t> reg_load_;
-  std::vector<std::size_t> scanned_;  ///< registers not gated by controls
   std::vector<std::size_t> loaded_;   ///< registers loading this edge
   std::vector<std::uint8_t> pending_;  ///< r is in loaded_
   std::vector<MemWrite> mem_writes_;
   std::vector<MaskWrite> mask_writes_;  ///< 4-state: mem_writes_'s masks
-  std::vector<CompiledState> states_;
   std::size_t depth_ = 0;
-  std::vector<std::size_t> state_;
-  std::vector<std::size_t> driven_;  ///< state whose controls each lane drove
-  std::vector<std::uint64_t> state_lanes_;  ///< per state, its active lanes
-  std::vector<std::size_t> occupied_;       ///< states with active lanes
-  std::vector<std::uint8_t> occupied_flag_;
-  std::vector<std::vector<std::uint64_t>> visits_;
-  std::vector<std::vector<std::vector<std::uint64_t>>> taken_;
+  /// The active lanes grouped by state: `occupied_` lists the states some
+  /// active lane is in, `state_lanes_` holds each state's lane mask.  The
+  /// FSM step builds the next grouping in `next_lanes_` and
+  /// `next_occupied_`, stamping each state it lists with `generation_`.
+  std::vector<std::uint64_t> state_lanes_;
+  std::vector<std::size_t> occupied_;
+  std::vector<std::uint64_t> next_lanes_;
+  std::vector<std::size_t> next_occupied_;
+  std::vector<std::uint64_t> placed_;
+  std::uint64_t generation_ = 0;
+  std::vector<std::uint64_t> occupied_set_;  ///< occupied_ as a state set
+  /// Per lane, how often it took each transition: transitions_ counts,
+  /// state s's from transition_base_[s] on.
+  std::vector<std::uint64_t> taken_;
+  std::vector<std::size_t> transition_base_;
+  std::size_t transitions_ = 0;
   std::vector<std::size_t> trace_slot_;
   std::vector<std::string> trace_names_;
   std::vector<std::size_t> trace_index_;
@@ -1284,6 +1321,7 @@ class BatchedSim {
   std::uint64_t cycle_ = 0;
   std::uint64_t sweeps_ = 0;
   std::uint64_t lane_sweeps_ = 0;
+  std::uint64_t ops_swept_ = 0;
 };
 
 /// The RTG walk of a batch: each partition runs, in one BatchedSim, the
@@ -1309,6 +1347,7 @@ std::vector<sim::EngineResult> run_lanes(
   std::iota(live.begin(), live.end(), std::size_t{0});
   std::uint64_t lane_sweeps = 0;
   std::uint64_t levels_swept = 0;
+  std::uint64_t ops_swept = 0;
   std::uint64_t lane_cycles = 0;
   std::string node = design.design().rtg.initial;
   while (!node.empty() && !live.empty()) {
@@ -1335,6 +1374,7 @@ std::vector<sim::EngineResult> run_lanes(
       }
       lane_sweeps += simulator.lane_sweeps();
       levels_swept += simulator.levels_swept();
+      ops_swept += simulator.ops_swept();
     }
     if (metrics) {
       obs::counter("engine.lanes").add(runs.size());
@@ -1361,6 +1401,7 @@ std::vector<sim::EngineResult> run_lanes(
   if (metrics) {
     obs::counter("engine.lane_sweeps").add(lane_sweeps);
     obs::counter("engine.levels_swept").add(levels_swept);
+    obs::counter("engine.ops_swept").add(ops_swept);
     double wall = watch.seconds();
     if (wall > 0.0) {
       // Lane-cycles per second: the batch's aggregate simulated cycle
@@ -1391,6 +1432,7 @@ sim::EnginePartition BatchedEngine::run_partition(
     obs::counter("engine.lanes").inc();
     obs::counter("engine.lane_sweeps").add(simulator.lane_sweeps());
     obs::counter("engine.levels_swept").add(simulator.levels_swept());
+    obs::counter("engine.ops_swept").add(simulator.ops_swept());
   }
   return run;
 }

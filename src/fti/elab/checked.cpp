@@ -8,9 +8,7 @@ namespace fti::elab {
 CheckedDesign::CheckedDesign(const ir::Design& design) : design_(design) {
   ir::validate(design);
   for (const auto& [name, config] : design.configurations) {
-    nodes_.emplace(name, Node{ir::resolve_slots(
-                                  config, ir::DatapathIndex(config.datapath)),
-                              nullptr});
+    nodes_.emplace(name, Node{&config, nullptr, nullptr, nullptr});
   }
 }
 
@@ -28,23 +26,53 @@ const CheckedDesign::Node& CheckedDesign::node(std::string_view name) const {
   return it->second;
 }
 
+const ir::ConfigSlots& CheckedDesign::slots_locked(const Node& entry) const {
+  static obs::Counter& resolutions = obs::counter("elab.slot_resolutions");
+  if (entry.slots == nullptr) {
+    entry.slots = std::make_unique<const ir::ConfigSlots>(ir::resolve_slots(
+        *entry.config, ir::DatapathIndex(entry.config->datapath)));
+    resolutions.inc();
+  }
+  return *entry.slots;
+}
+
+const LevelizedSchedule& CheckedDesign::schedule_locked(
+    const Node& entry) const {
+  static obs::Counter& builds = obs::counter("elab.schedule_builds");
+  if (entry.schedule == nullptr) {
+    entry.schedule = std::make_unique<const LevelizedSchedule>(
+        build_levelized_schedule(entry.config->datapath));
+    builds.inc();
+  }
+  return *entry.schedule;
+}
+
 const ir::ConfigSlots& CheckedDesign::slots(std::string_view name) const {
-  return node(name).slots;
+  const Node& entry = node(name);
+  std::lock_guard<std::mutex> lock(mutex_);
+  return slots_locked(entry);
 }
 
 const LevelizedSchedule& CheckedDesign::schedule(std::string_view name) const {
-  static obs::Counter& builds = obs::counter("elab.schedule_builds");
   static obs::Counter& hits = obs::counter("elab.schedule_hits");
   const Node& entry = node(name);
   std::lock_guard<std::mutex> lock(mutex_);
   if (entry.schedule != nullptr) {
     hits.inc();
-    return *entry.schedule;
   }
-  entry.schedule = std::make_unique<const LevelizedSchedule>(
-      build_levelized_schedule(design_.configuration(name).datapath));
-  builds.inc();
-  return *entry.schedule;
+  return schedule_locked(entry);
+}
+
+const StateSlices& CheckedDesign::slices(std::string_view name) const {
+  static obs::Counter& builds = obs::counter("elab.slice_builds");
+  const Node& entry = node(name);
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (entry.slices == nullptr) {
+    entry.slices = std::make_unique<const StateSlices>(build_state_slices(
+        *entry.config, slots_locked(entry), schedule_locked(entry)));
+    builds.inc();
+  }
+  return *entry.slices;
 }
 
 const cache::Key& CheckedDesign::key() const {

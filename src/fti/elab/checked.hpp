@@ -3,14 +3,15 @@
 // Every engine entry point (sim::Engine::run/run_batch/run_partition,
 // elaborate, the 4-state lanes, the compiled module registry, the fuzz
 // lane checker) takes a CheckedDesign instead of a bare ir::Design.
-// Building one runs ir::validate once and resolves every wire, port,
-// memory, control, guard and state name of every configuration to a
-// position (ir::ConfigSlots; a wire's slot is its declaration position,
-// the layout every engine stores values in), so no engine re-checks the
-// design per run or looks a name up while it runs.  The
-// levelized schedule of each node and the design's canonical hash are
-// built on first request and shared by every later run, from any
-// thread.
+// Building one runs ir::validate once.  What the engines derive from a
+// configuration is built on its first request and shared by every later
+// run, from any thread: the table resolving every wire, port, memory,
+// control, guard and state name to a position (ir::ConfigSlots; a
+// wire's slot is its declaration position, the layout every engine
+// stores values in), so no engine looks a name up while it runs; the
+// levelized schedule; the state slices (slices.hpp); and the design's
+// canonical hash.  An engine that never asks -- the name-wired event
+// kernel -- pays for none of them.
 //
 // A handle views the design it was built from: the design must outlive
 // the handle and must not change while it lives (the indexes and the
@@ -29,6 +30,7 @@
 
 #include "fti/cache/ir_hash.hpp"
 #include "fti/elab/levelized.hpp"
+#include "fti/elab/slices.hpp"
 #include "fti/ir/rtg.hpp"
 #include "fti/ir/slots.hpp"
 
@@ -36,9 +38,9 @@ namespace fti::elab {
 
 class CheckedDesign {
  public:
-  /// Validates `design` (throws ir::validate's IrError) and resolves every
-  /// configuration's names.  Not explicit: a plain ir::Design converts
-  /// wherever a handle is expected, at the cost of one check per call.
+  /// Validates `design` (throws ir::validate's IrError).  Not explicit: a
+  /// plain ir::Design converts wherever a handle is expected, at the cost
+  /// of one check per call.
   CheckedDesign(const ir::Design& design);
   /// As above, for a caller that has already hashed the design: `key`
   /// must be cache::hash_design(design), and key() returns it unhashed.
@@ -49,7 +51,8 @@ class CheckedDesign {
 
   const ir::Design& design() const { return design_; }
 
-  /// `node`'s names resolved to positions (ir/slots.hpp).
+  /// `node`'s names resolved to positions (ir/slots.hpp), resolved on the
+  /// first request and counted in `elab.slot_resolutions`.
   const ir::ConfigSlots& slots(std::string_view node) const;
 
   /// The levelized schedule of `node`, built on the first request and
@@ -58,17 +61,27 @@ class CheckedDesign {
   /// every request.
   const LevelizedSchedule& schedule(std::string_view node) const;
 
+  /// The state slices of `node` (slices.hpp), built on the first request
+  /// and counted in `elab.slice_builds`.  Throws as schedule() does.
+  const StateSlices& slices(std::string_view node) const;
+
   /// cache::hash_design(design()), computed on the first request.
   const cache::Key& key() const;
 
  private:
+  /// Each memo is filled on its first request, under mutex_.
   struct Node {
-    ir::ConfigSlots slots;
-    /// Filled on first request, under mutex_.
+    const ir::Configuration* config;
+    mutable std::unique_ptr<const ir::ConfigSlots> slots;
     mutable std::unique_ptr<const LevelizedSchedule> schedule;
+    mutable std::unique_ptr<const StateSlices> slices;
   };
 
   const Node& node(std::string_view name) const;
+  // The memo builders, which count builds but not hits; the caller holds
+  // mutex_.
+  const ir::ConfigSlots& slots_locked(const Node& entry) const;
+  const LevelizedSchedule& schedule_locked(const Node& entry) const;
 
   const ir::Design& design_;
   std::map<std::string, Node, std::less<>> nodes_;

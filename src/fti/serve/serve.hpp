@@ -105,6 +105,8 @@ class Server {
   cache::DesignCache& cache() { return cache_; }
   /// Jobs finished so far (done, error or cancelled); for tests.
   std::uint64_t finished_jobs() const;
+  /// Connection handler threads not joined yet; for tests.
+  std::size_t open_connections() const;
 
  private:
   void accept_loop();
@@ -129,7 +131,7 @@ class Server {
   };
   /// Joins and drops the connections whose handler has returned.
   void reap_finished_connections();
-  std::mutex conns_mutex_;
+  mutable std::mutex conns_mutex_;
   std::list<Connection> conns_;
 
   mutable std::mutex mutex_;

@@ -294,6 +294,11 @@ std::uint64_t Server::finished_jobs() const {
   return finished_;
 }
 
+std::size_t Server::open_connections() const {
+  std::lock_guard<std::mutex> lock(conns_mutex_);
+  return conns_.size();
+}
+
 void Server::accept_loop() {
   while (!stopping_.load(std::memory_order_acquire)) {
     // A finished handler still holds its stack until joined, so the

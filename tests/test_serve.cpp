@@ -6,7 +6,10 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstring>
+#include <filesystem>
+#include <functional>
 #include <regex>
 #include <thread>
 
@@ -245,31 +248,48 @@ TEST_F(ServeTest, ClientDisconnectMidResponseDoesNotKillTheDaemon) {
   EXPECT_EQ(redo.at("exit_code").as_u64(), 0u);
 }
 
-/// This process's virtual size in KiB (the VmSize line of
-/// /proc/self/status).
-std::uint64_t vm_size_kib() {
-  std::string status = util::read_file("/proc/self/status");
-  std::size_t at = status.find("VmSize:");
-  if (at == std::string::npos) {
-    ADD_FAILURE() << "no VmSize line in /proc/self/status";
-    return 0;
+/// Live threads of this process, the in-process daemon's included: the
+/// entries of /proc/self/task.  A thread that has exited is gone from
+/// it whether or not it was joined.
+std::size_t live_threads() {
+  std::size_t count = 0;
+  for ([[maybe_unused]] const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++count;
   }
-  return std::stoull(status.substr(at + std::strlen("VmSize:")));
+  return count;
+}
+
+/// Polls `holds` until it is true or ten seconds pass.
+bool eventually(const std::function<bool()>& holds) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!holds()) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      return false;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return true;
 }
 
 TEST_F(ServeTest, FinishedConnectionsAreReaped) {
-  // Each connection runs on its own thread, and a thread that is never
-  // joined keeps its 8 MB stack mapping: unreaped, 200 sequential
-  // clients grow the daemon by about 1.6 GB of address space.  One
-  // client at a time, so never more than a few threads exist at once.
+  // Each connection runs on its own thread.  200 sequential clients must
+  // leave the daemon with as many live threads as one did (a handler
+  // that never returns would hold one each), and its connection table
+  // must drop every handler it has joined (an unjoined thread keeps its
+  // stack mapping).  The last handler may still be winding down when
+  // the loop ends, so both are polled for a while.
   ASSERT_TRUE(roundtrip("{\"cmd\": \"ping\"}").at("ok").as_bool());
-  const std::uint64_t before = vm_size_kib();
+  ASSERT_TRUE(eventually([&] { return server_->open_connections() == 0; }));
+  const std::size_t before = live_threads();
   for (int i = 0; i < 200; ++i) {
     ASSERT_TRUE(roundtrip("{\"cmd\": \"ping\"}").at("ok").as_bool());
   }
-  const std::uint64_t after = vm_size_kib();
-  EXPECT_LT(after, before + 64 * 1024)
-      << "VmSize grew from " << before << " KiB to " << after << " KiB";
+  EXPECT_TRUE(eventually([&] { return live_threads() <= before; }))
+      << "live threads grew from " << before << " to " << live_threads();
+  EXPECT_TRUE(eventually([&] { return server_->open_connections() == 0; }))
+      << server_->open_connections() << " connection threads not reaped";
 }
 
 TEST_F(ServeTest, DeeplyNestedRequestLineFailsSoftly) {
