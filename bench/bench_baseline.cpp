@@ -10,10 +10,17 @@
 // produce bit-identical memories, so the differences isolate scheduling
 // strategy.
 //
+// Each design is checked once (one elab::CheckedDesign shared by the
+// three engines); every engine runs it once untimed, which builds the
+// handle's schedule, slot and slice memos and warms the caches, then
+// kTimedRuns times over freshly primed pools.  A column is the median of
+// the timed runs' simulated wall time.
+//
 //   bench_baseline [--json PATH]   (conventionally PATH=BENCH_baseline.json)
 //                  [--obs]         record observability metrics + spans
 //                                  during the runs (E4 overhead harness:
 //                                  diff wall times against a run without)
+#include <algorithm>
 #include <iostream>
 
 #include "fti/obs/metrics.hpp"
@@ -28,6 +35,8 @@
 #include "fti/util/table.hpp"
 
 namespace {
+
+constexpr std::size_t kTimedRuns = 3;
 
 struct EngineRun {
   fti::sim::EngineResult result;
@@ -56,15 +65,27 @@ void compare(const std::string& name, const std::string& source,
     }
   };
 
+  const fti::elab::CheckedDesign checked(compiled.design);
   const std::vector<std::string> engines{"event", "naive", "levelized"};
   std::map<std::string, EngineRun> runs;
   for (const std::string& engine_name : engines) {
+    auto engine = fti::elab::make_engine(engine_name);
+    fti::mem::MemoryPool warmup;
+    prime(warmup);
+    engine->run(checked, warmup, {});
+    // The first timed run's pool and result are the ones compared.
     EngineRun& run = runs[engine_name];
     prime(run.pool);
-    auto engine = fti::elab::make_engine(engine_name);
-    run.result = engine->run(compiled.design, run.pool, {});
+    run.result = engine->run(checked, run.pool, {});
+    std::vector<double> seconds{run.result.total_wall_seconds()};
+    while (seconds.size() < kTimedRuns) {
+      fti::mem::MemoryPool pool;
+      prime(pool);
+      seconds.push_back(engine->run(checked, pool, {}).total_wall_seconds());
+    }
+    std::sort(seconds.begin(), seconds.end());
+    run.seconds = seconds[kTimedRuns / 2];
     for (const auto& partition : run.result.partitions) {
-      run.seconds += partition.wall_seconds;
       run.evaluations += partition.stats.evaluations;
     }
   }
@@ -132,6 +153,7 @@ int main(int argc, char** argv) {
   }
   fti::util::JsonReport report("baseline");
   report.set("obs_enabled", obs_enabled);
+  report.set("timed_runs", static_cast<std::uint64_t>(kTimedRuns));
   fti::util::TextTable table({"design", "cycles", "evals (event)",
                               "evals (naive)", "event (s)", "naive (s)",
                               "levelized (s)", "event spd", "lev spd",

@@ -29,8 +29,14 @@ CachedDesign::CachedDesign(const Key& ir_key, ir::Design ir_design,
                            lint::Report report)
     : key(ir_key),
       design(std::make_shared<const ir::Design>(std::move(ir_design))),
-      lint(std::move(report)),
-      checked(*design, ir_key) {}
+      checked(*design, ir_key),
+      lint(std::move(report)) {}
+
+CachedDesign::CachedDesign(const Key& ir_key, ir::Design ir_design)
+    : key(ir_key),
+      design(std::make_shared<const ir::Design>(std::move(ir_design))),
+      checked(*design, ir_key),
+      lint(lint::lint_design(checked)) {}
 
 DesignCache::DesignCache(std::size_t max_entries)
     : max_entries_(std::max<std::size_t>(1, max_entries)) {}
@@ -51,10 +57,18 @@ DesignCache::Entry DesignCache::find(const Key& key) {
 
 DesignCache::Entry DesignCache::insert(const Key& key, ir::Design design,
                                        lint::Report lint) {
-  // Validated outside the lock; a racing insert of the same key wastes
-  // only this check.
-  auto entry = std::make_shared<const CachedDesign>(key, std::move(design),
-                                                    std::move(lint));
+  return publish(std::make_shared<const CachedDesign>(key, std::move(design),
+                                                      std::move(lint)));
+}
+
+DesignCache::Entry DesignCache::insert(const Key& key, ir::Design design) {
+  return publish(std::make_shared<const CachedDesign>(key, std::move(design)));
+}
+
+DesignCache::Entry DesignCache::publish(Entry entry) {
+  // The entry was validated (and linted) outside the lock; a racing
+  // insert of the same key wastes only that work.
+  const Key& key = entry->key;
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = entries_.find(key);
   if (it != entries_.end()) {

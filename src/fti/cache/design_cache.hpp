@@ -6,12 +6,14 @@
 // again and should pay once.  The cache stores, per canonical IR hash
 // (ir_hash.hpp):
 //  * the XML-round-tripped design itself (what the cold verify path
-//    simulates after its serialization check);
-//  * the design's lint report (lint is deterministic over the IR);
-//  * the design's elab::CheckedDesign handle, validated once at insert:
-//    every run of the entry goes through it, so a warm hit neither
-//    re-validates nor rebuilds a levelized schedule (the handle memoizes
-//    them, see elab/checked.hpp).
+//    lints and simulates);
+//  * the design's elab::CheckedDesign handle, built with the entry: its
+//    one validation is the design's only one, and every run of the entry
+//    goes through it, so a warm hit neither re-validates nor rebuilds a
+//    graph or a levelized schedule (the handle memoizes them, see
+//    elab/checked.hpp);
+//  * the design's lint report (lint is deterministic over the IR),
+//    linted from that handle unless the caller supplies one.
 //
 // A second index maps *source-level* keys (program text + compile
 // parameters, hashed by the caller with cache::Hasher) to IR keys, so a
@@ -42,11 +44,13 @@ namespace fti::cache {
 /// owns, so a job holding the entry may run the handle past eviction.
 struct CachedDesign {
   CachedDesign(const Key& ir_key, ir::Design ir_design, lint::Report report);
+  /// Lints its own handle, with the semantic tier on.
+  CachedDesign(const Key& ir_key, ir::Design ir_design);
 
   Key key;
   std::shared_ptr<const ir::Design> design;
-  lint::Report lint;
   elab::CheckedDesign checked;
+  lint::Report lint;
 };
 
 class DesignCache {
@@ -80,6 +84,9 @@ class DesignCache {
   /// all converge on one design object.  May evict the
   /// least-recently-used entries over capacity.
   Entry insert(const Key& key, ir::Design design, lint::Report lint);
+  /// As above, with the report linted from the new entry's handle (the
+  /// semantic tier on), so the design is checked and graphed once.
+  Entry insert(const Key& key, ir::Design design);
 
   /// Entry reachable through a source-level alias; nullptr when the
   /// alias is unknown or its target has been evicted.  Counts a
@@ -101,6 +108,8 @@ class DesignCache {
   std::size_t capacity() const { return max_entries_; }
 
  private:
+  /// Stores a freshly built entry unless its key is already present.
+  Entry publish(Entry entry);
   void evict_over_capacity_locked();
 
   std::size_t max_entries_;

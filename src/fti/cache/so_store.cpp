@@ -124,21 +124,6 @@ void SoStore::remove(const Key& key) {
   fs::remove(path_for(key), ec);
 }
 
-std::uint64_t SoStore::total_bytes() const {
-  std::uint64_t total = 0;
-  std::error_code ec;
-  for (const fs::directory_entry& entry : fs::directory_iterator(dir_, ec)) {
-    if (entry.path().extension() == ".so") {
-      std::error_code size_ec;
-      std::uint64_t size = entry.file_size(size_ec);
-      if (!size_ec) {
-        total += size;
-      }
-    }
-  }
-  return total;
-}
-
 void SoStore::trim(const std::string& keep) {
   struct Object {
     fs::path path;

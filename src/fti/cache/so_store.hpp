@@ -71,9 +71,6 @@ class SoStore {
   /// Drops `key`'s object if present (corrupted-object recovery).
   void remove(const Key& key);
 
-  /// Sum of the sizes of every published object in the store.
-  std::uint64_t total_bytes() const;
-
  private:
   void trim(const std::string& keep);
 

@@ -569,7 +569,6 @@ CompileResult compile_program(const Program& program,
     previous = node;
   }
   result.design.rtg.initial = result.design.rtg.nodes.front();
-  ir::validate(result.design);
   return result;
 }
 

@@ -8,7 +8,7 @@ namespace fti::elab {
 CheckedDesign::CheckedDesign(const ir::Design& design) : design_(design) {
   ir::validate(design);
   for (const auto& [name, config] : design.configurations) {
-    nodes_.emplace(name, Node{&config, nullptr, nullptr, nullptr});
+    nodes_.emplace(name, Node{&config, nullptr, nullptr, nullptr, nullptr});
   }
 }
 
@@ -36,12 +36,20 @@ const ir::ConfigSlots& CheckedDesign::slots_locked(const Node& entry) const {
   return *entry.slots;
 }
 
+const ir::CombGraph& CheckedDesign::graph_locked(const Node& entry) const {
+  if (entry.graph == nullptr) {
+    entry.graph =
+        std::make_unique<const ir::CombGraph>(entry.config->datapath);
+  }
+  return *entry.graph;
+}
+
 const LevelizedSchedule& CheckedDesign::schedule_locked(
     const Node& entry) const {
   static obs::Counter& builds = obs::counter("elab.schedule_builds");
   if (entry.schedule == nullptr) {
     entry.schedule = std::make_unique<const LevelizedSchedule>(
-        build_levelized_schedule(entry.config->datapath));
+        build_levelized_schedule(graph_locked(entry)));
     builds.inc();
   }
   return *entry.schedule;
@@ -51,6 +59,12 @@ const ir::ConfigSlots& CheckedDesign::slots(std::string_view name) const {
   const Node& entry = node(name);
   std::lock_guard<std::mutex> lock(mutex_);
   return slots_locked(entry);
+}
+
+const ir::CombGraph& CheckedDesign::graph(std::string_view name) const {
+  const Node& entry = node(name);
+  std::lock_guard<std::mutex> lock(mutex_);
+  return graph_locked(entry);
 }
 
 const LevelizedSchedule& CheckedDesign::schedule(std::string_view name) const {

@@ -9,16 +9,20 @@
 // control, guard and state name to a position (ir::ConfigSlots; a
 // wire's slot is its declaration position, the layout every engine
 // stores values in), so no engine looks a name up while it runs; the
-// levelized schedule; the state slices (slices.hpp); and the design's
-// canonical hash.  An engine that never asks -- the name-wired event
-// kernel -- pays for none of them.
+// combinational graph (ir/comb_graph.hpp), the one graph of the
+// configuration that the levelized schedule, lint's cycle report
+// (FTI-L005) and the dataflow tier's rank order all read; the levelized
+// schedule; the state slices (slices.hpp); and the design's canonical
+// hash.  An engine that never asks -- the name-wired event kernel --
+// pays for none of them.
 //
 // A handle views the design it was built from: the design must outlive
-// the handle and must not change while it lives (the indexes and the
-// schedules point into it).  Callers build one per job -- a verify run,
-// a fuzz case shared by every lane and reference twin, a shrink
-// candidate -- and the design cache keeps one per entry, so a warm hit
-// runs with no validation and no schedule build.
+// the handle and must not change while it lives (the indexes, graphs
+// and schedules point into it).  Callers build one per job -- a verify
+// run, which lints and then simulates it; a fuzz case shared by every
+// lane and reference twin; a shrink candidate -- and the design cache
+// keeps one per entry, so a warm hit runs with no validation and no
+// graph or schedule build.
 #pragma once
 
 #include <map>
@@ -31,6 +35,7 @@
 #include "fti/cache/ir_hash.hpp"
 #include "fti/elab/levelized.hpp"
 #include "fti/elab/slices.hpp"
+#include "fti/ir/comb_graph.hpp"
 #include "fti/ir/rtg.hpp"
 #include "fti/ir/slots.hpp"
 
@@ -55,7 +60,12 @@ class CheckedDesign {
   /// first request and counted in `elab.slot_resolutions`.
   const ir::ConfigSlots& slots(std::string_view node) const;
 
-  /// The levelized schedule of `node`, built on the first request and
+  /// The combinational graph of `node`'s datapath, built on the first
+  /// request (counted, with every other build, in `ir.comb_graph_builds`).
+  const ir::CombGraph& graph(std::string_view node) const;
+
+  /// The levelized schedule of `node`, ranked from graph(node) on the
+  /// first request and
   /// counted in `elab.schedule_builds`; later requests count in
   /// `elab.schedule_hits`.  Throws SimError on a combinational cycle, on
   /// every request.
@@ -73,6 +83,7 @@ class CheckedDesign {
   struct Node {
     const ir::Configuration* config;
     mutable std::unique_ptr<const ir::ConfigSlots> slots;
+    mutable std::unique_ptr<const ir::CombGraph> graph;
     mutable std::unique_ptr<const LevelizedSchedule> schedule;
     mutable std::unique_ptr<const StateSlices> slices;
   };
@@ -81,6 +92,7 @@ class CheckedDesign {
   // The memo builders, which count builds but not hits; the caller holds
   // mutex_.
   const ir::ConfigSlots& slots_locked(const Node& entry) const;
+  const ir::CombGraph& graph_locked(const Node& entry) const;
   const LevelizedSchedule& schedule_locked(const Node& entry) const;
 
   const ir::Design& design_;

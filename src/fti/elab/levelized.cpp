@@ -1,16 +1,18 @@
 #include "fti/elab/levelized.hpp"
 
-#include "fti/ir/comb_graph.hpp"
 #include "fti/util/error.hpp"
 
 namespace fti::elab {
 
 LevelizedSchedule build_levelized_schedule(const ir::Datapath& datapath) {
-  const ir::CombGraph graph(datapath);
+  return build_levelized_schedule(ir::CombGraph(datapath));
+}
+
+LevelizedSchedule build_levelized_schedule(const ir::CombGraph& graph) {
   const auto order = graph.levelize();
   if (!order) {
     std::string message = "levelized: combinational cycle in datapath '" +
-                          datapath.name + "':";
+                          graph.datapath().name + "':";
     for (const ir::CombCycle& cycle : graph.cycles()) {
       message += " [" + cycle.to_string() + "]";
     }

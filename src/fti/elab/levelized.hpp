@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "fti/ir/comb_graph.hpp"
 #include "fti/ir/rtg.hpp"
 
 namespace fti::elab {
@@ -45,6 +46,10 @@ struct LevelizedSchedule {
 /// read paths).  Throws SimError naming the units on a combinational
 /// cycle.
 LevelizedSchedule build_levelized_schedule(const ir::Datapath& datapath);
+
+/// The same schedule, ranked from an already built graph of the datapath
+/// (CheckedDesign keeps one per configuration).
+LevelizedSchedule build_levelized_schedule(const ir::CombGraph& graph);
 
 /// A freshly built schedule for `design.configuration(node)`; its steps
 /// point into that datapath, so the caller keeps the design alive.  The

@@ -40,13 +40,11 @@ RunDesignResult run_design(const RunDesignRequest& request,
   sim::VcdWriter vcd(design.name);
   sim::EngineRunOptions run_options;
   run_options.max_cycles_per_partition = request.max_cycles;
+  if (rejects_vcd(*engine, request.vcd_path, err)) {
+    result.exit_code = 2;
+    return result;
+  }
   if (!request.vcd_path.empty()) {
-    if (!engine->supports_tracing()) {
-      err << "error: engine '" << engine->name()
-          << "' does not support --vcd (use --engine event)\n";
-      result.exit_code = 2;
-      return result;
-    }
     vcd.trace(run_options);
   }
   auto run = engine->run(checked, pool, run_options);
@@ -89,7 +87,9 @@ TranslateResult run_translate(const TranslateRequest& request,
     options.rom_contents = test.inputs;
   }
   auto compiled = compiler::compile_source(test.source, options);
-  const ir::Design& design = compiled.design;
+  // The compiler's output is checked once, before any file is written.
+  const elab::CheckedDesign checked(compiled.design);
+  const ir::Design& design = checked.design();
   std::filesystem::path out_dir = request.out_dir.empty()
                                       ? std::filesystem::path(test.name)
                                       : request.out_dir;

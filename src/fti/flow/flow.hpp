@@ -47,6 +47,10 @@ namespace fti::cache {
 class DesignCache;
 }  // namespace fti::cache
 
+namespace fti::sim {
+class Engine;
+}  // namespace fti::sim
+
 namespace fti::flow {
 
 /// Shared services a flow runs against; both optional.  One context is
@@ -60,6 +64,12 @@ struct FlowContext {
 /// Exit code for a gate-blocked verify/suite or a lint run: errors beat
 /// warnings (3 over 4).
 int lint_exit_code(std::size_t errors);
+
+/// The --vcd usage check shared by verify and run: true, with the error
+/// written to `err` (the flow then exits 2), when `vcd_path` is set and
+/// `engine` cannot trace.
+bool rejects_vcd(const sim::Engine& engine,
+                 const std::filesystem::path& vcd_path, std::ostream& err);
 
 // ---------------------------------------------------------------- verify
 

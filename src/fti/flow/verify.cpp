@@ -14,6 +14,16 @@ namespace fti::flow {
 
 int lint_exit_code(std::size_t errors) { return errors > 0 ? 3 : 4; }
 
+bool rejects_vcd(const sim::Engine& engine,
+                 const std::filesystem::path& vcd_path, std::ostream& err) {
+  if (vcd_path.empty() || engine.supports_tracing()) {
+    return false;
+  }
+  err << "error: engine '" << engine.name()
+      << "' does not support --vcd (use --engine event)\n";
+  return true;
+}
+
 VerifyResult run_verify(const VerifyRequest& request,
                         const FlowContext& context, std::ostream& out,
                         std::ostream& err) {
@@ -22,9 +32,7 @@ VerifyResult run_verify(const VerifyRequest& request,
   bool instrumented = !request.vcd_path.empty() || !request.saves.empty();
   auto engine = elab::make_engine(request.engine);
   // A usage error, so it is raised before any verification work.
-  if (!request.vcd_path.empty() && !engine->supports_tracing()) {
-    err << "error: engine '" << engine->name()
-        << "' does not support --vcd (use --engine event)\n";
+  if (rejects_vcd(*engine, request.vcd_path, err)) {
     result.exit_code = 2;
     return result;
   }

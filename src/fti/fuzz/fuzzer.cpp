@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <mutex>
+#include <optional>
 
 #include "fti/fuzz/corpus.hpp"
 #include "fti/fuzz/lanes.hpp"
@@ -99,11 +100,17 @@ FuzzReport run_fuzz(const FuzzOptions& options) {
     std::uint64_t case_seed = Rng::derive(options.seed, index);
     obs::ScopedSpan case_span("case:" + std::to_string(index), "fuzz");
     ir::Design design;
+    // One check for the case, made as the design is generated: every
+    // diff lane, the batched lane sweep and all of its reference twins
+    // run this handle.
+    std::optional<elab::CheckedDesign> handle;
     try {
       design = generate_design_seeded(case_seed, options.generator);
       obs::counter("fuzz.designs_generated").inc();
+      handle.emplace(design);
     } catch (const std::exception& error) {
-      // A generator bug is a campaign failure too, minus the shrink.
+      // A generator bug -- a throw or an invalid design -- is a campaign
+      // failure too, minus the shrink.
       FuzzFailure failure;
       failure.case_index = index;
       failure.case_seed = case_seed;
@@ -118,9 +125,7 @@ FuzzReport run_fuzz(const FuzzOptions& options) {
     if (design.configuration_count() > 1) {
       multi_config.fetch_add(1, std::memory_order_relaxed);
     }
-    // One check for the case: every diff lane, the batched lane sweep
-    // and all of its reference twins run this handle.
-    const elab::CheckedDesign checked(design);
+    const elab::CheckedDesign& checked = *handle;
     DiffResult diff = diff_design(checked, options.diff);
     cases_run.fetch_add(1, std::memory_order_relaxed);
     if (!diff.observations.empty()) {

@@ -533,7 +533,6 @@ ir::Design generate_design(Rng& rng, const GeneratorOptions& options) {
     }
   }
   design.rtg.initial = "p0";
-  ir::validate(design);
   return design;
 }
 

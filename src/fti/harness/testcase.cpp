@@ -243,11 +243,11 @@ VerifyOutcome run_test_case(const TestCase& test,
     entry = options.design_cache->find_source(source_key);
   }
 
-  // The design the simulator consumes, checked once for every run
-  // below: the cached entry's handle on a hit, a handle on this run's
-  // round-tripped design otherwise.  When caching, even the cold run
-  // simulates through the handle the cache now owns, so its schedule
-  // memo serves from the very first run.
+  // The design the lint gate and the simulator consume, checked once for
+  // everything below: the cached entry's handle on a hit, a handle on
+  // this run's round-tripped design otherwise.  When caching, even the
+  // cold run lints and simulates through the handle the cache now owns,
+  // so its graph and schedule memos serve from the very first run.
   const elab::CheckedDesign* checked = nullptr;
   ir::Design local_design;
   std::optional<elab::CheckedDesign> local_checked;
@@ -282,47 +282,54 @@ VerifyOutcome run_test_case(const TestCase& test,
     }
     check_cancel(options);
 
-    // 2. Lint gate.  Runs on the raw compiled design (lint never throws
-    //    on malformed IR, unlike the round-trip below), so a structural
-    //    defect is reported with rule IDs instead of a parse-time
-    //    exception, and a gated design never reaches the simulator.
-    //    When caching, the report is computed even with the gate off, so
-    //    the cache entry can answer any later request's gate.
+    // 2. XML round trip (the simulator consumes the re-parsed design).
+    // 3. Its one check -- the handle the lint gate and every run below
+    //    read -- and the lint report.  When caching, the entry builds the
+    //    handle and lints it, even with the gate off and with the
+    //    semantic tier on, so it can answer any later request's gate.
+    const bool lints = options.lint_gate != lint::Gate::kOff || cacheable;
+    lint::Options lint_options;
+    lint_options.semantic = options.semantic || cacheable;
     lint::Report lint_report;
-    if (options.lint_gate != lint::Gate::kOff || cacheable) {
-      // A cacheable run always analyzes with the semantic tier on, so
-      // the cache entry can answer any later request's view; the filter
-      // below gives this request what it asked for.
-      lint::Options lint_options;
-      lint_options.semantic = options.semantic || cacheable;
-      lint_report = lint::lint_design(outcome.compiled.design, lint_options);
+    try {
+      if (!options.emit_dir.empty()) {
+        auto paths = ir::save_design_files(outcome.compiled.design,
+                                           options.emit_dir / test.name);
+        local_design = ir::load_design_files(paths.front());
+      } else {
+        // Stability (re-serialising reproduces the exact document) is a
+        // property of the serde, tested in test_roundtrip, not re-checked
+        // on every verify.  The text and the writer's tree are freed
+        // before the design is built from the parsed tree.
+        std::unique_ptr<xml::Element> tree =
+            xml::parse(xml::to_string(*ir::to_xml(outcome.compiled.design)));
+        local_design = ir::design_from_xml(*tree);
+      }
+      if (cacheable) {
+        cache::Key ir_key = cache::hash_design(local_design);
+        entry = options.design_cache->insert(ir_key, std::move(local_design));
+        options.design_cache->alias_source(source_key, ir_key);
+        checked = &entry->checked;
+      } else {
+        checked = &local_checked.emplace(local_design);
+        if (lints) {
+          lint_report = lint::lint_design(*checked, lint_options);
+        }
+      }
+    } catch (const std::exception&) {
+      // A design the round trip or the check rejects is linted raw (lint
+      // never throws on malformed IR), so a gated defect still blocks
+      // with rule IDs before any simulation; otherwise the error stands.
+      if (lints && lint_gate_blocks(lint::lint_design(outcome.compiled.design,
+                                                      lint_options),
+                                    test, options, outcome)) {
+        return outcome;
+      }
+      throw;
     }
-    if (lint_gate_blocks(lint_report, test, options, outcome)) {
+    if (lint_gate_blocks(entry ? entry->lint : lint_report, test, options,
+                         outcome)) {
       return outcome;
-    }
-
-    // 3. XML round-trip (the simulator consumes the re-parsed design).
-    if (!options.emit_dir.empty()) {
-      auto paths = ir::save_design_files(outcome.compiled.design,
-                                         options.emit_dir / test.name);
-      local_design = ir::load_design_files(paths.front());
-    } else {
-      // Stability (re-serialising reproduces the exact document) is a
-      // property of the serde, tested in test_roundtrip, not re-checked
-      // on every verify.  The text and the writer's tree are freed before
-      // the design is built from the parsed tree.
-      std::unique_ptr<xml::Element> tree =
-          xml::parse(xml::to_string(*ir::to_xml(outcome.compiled.design)));
-      local_design = ir::design_from_xml(*tree);
-    }
-    if (cacheable) {
-      cache::Key ir_key = cache::hash_design(local_design);
-      entry = options.design_cache->insert(ir_key, std::move(local_design),
-                                           std::move(lint_report));
-      options.design_cache->alias_source(source_key, ir_key);
-      checked = &entry->checked;
-    } else {
-      checked = &local_checked.emplace(local_design);
     }
   }
   check_cancel(options);

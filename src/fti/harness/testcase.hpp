@@ -59,11 +59,12 @@ struct VerifyOptions {
   /// "naive", "levelized", ...).  Every engine must produce the same
   /// verdict; `fti verify --engine=` exposes this for cross-checking.
   std::string engine = "event";
-  /// Static-analysis pre-check, run on the compiled design before the
-  /// XML round-trip and simulation.  At the default kError threshold a
-  /// design with lint errors is rejected without starting simulation
-  /// (outcome.lint_blocked); kWarn also blocks on warnings; kOff skips
-  /// the analysis entirely.
+  /// Static-analysis pre-check, run on the round-tripped design's
+  /// checked handle before simulation (on the raw compiled design when
+  /// the round trip or the check rejects it).  At the default kError
+  /// threshold a design with lint errors is rejected without starting
+  /// simulation (outcome.lint_blocked); kWarn also blocks on warnings;
+  /// kOff skips the analysis entirely.
   lint::Gate lint_gate = lint::Gate::kError;
   /// Run the semantic lint tier (the abstract-interpretation dataflow
   /// engine behind FTI-L012..L017) as part of the pre-check.  Off keeps
@@ -83,7 +84,8 @@ struct VerifyOptions {
   std::uint32_t lanes = 1;
   /// Seed for the random stimuli of lanes k >= 1.
   std::uint64_t lane_seed = 1;
-  /// Test seam: mutates the compiled design before lint and round-trip.
+  /// Test seam: mutates the compiled design before the round trip and
+  /// lint.
   /// The seeded-defect tests use this to plant known-bad edits.
   std::function<void(ir::Design&)> post_compile;
   /// Content-addressed memoization (cache/design_cache.hpp) for repeat
@@ -133,8 +135,8 @@ struct FlowArtifacts {
 struct VerifyOutcome {
   bool passed = false;
   std::string message;  ///< empty when passed; first failure otherwise
-  /// Static-analysis findings on the compiled design (always collected
-  /// unless the gate is kOff).
+  /// Static-analysis findings on the design (always collected unless
+  /// the gate is kOff).
   lint::Report lint;
   /// True when the lint gate rejected the design; simulation and the
   /// golden run were skipped, and passed is false.

@@ -5,6 +5,8 @@
 #include <string_view>
 #include <utility>
 
+#include "fti/obs/metrics.hpp"
+
 namespace fti::ir {
 
 std::string CombCycle::to_string() const {
@@ -177,7 +179,9 @@ class Tarjan {
 
 }  // namespace
 
-CombGraph::CombGraph(const Datapath& datapath) {
+CombGraph::CombGraph(const Datapath& datapath) : datapath_(&datapath) {
+  static obs::Counter& builds = obs::counter("ir.comb_graph_builds");
+  builds.inc();
   for (const Unit& unit : datapath.units) {
     if (is_combinational(unit)) {
       units_.push_back(&unit);

@@ -4,11 +4,13 @@
 // asynchronous memory read path), which wires they read, which wire they
 // drive, and whether the read-after-drive relation is acyclic.
 //
-// Shared by the levelized schedule (Kahn order + cycle rejection), the
-// dataflow lint tier and the structural analyzer (FTI-L005), so all
-// order units and report cycles the same way.  The graph tolerates
-// malformed units (missing ports are skipped), because lint runs on
-// designs that have not passed ir::validate.
+// elab::CheckedDesign builds one per configuration and serves all three
+// readers from it: the levelized schedule (Kahn order + cycle
+// rejection), the dataflow lint tier's rank order and the structural
+// analyzer's cycle report (FTI-L005), so all order units and report
+// cycles the same way.  Every build counts in the `ir.comb_graph_builds`
+// obs counter.  The graph tolerates malformed units (missing ports are
+// skipped), because lint also runs on designs that fail ir::validate.
 #pragma once
 
 #include <cstddef>
@@ -35,7 +37,10 @@ struct CombCycle {
 /// combinational unit drives; the first driver of a wire wins).
 class CombGraph {
  public:
+  /// Views `datapath`, which must outlive the graph.
   explicit CombGraph(const Datapath& datapath);
+
+  const Datapath& datapath() const { return *datapath_; }
 
   struct Ranked {
     const Unit* unit;
@@ -53,6 +58,7 @@ class CombGraph {
   std::vector<CombCycle> cycles() const;
 
  private:
+  const Datapath* datapath_;
   std::vector<const Unit*> units_;
   std::vector<std::vector<std::size_t>> successors_;
 };

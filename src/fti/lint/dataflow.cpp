@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <set>
 
+#include "fti/elab/checked.hpp"
 #include "fti/ir/comb_graph.hpp"
 #include "fti/ir/slots.hpp"
 #include "fti/obs/metrics.hpp"
@@ -657,23 +659,13 @@ class ConfigAnalyzer {
  public:
   explicit ConfigAnalyzer(const ir::Configuration& config) : config_(config) {}
 
-  /// False when the configuration is structurally broken (fails
-  /// ir::validate or has a combinational cycle); the structural rules
-  /// already cover those, so the semantic tier skips it.
-  bool prepare() {
-    try {
-      ir::validate(config_.datapath);
-      ir::validate(config_.fsm, config_.datapath);
-    } catch (const std::exception&) {
-      return false;
-    }
-    const auto order = ir::CombGraph(config_.datapath).levelize();
-    if (!order) {
-      return false;
-    }
-
+  /// `config` has passed the datapath and FSM checks and `order` is its
+  /// datapath's levelized graph order.
+  void prepare(const std::vector<ir::CombGraph::Ranked>& order) {
     const ir::Datapath& datapath = config_.datapath;
-    // Resolved here: lint runs on raw IR that no CheckedDesign covers.
+    // Resolved here, not taken from a CheckedDesign: the handle resolves
+    // its table only for an engine that asks, so an event-engine job,
+    // linted first, resolves none.
     slots_ = ir::resolve_slots(config_, ir::DatapathIndex(datapath));
     for (const ir::Wire& wire : datapath.wires) {
       // Undriven wires read as constant 0, exactly as in the engines.
@@ -695,7 +687,7 @@ class ConfigAnalyzer {
     }
     // The engines' levelized order (elab::build_levelized_schedule ranks
     // the same graph).
-    for (const ir::CombGraph::Ranked& step : *order) {
+    for (const ir::CombGraph::Ranked& step : order) {
       steps_.push_back({step.unit, &slots_.of(*step.unit)});
     }
     for (const ir::StateSlots& state : slots_.states) {
@@ -711,7 +703,6 @@ class ConfigAnalyzer {
     }
     reachable_.assign(config_.fsm.states.size(), false);
     reachable_[slots_.initial] = true;
-    return true;
   }
 
   void run(ConfigSummary& out) {
@@ -1210,13 +1201,9 @@ class RuleEmitter {
   std::vector<Finding>& findings_;
 };
 
-}  // namespace
-
-Summary analyze(const ir::Design& design) {
-  obs::ScopedSpan span("lint.dataflow", "lint");
-  Summary summary;
-  // Configurations in RTG declaration order, strays after -- the same
-  // deterministic order the structural linter uses.
+/// Configurations in RTG declaration order, strays after -- the same
+/// deterministic order the structural linter uses.
+std::vector<std::string> analysis_order(const ir::Design& design) {
   std::vector<std::string> order;
   std::set<std::string> seen;
   for (const std::string& node : design.rtg.nodes) {
@@ -1229,13 +1216,42 @@ Summary analyze(const ir::Design& design) {
       order.push_back(node);
     }
   }
-  for (const std::string& node : order) {
+  return order;
+}
+
+/// The levelized graph order of `config`'s datapath, or std::nullopt
+/// when the tier must skip it: it has a combinational cycle, or -- with
+/// no handle, on a design ir::validate rejects -- it fails the datapath
+/// or FSM check on its own.
+std::optional<std::vector<ir::CombGraph::Ranked>> rank_order(
+    const elab::CheckedDesign* checked, const std::string& node,
+    const ir::Configuration& config) {
+  if (checked != nullptr) {
+    return checked->graph(node).levelize();
+  }
+  try {
+    ir::validate(config.datapath);
+    ir::validate(config.fsm, config.datapath);
+  } catch (const std::exception&) {
+    return std::nullopt;
+  }
+  return ir::CombGraph(config.datapath).levelize();
+}
+
+/// `checked`, when given, is a handle on `design`.
+Summary analyze_design(const ir::Design& design,
+                       const elab::CheckedDesign* checked) {
+  obs::ScopedSpan span("lint.dataflow", "lint");
+  Summary summary;
+  for (const std::string& node : analysis_order(design)) {
     const ir::Configuration& config = design.configurations.at(node);
     ConfigSummary& config_summary = summary.configurations[node];
-    ConfigAnalyzer analyzer(config);
-    if (!analyzer.prepare()) {
+    const auto order = rank_order(checked, node, config);
+    if (!order) {
       continue;
     }
+    ConfigAnalyzer analyzer(config);
+    analyzer.prepare(*order);
     analyzer.run(config_summary);
     RuleEmitter(node, config, analyzer, config_summary, summary.findings)
         .emit();
@@ -1245,6 +1261,22 @@ Summary analyze(const ir::Design& design) {
     counters().findings.add(summary.findings.size());
   }
   return summary;
+}
+
+}  // namespace
+
+Summary analyze(const elab::CheckedDesign& design) {
+  return analyze_design(design.design(), &design);
+}
+
+Summary analyze(const ir::Design& design) {
+  std::optional<elab::CheckedDesign> checked;
+  try {
+    checked.emplace(design);
+  } catch (const std::exception&) {
+    return analyze_design(design, nullptr);
+  }
+  return analyze(*checked);
 }
 
 }  // namespace fti::lint::dataflow

@@ -134,13 +134,19 @@ struct ConfigSummary {
 
 /// Whole-design analysis: per-configuration summaries along the RTG
 /// execution chain plus the semantic findings (FTI-L012..L017) they
-/// prove.  Never throws; configurations that fail ir::validate are
-/// skipped (the structural rules already report them).
+/// prove.  Configurations with a combinational cycle are skipped (the
+/// structural rules already report them).
 struct Summary {
   std::map<std::string, ConfigSummary> configurations;
   std::vector<Finding> findings;
 };
 
+/// Analyzes a checked design in its handle's graph order.
+Summary analyze(const elab::CheckedDesign& design);
+
+/// Never throws.  Builds a handle and analyzes that when the design
+/// passes ir::validate; otherwise analyzes each configuration that passes
+/// the datapath and FSM checks on its own and skips the rest.
 Summary analyze(const ir::Design& design);
 
 }  // namespace fti::lint::dataflow

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 
+#include "fti/elab/checked.hpp"
 #include "fti/ir/comb_graph.hpp"
 #include "fti/ir/datapath.hpp"
 #include "fti/lint/dataflow.hpp"
@@ -148,7 +150,10 @@ struct WireUse {
 
 class Linter {
  public:
-  explicit Linter(const ir::Design& design) : design_(design) {
+  /// `checked`, when given, is a handle on `design`: the cycle report
+  /// reads its graphs instead of building one per configuration.
+  Linter(const ir::Design& design, const elab::CheckedDesign* checked)
+      : design_(design), checked_(checked) {
     report_.design = design.name;
   }
 
@@ -300,7 +305,10 @@ class Linter {
     }
 
     // FTI-L005: combinational cycles, with the full path.
-    for (const ir::CombCycle& cycle : ir::find_combinational_cycles(datapath)) {
+    const std::vector<ir::CombCycle> cycles =
+        checked_ != nullptr ? checked_->graph(node).cycles()
+                            : ir::find_combinational_cycles(datapath);
+    for (const ir::CombCycle& cycle : cycles) {
       add("FTI-L005", Severity::kError, node,
           cycle.units.empty() ? std::string() : cycle.units.front()->name,
           "combinational cycle: " + cycle.to_string());
@@ -666,10 +674,18 @@ class Linter {
   }
 
   const ir::Design& design_;
+  const elab::CheckedDesign* checked_;
   Report report_;
   std::vector<std::string> chain_;
   bool cyclic_ = false;
 };
+
+/// Appends the semantic tier's findings after the structural ones.
+void append(Report& report, dataflow::Summary summary) {
+  for (Finding& finding : summary.findings) {
+    report.findings.push_back(std::move(finding));
+  }
+}
 
 }  // namespace
 
@@ -678,12 +694,24 @@ Report lint_design(const ir::Design& design) {
 }
 
 Report lint_design(const ir::Design& design, const Options& options) {
-  Report report = Linter(design).run();
-  if (options.semantic) {
-    dataflow::Summary summary = dataflow::analyze(design);
-    for (Finding& finding : summary.findings) {
-      report.findings.push_back(std::move(finding));
+  std::optional<elab::CheckedDesign> checked;
+  try {
+    checked.emplace(design);
+  } catch (const std::exception&) {
+    // Malformed: walk the raw IR, which is what the rules report on.
+    Report report = Linter(design, nullptr).run();
+    if (options.semantic) {
+      append(report, dataflow::analyze(design));
     }
+    return report;
+  }
+  return lint_design(*checked, options);
+}
+
+Report lint_design(const elab::CheckedDesign& design, const Options& options) {
+  Report report = Linter(design.design(), &design).run();
+  if (options.semantic) {
+    append(report, dataflow::analyze(design));
   }
   return report;
 }

@@ -9,6 +9,13 @@
 // find-based and tolerant -- so it can diagnose exactly the inputs
 // validate rejects with a single message.
 //
+// A checked design (elab::CheckedDesign) is linted through its handle:
+// the cycle report and the dataflow tier's order read the handle's one
+// combinational graph per configuration.  The raw-design overloads
+// build a handle themselves whenever the design passes ir::validate, so
+// every valid design takes that one path; only a design validate rejects
+// is walked raw.  Both paths produce the same report.
+//
 // Findings carry stable rule IDs (FTI-L001..), a severity, and an IR
 // location (configuration + object).  Reports export as text, JSON
 // (util::JsonReport schema) and SARIF 2.1.0 so CI can annotate.
@@ -21,6 +28,10 @@
 #include <vector>
 
 #include "fti/ir/rtg.hpp"
+
+namespace fti::elab {
+class CheckedDesign;
+}  // namespace fti::elab
 
 namespace fti::lint {
 
@@ -83,6 +94,10 @@ struct Options {
 /// the structural ones.
 Report lint_design(const ir::Design& design);
 Report lint_design(const ir::Design& design, const Options& options);
+/// The same report for a design that has passed ir::validate, read from
+/// its handle's memos.
+Report lint_design(const elab::CheckedDesign& design,
+                   const Options& options = {});
 
 /// True for rules produced by the semantic (dataflow) tier.
 bool is_semantic_rule(std::string_view id);

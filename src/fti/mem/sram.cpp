@@ -4,47 +4,6 @@
 
 namespace fti::mem {
 
-Sram::Sram(std::string name, MemoryImage& image, sim::Net& clock,
-           sim::Net& addr, sim::Net& din, sim::Net& we, sim::Net& dout)
-    : Component(std::move(name)), image_(image), clock_(clock), addr_(addr),
-      din_(din), we_(we), dout_(dout) {
-  FTI_ASSERT(din_.width() == image.width() && dout_.width() == image.width(),
-             "sram '" + this->name() + "' data width mismatch");
-  FTI_ASSERT(we_.width() == 1, "sram '" + this->name() + "' we must be 1 bit");
-  clock_.add_listener(this, sim::Listen::kRising);
-  addr_.add_listener(this);
-}
-
-void Sram::drive_dout(sim::Kernel& kernel) {
-  std::uint64_t address = addr_.u();
-  if (address >= image_.depth()) {
-    ++oob_reads_;
-    kernel.schedule(dout_, sim::Bits(dout_.width(), 0), 0);
-    return;
-  }
-  kernel.schedule(dout_, image_.read_bits(address), 0);
-}
-
-void Sram::initialize(sim::Kernel& kernel) { drive_dout(kernel); }
-
-void Sram::evaluate(sim::Kernel& kernel) {
-  if (kernel.rising(clock_) && !we_.value().is_zero()) {
-    std::uint64_t address = addr_.u();
-    if (address >= image_.depth()) {
-      throw util::SimError("sram '" + name() + "': write to address " +
-                           std::to_string(address) + " beyond depth " +
-                           std::to_string(image_.depth()) + " at t=" +
-                           std::to_string(kernel.now()));
-    }
-    image_.write(address, din_.u());
-    drive_dout(kernel);
-    return;
-  }
-  if (kernel.changed(addr_)) {
-    drive_dout(kernel);
-  }
-}
-
 MultiPortSram::MultiPortSram(std::string name, MemoryImage& image,
                              sim::Net& clock,
                              std::optional<WritePort> write,

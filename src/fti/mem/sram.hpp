@@ -1,4 +1,4 @@
-// Single-port SRAM component.
+// The SRAM component elaboration builds for every memory.
 //
 // Read is asynchronous (dout follows addr after a delta), write is
 // synchronous on the rising clock edge when `we` is high -- the classic
@@ -20,34 +20,11 @@
 
 namespace fti::mem {
 
-class Sram : public sim::Component {
- public:
-  Sram(std::string name, MemoryImage& image, sim::Net& clock,
-       sim::Net& addr, sim::Net& din, sim::Net& we, sim::Net& dout);
-
-  void initialize(sim::Kernel& kernel) override;
-  void evaluate(sim::Kernel& kernel) override;
-
-  const MemoryImage& image() const { return image_; }
-  std::uint64_t out_of_range_reads() const { return oob_reads_; }
-
- private:
-  void drive_dout(sim::Kernel& kernel);
-
-  MemoryImage& image_;
-  sim::Net& clock_;
-  sim::Net& addr_;
-  sim::Net& din_;
-  sim::Net& we_;
-  sim::Net& dout_;
-  std::uint64_t oob_reads_ = 0;
-};
-
 /// Multi-port SRAM: one storage image, at most one write-capable port and
 /// any number of read ports.  All ports live in ONE component so a write
 /// on the clock edge is visible on every read port within the same
-/// activation -- two independent Sram components sharing an image would
-/// serve stale dout until their own addr changed.
+/// activation -- independent components sharing an image would serve
+/// stale dout until their own addr changed.
 class MultiPortSram : public sim::Component {
  public:
   struct ReadPort {

@@ -22,18 +22,6 @@ Histogram::Histogram(std::vector<double> bounds)
   }
 }
 
-std::vector<double> exponential_bounds(double start, double factor,
-                                       std::size_t count) {
-  std::vector<double> bounds;
-  bounds.reserve(count);
-  double bound = start;
-  for (std::size_t i = 0; i < count; ++i) {
-    bounds.push_back(bound);
-    bound *= factor;
-  }
-  return bounds;
-}
-
 Registry& Registry::instance() {
   static Registry registry;
   return registry;

@@ -131,12 +131,6 @@ class Histogram {
   std::atomic<double> sum_{0.0};
 };
 
-/// `count` exponentially spaced bucket bounds starting at `start`
-/// (start, start*factor, ...) -- the usual shape for cycle/duration
-/// distributions that span orders of magnitude.
-std::vector<double> exponential_bounds(double start, double factor,
-                                       std::size_t count);
-
 struct CounterSnapshot {
   std::string name;
   std::uint64_t value;

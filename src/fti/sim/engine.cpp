@@ -88,12 +88,6 @@ void register_engine(const std::string& name, EngineFactory factory) {
   reg.factories[name] = std::move(factory);
 }
 
-bool has_engine(const std::string& name) {
-  Registry& reg = registry();
-  std::lock_guard<std::mutex> lock(reg.mutex);
-  return reg.factories.find(name) != reg.factories.end();
-}
-
 std::vector<std::string> engine_names() {
   Registry& reg = registry();
   std::lock_guard<std::mutex> lock(reg.mutex);

@@ -157,9 +157,6 @@ using EngineFactory = std::function<std::unique_ptr<Engine>()>;
 /// Registers (or replaces) a factory under `name`.  Thread-safe.
 void register_engine(const std::string& name, EngineFactory factory);
 
-/// True when `name` is registered.
-bool has_engine(const std::string& name);
-
 /// Registered names, sorted.
 std::vector<std::string> engine_names();
 

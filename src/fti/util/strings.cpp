@@ -79,24 +79,6 @@ bool ends_with(std::string_view text, std::string_view suffix) {
          text.substr(text.size() - suffix.size()) == suffix;
 }
 
-std::string replace_all(std::string_view text, std::string_view from,
-                        std::string_view to) {
-  FTI_ASSERT(!from.empty(), "replace_all: empty pattern");
-  std::string out;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t hit = text.find(from, pos);
-    if (hit == std::string_view::npos) {
-      out += text.substr(pos);
-      break;
-    }
-    out += text.substr(pos, hit - pos);
-    out += to;
-    pos = hit + from.size();
-  }
-  return out;
-}
-
 std::uint64_t parse_u64(std::string_view text) {
   std::string_view body = trim(text);
   if (body.empty()) {
@@ -160,14 +142,6 @@ std::int64_t parse_i64(std::string_view text) {
     throw Error("parse", "integer literal overflows int64");
   }
   return static_cast<std::int64_t>(magnitude);
-}
-
-std::string to_lower(std::string_view text) {
-  std::string out(text);
-  for (char& c : out) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  return out;
 }
 
 bool is_identifier(std::string_view text) {

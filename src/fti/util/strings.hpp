@@ -25,19 +25,12 @@ std::string join(const std::vector<std::string>& parts,
 bool starts_with(std::string_view text, std::string_view prefix);
 bool ends_with(std::string_view text, std::string_view suffix);
 
-/// Replaces every occurrence of `from` (non-empty) with `to`.
-std::string replace_all(std::string_view text, std::string_view from,
-                        std::string_view to);
-
 /// Parses a decimal or 0x-prefixed hexadecimal unsigned integer.
 /// Throws util::Error("parse", ...) on malformed input or overflow.
 std::uint64_t parse_u64(std::string_view text);
 
 /// Parses a possibly negative decimal integer (or 0x hex for non-negative).
 std::int64_t parse_i64(std::string_view text);
-
-/// Lower-cases ASCII letters.
-std::string to_lower(std::string_view text);
 
 /// True when `text` is a valid identifier: [A-Za-z_][A-Za-z0-9_.]* .
 /// Dots are allowed because hierarchical instance names use them.

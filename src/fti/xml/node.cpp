@@ -63,15 +63,6 @@ std::uint64_t Element::attr_u64(std::string_view key) const {
   }
 }
 
-std::int64_t Element::attr_i64(std::string_view key) const {
-  try {
-    return util::parse_i64(attr(key));
-  } catch (const util::Error& e) {
-    throw util::XmlError("attribute '" + std::string(key) + "' of <" + name_ +
-                         ">: " + e.what());
-  }
-}
-
 std::uint64_t Element::attr_u64_or(std::string_view key,
                                    std::uint64_t fallback) const {
   if (!has_attr(key)) {
@@ -167,30 +158,6 @@ std::size_t Element::child_count() const {
   for (const auto& node : nodes_) {
     if (std::holds_alternative<std::unique_ptr<Element>>(node)) {
       ++n;
-    }
-  }
-  return n;
-}
-
-std::unique_ptr<Element> Element::clone() const {
-  auto copy = std::make_unique<Element>(name_);
-  copy->line_ = line_;
-  copy->attrs_ = attrs_;
-  for (const auto& node : nodes_) {
-    if (const auto* child = std::get_if<std::unique_ptr<Element>>(&node)) {
-      copy->nodes_.emplace_back((*child)->clone());
-    } else {
-      copy->nodes_.emplace_back(std::get<std::string>(node));
-    }
-  }
-  return copy;
-}
-
-std::size_t Element::subtree_size() const {
-  std::size_t n = 1;
-  for (const auto& node : nodes_) {
-    if (const auto* child = std::get_if<std::unique_ptr<Element>>(&node)) {
-      n += (*child)->subtree_size();
     }
   }
   return n;

@@ -55,7 +55,6 @@ class Element {
 
   /// Numeric accessors; throw XmlError on absence or malformed number.
   std::uint64_t attr_u64(std::string_view key) const;
-  std::int64_t attr_i64(std::string_view key) const;
   std::uint64_t attr_u64_or(std::string_view key, std::uint64_t fallback) const;
 
   const std::vector<std::pair<std::string, std::string>>& attrs() const {
@@ -93,12 +92,6 @@ class Element {
 
   /// Number of direct child elements.
   std::size_t child_count() const;
-
-  /// Deep copy.
-  std::unique_ptr<Element> clone() const;
-
-  /// Total elements in this subtree including `this` (used by metrics).
-  std::size_t subtree_size() const;
 
  private:
   std::string name_;

@@ -234,15 +234,6 @@ const Element* select_first(const Element& context, std::string_view path) {
   return matches.empty() ? nullptr : matches.front();
 }
 
-const Element& select_one(const Element& context, std::string_view path) {
-  const Element* found = select_first(context, path);
-  if (found == nullptr) {
-    throw util::XmlError("path '" + std::string(path) +
-                         "' matched nothing under <" + context.name() + ">");
-  }
-  return *found;
-}
-
 std::size_t count(const Element& context, std::string_view path) {
   return select(context, path).size();
 }

@@ -28,9 +28,6 @@ std::vector<const Element*> select(const Element& context,
 /// First match or nullptr.
 const Element* select_first(const Element& context, std::string_view path);
 
-/// First match; throws XmlError when nothing matches.
-const Element& select_one(const Element& context, std::string_view path);
-
 /// Number of matches.
 std::size_t count(const Element& context, std::string_view path);
 

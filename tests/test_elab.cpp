@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
+#include "fti/cache/design_cache.hpp"
 #include "fti/compiler/hls.hpp"
 #include "fti/elab/elaborator.hpp"
 #include "fti/elab/engines.hpp"
+#include "fti/harness/suite_io.hpp"
+#include "fti/obs/metrics.hpp"
 #include "fti/sim/probe.hpp"
 #include "fti/sim/vcd.hpp"
 #include "fti/util/error.hpp"
@@ -309,6 +314,60 @@ TEST(Coverage, PerPartitionReports) {
         << partition.coverage.to_string();
     EXPECT_FALSE(partition.coverage.states.empty());
   }
+}
+
+/// Enables obs for the scope, restoring the previous setting after.
+class ObsOn {
+ public:
+  ObsOn() : was_enabled_(obs::enabled()) { obs::set_enabled(true); }
+  ~ObsOn() { obs::set_enabled(was_enabled_); }
+
+ private:
+  bool was_enabled_;
+};
+
+TEST(CheckedDesign, ColdJobChecksAndGraphsEachConfigurationOnce) {
+  // A cold verify checks its design once and builds one combinational
+  // graph per configuration: lint, the gate and the simulator all read
+  // the job's one handle.
+  ObsOn obs_on;
+  obs::Counter& validations = obs::counter("ir.validations");
+  obs::Counter& graphs = obs::counter("ir.comb_graph_builds");
+  obs::Counter& resolutions = obs::counter("elab.slot_resolutions");
+  const std::filesystem::path examples =
+      std::filesystem::path(FTI_TEST_DATA_DIR).parent_path().parent_path() /
+      "examples" / "kernels";
+  std::size_t kernels = 0;
+  for (const auto& file : std::filesystem::directory_iterator(examples)) {
+    if (file.path().extension() != ".k") {
+      continue;
+    }
+    ++kernels;
+    const harness::TestCase test = harness::load_test_case(file.path());
+    for (const char* engine : {"event", "levelized"}) {
+      for (const bool cached : {false, true}) {
+        SCOPED_TRACE(test.name + " " + engine + (cached ? " cached" : ""));
+        cache::DesignCache cache(4);
+        harness::VerifyOptions options;
+        options.engine = engine;
+        options.design_cache = cached ? &cache : nullptr;
+        const std::uint64_t validations_before = validations.value();
+        const std::uint64_t graphs_before = graphs.value();
+        const std::uint64_t resolutions_before = resolutions.value();
+        const harness::VerifyOutcome outcome =
+            harness::run_test_case(test, options);
+        ASSERT_TRUE(outcome.passed) << outcome.message;
+        ASSERT_FALSE(outcome.cache_hit);
+        const std::size_t configurations =
+            outcome.compiled.design.configuration_count();
+        EXPECT_EQ(validations.value() - validations_before, configurations);
+        EXPECT_EQ(graphs.value() - graphs_before, configurations);
+        EXPECT_EQ(resolutions.value() - resolutions_before,
+                  std::string(engine) == "event" ? 0u : configurations);
+      }
+    }
+  }
+  EXPECT_EQ(kernels, 4u);
 }
 
 }  // namespace

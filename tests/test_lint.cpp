@@ -5,9 +5,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 
+#include "fti/compiler/hls.hpp"
+#include "fti/elab/checked.hpp"
 #include "fti/elab/engines.hpp"
+#include "fti/fuzz/corpus.hpp"
+#include "fti/fuzz/generate.hpp"
 #include "fti/fuzz/inject.hpp"
+#include "fti/golden/fdct.hpp"
+#include "fti/golden/fir.hpp"
+#include "fti/golden/hamming.hpp"
+#include "fti/golden/matmul.hpp"
+#include "fti/harness/suite_io.hpp"
 #include "fti/harness/testcase.hpp"
 #include "fti/lint/dataflow.hpp"
 #include "fti/lint/lint.hpp"
@@ -994,6 +1004,90 @@ TEST(LintInjection, InjectionIsDeterministic) {
   ASSERT_EQ(report_a.findings.size(), report_b.findings.size());
   for (std::size_t i = 0; i < report_a.findings.size(); ++i) {
     EXPECT_EQ(report_a.findings[i].message, report_b.findings[i].message);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The raw-design and checked-design entry points are one analysis.
+
+/// The lint-relevant designs of the repo: the example kernels, the fuzz
+/// corpus repros and the golden kernels at the benchmark's sizes.
+std::vector<ir::Design> checked_in_designs() {
+  const std::filesystem::path data(FTI_TEST_DATA_DIR);
+  std::vector<ir::Design> designs;
+  auto compile = [&designs](const std::string& source,
+                            std::map<std::string, std::int64_t> args) {
+    compiler::CompileOptions options;
+    options.scalar_args = std::move(args);
+    designs.push_back(compiler::compile_source(source, options).design);
+  };
+  for (const auto& file : std::filesystem::directory_iterator(
+           data.parent_path().parent_path() / "examples" / "kernels")) {
+    if (file.path().extension() == ".k") {
+      const harness::TestCase test = harness::load_test_case(file.path());
+      compile(test.source, test.scalar_args);
+    }
+  }
+  for (fuzz::CorpusEntry& entry :
+       fuzz::load_corpus(data.parent_path() / "corpus")) {
+    designs.push_back(std::move(entry.design));
+  }
+  compile(golden::fdct_source(1, false), {{"nblocks", 1}});
+  compile(golden::fdct_source(1, true), {{"nblocks", 1}});
+  compile(golden::fdct_source(2, true), {{"nblocks", 2}});
+  const std::pair<std::int64_t, std::int64_t> firs[] = {
+      {16, 4}, {32, 8}, {64, 16}, {128, 16}};
+  for (const auto& [samples, taps] : firs) {
+    compile(golden::fir_source(samples, taps), {{"n", samples}, {"taps", taps}});
+  }
+  for (std::int64_t words : {32, 128, 512}) {
+    compile(golden::hamming_source(words), {{"n", words}});
+  }
+  for (std::int64_t n : {4, 6, 8, 10}) {
+    compile(golden::matmul_source(n), {{"n", n}});
+  }
+  return designs;
+}
+
+/// Each configuration's findings, in report order, as comparable lines;
+/// design-level findings and configurations `design` lacks are dropped.
+std::vector<std::string> per_configuration(const ir::Design& design,
+                                           const Report& report) {
+  std::vector<std::string> lines;
+  for (const Finding& finding : report.findings) {
+    if (design.rtg.has_node(finding.configuration)) {
+      lines.push_back(finding.rule + " " + finding.configuration + " " +
+                      finding.object + " " + finding.message);
+    }
+  }
+  return lines;
+}
+
+void expect_parity(const ir::Design& design) {
+  const elab::CheckedDesign checked(design);
+  EXPECT_EQ(to_json(lint_design(design)), to_json(lint_design(checked)));
+  // A stray copy of a configuration makes ir::validate reject the design
+  // without touching the other configurations, so the raw walk (per-node
+  // graphs, the per-configuration dataflow predicate) must report them
+  // exactly as the handle did.
+  ir::Design stray = design;
+  stray.configurations.emplace("stray_copy",
+                               design.configuration(design.rtg.initial));
+  ASSERT_THROW(ir::validate(stray), util::IrError);
+  EXPECT_EQ(per_configuration(design, lint_design(stray)),
+            per_configuration(design, lint_design(checked)));
+}
+
+TEST(LintParity, RawAndCheckedOverloadsAgree) {
+  const std::vector<ir::Design> designs = checked_in_designs();
+  EXPECT_EQ(designs.size(), 4u + 3u + 3u + 4u + 3u + 4u);
+  for (const ir::Design& design : designs) {
+    SCOPED_TRACE(design.name);
+    expect_parity(design);
+  }
+  for (std::uint64_t seed = 1; seed <= 1000; ++seed) {
+    SCOPED_TRACE("generated seed " + std::to_string(seed));
+    expect_parity(fuzz::generate_design_seeded(seed));
   }
 }
 

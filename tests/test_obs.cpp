@@ -77,14 +77,6 @@ TEST_F(ObsTest, HistogramBucketsAreInclusiveUpperBounds) {
   EXPECT_EQ(found->bucket_counts[2], 1u);
 }
 
-TEST_F(ObsTest, ExponentialBounds) {
-  std::vector<double> bounds = exponential_bounds(1.0, 10.0, 3);
-  ASSERT_EQ(bounds.size(), 3u);
-  EXPECT_DOUBLE_EQ(bounds[0], 1.0);
-  EXPECT_DOUBLE_EQ(bounds[1], 10.0);
-  EXPECT_DOUBLE_EQ(bounds[2], 100.0);
-}
-
 TEST_F(ObsTest, HandlesAreStableAcrossLookupsAndResets) {
   Counter& first = obs::counter("test.stable");
   Counter& second = obs::counter("test.stable");

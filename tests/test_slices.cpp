@@ -31,6 +31,7 @@
 #include "fti/golden/hamming.hpp"
 #include "fti/golden/rng.hpp"
 #include "fti/harness/testcase.hpp"
+#include "fti/lint/lint.hpp"
 #include "fti/mem/storage.hpp"
 #include "fti/obs/metrics.hpp"
 
@@ -511,21 +512,25 @@ TEST(CheckedDesign, SlicesAreBuiltOncePerNode) {
 }
 
 TEST(CheckedDesign, ConcurrentFirstRequestsBuildOnce) {
-  // Four threads run the same fresh handle at once: each memo is built
-  // by one of them and every run sees the same results.
+  // Four threads lint and run the same fresh handle at once: each memo is
+  // built by one of them and every thread sees the same results.
   ObsOn obs_on;
   obs::Counter& slices = obs::counter("elab.slice_builds");
   obs::Counter& resolutions = obs::counter("elab.slot_resolutions");
+  obs::Counter& graphs = obs::counter("ir.comb_graph_builds");
   const Workload work = workload("hamming");
   const ir::Design design = compile(work);
   const elab::CheckedDesign checked(design);
   const std::uint64_t slices_before = slices.value();
   const std::uint64_t resolutions_before = resolutions.value();
+  const std::uint64_t graphs_before = graphs.value();
   constexpr std::size_t kThreads = 4;
   std::vector<std::uint64_t> cycles(kThreads);
+  std::vector<std::string> lint_json(kThreads);
   std::vector<std::thread> threads;
   for (std::size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
+      lint_json[t] = lint::to_json(lint::lint_design(checked));
       std::deque<mem::MemoryPool> pools(8);
       std::vector<mem::MemoryPool*> ptrs;
       for (std::size_t lane = 0; lane < pools.size(); ++lane) {
@@ -543,8 +548,11 @@ TEST(CheckedDesign, ConcurrentFirstRequestsBuildOnce) {
   }
   EXPECT_EQ(slices.value() - slices_before, 1u);
   EXPECT_EQ(resolutions.value() - resolutions_before, 1u);
+  EXPECT_EQ(graphs.value() - graphs_before, design.configuration_count())
+      << "one graph per node";
   for (std::size_t t = 1; t < kThreads; ++t) {
     EXPECT_EQ(cycles[t], cycles[0]);
+    EXPECT_EQ(lint_json[t], lint_json[0]);
   }
 }
 

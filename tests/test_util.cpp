@@ -56,12 +56,6 @@ TEST(Strings, StartsEndsWith) {
   EXPECT_FALSE(ends_with("x", ".xml"));
 }
 
-TEST(Strings, ReplaceAll) {
-  EXPECT_EQ(replace_all("a-b-c", "-", "+"), "a+b+c");
-  EXPECT_EQ(replace_all("aaa", "aa", "b"), "ba");
-  EXPECT_EQ(replace_all("none", "x", "y"), "none");
-}
-
 TEST(Strings, ParseU64) {
   EXPECT_EQ(parse_u64("0"), 0u);
   EXPECT_EQ(parse_u64("  42 "), 42u);
