@@ -16,33 +16,12 @@ std::uint32_t width_of(ElemType type) {
 
 bool is_signed(ElemType type) { return type != ElemType::kByte; }
 
-const char* to_string(ElemType type) {
-  switch (type) {
-    case ElemType::kInt:
-      return "int";
-    case ElemType::kShort:
-      return "short";
-    case ElemType::kByte:
-      return "byte";
-  }
-  return "?";
-}
-
 std::unique_ptr<Expr> make_int(std::int64_t value, int line) {
   auto expr = std::make_unique<Expr>();
   expr->kind = ExprKind::kIntLit;
   expr->value = value;
   expr->line = line;
   return expr;
-}
-
-const Param* Program::find_param(std::string_view param_name) const {
-  for (const Param& param : params) {
-    if (param.name == param_name) {
-      return &param;
-    }
-  }
-  return nullptr;
 }
 
 std::size_t partition_count(const Program& program) {

@@ -22,7 +22,6 @@ enum class ElemType { kInt, kShort, kByte };
 
 std::uint32_t width_of(ElemType type);
 bool is_signed(ElemType type);
-const char* to_string(ElemType type);
 
 struct Param {
   std::string name;
@@ -102,8 +101,6 @@ struct Program {
   std::vector<std::unique_ptr<Stmt>> body;
   /// Source line count -- the Table I "loJava" column analogue.
   std::size_t source_lines = 0;
-
-  const Param* find_param(std::string_view param_name) const;
 };
 
 /// Number of `stage;` boundaries + 1 (the configuration count the program

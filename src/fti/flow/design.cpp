@@ -50,24 +50,14 @@ RunDesignResult run_design(const RunDesignRequest& request,
   auto run = engine->run(checked, pool, run_options);
   out << "design '" << design.name << "': "
       << (run.completed ? "completed" : "DID NOT COMPLETE") << "\n";
-  util::TextTable table(
-      {"partition", "cycles", "events", "wall (s)", "fsm coverage"});
-  for (const auto& partition : run.partitions) {
-    table.add_row({partition.node, util::format_count(partition.cycles),
-                   util::format_count(partition.stats.events),
-                   util::format_double(partition.wall_seconds, 3),
-                   util::format_double(partition.coverage.percent(), 1) +
-                       "%"});
-  }
-  out << table.to_string();
+  print_partition_table(run, out);
   if (!request.vcd_path.empty()) {
     vcd.write_file(request.vcd_path);
-    out << "wrote " << request.vcd_path.string() << "\n";
   }
   for (const auto& [array, file] : request.saves) {
     mem::save_mem_file(pool.get(array), file);
-    out << "wrote " << file.string() << "\n";
   }
+  print_dumps(request.vcd_path, request.saves, out);
   result.completed = run.completed;
   result.exit_code = run.completed ? 0 : 1;
   return result;

@@ -49,6 +49,7 @@ class DesignCache;
 
 namespace fti::sim {
 class Engine;
+struct EngineResult;
 }  // namespace fti::sim
 
 namespace fti::flow {
@@ -71,6 +72,15 @@ int lint_exit_code(std::size_t errors);
 bool rejects_vcd(const sim::Engine& engine,
                  const std::filesystem::path& vcd_path, std::ostream& err);
 
+/// The per-partition table verify and run print (cycles, events, wall
+/// time, FSM coverage).
+void print_partition_table(const sim::EngineResult& run, std::ostream& out);
+
+/// The "wrote FILE" lines verify and run print once their --vcd and
+/// --save files are written.
+void print_dumps(const std::filesystem::path& vcd_path,
+                 const harness::MemoryFiles& saves, std::ostream& out);
+
 // ---------------------------------------------------------------- verify
 
 struct VerifyRequest {
@@ -83,18 +93,17 @@ struct VerifyRequest {
   std::uint64_t lane_seed = 1;
   /// Artefact directory (--emit); empty keeps the round-trip in memory.
   std::filesystem::path emit_dir;
-  /// VCD dump / final-memory saves need an instrumented re-run of the
-  /// compiled design, so a request with either set always runs cold
-  /// (the cache is bypassed).
+  /// VCD dump (--vcd) and final-memory saves (--save) of the verified
+  /// run's lane 0 (harness::VerifyOptions).
   std::filesystem::path vcd_path;
-  std::vector<std::pair<std::string, std::filesystem::path>> saves;
+  harness::MemoryFiles saves;
   /// Cosimulate the emitted Verilog with an external simulator (--xsim).
   /// A disagreement exits 1; a missing simulator prints a loud skip line
   /// and leaves the exit code untouched.
   bool xsim = false;
-  /// Re-run lane 0 under 4-state X/Z semantics (--4state).  Findings are
-  /// warnings: a run that passes everything else but has 4-state findings
-  /// exits 4, like a lint-warning run.
+  /// Re-run every lane's stimulus under 4-state X/Z semantics (--4state).
+  /// Findings are warnings: a run that passes everything else but has
+  /// 4-state findings exits 4, like a lint-warning run.
   bool four_state = false;
 };
 
@@ -160,7 +169,7 @@ struct RunDesignRequest {
   std::string engine = "event";
   std::uint64_t max_cycles = 50'000'000;
   std::filesystem::path vcd_path;
-  std::vector<std::pair<std::string, std::filesystem::path>> saves;
+  harness::MemoryFiles saves;
 };
 
 struct RunDesignResult {

@@ -1,13 +1,7 @@
 #include <iostream>
 
-#include "fti/cache/design_cache.hpp"
-#include "fti/compiler/parser.hpp"
-#include "fti/compiler/sema.hpp"
 #include "fti/elab/engines.hpp"
 #include "fti/flow/flow.hpp"
-#include "fti/mem/memfile.hpp"
-#include "fti/sim/vcd.hpp"
-#include "fti/util/file_io.hpp"
 #include "fti/util/table.hpp"
 
 namespace fti::flow {
@@ -24,12 +18,34 @@ bool rejects_vcd(const sim::Engine& engine,
   return true;
 }
 
+void print_partition_table(const sim::EngineResult& run, std::ostream& out) {
+  util::TextTable table(
+      {"partition", "cycles", "events", "wall (s)", "fsm coverage"});
+  for (const auto& partition : run.partitions) {
+    table.add_row({partition.node, util::format_count(partition.cycles),
+                   util::format_count(partition.stats.events),
+                   util::format_double(partition.wall_seconds, 3),
+                   util::format_double(partition.coverage.percent(), 1) +
+                       "%"});
+  }
+  out << table.to_string();
+}
+
+void print_dumps(const std::filesystem::path& vcd_path,
+                 const harness::MemoryFiles& saves, std::ostream& out) {
+  if (!vcd_path.empty()) {
+    out << "wrote " << vcd_path.string() << "\n";
+  }
+  for (const auto& save : saves) {
+    out << "wrote " << save.second.string() << "\n";
+  }
+}
+
 VerifyResult run_verify(const VerifyRequest& request,
                         const FlowContext& context, std::ostream& out,
                         std::ostream& err) {
   VerifyResult result;
   const harness::TestCase& test = request.test;
-  bool instrumented = !request.vcd_path.empty() || !request.saves.empty();
   auto engine = elab::make_engine(request.engine);
   // A usage error, so it is raised before any verification work.
   if (rejects_vcd(*engine, request.vcd_path, err)) {
@@ -44,12 +60,12 @@ VerifyResult run_verify(const VerifyRequest& request,
   options.semantic = request.semantic;
   options.lanes = request.lanes;
   options.lane_seed = request.lane_seed;
-  // The instrumented re-run below replays outcome.compiled.design, which
-  // a warm (cache-hit) outcome does not carry -- force cold.
-  options.design_cache = instrumented ? nullptr : context.design_cache;
+  options.design_cache = context.design_cache;
   options.cancel = context.cancel;
   options.xsim = request.xsim;
   options.four_state = request.four_state;
+  options.vcd_path = request.vcd_path;
+  options.saves = request.saves;
   result.outcome = harness::run_test_case(test, options);
   const harness::VerifyOutcome& outcome = result.outcome;
 
@@ -66,16 +82,7 @@ VerifyResult run_verify(const VerifyRequest& request,
       out << "  mismatching words: " << outcome.mismatches << "\n";
     }
   }
-  util::TextTable table(
-      {"partition", "cycles", "events", "wall (s)", "fsm coverage"});
-  for (const auto& partition : outcome.run.partitions) {
-    table.add_row({partition.node, util::format_count(partition.cycles),
-                   util::format_count(partition.stats.events),
-                   util::format_double(partition.wall_seconds, 3),
-                   util::format_double(partition.coverage.percent(), 1) +
-                       "%"});
-  }
-  out << table.to_string();
+  print_partition_table(outcome.run, out);
   for (const auto& partition : outcome.run.partitions) {
     if (!partition.coverage.full()) {
       out << "note: weak test case -- " << partition.coverage.to_string()
@@ -132,33 +139,7 @@ VerifyResult run_verify(const VerifyRequest& request,
         << "\n";
   }
 
-  // Optional VCD / saved memories need an instrumented re-run.
-  if (instrumented) {
-    compiler::Program program = compiler::parse_program(test.source);
-    compiler::SemaInfo sema = compiler::check_program(program);
-    mem::MemoryPool pool;
-    for (const auto& [name, param] : sema.arrays) {
-      pool.create(name, param.array_size, compiler::width_of(param.type));
-    }
-    for (const auto& [name, values] : test.inputs) {
-      harness::load_inputs(pool, name, values);
-    }
-    sim::VcdWriter vcd(test.name);
-    sim::EngineRunOptions run_options;
-    run_options.max_cycles_per_partition = test.max_cycles;
-    if (!request.vcd_path.empty()) {
-      vcd.trace(run_options);
-    }
-    engine->run(outcome.compiled.design, pool, run_options);
-    if (!request.vcd_path.empty()) {
-      vcd.write_file(request.vcd_path);
-      out << "wrote " << request.vcd_path.string() << "\n";
-    }
-    for (const auto& [array, file] : request.saves) {
-      mem::save_mem_file(pool.get(array), file);
-      out << "wrote " << file.string() << "\n";
-    }
-  }
+  print_dumps(request.vcd_path, request.saves, out);
   result.exit_code = outcome.passed ? (dirty_lanes == 0 ? 0 : 4) : 1;
   return result;
 }

@@ -16,6 +16,7 @@
 #include "fti/lint/lint.hpp"
 #include "fti/mem/memfile.hpp"
 #include "fti/sim/bits.hpp"
+#include "fti/sim/vcd.hpp"
 #include "fti/util/error.hpp"
 #include "fti/util/file_io.hpp"
 #include "fti/util/strings.hpp"
@@ -52,6 +53,33 @@ void prime_pool(const compiler::SemaInfo& sema, const TestCase& test,
       throw util::IoError("test case feeds unknown array '" + name + "'");
     }
     load_inputs(pool, name, values);
+  }
+}
+
+/// `array`'s post-run image in a simulated lane's pool.  An array the
+/// design never referenced (possible with embedded inputs, where only
+/// referenced memories exist) is created holding its unchanged initial
+/// values.  Only lane 0 can lack one: random lanes pre-create every array.
+const mem::MemoryImage& final_image(const compiler::SemaInfo& sema,
+                                    const TestCase& test,
+                                    const std::string& array,
+                                    mem::MemoryPool& pool) {
+  if (!pool.contains(array)) {
+    const auto& param = sema.arrays.at(array);
+    pool.create(array, param.array_size, compiler::width_of(param.type));
+    auto values = test.inputs.find(array);
+    if (values != test.inputs.end()) {
+      load_inputs(pool, array, values->second);
+    }
+  }
+  return pool.get(array);
+}
+
+/// Writes lane 0's post-run image of each (array, file) pair.
+void save_memories(const compiler::SemaInfo& sema, const TestCase& test,
+                   const MemoryFiles& files, mem::MemoryPool& pool) {
+  for (const auto& [array, file] : files) {
+    mem::save_mem_file(final_image(sema, test, array, pool), file);
   }
 }
 
@@ -233,6 +261,11 @@ VerifyOutcome run_test_case(const TestCase& test,
   //    XML round-trip -- is memoizable.
   compiler::Program program = compiler::parse_program(test.source);
   compiler::SemaInfo sema = compiler::check_program(program);
+  for (const auto& [array, file] : options.saves) {
+    if (sema.arrays.find(array) == sema.arrays.end()) {
+      throw util::IoError("test case saves unknown array '" + array + "'");
+    }
+  }
 
   const bool cacheable = options.design_cache != nullptr &&
                          !options.post_compile && options.emit_dir.empty();
@@ -375,7 +408,9 @@ VerifyOutcome run_test_case(const TestCase& test,
   //    Lane 0 of an embedded-inputs test keeps its pool empty so
   //    elaboration applies the baked power-up contents; random lanes
   //    always pre-prime, which overrides the baked init -- engines apply
-  //    <memory init=...> only to images the pool does not hold yet.
+  //    <memory init=...> only to images the pool does not hold yet.  Lane
+  //    0's run is also the one dumped: its VCD here, its memory files at
+  //    either exit below.
   watch.reset();
   auto prime_stimulus = [&](std::deque<mem::MemoryPool>& pools,
                             std::uint32_t lanes) {
@@ -396,10 +431,17 @@ VerifyOutcome run_test_case(const TestCase& test,
       prime_stimulus(sim_pools, lane_count);
   sim::EngineRunOptions run_options;
   run_options.max_cycles_per_partition = test.max_cycles;
+  std::optional<sim::VcdWriter> vcd;
+  if (!options.vcd_path.empty()) {
+    vcd.emplace(test.name).trace(run_options);
+  }
   std::vector<sim::EngineResult> runs =
       engine->run_batch(*checked, lane_ptrs, run_options);
   outcome.sim_seconds = watch.seconds();
   check_cancel(options);
+  if (vcd) {
+    vcd->write_file(options.vcd_path);
+  }
   for (std::uint32_t lane = 0; lane < lane_count; ++lane) {
     if (!runs[lane].completed) {
       outcome.passed = false;
@@ -409,6 +451,7 @@ VerifyOutcome run_test_case(const TestCase& test,
           "' stopped with reason '" +
           sim::to_string(runs[lane].partitions.back().reason) + "'";
       outcome.run = std::move(runs[lane]);
+      save_memories(sema, test, options.saves, sim_pools[0]);
       if (!options.emit_dir.empty()) {
         util::write_file(options.emit_dir / (test.name + ".verdict"),
                          outcome.message + "\n");
@@ -432,20 +475,8 @@ VerifyOutcome run_test_case(const TestCase& test,
     mem::MemoryPool& sim_pool = sim_pools[lane];
     for (const std::string& array : arrays) {
       const mem::MemoryImage& expected = golden_pool.get(array);
-      if (!sim_pool.contains(array)) {
-        // The design never referenced this array (possible with embedded
-        // inputs, where only referenced memories exist): its contents are
-        // the unchanged initial values.  Only lane 0 can get here; random
-        // lanes pre-create every array.
-        const auto& param = sema.arrays.at(array);
-        sim_pool.create(array, param.array_size,
-                        compiler::width_of(param.type));
-        auto values = test.inputs.find(array);
-        if (values != test.inputs.end()) {
-          load_inputs(sim_pool, array, values->second);
-        }
-      }
-      const mem::MemoryImage& actual = sim_pool.get(array);
+      const mem::MemoryImage& actual =
+          final_image(sema, test, array, sim_pool);
       for (std::size_t i = 0; i < expected.depth(); ++i) {
         if (expected.words()[i] != actual.words()[i]) {
           if (outcome.mismatches == 0) {
@@ -492,16 +523,17 @@ VerifyOutcome run_test_case(const TestCase& test,
     }
   }
 
+  MemoryFiles files = options.saves;
   if (!options.emit_dir.empty()) {
     for (const std::string& array : arrays) {
-      mem::save_mem_file(sim_pools[0].get(array),
-                         options.emit_dir / (test.name + "." + array +
-                                             ".dat"));
+      files.emplace_back(array,
+                         options.emit_dir / (test.name + "." + array + ".dat"));
     }
     util::write_file(options.emit_dir / (test.name + ".verdict"),
                      (outcome.passed ? "PASS" : "FAIL: " + outcome.message) +
                          "\n");
   }
+  save_memories(sema, test, files, sim_pools[0]);
   return outcome;
 }
 

@@ -21,6 +21,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fti/cache/design_cache.hpp"
@@ -49,6 +50,9 @@ struct TestCase {
   bool embed_inputs = false;
   std::uint64_t max_cycles = 50'000'000;
 };
+
+/// (array, file) pairs of memory images written after a run.
+using MemoryFiles = std::vector<std::pair<std::string, std::filesystem::path>>;
 
 struct VerifyOptions {
   /// Directory for on-disk artefacts (XML file set, dot, hds, VHDL,
@@ -114,6 +118,14 @@ struct VerifyOptions {
   /// static FTI-L010 sibling; the flow layer maps them onto the warning
   /// exit code.
   bool four_state = false;
+  /// Dumps of lane 0's simulated run (`fti verify --vcd`, `--save`): a
+  /// VCD of its first partition (the engine must support tracing) and
+  /// the post-run images of the named arrays.  Written whenever the
+  /// simulation ran, a FAIL or an incomplete run included; nothing is
+  /// written when the lint gate blocks or the run throws.  An array the
+  /// design never referenced saves its initial contents.
+  std::filesystem::path vcd_path;
+  MemoryFiles saves;
 };
 
 /// Line counts of the kernel source and of every artefact written to

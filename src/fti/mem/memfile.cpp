@@ -108,30 +108,4 @@ void save_mem_file(const MemoryImage& image,
   util::write_file(path, to_mem_text(image));
 }
 
-std::vector<std::uint64_t> parse_stimulus_text(const std::string& text) {
-  std::vector<std::uint64_t> out;
-  int line_number = 0;
-  for (const std::string& raw : util::split(text, '\n')) {
-    ++line_number;
-    std::string_view line = strip_comment(raw);
-    if (line.empty()) {
-      continue;
-    }
-    try {
-      for (const std::string& token : util::split_whitespace(line)) {
-        out.push_back(util::parse_u64(token));
-      }
-    } catch (const util::Error& e) {
-      throw util::IoError("stimulus line " + std::to_string(line_number) +
-                          ": " + e.what());
-    }
-  }
-  return out;
-}
-
-std::vector<std::uint64_t> load_stimulus_file(
-    const std::filesystem::path& path) {
-  return parse_stimulus_text(util::read_file(path));
-}
-
 }  // namespace fti::mem

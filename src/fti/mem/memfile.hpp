@@ -39,9 +39,4 @@ std::string to_mem_text(const MemoryImage& image);
 void save_mem_file(const MemoryImage& image,
                    const std::filesystem::path& path);
 
-/// Plain value-per-line list of words.
-std::vector<std::uint64_t> parse_stimulus_text(const std::string& text);
-std::vector<std::uint64_t> load_stimulus_file(
-    const std::filesystem::path& path);
-
 }  // namespace fti::mem

@@ -60,10 +60,15 @@ std::vector<EngineResult> Engine::run_batch(
     const std::vector<mem::MemoryPool*>& lanes,
     const EngineRunOptions& options) {
   check_batch_lanes(lanes);
+  // The tracer and the netlist hook watch lane 0 only (engine.hpp).
+  EngineRunOptions later_lanes = options;
+  later_lanes.tracer = nullptr;
+  later_lanes.on_netlist = nullptr;
   std::vector<EngineResult> results;
   results.reserve(lanes.size());
-  for (mem::MemoryPool* pool : lanes) {
-    results.push_back(run(design, *pool, options));
+  for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
+    results.push_back(
+        run(design, *lanes[lane], lane == 0 ? options : later_lanes));
   }
   return results;
 }

@@ -52,11 +52,14 @@ struct EngineRunOptions {
   bool collect_wire_data = false;
   /// Tracer (e.g. a VcdWriter) installed on the first partition only: a
   /// tracer watches nets by identity and each partition owns a fresh
-  /// netlist.  Only engines with supports_tracing() honour this.
+  /// netlist.  Likewise run_batch gives it to lane 0 only, since a later
+  /// lane's nets can reuse the addresses of lane 0's freed ones.  Only
+  /// engines with supports_tracing() honour this.
   Tracer* tracer = nullptr;
   /// Netlist-building engines call this after each partition's netlist is
   /// elaborated and before it runs (probe/watch attachment).  The netlist
-  /// is destroyed when the partition is torn down.
+  /// is destroyed when the partition is torn down.  run_batch calls it
+  /// for lane 0 only, like the tracer.
   std::function<void(const std::string& node, Netlist& netlist)> on_netlist;
 };
 
@@ -138,7 +141,8 @@ class Engine {
   /// SimError raised by any lane mid-run (bad memory write, combinational
   /// loop) aborts the whole batch.  The base implementation loops run()
   /// lane by lane, so every engine accepts batches; engines that override
-  /// it (the `batched` engine) evaluate all lanes in one sweep.
+  /// it (the `batched` engine) evaluate all lanes in one sweep.  Only lane
+  /// 0 gets `options.tracer` and `options.on_netlist`.
   virtual std::vector<EngineResult> run_batch(
       const elab::CheckedDesign& design,
       const std::vector<mem::MemoryPool*>& lanes,

@@ -733,6 +733,39 @@ TEST(EngineRunBatch, DefaultImplementationLoopsSingleLaneRuns) {
   }
 }
 
+TEST(EngineRunBatch, DefaultImplementationTracesLaneZeroOnly) {
+  // A tracer watches nets by identity, so a later lane's nets (which can
+  // reuse lane 0's freed addresses) must never reach it.
+  struct CountingTracer : sim::Tracer {
+    std::size_t changes = 0;
+    std::size_t finishes = 0;
+    void on_change(sim::Time, const sim::Net&) override { ++changes; }
+    void on_finish(sim::Time) override { ++finishes; }
+  };
+  ir::Design design = accumulator_design(10);
+  CountingTracer single_tracer;
+  sim::EngineRunOptions single_options;
+  single_options.tracer = &single_tracer;
+  mem::MemoryPool single;
+  elab::make_engine("event")->run(design, single, single_options);
+
+  CountingTracer tracer;
+  std::size_t netlists = 0;
+  sim::EngineRunOptions options;
+  options.tracer = &tracer;
+  options.on_netlist = [&](const std::string&, sim::Netlist&) { ++netlists; };
+  std::deque<mem::MemoryPool> pools(3);
+  std::vector<mem::MemoryPool*> ptrs;
+  for (mem::MemoryPool& pool : pools) {
+    ptrs.push_back(&pool);
+  }
+  elab::make_engine("event")->run_batch(design, ptrs, options);
+  EXPECT_EQ(netlists, 1u);
+  EXPECT_EQ(tracer.finishes, 1u);
+  EXPECT_GT(tracer.changes, 0u);
+  EXPECT_EQ(tracer.changes, single_tracer.changes);
+}
+
 TEST(EngineRunBatch, RejectsZeroLanes) {
   ir::Design design = accumulator_design(3);
   std::vector<mem::MemoryPool*> no_lanes;

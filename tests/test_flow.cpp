@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
 #include <sstream>
 
 #include "fti/cache/design_cache.hpp"
 #include "fti/flow/flow.hpp"
+#include "fti/harness/suite_io.hpp"
+#include "fti/mem/memfile.hpp"
+#include "fti/obs/metrics.hpp"
 #include "fti/util/error.hpp"
+#include "fti/util/file_io.hpp"
 #include "fti/util/json_reader.hpp"
 
 namespace fti::flow {
@@ -87,7 +92,34 @@ TEST(FlowVerify, UsesContextCacheOnRepeat) {
   EXPECT_TRUE(warm.outcome.cache_hit);
 }
 
-TEST(FlowVerify, InstrumentedRequestsRunCold) {
+/// A fresh directory under the system temp dir, removed on scope exit.
+struct ScratchDir {
+  explicit ScratchDir(const std::string& name)
+      : path(std::filesystem::temp_directory_path() / ("fti_flow_" + name)) {
+    std::filesystem::remove_all(path);
+    std::filesystem::create_directories(path);
+  }
+  ~ScratchDir() { std::filesystem::remove_all(path); }
+  std::filesystem::path path;
+};
+
+std::filesystem::path example_kernel(const std::string& name) {
+  return std::filesystem::path(FTI_TEST_DATA_DIR).parent_path().parent_path() /
+         "examples" / "kernels" / (name + ".k");
+}
+
+/// Enables obs for the scope, restoring the previous setting after.
+class ObsOn {
+ public:
+  ObsOn() : was_enabled_(obs::enabled()) { obs::set_enabled(true); }
+  ~ObsOn() { obs::set_enabled(was_enabled_); }
+
+ private:
+  bool was_enabled_;
+};
+
+TEST(FlowVerify, DumpingRequestServedWarmWritesTheColdBytes) {
+  ScratchDir dir("warm_dumps");
   cache::DesignCache cache(4);
   FlowContext context;
   context.design_cache = &cache;
@@ -96,12 +128,141 @@ TEST(FlowVerify, InstrumentedRequestsRunCold) {
   std::ostringstream out;
   std::ostringstream err;
   run_verify(request, context, out, err);  // populate
-  request.vcd_path =
-      std::filesystem::temp_directory_path() / "fti_flow_test.vcd";
-  VerifyResult traced = run_verify(request, context, out, err);
-  EXPECT_EQ(traced.exit_code, 0);
-  EXPECT_FALSE(traced.outcome.cache_hit);
-  std::filesystem::remove(request.vcd_path);
+
+  request.vcd_path = dir.path / "warm.vcd";
+  request.saves = {{"b", dir.path / "warm.b.dat"}};
+  out.str("");
+  VerifyResult warm = run_verify(request, context, out, err);
+  EXPECT_EQ(warm.exit_code, 0);
+  EXPECT_TRUE(warm.outcome.cache_hit);
+  EXPECT_NE(out.str().find("wrote " + request.vcd_path.string() + "\nwrote " +
+                           request.saves[0].second.string() + "\n"),
+            std::string::npos)
+      << out.str();
+
+  VerifyRequest cold_request = request;
+  cold_request.vcd_path = dir.path / "cold.vcd";
+  cold_request.saves = {{"b", dir.path / "cold.b.dat"}};
+  VerifyResult cold = run_verify(cold_request, FlowContext{}, out, err);
+  EXPECT_FALSE(cold.outcome.cache_hit);
+  const std::string vcd = util::read_file(request.vcd_path);
+  EXPECT_NE(vcd.find("$enddefinitions"), std::string::npos);
+  EXPECT_EQ(vcd, util::read_file(cold_request.vcd_path));
+  EXPECT_EQ(util::read_file(request.saves[0].second),
+            util::read_file(cold_request.saves[0].second));
+}
+
+TEST(FlowVerify, ColdDumpingVerifySimulatesEachConfigurationOnce) {
+  // The dumps come from the verified run itself: no second simulation
+  // and no second check of the design.
+  ObsOn obs_on;
+  obs::Counter& partitions = obs::counter("engine.partitions");
+  obs::Counter& validations = obs::counter("ir.validations");
+  ScratchDir dir("cold_dumps");
+  for (const char* name : {"saxpy", "clip"}) {
+    SCOPED_TRACE(name);
+    VerifyRequest request;
+    request.test = harness::load_test_case(example_kernel(name));
+    request.vcd_path = dir.path / (std::string(name) + ".vcd");
+    for (const std::string& array : request.test.check_arrays) {
+      request.saves.emplace_back(array, dir.path / (array + ".dat"));
+    }
+    std::ostringstream out;
+    std::ostringstream err;
+    const std::uint64_t partitions_before = partitions.value();
+    const std::uint64_t validations_before = validations.value();
+    VerifyResult result = run_verify(request, FlowContext{}, out, err);
+    ASSERT_EQ(result.exit_code, 0) << out.str() << err.str();
+    const std::size_t configurations =
+        result.outcome.compiled.design.configuration_count();
+    EXPECT_EQ(partitions.value() - partitions_before, configurations);
+    EXPECT_EQ(validations.value() - validations_before, configurations);
+    EXPECT_TRUE(std::filesystem::exists(request.vcd_path));
+  }
+}
+
+TEST(FlowVerify, VcdOfFourLanesIsLaneZerosDump) {
+  ScratchDir dir("lanes_vcd");
+  VerifyRequest request;
+  request.test = harness::load_test_case(example_kernel("saxpy"));
+  std::ostringstream out;
+  std::ostringstream err;
+  request.vcd_path = dir.path / "one.vcd";
+  ASSERT_EQ(run_verify(request, FlowContext{}, out, err).exit_code, 0);
+  request.lanes = 4;
+  request.vcd_path = dir.path / "four.vcd";
+  ASSERT_EQ(run_verify(request, FlowContext{}, out, err).exit_code, 0);
+  EXPECT_EQ(util::read_file(dir.path / "one.vcd"),
+            util::read_file(dir.path / "four.vcd"));
+}
+
+TEST(FlowVerify, SaveWritesWhatEmitWrites) {
+  ScratchDir dir("save_emit");
+  VerifyRequest request;
+  request.test = harness::load_test_case(example_kernel("saxpy"));
+  request.emit_dir = dir.path / "emit";
+  request.saves = {{"y", dir.path / "y.dat"}};
+  std::ostringstream out;
+  std::ostringstream err;
+  ASSERT_EQ(run_verify(request, FlowContext{}, out, err).exit_code, 0);
+  EXPECT_EQ(util::read_file(dir.path / "y.dat"),
+            util::read_file(request.emit_dir / "saxpy.y.dat"));
+}
+
+TEST(FlowVerify, SaveOfAnUntouchedRomArrayWritesItsInitialContents) {
+  // With the inputs baked in, memories the design never references are
+  // never created, yet their save still holds the declared inputs.
+  ScratchDir dir("save_untouched");
+  VerifyRequest request;
+  request.test.name = "untouched";
+  request.test.source =
+      "kernel untouched(int x[4], int y[4], int n) {\n"
+      "  int i;\n"
+      "  for (i = 0; i < n; i = i + 1) { y[i] = i; }\n"
+      "}\n";
+  request.test.scalar_args = {{"n", 4}};
+  request.test.inputs = {{"x", {5, 6, 7, 8}}};
+  request.test.check_arrays = {"y"};
+  request.test.embed_inputs = true;
+  request.saves = {{"x", dir.path / "x.dat"}};
+  std::ostringstream out;
+  std::ostringstream err;
+  ASSERT_EQ(run_verify(request, FlowContext{}, out, err).exit_code, 0)
+      << out.str() << err.str();
+  mem::MemoryImage expected("x", 4, 32);
+  for (std::size_t i = 0; i < 4; ++i) {
+    expected.write(i, 5 + i);
+  }
+  EXPECT_EQ(util::read_file(dir.path / "x.dat"), mem::to_mem_text(expected));
+}
+
+TEST(FlowVerify, IncompleteRunStillWritesItsDumps) {
+  ScratchDir dir("incomplete_dumps");
+  VerifyRequest request;
+  request.test = square_case();
+  request.test.max_cycles = 5;
+  request.vcd_path = dir.path / "cut.vcd";
+  request.saves = {{"b", dir.path / "b.dat"}};
+  std::ostringstream out;
+  std::ostringstream err;
+  VerifyResult result = run_verify(request, FlowContext{}, out, err);
+  EXPECT_EQ(result.exit_code, 1);
+  EXPECT_NE(out.str().find("did not complete"), std::string::npos);
+  EXPECT_TRUE(std::filesystem::exists(request.vcd_path));
+  EXPECT_TRUE(std::filesystem::exists(request.saves[0].second));
+}
+
+TEST(FlowVerify, SaveOfAnUnknownArrayThrowsBeforeWritingAnything) {
+  ScratchDir dir("save_unknown");
+  VerifyRequest request;
+  request.test = square_case();
+  request.vcd_path = dir.path / "v.vcd";
+  request.saves = {{"nope", dir.path / "nope.dat"}};
+  std::ostringstream out;
+  std::ostringstream err;
+  EXPECT_THROW(run_verify(request, FlowContext{}, out, err), util::IoError);
+  EXPECT_TRUE(out.str().empty());
+  EXPECT_FALSE(std::filesystem::exists(request.vcd_path));
 }
 
 TEST(FlowVerify, VcdOnUntracedEngineIsUsageErrorBeforeAnyWork) {

@@ -95,13 +95,6 @@ TEST(MemFile, RoundTripThroughDisk) {
   EXPECT_EQ(reloaded.read(9), 200u);
 }
 
-TEST(MemFile, StimulusParsing) {
-  auto values = parse_stimulus_text("# s\n1 2\n0x10\n");
-  ASSERT_EQ(values.size(), 3u);
-  EXPECT_EQ(values[2], 16u);
-  EXPECT_THROW(parse_stimulus_text("nope"), util::IoError);
-}
-
 /// One read-write port of the SRAM component elaboration builds.
 struct SramFixture {
   sim::Netlist netlist;
