@@ -12,6 +12,10 @@
 //             lane loop) and the bar is parity with sequential runs
 //   fuzz      a generator-produced design, the shape the 64-lane fuzz
 //             campaign sweeps
+//   Hamming   the decoder over seeded random codewords: its correction
+//             branch depends on each lane's words, so the lanes diverge
+//             and the batch advances the earliest FSM state's lanes
+//             first until they reconverge
 //
 // The single-lane side is 64 sequential "levelized" runs -- the same
 // engine at one lane.  Every run is cross-checked: per-lane cycles and
@@ -30,6 +34,7 @@
 #include "fti/fuzz/lanes.hpp"
 #include "fti/fuzz/reference.hpp"
 #include "fti/golden/fdct.hpp"
+#include "fti/golden/hamming.hpp"
 #include "fti/golden/rng.hpp"
 #include "fti/harness/testcase.hpp"
 #include "fti/util/cli.hpp"
@@ -332,6 +337,24 @@ int main(int argc, char** argv) {
     };
     BatchMeasure m = measure(design, prime, ropts);
     report_workload("fuzz design (seed 12)", m, table, report);
+  }
+
+  // Diverged lanes: Hamming over seeded random codewords, which take
+  // the correction branch at different words in every lane.
+  {
+    constexpr std::size_t kWords = 512;
+    std::string source = fti::golden::hamming_source(kWords);
+    fti::compiler::CompileOptions options;
+    options.scalar_args = {{"n", kWords}};
+    auto compiled = fti::compiler::compile_source(source, options);
+    auto prime = [&](std::uint32_t lane, fti::mem::MemoryPool& pool) {
+      pool.create("code", kWords, 8);
+      pool.create("data", kWords, 8);
+      fti::golden::Rng rng(lane + 1);
+      fti::harness::load_inputs(pool, "code", rng.sequence(kWords, 128));
+    };
+    BatchMeasure m = measure(compiled.design, prime, {});
+    report_workload("Hamming, diverged (512 words)", m, table, report);
   }
 
   std::cout << "=== batched vs single-lane runs, " << kLanes

@@ -5,7 +5,9 @@
 #include <cstdint>
 #include <map>
 #include <numeric>
+#include <optional>
 #include <set>
+#include <tuple>
 #include <utility>
 
 #include "fti/elab/levelized.hpp"
@@ -49,12 +51,19 @@ struct XLane {
 /// functions of ops/semantics.hpp, the single definition of the corner
 /// cases, so every lane's arithmetic matches the reference interpreter.
 ///
-/// Each cycle does work in proportion to what the occupied FSM states
-/// can observe, not to the design's size: the sweep evaluates only the
-/// union of their slices (slices.hpp), registers gated by FSM controls
-/// are looked up by state, the FSM steps a packed word of lanes at a
-/// time, and the lanes taking a transition drive only the controls it
-/// changes.
+/// Each edge advances only the lanes of one FSM state: of the states
+/// the active lanes occupy, the first in the slices' weak topological
+/// order (slices.hpp).  Lanes in later states wait with their registers,
+/// memories, pipelines and FSM frozen, as a finished lane does, until
+/// the lanes behind them catch up; each lane counts its own cycles, so
+/// it still sees exactly its single-lane run.  Lanes that never diverge
+/// all advance at every edge.  The sweep after an edge evaluates only
+/// the union of the slices of the states the advancing lanes entered.
+/// A waiting lane's values stay valid meanwhile: an op in a state's
+/// slice reads only ops of that slice, so recomputing one for the lane
+/// reproduces what it holds.  Registers gated by FSM controls are looked
+/// up by state, the FSM steps a packed word of lanes at a time, and the
+/// lanes taking a transition drive only the controls it changes.
 ///
 /// BatchedSim<true> is the 4-state mode (batched.hpp): bit_x_/wide_x_
 /// hold each wire's unknown mask at the same offsets as its values,
@@ -183,6 +192,7 @@ class BatchedSim {
         pipe.binop = unit.binop;
         pipe.width = slots_[pipe.out].width;
         pipe.latency = unit.latency;
+        pipe.heads.assign(lanes_, 0);
         pipe.ring.assign(std::size_t{unit.latency} * lanes_, 0);
         if constexpr (kFourState) {
           pipe.ring_x.assign(pipe.ring.size(), Bits::mask(pipe.width));
@@ -213,13 +223,12 @@ class BatchedSim {
     reg_next_.assign(scratch, 0);
     reg_next_x_.assign(kFourState ? scratch : 0, 0);
     reg_load_.assign(registers_.size() * words_, 0);
-    pending_.assign(registers_.size(), 0);
 
     const std::size_t states = resolved_.states.size();
     state_lanes_.assign(states * words_, 0);
-    next_lanes_.assign(states * words_, 0);
+    listed_.assign(states, 0);
     placed_.assign(states, 0);
-    occupied_set_.assign(slices_.state_words, 0);
+    entered_set_.assign(slices_.state_words, 0);
     for (const ir::StateSlots& state : resolved_.states) {
       transition_base_.push_back(transitions_);
       transitions_ += state.transitions.size();
@@ -243,12 +252,15 @@ class BatchedSim {
     active_.assign(words_, ~0ull);
     active_.back() &= tail_mask_;
     active_count_ = lanes_;
+    moving_ = active_;
+    moving_count_ = lanes_;
+    waited_.assign(lanes_, 0);
   }
 
   /// Schedule levels visited so far: every sweep walks all of them --
   /// the unit the obs `engine.levels_swept` counter aggregates.
   std::uint64_t levels_swept() const { return sweeps_ * depth_; }
-  /// Sum over sweeps of the number of lanes still active in each -- the
+  /// Sum over sweeps of the number of lanes advancing in each -- the
   /// unit the obs `engine.lane_sweeps` counter aggregates.
   std::uint64_t lane_sweeps() const { return lane_sweeps_; }
   /// Combinational ops evaluated so far, summed over sweeps -- the unit
@@ -274,18 +286,32 @@ class BatchedSim {
       }
     }
     // Every lane starts in the initial state, driving its controls.
+    const std::size_t initial = resolved_.initial;
     std::copy(active_.begin(), active_.end(),
-              state_lanes_.begin() + resolved_.initial * words_);
-    occupied_.push_back(resolved_.initial);
+              state_lanes_.begin() + initial * words_);
+    occupied_.push_back(initial);
+    listed_[initial] = 1;
+    entered_.push_back(initial);
     for (std::size_t w = 0; w < words_; ++w) {
       drive(slices_.power_up, w, active_[w]);
     }
     sweep();
+    const std::uint64_t budget = options_.max_cycles_per_partition;
     for (;;) {
-      // Done is checked before the budget, so a lane whose done rises in
-      // the same cycle the budget runs out still completes (the
-      // single-lane engines break the tie the same way).  An X on done
-      // reads as not done.
+      if (fault_) {
+        // A lane whose next edge comes after the fault's can no longer
+        // fault first.
+        for_each_active([&](std::size_t lane) {
+          if (lane_cycle(lane) > fault_->cycle) {
+            retire(lane);
+          }
+        });
+      }
+      // Only the lanes that just advanced can have changed.  Done is
+      // checked before the budget, so a lane whose done rises in the
+      // same cycle the budget runs out still completes (the single-lane
+      // engines break the tie the same way).  An X on done reads as not
+      // done.
       if constexpr (kFourState) {
         for_each_lane(
             [&](std::size_t w) { return unknown_where(resolved_.done, w); },
@@ -298,23 +324,25 @@ class BatchedSim {
             });
       }
       for_each_lane(
-          [&](std::size_t w) { return active_where(resolved_.done, w); },
+          [&](std::size_t w) { return moving_where(resolved_.done, w); },
           [&](std::size_t lane) {
             finish(results[lane], lane, sim::Kernel::StopReason::kDoneNet);
           });
+      // No lane has run more edges than the batch.
+      if (budget != 0 && cycle_ >= budget) {
+        for_each_moving([&](std::size_t lane) {
+          if (lane_cycle(lane) >= budget) {
+            finish(results[lane], lane, sim::Kernel::StopReason::kMaxTime);
+          }
+        });
+      }
       if (active_count_ == 0) {
         break;
       }
-      if (options_.max_cycles_per_partition != 0 &&
-          cycle_ >= options_.max_cycles_per_partition) {
-        for_each_active([&](std::size_t lane) {
-          finish(results[lane], lane, sim::Kernel::StopReason::kMaxTime);
-        });
-        break;
-      }
-      clock_edge();
-      sweep();
-      ++cycle_;
+      advance();
+    }
+    if (fault_) {
+      beyond_depth(*fault_);
     }
     return results;
   }
@@ -358,9 +386,11 @@ class BatchedSim {
     bool word;
     std::size_t next;  ///< offset of the sampled next value in reg_next_
   };
-  /// A latency-L unit keeps L lane vectors in a ring: the L-1 values in
-  /// flight from `head` on, oldest first, plus the slot the next sample
-  /// lands in (the same slot as `head` when L == 1).
+  /// A latency-L unit keeps L lane vectors in a ring: in each lane, the
+  /// L-1 values in flight from the lane's head on, oldest first, plus
+  /// the slot the next sample lands in (the head's own when L == 1).  A
+  /// lane's head is its cycle count modulo L, kept per lane because
+  /// waiting lanes fall behind.
   struct PipeOp {
     std::size_t out;
     std::size_t a;
@@ -368,7 +398,7 @@ class BatchedSim {
     ops::BinOp binop;
     std::uint32_t width;
     std::uint32_t latency;
-    std::size_t head = 0;
+    std::vector<std::uint32_t> heads;
     std::vector<std::uint64_t> ring;
     std::vector<std::uint64_t> ring_x;  ///< 4-state: the ring's masks
   };
@@ -389,6 +419,13 @@ class BatchedSim {
   struct MaskWrite {
     std::uint64_t* word;
     std::uint64_t unknown;
+  };
+  /// A write beyond a memory's depth, which aborts the batch.
+  struct Fault {
+    std::uint64_t cycle;  ///< the lane's cycle at the faulting edge
+    std::size_t port;     ///< position in writes_
+    std::size_t lane;
+    std::uint64_t address;
   };
   Exec classify(const CombOp& op) const {
     auto packed = [&](std::size_t wire) { return slots_[wire].packed; };
@@ -489,10 +526,10 @@ class BatchedSim {
                   [&](std::size_t lane) { put_x(wire, lane, unknown[lane]); });
   }
 
-  /// The active lanes of word `w` in which the 1-bit `wire` is X (none
-  /// for an absent port).
+  /// The advancing lanes of word `w` in which the 1-bit `wire` is X
+  /// (none for an absent port).
   std::uint64_t unknown_where(std::size_t wire, std::size_t w) const {
-    return wire == kNone ? 0 : active_[w] & bit_x_[slots_[wire].offset + w];
+    return wire == kNone ? 0 : moving_[w] & bit_x_[slots_[wire].offset + w];
   }
 
   /// True the first time `lane` sees X at `site` in this configuration
@@ -512,7 +549,8 @@ class BatchedSim {
                std::string message) {
     XLane& x = *x_lanes_[lane];
     if (x.seen.insert(node_ + "/" + object + "/" + message).second) {
-      x.report.findings.push_back({node_, object, cycle_, std::move(message)});
+      x.report.findings.push_back(
+          {node_, object, lane_cycle(lane), std::move(message)});
     }
   }
 
@@ -604,11 +642,22 @@ class BatchedSim {
     for_each_lane([&](std::size_t w) { return active_[w]; }, fn);
   }
 
-  /// The active lanes of word `w` in which the 1-bit `wire` is high.
+  template <typename Fn>
+  void for_each_moving(Fn&& fn) {
+    for_each_lane([&](std::size_t w) { return moving_[w]; }, fn);
+  }
+
+  /// The advancing lanes of word `w` in which the 1-bit `wire` is high.
   /// Enables, resets, write enables, statuses and done are all validated
   /// to be one bit wide, hence packed.
-  std::uint64_t active_where(std::size_t wire, std::size_t w) const {
-    return active_[w] & word_ptr(wire)[w];
+  std::uint64_t moving_where(std::size_t wire, std::size_t w) const {
+    return moving_[w] & word_ptr(wire)[w];
+  }
+
+  /// The edges `lane` has taken: every edge of the batch but those it
+  /// waited through.
+  std::uint64_t lane_cycle(std::size_t lane) const {
+    return cycle_ - waited_[lane];
   }
 
   std::uint64_t word_mask(std::size_t w) const {
@@ -630,9 +679,10 @@ class BatchedSim {
   }
 
   /// All-lane loop for a binop over unpacked operands into an unpacked
-  /// out.  Evaluating finished lanes too is safe -- their inputs are
-  /// frozen, so the recompute reproduces the value already stored -- and
-  /// keeps the loop branch-free over contiguous words.  The operator
+  /// out.  Evaluating waiting and finished lanes too is safe -- their
+  /// registers and memories are frozen, so the recompute reproduces any
+  /// value they read -- and keeps the loop branch-free over contiguous
+  /// words.  The operator
   /// switch runs once, outside the loop.
   void wide_bin(const CombOp& op) {
     const std::uint64_t* a = wide_ptr(op.ins[0]);
@@ -700,8 +750,8 @@ class BatchedSim {
     }
   }
 
-  /// Memory read port into an unpacked out.  Finished lanes' memories
-  /// are frozen, so the all-lane read reproduces stored values.
+  /// Memory read port into an unpacked out.  Waiting and finished lanes'
+  /// memories are frozen, so the all-lane read reproduces stored values.
   void wide_mem(const CombOp& op) {
     std::uint64_t* out = wide_ptr(op.out);
     const Slot& addr_slot = slots_[op.ins[0]];
@@ -748,17 +798,23 @@ class BatchedSim {
     }
   }
 
-  /// Adds `lanes` of word `w` to state `s` in the grouping the FSM step
-  /// is building.
-  void place(std::size_t s, std::size_t w, std::uint64_t lanes) {
+  /// Moves the advancing `lanes` of word `w` into state `s`, listing it
+  /// among the states this edge entered.
+  void enter(std::size_t s, std::size_t w, std::uint64_t lanes) {
     if (lanes == 0) {
       return;
     }
     if (placed_[s] != generation_) {
       placed_[s] = generation_;
-      next_occupied_.push_back(s);
+      entered_.push_back(s);
     }
-    next_lanes_[s * words_ + w] |= lanes;
+    state_lanes_[s * words_ + w] |= lanes;
+  }
+
+  /// Drops state `s` from the occupied list.
+  void vacate(std::size_t s) {
+    listed_[s] = 0;
+    occupied_.erase(std::find(occupied_.begin(), occupied_.end(), s));
   }
 
   void eval_lane(const CombOp& op, std::size_t lane) {
@@ -834,17 +890,42 @@ class BatchedSim {
     put_x(op.out, lane, out.x);
   }
 
+  /// Advances the lanes of the earliest occupied state by one edge and
+  /// sweeps the states they entered.
+  void advance() {
+    std::size_t s = occupied_.front();
+    for (std::size_t t : occupied_) {
+      if (slices_.order[t] < slices_.order[s]) {
+        s = t;
+      }
+    }
+    const std::uint64_t* lanes = state_lanes_.data() + s * words_;
+    std::copy(lanes, lanes + words_, moving_.begin());
+    moving_count_ = active_count_;
+    if (occupied_.size() > 1) {
+      moving_count_ = 0;
+      for (std::size_t w = 0; w < words_; ++w) {
+        moving_count_ += static_cast<std::size_t>(std::popcount(moving_[w]));
+      }
+      for_each_lane([&](std::size_t w) { return active_[w] & ~moving_[w]; },
+                    [&](std::size_t lane) { ++waited_[lane]; });
+    }
+    clock_edge(s);
+    sweep();
+    ++cycle_;
+  }
+
   /// One rank-ordered pass over all lanes of the ops in the slices of
-  /// the occupied states (slices.hpp): the one state's list when every
-  /// active lane is in it, otherwise each op whose state set meets the
-  /// occupied set.  An op outside those slices keeps a stale value no
-  /// active lane reads before it is next evaluated.
+  /// the states the advancing lanes entered (slices.hpp): the one
+  /// state's list when they all entered one, otherwise each op whose
+  /// state set meets the entered set.  An op outside those slices keeps
+  /// a stale value no advancing lane reads before it is next evaluated.
   void sweep() {
     ++sweeps_;
-    lane_sweeps_ += active_count_;
-    if (occupied_.size() == 1) {
+    lane_sweeps_ += moving_count_;
+    if (entered_.size() == 1) {
       const std::vector<std::uint32_t>& ops =
-          slices_.states[occupied_.front()].ops;
+          slices_.states[entered_.front()].ops;
       ops_swept_ += ops.size();
       for (std::uint32_t op : ops) {
         eval(comb_[op]);
@@ -852,15 +933,15 @@ class BatchedSim {
       return;
     }
     const std::size_t state_words = slices_.state_words;
-    std::fill(occupied_set_.begin(), occupied_set_.end(), 0);
-    for (std::size_t s : occupied_) {
-      occupied_set_[s / 64] |= 1ull << (s % 64);
+    std::fill(entered_set_.begin(), entered_set_.end(), 0);
+    for (std::size_t s : entered_) {
+      entered_set_[s / 64] |= 1ull << (s % 64);
     }
     const std::uint64_t* states = slices_.op_states.data();
     for (std::size_t op = 0; op < comb_.size(); ++op, states += state_words) {
       std::uint64_t meets = 0;
       for (std::size_t k = 0; k < state_words; ++k) {
-        meets |= states[k] & occupied_set_[k];
+        meets |= states[k] & entered_set_[k];
       }
       if (meets != 0) {
         ++ops_swept_;
@@ -870,8 +951,9 @@ class BatchedSim {
   }
 
   /// Evaluates one op.  Word- and wide-classified ops evaluate every lane
-  /// (finished lanes recompute the same frozen values, which is harmless
-  /// and branch-free); lane loops skip finished lanes.
+  /// (waiting and finished lanes recompute the values they hold, which
+  /// is harmless and branch-free); lane loops visit only the advancing
+  /// lanes.
   void eval(const CombOp& op) {
     switch (op.exec) {
       case Exec::kWordBin: {
@@ -935,46 +1017,40 @@ class BatchedSim {
         wide_mem(op);
         break;
       case Exec::kLaneLoop:
-        for_each_active([&](std::size_t lane) { eval_lane(op, lane); });
+        for_each_moving([&](std::size_t lane) { eval_lane(op, lane); });
         break;
       case Exec::kXLane:
         if constexpr (kFourState) {
-          for_each_active([&](std::size_t lane) { eval_lane_x(op, lane); });
+          for_each_moving([&](std::size_t lane) { eval_lane_x(op, lane); });
         }
         break;
     }
   }
 
-  /// Two-phase edge: sample registers, pipeline stages and memory
-  /// writes against settled pre-edge values (out-of-range writes throw
-  /// here, before any commit), step each lane's FSM on pre-edge statuses,
-  /// then commit.  Only active lanes commit -- a finished lane's
-  /// registers, memories and FSM freeze.  A register loads in the active
-  /// lanes where its enable or reset is high; one that loads in no lane
-  /// is neither sampled nor committed.  In 4-state mode an X on a
-  /// scanned register's enable or reset also loads (all-X), and X on a
-  /// write port or a guard is a finding.
-  void clock_edge() {
-    for (std::size_t s : occupied_) {
-      const std::uint64_t* lanes = state_lanes_.data() + s * words_;
-      for (std::size_t r : slices_.states[s].loads) {
-        if (pending_[r] == 0) {
-          pending_[r] = 1;
-          loaded_.push_back(r);
-        }
-        std::uint64_t* load = reg_load_.data() + r * words_;
-        for (std::size_t w = 0; w < words_; ++w) {
-          load[w] |= lanes[w];
-        }
-      }
+  /// Two-phase edge of the lanes advancing out of state `s`: sample
+  /// registers, pipeline stages and memory writes against settled
+  /// pre-edge values, step the lanes' FSM on pre-edge statuses, then
+  /// commit.  Only advancing lanes commit -- a waiting or finished
+  /// lane's registers, memories and FSM freeze.  A register loads in the
+  /// advancing lanes where its enable or reset is high; one that loads
+  /// in no lane is neither sampled nor committed.  An out-of-range write
+  /// is recorded as the batch's fault (the one it will name if no lane
+  /// faults before it) and skipped.  In 4-state mode an X on a scanned
+  /// register's enable or reset also loads (all-X), and X on a write
+  /// port or a guard is a finding.
+  void clock_edge(std::size_t s) {
+    for (std::size_t r : slices_.states[s].loads) {
+      loaded_.push_back(r);
+      std::copy(moving_.begin(), moving_.end(),
+                reg_load_.begin() + r * words_);
     }
     for (std::size_t r : slices_.scanned) {
       const RegOp& reg = registers_[r];
       std::uint64_t* load = reg_load_.data() + r * words_;
       std::uint64_t any = 0;
       for (std::size_t w = 0; w < words_; ++w) {
-        load[w] = (reg.en == kNone ? active_[w] : active_where(reg.en, w)) |
-                  (reg.rst == kNone ? 0 : active_where(reg.rst, w)) |
+        load[w] = (reg.en == kNone ? moving_[w] : moving_where(reg.en, w)) |
+                  (reg.rst == kNone ? 0 : moving_where(reg.rst, w)) |
                   (kFourState
                        ? unknown_where(reg.en, w) | unknown_where(reg.rst, w)
                        : 0);
@@ -1016,97 +1092,106 @@ class BatchedSim {
       }
     }
     for (PipeOp& pipe : pipelined_) {
-      std::size_t slot = (pipe.head + pipe.latency - 1) % pipe.latency;
-      std::uint64_t* sample = pipe.ring.data() + slot * lanes_;
-      const std::uint64_t mask = Bits::mask(pipe.width);
-      const std::uint64_t sa = ops::sign_bit(slots_[pipe.a].width);
-      const std::uint64_t sb = ops::sign_bit(slots_[pipe.b].width);
+      // The sample lands in the slot before the lane's head.
+      auto slot = [&](std::size_t lane) {
+        const std::uint32_t head = pipe.heads[lane];
+        return (head == 0 ? pipe.latency : head) - 1;
+      };
       if constexpr (kFourState) {
-        std::uint64_t* sample_unknown = pipe.ring_x.data() + slot * lanes_;
-        for_each_active([&](std::size_t lane) {
+        for_each_moving([&](std::size_t lane) {
           ops::XBits value =
               ops::eval_binop_x(pipe.binop, get_xbits(pipe.a, lane),
                                 get_xbits(pipe.b, lane), pipe.width);
-          sample[lane] = value.v;
-          sample_unknown[lane] = value.x;
+          pipe.ring[slot(lane) * lanes_ + lane] = value.v;
+          pipe.ring_x[slot(lane) * lanes_ + lane] = value.x;
         });
         continue;
       }
+      const std::uint64_t mask = Bits::mask(pipe.width);
+      const std::uint64_t sa = ops::sign_bit(slots_[pipe.a].width);
+      const std::uint64_t sb = ops::sign_bit(slots_[pipe.b].width);
       ops::visit_binop(pipe.binop, [&](auto fn) {
-        for_each_active([&](std::size_t lane) {
-          sample[lane] = fn(get(pipe.a, lane), get(pipe.b, lane), sa, sb) &
-                         mask;
+        for_each_moving([&](std::size_t lane) {
+          pipe.ring[slot(lane) * lanes_ + lane] =
+              fn(get(pipe.a, lane), get(pipe.b, lane), sa, sb) & mask;
         });
       });
     }
     mem_writes_.clear();
     mask_writes_.clear();
-    for (const WriteOp& write : writes_) {
+    for (std::size_t port = 0; port < writes_.size(); ++port) {
+      const WriteOp& write = writes_[port];
       if constexpr (kFourState) {
-        sample_write_x(write, 1 + resolved_.states.size() +
-                                  3 * (&write - writes_.data()));
+        sample_write_x(port, 1 + resolved_.states.size() + 3 * port);
         continue;
       }
       for_each_lane(
-          [&](std::size_t w) { return active_where(write.we, w); },
+          [&](std::size_t w) { return moving_where(write.we, w); },
           [&](std::size_t lane) {
             std::uint64_t address = get(write.addr, lane);
             mem::MemoryImage* image = mem_images_[write.mem][lane];
             if (address >= image->depth()) {
-              beyond_depth(write, lane, address);
+              fault(port, lane, address);
+              return;
             }
             mem_writes_.push_back({image, lane, address,
                                    get(write.din, lane)});
           });
     }
-    // Each state's lanes take its first transition whose guard holds,
+    // The lanes take the state's first transition whose guard holds,
     // evaluated a packed word of lanes at a time.  The lanes that take
     // one drive the controls it changes (no guard reads a control:
-    // validate rejects a status wire that is one) and regroup under its
-    // target, so the grouping is ready for the sweep and the next edge.
+    // validate rejects a status wire that is one) and move to its
+    // target, joining any lanes waiting there, so the grouping is ready
+    // for the sweep and the next edge.
     ++generation_;
-    for (std::size_t s : occupied_) {
-      const ir::StateSlots& current = resolved_.states[s];
-      const StateSlice& slice = slices_.states[s];
-      for (std::size_t w = 0; w < words_; ++w) {
-        std::uint64_t rest = std::exchange(state_lanes_[s * words_ + w], 0);
-        for (std::size_t t = 0; t < current.transitions.size() && rest != 0;
-             ++t) {
-          const ir::TransitionSlots& transition = current.transitions[t];
-          std::uint64_t taken = rest;
-          for (const auto& [status, expected] : transition.literals) {
-            if constexpr (kFourState) {
-              // An X literal fails the transition for its lane.
-              std::uint64_t unknown = taken & unknown_where(status, w);
-              for_each_bit(unknown, w * 64, [&](std::size_t lane) {
-                if (first_hit(lane, 1 + s)) {
-                  finding(lane, config_.fsm.states[s].name,
-                          "FSM guard reads X status (uninitialized value "
-                          "steers the state machine)");
-                }
-              });
-              taken &= ~unknown;
-            }
-            std::uint64_t high = active_where(status, w);
-            taken &= expected ? high : ~high;
+    entered_.clear();
+    const ir::StateSlots& current = resolved_.states[s];
+    const StateSlice& slice = slices_.states[s];
+    for (std::size_t w = 0; w < words_; ++w) {
+      std::uint64_t rest = std::exchange(state_lanes_[s * words_ + w], 0);
+      for (std::size_t t = 0; t < current.transitions.size() && rest != 0;
+           ++t) {
+        const ir::TransitionSlots& transition = current.transitions[t];
+        std::uint64_t taken = rest;
+        for (const auto& [status, expected] : transition.literals) {
+          if constexpr (kFourState) {
+            // An X literal fails the transition for its lane.
+            std::uint64_t unknown = taken & unknown_where(status, w);
+            for_each_bit(unknown, w * 64, [&](std::size_t lane) {
+              if (first_hit(lane, 1 + s)) {
+                finding(lane, config_.fsm.states[s].name,
+                        "FSM guard reads X status (uninitialized value "
+                        "steers the state machine)");
+              }
+            });
+            taken &= ~unknown;
           }
-          if (taken == 0) {
-            continue;
-          }
-          rest &= ~taken;
-          drive(slice.changes[t], w, taken);
-          place(transition.target, w, taken);
-          std::uint64_t* counts = taken_.data() + transition_base_[s] + t;
-          for_each_bit(taken, w * 64, [&](std::size_t lane) {
-            ++counts[lane * transitions_];
-          });
+          std::uint64_t high = moving_where(status, w);
+          taken &= expected ? high : ~high;
         }
-        place(s, w, rest);
+        if (taken == 0) {
+          continue;
+        }
+        rest &= ~taken;
+        drive(slice.changes[t], w, taken);
+        enter(transition.target, w, taken);
+        std::uint64_t* counts = taken_.data() + transition_base_[s] + t;
+        for_each_bit(taken, w * 64, [&](std::size_t lane) {
+          ++counts[lane * transitions_];
+        });
+      }
+      enter(s, w, rest);
+    }
+    if (placed_[s] != generation_) {
+      vacate(s);
+    }
+    for (std::size_t t : entered_) {
+      if (listed_[t] == 0) {
+        listed_[t] = 1;
+        occupied_.push_back(t);
       }
     }
-    occupied_.swap(next_occupied_);
-    next_occupied_.clear();
-    state_lanes_.swap(next_lanes_);
     for (std::size_t r : loaded_) {
       const RegOp& reg = registers_[r];
       const std::uint64_t* next = reg_next_.data() + reg.next;
@@ -1119,18 +1204,18 @@ class BatchedSim {
         }
         commit_lanes(reg.q, load, next);
       }
-      std::fill(load, load + words_, 0);
-      pending_[r] = 0;
     }
     loaded_.clear();
     for (PipeOp& pipe : pipelined_) {
-      if constexpr (kFourState) {
-        put_x_lanes(pipe.out, active_.data(),
-                    pipe.ring_x.data() + pipe.head * lanes_);
-      }
-      commit_lanes(pipe.out, active_.data(),
-                   pipe.ring.data() + pipe.head * lanes_);
-      pipe.head = (pipe.head + 1) % pipe.latency;
+      for_each_moving([&](std::size_t lane) {
+        std::uint32_t& head = pipe.heads[lane];
+        const std::size_t at = head * lanes_ + lane;
+        if constexpr (kFourState) {
+          put_x(pipe.out, lane, pipe.ring_x[at]);
+        }
+        commit(pipe.out, lane, pipe.ring[at]);
+        head = head + 1 == pipe.latency ? 0 : head + 1;
+      });
     }
     for (const MemWrite& write : mem_writes_) {
       write.image->write(write.address, write.data);
@@ -1141,13 +1226,26 @@ class BatchedSim {
     }
   }
 
+  /// Records an out-of-range write of `lane` at write port `port`.  A
+  /// batch names the fault with the smallest (lane cycle, port, lane):
+  /// in lanes that never diverge, the first port and lane to fault at
+  /// the earliest cycle, as a lockstep sweep would meet them.
+  void fault(std::size_t port, std::size_t lane, std::uint64_t address) {
+    const Fault candidate{lane_cycle(lane), port, lane, address};
+    if (!fault_ || std::tie(candidate.cycle, candidate.port, candidate.lane) <
+                       std::tie(fault_->cycle, fault_->port, fault_->lane)) {
+      fault_ = candidate;
+    }
+  }
+
   /// A write beyond a memory's depth is a SimError in every mode.
-  [[noreturn]] void beyond_depth(const WriteOp& write, std::size_t lane,
-                                 std::uint64_t address) const {
-    throw util::SimError("batched: sram '" + write.name + "' lane " +
-                         std::to_string(lane) + " write to address " +
-                         std::to_string(address) + " beyond depth " +
-                         std::to_string(mem_images_[write.mem][lane]->depth()));
+  [[noreturn]] void beyond_depth(const Fault& fault) const {
+    const WriteOp& write = writes_[fault.port];
+    throw util::SimError(
+        "batched: sram '" + write.name + "' lane " +
+        std::to_string(fault.lane) + " write to address " +
+        std::to_string(fault.address) + " beyond depth " +
+        std::to_string(mem_images_[write.mem][fault.lane]->depth()));
   }
 
   /// A 4-state register's next value in a loading lane: an X reset, or
@@ -1169,12 +1267,13 @@ class BatchedSim {
     return get_xbits(reg.d, lane);
   }
 
-  /// Samples one write port in 4-state mode.  An X enable or address
+  /// Samples write port `port` in 4-state mode.  An X enable or address
   /// drops the write with a finding; X data is written, with a finding.
-  void sample_write_x(const WriteOp& write, std::size_t site) {
+  void sample_write_x(std::size_t port, std::size_t site) {
+    const WriteOp& write = writes_[port];
     for_each_lane(
         [&](std::size_t w) {
-          return active_where(write.we, w) | unknown_where(write.we, w);
+          return moving_where(write.we, w) | unknown_where(write.we, w);
         },
         [&](std::size_t lane) {
           if (get_x(write.we, lane) != 0) {
@@ -1196,7 +1295,8 @@ class BatchedSim {
           }
           mem::MemoryImage* image = mem_images_[write.mem][lane];
           if (address.v >= image->depth()) {
-            beyond_depth(write, lane, address.v);
+            fault(port, lane, address.v);
+            return;
           }
           ops::XBits data = get_xbits(write.din, lane);
           if (data.has_x() && first_hit(lane, site + 2)) {
@@ -1210,12 +1310,11 @@ class BatchedSim {
         });
   }
 
-  /// Snapshots one finished lane.  All lanes share the cycle counter and
-  /// advanced in lockstep from cycle zero, so `cycle_` at finish time IS
-  /// this lane's cycle count, and the levelized per-lane stats are exact
-  /// closed forms of it.
+  /// Snapshots one finished lane.  The levelized per-lane stats are
+  /// exact closed forms of its cycle count.
   void finish(sim::EnginePartition& result, std::size_t lane,
               sim::Kernel::StopReason reason) {
+    const std::uint64_t cycles = lane_cycle(lane);
     // The lane's transition counts give its coverage (each taken
     // transition visits its target) and its control events (each one
     // changes the controls it lists; power-up drives the initial ones).
@@ -1236,25 +1335,42 @@ class BatchedSim {
       }
     }
     result.reason = reason;
-    result.cycles = cycle_;
+    result.cycles = cycles;
     result.stats.events = events_[lane] + word_events_[lane / 64] + drives;
-    result.stats.delta_cycles = cycle_ + 1;
+    result.stats.delta_cycles = cycles + 1;
     result.stats.evaluations =
-        (cycle_ + 1) * comb_units_ +
-        cycle_ * (registers_.size() + pipelined_.size() + writes_.size());
-    result.stats.timesteps = cycle_ + 1;
-    result.stats.end_time = cycle_ * ops::ClockGen::kDefaultPeriod;
+        (cycles + 1) * comb_units_ +
+        cycles * (registers_.size() + pipelined_.size() + writes_.size());
+    result.stats.timesteps = cycles + 1;
+    result.stats.end_time = cycles * ops::ClockGen::kDefaultPeriod;
     for (std::size_t t = 0; t < trace_names_.size(); ++t) {
       result.finals.emplace(trace_names_[t], get(trace_index_[t], lane));
       result.traces[trace_names_[t]] = std::move(lane_traces_[lane][t]);
     }
     result.coverage = coverage_from_counts(config_.fsm, visits, taken);
+    retire(lane);
+  }
+
+  /// Takes `lane` out of the batch, and its state off the occupied list
+  /// if no other lane is in it.
+  void retire(std::size_t lane) {
+    const std::size_t w = lane / 64;
     const std::uint64_t bit = 1ull << (lane % 64);
-    active_[lane / 64] &= ~bit;
-    for (std::size_t s : occupied_) {
-      state_lanes_[s * words_ + lane / 64] &= ~bit;
-    }
+    active_[w] &= ~bit;
+    moving_[w] &= ~bit;
     --active_count_;
+    for (std::size_t s : occupied_) {
+      std::uint64_t* lanes = state_lanes_.data() + s * words_;
+      if ((lanes[w] & bit) == 0) {
+        continue;
+      }
+      lanes[w] &= ~bit;
+      if (std::all_of(lanes, lanes + words_,
+                      [](std::uint64_t word) { return word == 0; })) {
+        vacate(s);
+      }
+      return;
+    }
   }
 
   const ir::Configuration& config_;
@@ -1287,22 +1403,28 @@ class BatchedSim {
   std::vector<std::uint64_t> reg_next_;
   std::vector<std::uint64_t> reg_next_x_;  ///< 4-state: reg_next_'s masks
   std::vector<std::uint64_t> reg_load_;
-  std::vector<std::size_t> loaded_;   ///< registers loading this edge
-  std::vector<std::uint8_t> pending_;  ///< r is in loaded_
+  std::vector<std::size_t> loaded_;  ///< registers loading this edge
   std::vector<MemWrite> mem_writes_;
   std::vector<MaskWrite> mask_writes_;  ///< 4-state: mem_writes_'s masks
   std::size_t depth_ = 0;
   /// The active lanes grouped by state: `occupied_` lists the states some
-  /// active lane is in, `state_lanes_` holds each state's lane mask.  The
-  /// FSM step builds the next grouping in `next_lanes_` and
-  /// `next_occupied_`, stamping each state it lists with `generation_`.
+  /// active lane is in (`listed_` marks them), `state_lanes_` holds each
+  /// state's lane mask.  `moving_` holds the lanes advancing at the
+  /// current edge and `entered_` the states they are in after it; the
+  /// FSM step stamps each state it lists there with `generation_`.
   std::vector<std::uint64_t> state_lanes_;
   std::vector<std::size_t> occupied_;
-  std::vector<std::uint64_t> next_lanes_;
-  std::vector<std::size_t> next_occupied_;
+  std::vector<std::uint8_t> listed_;
+  std::vector<std::uint64_t> moving_;
+  std::size_t moving_count_ = 0;
+  std::vector<std::size_t> entered_;
   std::vector<std::uint64_t> placed_;
   std::uint64_t generation_ = 0;
-  std::vector<std::uint64_t> occupied_set_;  ///< occupied_ as a state set
+  std::vector<std::uint64_t> entered_set_;  ///< entered_ as a state set
+  /// Per lane, the edges of the batch it waited through.
+  std::vector<std::uint64_t> waited_;
+  /// The earliest out-of-range write seen so far (see fault()).
+  std::optional<Fault> fault_;
   /// Per lane, how often it took each transition: transitions_ counts,
   /// state s's from transition_base_[s] on.
   std::vector<std::uint64_t> taken_;

@@ -18,12 +18,20 @@
 // rely on):
 //  * lanes never interact: lane k's results are a pure function of lane
 //    k's memory pool contents;
-//  * lanes run in lockstep against one shared cycle counter, but a lane
-//    that raises done freezes (registers, memories, FSM) while the rest
-//    continue, so per-lane cycle counts and stop reasons match
-//    independent runs;
+//  * each lane counts its own cycles.  At each edge only the lanes in
+//    one FSM state advance: of the states the active lanes occupy, the
+//    first in a weak topological order of the FSM (slices.hpp), so lanes
+//    that ran ahead of a loop or a branch arm wait, frozen (registers,
+//    memories, pipelines, FSM), until the rest join them.  A lane that
+//    raises done or runs out of budget freezes for good.  Per-lane
+//    cycles, stop reasons, finals, traces, events, coverage, 4-state
+//    findings and memories match independent runs; lanes that never
+//    diverge all advance at every edge;
 //  * a SimError raised by any lane (out-of-range memory write) aborts
-//    the whole batch.
+//    the whole batch.  The error names the fault with the smallest
+//    (lane cycle, write port, lane index) -- the lane a lockstep sweep
+//    would have met first -- so lanes that waited are run on until none
+//    can fault at an earlier cycle of its own.
 //
 // 4-state mode (run_four_state_lanes, behind xsim::run_four_state) is
 // the same sweep, instantiated with an unknown-mask plane beside every

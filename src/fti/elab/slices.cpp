@@ -9,6 +9,100 @@ namespace fti::elab {
 
 using ir::kNone;
 
+namespace {
+
+/// Bourdoncle's recursive strategy, with the recursion on an explicit
+/// stack so a long FSM cannot exhaust the thread's.  visit(v) numbers v
+/// and returns the lowest number reachable through unfinished states; a
+/// state whose own number comes back heads a loop, whose other states
+/// are renumbered and laid out after it (component(v)).  Each finished
+/// state or loop is put before what its partition already holds, so a
+/// partition is kept reversed and read backwards at the end.
+std::vector<std::uint32_t> weak_topological_order(
+    const ir::ConfigSlots& slots) {
+  const std::size_t count = slots.states.size();
+  constexpr std::uint32_t kFinished = std::numeric_limits<std::uint32_t>::max();
+  std::vector<std::uint32_t> number(count, 0);  // 0: not visited yet
+  std::uint32_t numbered = 0;
+  std::vector<std::uint32_t> pending;  // the states of unfinished visits
+  struct Frame {
+    std::uint32_t state;
+    bool component;         ///< component(state), else visit(state)
+    std::size_t next = 0;   ///< the next transition to follow
+    std::uint32_t head = 0;  ///< visit: the lowest number reached
+    bool loop = false;      ///< visit: a transition closed a loop
+  };
+  std::vector<Frame> frames;
+  std::vector<std::vector<std::uint32_t>> partitions(1);
+  auto visit = [&](std::size_t state) {
+    pending.push_back(static_cast<std::uint32_t>(state));
+    number[state] = ++numbered;
+    frames.push_back({static_cast<std::uint32_t>(state), false, 0, numbered});
+  };
+  visit(slots.initial);
+  while (!frames.empty()) {
+    Frame& frame = frames.back();
+    const std::vector<ir::TransitionSlots>& transitions =
+        slots.states[frame.state].transitions;
+    if (frame.next < transitions.size()) {
+      const std::size_t target = transitions[frame.next++].target;
+      if (number[target] == 0) {
+        visit(target);  // its head is folded in when it finishes
+      } else if (!frame.component && number[target] <= frame.head) {
+        frame.head = number[target];
+        frame.loop = true;
+      }
+      continue;
+    }
+    const Frame done = frame;
+    frames.pop_back();
+    if (done.component) {
+      std::vector<std::uint32_t> inner = std::move(partitions.back());
+      partitions.pop_back();
+      partitions.back().insert(partitions.back().end(), inner.begin(),
+                               inner.end());
+      partitions.back().push_back(done.state);
+      continue;
+    }
+    if (!frames.empty() && !frames.back().component &&
+        done.head <= frames.back().head) {
+      frames.back().head = done.head;
+      frames.back().loop = true;
+    }
+    if (done.head != number[done.state]) {
+      continue;  // part of a loop headed further up
+    }
+    number[done.state] = kFinished;
+    std::uint32_t element = pending.back();
+    pending.pop_back();
+    if (!done.loop) {
+      partitions.back().push_back(done.state);
+      continue;
+    }
+    while (element != done.state) {
+      number[element] = 0;
+      element = pending.back();
+      pending.pop_back();
+    }
+    partitions.emplace_back();
+    frames.push_back({done.state, true});
+  }
+  std::vector<std::uint32_t> order(count, kFinished);
+  std::uint32_t position = 0;
+  for (auto it = partitions.front().rbegin(); it != partitions.front().rend();
+       ++it) {
+    order[*it] = position++;
+  }
+  for (std::uint32_t& place : order) {
+    if (place == kFinished) {
+      place = position++;
+    }
+  }
+  return order;
+}
+
+}  // namespace
+
 StateSlices build_state_slices(const ir::Configuration& config,
                                const ir::ConfigSlots& slots,
                                const LevelizedSchedule& schedule) {
@@ -33,6 +127,7 @@ StateSlices build_state_slices(const ir::Configuration& config,
   }
   slices.ops = ops.size();
   slices.op_states.assign(ops.size() * slices.state_words, 0);
+  slices.order = weak_topological_order(slots);
 
   // Each state's value of every control, per wire: all listings of a
   // wire carry the same value, so the first one speaks for it.

@@ -25,6 +25,16 @@
 // cycle reads first, then those only traces and finals observe (the
 // enables of control-gated registers, which the edge looks up by
 // state instead).
+//
+// It also orders the states for a batch whose lanes diverge: the
+// batched engine advances only the lanes of the occupied state that
+// comes first in a weak topological order of the FSM (Bourdoncle,
+// "Efficient chaotic iteration strategies with widenings", 1993), in
+// which a loop's states follow its head and precede its exits, and the
+// arms of a branch precede their join.  Lanes that run ahead wait where
+// the others will arrive, so the batch reconverges and one sweep serves
+// them all.  The state index will not do: HLS allocates a branch's join
+// and a loop's exit before their bodies.
 // CheckedDesign::slices builds one per configuration, once.
 #pragma once
 
@@ -77,6 +87,10 @@ struct StateSlices {
   std::size_t state_words = 0;
   /// Per op, the set of states whose slice holds it (state_words words).
   std::vector<std::uint64_t> op_states;
+  /// Per state, its position in a weak topological order of the FSM
+  /// from the initial state; states the initial one cannot reach come
+  /// last, in index order.
+  std::vector<std::uint32_t> order;
 };
 
 /// Builds the slices of `config`, which must have passed validate;

@@ -5,9 +5,13 @@
 // finals, traces, memories and coverage, at lane counts that span a
 // single word, a full word and a one-bit tail word.  The workloads
 // cover a lockstep design (FDCT1), divergent lanes (Hamming, whose
-// correction branch depends on each lane's codewords) and an FSM of
-// more than 64 states whose lanes diverge (so a state set spans two
-// words).  The slice tables and the handle's memos are pinned too.
+// correction branch depends on each lane's codewords), an FSM of more
+// than 64 states whose lanes diverge (so a state set spans two words),
+// and branch arms that both hold data-dependent loops, so diverged
+// lanes wait while the other arm's lanes run (also with a pipelined
+// multiplier, whose lanes then sample at different cycles).  Budgets,
+// 4-state finding cycles, the fault a batch names, the weak
+// topological order and the slice tables and memos are pinned too.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -77,6 +81,30 @@ std::string branchy_source() {
   return source;
 }
 
+/// Both arms of a data-dependent branch hold a loop whose trip count
+/// depends on the lane's data, so lanes in one arm wait for the other.
+std::string arms_source() {
+  return "kernel arms(int a[8], int b[8], int n) {\n"
+         "  int i;\n"
+         "  for (i = 0; i < n; i = i + 1) {\n"
+         "    int x = a[i];\n"
+         "    int c = 1;\n"
+         "    if (x > 100) {\n"
+         "      while (x > 100) {\n"
+         "        x = x - 37;\n"
+         "        c = c * 3;\n"
+         "      }\n"
+         "    } else {\n"
+         "      while (x > 0) {\n"
+         "        x = x - 13;\n"
+         "        c = c * 5 + x;\n"
+         "      }\n"
+         "    }\n"
+         "    b[i] = c;\n"
+         "  }\n"
+         "}\n";
+}
+
 struct Workload {
   std::string source;
   std::map<std::string, std::int64_t> args;
@@ -84,6 +112,8 @@ struct Workload {
   std::function<std::map<std::string, std::vector<std::uint64_t>>(
       std::size_t lane)>
       inputs;
+  /// Pipeline latencies per FU class (none: combinational).
+  std::map<std::string, unsigned> latencies = {};
 };
 
 Workload workload(const std::string& name) {
@@ -101,13 +131,20 @@ Workload workload(const std::string& name) {
                   {"code", golden::make_codewords(16, lane + 1, lane % 4)}};
             }};
   }
-  return {branchy_source(), {{"n", 8}}, [](std::size_t lane) {
-            std::vector<std::uint64_t> a(8);
-            for (std::size_t i = 0; i < 8; ++i) {
-              a[i] = (lane * 53 + i * 71) % 200;
-            }
-            return std::map<std::string, std::vector<std::uint64_t>>{{"a", a}};
-          }};
+  auto values = [](std::size_t lane) {
+    std::vector<std::uint64_t> a(8);
+    for (std::size_t i = 0; i < 8; ++i) {
+      a[i] = (lane * 53 + i * 71) % 200;
+    }
+    return std::map<std::string, std::vector<std::uint64_t>>{{"a", a}};
+  };
+  if (name == "arms") {
+    return {arms_source(), {{"n", 8}}, values};
+  }
+  if (name == "arms_piped") {
+    return {arms_source(), {{"n", 8}}, values, {{"mul", 2}}};
+  }
+  return {branchy_source(), {{"n", 8}}, values};
 }
 
 /// Creates every array parameter of `source` in `pool` and loads the
@@ -128,6 +165,7 @@ void prime(mem::MemoryPool& pool, const Workload& work, std::size_t lane) {
 ir::Design compile(const Workload& work) {
   compiler::CompileOptions options;
   options.scalar_args = work.args;
+  options.resources.latencies = work.latencies;
   return compiler::compile_source(work.source, options).design;
 }
 
@@ -146,6 +184,18 @@ void expect_same_coverage(const sim::FsmCoverage& got,
         << where << " transition " << want.transitions[t].from << " -> "
         << want.transitions[t].to;
   }
+}
+
+/// One lane's partition against the reference's: everything a lane
+/// reports but the event counts the reference defines differently.
+void expect_same_partition(const sim::EnginePartition& got,
+                           const sim::EnginePartition& want,
+                           const std::string& where) {
+  EXPECT_EQ(got.cycles, want.cycles) << where;
+  EXPECT_EQ(got.reason, want.reason) << where;
+  EXPECT_EQ(got.finals, want.finals) << where;
+  EXPECT_EQ(got.traces, want.traces) << where;
+  expect_same_coverage(got.coverage, want.coverage, where);
 }
 
 struct ParityCase {
@@ -167,7 +217,12 @@ INSTANTIATE_TEST_SUITE_P(
                       ParityCase{"hamming", 1}, ParityCase{"hamming", 8},
                       ParityCase{"hamming", 64}, ParityCase{"hamming", 65},
                       ParityCase{"branchy", 1}, ParityCase{"branchy", 8},
-                      ParityCase{"branchy", 64}, ParityCase{"branchy", 65}),
+                      ParityCase{"branchy", 64}, ParityCase{"branchy", 65},
+                      ParityCase{"arms", 1}, ParityCase{"arms", 8},
+                      ParityCase{"arms", 64}, ParityCase{"arms", 65},
+                      ParityCase{"arms_piped", 1}, ParityCase{"arms_piped", 8},
+                      ParityCase{"arms_piped", 64},
+                      ParityCase{"arms_piped", 65}),
     case_name);
 
 /// One independent reference run per lane, the oracle of every check.
@@ -470,6 +525,98 @@ ir::Design pipelined_operand_design() {
   return ir::make_single_design("piped", {std::move(dp), std::move(fsm)});
 }
 
+/// A free-running tick feeds a latency-2 unit (tick * 3 + 1) on every
+/// edge.  Each lane counts q up to the limit in its memory `lim`, then
+/// passes one idle state before `take` samples the unit's output, so
+/// lanes with lower limits wait in `idle` with products in flight, and
+/// must resume with the ring slot of their own cycle count.
+ir::Design waiting_pipeline_design() {
+  ir::Datapath dp;
+  dp.name = "waits";
+  dp.wires = {{"q", 8},   {"tick", 8}, {"k0", 8},  {"k1", 8},   {"k3", 8},
+              {"lim", 8}, {"inc", 8},  {"next", 8}, {"t", 8},   {"p", 8},
+              {"r", 8},   {"lt", 1},   {"c_en", 1}, {"c_s", 1}, {"done", 1}};
+  dp.control_wires = {"c_en", "c_s", "done"};
+  dp.status_wires = {"lt"};
+  dp.memories = {{"lim", 1, 8, {}}};
+  auto add = [&dp](const char* name, ir::UnitKind kind,
+                   std::map<std::string, std::string, std::less<>> ports) {
+    ir::Unit& unit = dp.units.emplace_back();
+    unit.name = name;
+    unit.kind = kind;
+    unit.width = 8;
+    unit.ports = std::move(ports);
+    return &unit;
+  };
+  add("c0", ir::UnitKind::kConst, {{"out", "k0"}})->value = 0;
+  add("c1", ir::UnitKind::kConst, {{"out", "k1"}})->value = 1;
+  add("c3", ir::UnitKind::kConst, {{"out", "k3"}})->value = 3;
+  ir::Unit* read =
+      add("rd", ir::UnitKind::kMemPort, {{"addr", "k0"}, {"dout", "lim"}});
+  read->memory = "lim";
+  read->mem_mode = ir::MemMode::kRead;
+  add("add", ir::UnitKind::kBinOp, {{"a", "q"}, {"b", "k1"}, {"out", "inc"}});
+  add("step", ir::UnitKind::kBinOp,
+      {{"a", "tick"}, {"b", "k1"}, {"out", "next"}});
+  add("mul", ir::UnitKind::kBinOp, {{"a", "tick"}, {"b", "k3"}, {"out", "t"}})
+      ->binop = ops::BinOp::kMul;
+  add("pipe", ir::UnitKind::kBinOp, {{"a", "t"}, {"b", "k1"}, {"out", "p"}})
+      ->latency = 2;
+  add("cmp", ir::UnitKind::kBinOp, {{"a", "q"}, {"b", "lim"}, {"out", "lt"}})
+      ->binop = ops::BinOp::kLtu;
+  add("count", ir::UnitKind::kRegister,
+      {{"d", "inc"}, {"q", "q"}, {"en", "c_en"}});
+  add("ticker", ir::UnitKind::kRegister, {{"d", "next"}, {"q", "tick"}});
+  add("sample", ir::UnitKind::kRegister,
+      {{"d", "p"}, {"q", "r"}, {"en", "c_s"}});
+
+  ir::Fsm fsm;
+  fsm.name = "waits_fsm";
+  fsm.initial = "run";
+  fsm.done_wire = "done";
+  const ir::Guard always = ir::parse_guard("1");
+  fsm.states = {{"run", {{"c_en", 1}}, {{ir::parse_guard("!lt"), "idle"}}},
+                {"idle", {}, {{always, "take"}}},
+                {"take", {{"c_s", 1}}, {{always, "halt"}}},
+                {"halt", {{"done", 1}}, {}}};
+  return ir::make_single_design("waits", {std::move(dp), std::move(fsm)});
+}
+
+TEST(Reconvergence, PipelineRingFollowsEachLanesOwnCycles) {
+  const ir::Design design = waiting_pipeline_design();
+  const elab::CheckedDesign checked(design);
+  sim::EngineRunOptions options;
+  options.collect_wire_data = true;
+  options.max_cycles_per_partition = 200;
+  auto prime_lim = [](mem::MemoryPool& pool, std::size_t lane) {
+    pool.create("lim", 1, 8).write(0, 2 + lane % 7);
+  };
+  std::vector<sim::EngineResult> want;
+  for (std::size_t lane = 0; lane < 65; ++lane) {
+    mem::MemoryPool pool;
+    prime_lim(pool, lane);
+    want.push_back(fuzz::ReferenceEngine().run(design, pool, options));
+    ASSERT_TRUE(want.back().completed);
+  }
+  EXPECT_NE(want[0].partitions.at(0).finals.at("r"),
+            want[1].partitions.at(0).finals.at("r"));
+  for (std::size_t lanes : {1u, 8u, 64u, 65u}) {
+    std::deque<mem::MemoryPool> pools(lanes);
+    std::vector<mem::MemoryPool*> ptrs;
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      prime_lim(pools[lane], lane);
+      ptrs.push_back(&pools[lane]);
+    }
+    const std::vector<sim::EngineResult> runs =
+        elab::make_engine("batched")->run_batch(checked, ptrs, options);
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      expect_same_partition(
+          runs[lane].partitions.at(0), want[lane].partitions.at(0),
+          std::to_string(lanes) + " lanes, lane " + std::to_string(lane));
+    }
+  }
+}
+
 TEST(StateSlices, PipelinedOperandsStayInEverySlice) {
   const sim::EngineResult want =
       expect_lanes_match_reference(pipelined_operand_design());
@@ -605,6 +752,267 @@ TEST(CheckedDesign, WarmHitBuildsNoSlicesOrSlots) {
   EXPECT_TRUE(warm.passed) << warm.message;
   EXPECT_EQ(slices.value(), slices_before);
   EXPECT_EQ(resolutions.value(), resolutions_before);
+}
+
+/// Primes `lanes` pools of `work` and returns pointers to them.
+std::vector<mem::MemoryPool*> primed(std::deque<mem::MemoryPool>& pools,
+                                     const Workload& work, std::size_t lanes) {
+  pools.resize(lanes);
+  std::vector<mem::MemoryPool*> ptrs;
+  for (std::size_t lane = 0; lane < lanes; ++lane) {
+    prime(pools[lane], work, lane);
+    ptrs.push_back(&pools[lane]);
+  }
+  return ptrs;
+}
+
+TEST(Reconvergence, PipelinedWorkloadHasALatencyTwoUnit) {
+  const ir::Design design = compile(workload("arms_piped"));
+  bool piped = false;
+  for (const auto& [node, config] : design.configurations) {
+    for (const ir::Unit& unit : config.datapath.units) {
+      piped = piped || unit.latency >= 2;
+    }
+  }
+  EXPECT_TRUE(piped);
+}
+
+/// A data-dependent inner loop: lane 0 spins in it far past the budget,
+/// the others leave it and then wait behind lane 0 (the loop comes
+/// before the store in the weak topological order) until its budget
+/// runs out, and only then finish.
+TEST(Reconvergence, BudgetRunsOutInAnEarlyLoopWhileOthersFinish) {
+  const Workload work{
+      "kernel spin(int a[4], int b[4], int n) {\n"
+      "  int i;\n"
+      "  for (i = 0; i < n; i = i + 1) {\n"
+      "    int v = a[i];\n"
+      "    int c = 0;\n"
+      "    while (v > 0) {\n"
+      "      v = v - 1;\n"
+      "      c = c + 1;\n"
+      "    }\n"
+      "    b[i] = c;\n"
+      "  }\n"
+      "}\n",
+      {{"n", 4}},
+      [](std::size_t lane) {
+        std::vector<std::uint64_t> a = {lane == 0 ? 1'000'000u : 5 + lane % 7,
+                                        3, 1 + lane % 5, 2};
+        return std::map<std::string, std::vector<std::uint64_t>>{{"a", a}};
+      }};
+  const ir::Design design = compile(work);
+  const elab::CheckedDesign checked(design);
+  sim::EngineRunOptions options;
+  options.collect_wire_data = true;
+  options.max_cycles_per_partition = 2'000;
+  const ReferenceRuns reference = run_reference(design, work, 65, options);
+  EXPECT_EQ(reference.runs[0].partitions.at(0).reason,
+            sim::Kernel::StopReason::kMaxTime);
+  EXPECT_EQ(reference.runs[1].partitions.at(0).reason,
+            sim::Kernel::StopReason::kDoneNet);
+  for (std::size_t lanes : {1u, 8u, 64u, 65u}) {
+    std::deque<mem::MemoryPool> pools;
+    std::vector<sim::EngineResult> runs = elab::make_engine("batched")->run_batch(
+        checked, primed(pools, work, lanes), options);
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      const std::string where =
+          std::to_string(lanes) + " lanes, lane " + std::to_string(lane);
+      ASSERT_EQ(runs[lane].completed, reference.runs[lane].completed) << where;
+      expect_same_partition(runs[lane].partitions.at(0),
+                            reference.runs[lane].partitions.at(0), where);
+      EXPECT_EQ(pools[lane].get("b").words(),
+                reference.pools[lane].get("b").words())
+          << where;
+    }
+  }
+}
+
+/// Each lane's 4-state findings, with their cycles, match the lane run
+/// alone: `u` is never primed, so it reads X, and the first store of X
+/// data comes after a loop whose trip count is the lane's own.
+TEST(Reconvergence, FourStateFindingCyclesMatchOneLaneRuns) {
+  const std::string source =
+      "kernel late(int a[4], int u[4], int b[4], int n) {\n"
+      "  int i;\n"
+      "  for (i = 0; i < n; i = i + 1) {\n"
+      "    int v = a[i];\n"
+      "    int c = 0;\n"
+      "    while (v > 0) {\n"
+      "      v = v - 1;\n"
+      "      c = c + 1;\n"
+      "    }\n"
+      "    b[i] = c + u[i];\n"
+      "  }\n"
+      "}\n";
+  compiler::CompileOptions compile_options;
+  compile_options.scalar_args = {{"n", 4}};
+  const ir::Design design =
+      compiler::compile_source(source, compile_options).design;
+  const elab::CheckedDesign checked(design);
+  auto prime_a = [](mem::MemoryPool& pool, std::size_t lane) {
+    harness::load_inputs(pool, "a",
+                         {1 + lane % 9, 2 + lane % 3, 4, 1 + lane % 2});
+  };
+  elab::FourStateOptions options;
+  options.max_cycles_per_partition = 5'000;
+  std::vector<elab::FourStateLane> alone;
+  for (std::size_t lane = 0; lane < 65; ++lane) {
+    mem::MemoryPool pool;
+    pool.create("a", 4, 32);
+    prime_a(pool, lane);
+    alone.push_back(elab::run_four_state_lanes(checked, {&pool}, options)[0]);
+    ASSERT_FALSE(alone.back().findings.empty()) << "lane " << lane;
+  }
+  EXPECT_NE(alone[0].findings.front().cycle, alone[1].findings.front().cycle)
+      << "the lanes meet the X at different cycles";
+  for (std::size_t lanes : {8u, 64u, 65u}) {
+    std::deque<mem::MemoryPool> pools(lanes);
+    std::vector<mem::MemoryPool*> ptrs;
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      pools[lane].create("a", 4, 32);
+      prime_a(pools[lane], lane);
+      ptrs.push_back(&pools[lane]);
+    }
+    const std::vector<elab::FourStateLane> runs =
+        elab::run_four_state_lanes(checked, ptrs, options);
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      const std::string where =
+          std::to_string(lanes) + " lanes, lane " + std::to_string(lane);
+      EXPECT_EQ(runs[lane].completed, alone[lane].completed) << where;
+      EXPECT_EQ(runs[lane].total_cycles, alone[lane].total_cycles) << where;
+      ASSERT_EQ(runs[lane].findings.size(), alone[lane].findings.size())
+          << where;
+      for (std::size_t f = 0; f < alone[lane].findings.size(); ++f) {
+        const elab::FourStateFinding& got = runs[lane].findings[f];
+        const elab::FourStateFinding& want = alone[lane].findings[f];
+        EXPECT_EQ(got.cycle, want.cycle) << where << ": " << want.message;
+        EXPECT_EQ(got.object, want.object) << where;
+        EXPECT_EQ(got.message, want.message) << where;
+      }
+    }
+  }
+}
+
+/// The write to b lands after a loop of a[0] iterations at address
+/// a[1]; depth 4, so a[1] >= 4 faults.
+std::string batch_abort_message(
+    const std::vector<std::vector<std::uint64_t>>& lanes) {
+  const std::string source =
+      "kernel wild(int a[2], int b[4]) {\n"
+      "  int v = a[0];\n"
+      "  while (v > 0) {\n"
+      "    v = v - 1;\n"
+      "  }\n"
+      "  b[a[1]] = v;\n"
+      "}\n";
+  const ir::Design design =
+      compiler::compile_source(source, compiler::CompileOptions{}).design;
+  std::deque<mem::MemoryPool> pools(lanes.size());
+  std::vector<mem::MemoryPool*> ptrs;
+  for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
+    pools[lane].create("a", 2, 32);
+    pools[lane].create("b", 4, 32);
+    harness::load_inputs(pools[lane], "a", lanes[lane]);
+    ptrs.push_back(&pools[lane]);
+  }
+  try {
+    elab::make_engine("batched")->run_batch(design, ptrs, {});
+  } catch (const util::SimError& error) {
+    return error.what();
+  }
+  return "no fault";
+}
+
+TEST(Reconvergence, BatchAbortNamesTheSmallestLaneCycle) {
+  // Lane 1 faults at an earlier cycle of its own than lane 0, lane 2
+  // writes in range.
+  EXPECT_NE(batch_abort_message({{40, 9}, {3, 6}, {40, 2}})
+                .find("lane 1 write to address 6"),
+            std::string::npos);
+  // The same cycle: the lower lane.
+  EXPECT_NE(batch_abort_message({{3, 9}, {3, 6}})
+                .find("lane 0 write to address 9"),
+            std::string::npos);
+  // A lone faulting lane is named whatever the others do.
+  EXPECT_NE(batch_abort_message({{2, 1}, {7, 3}, {50, 5}})
+                .find("lane 2 write to address 5"),
+            std::string::npos);
+}
+
+/// Lanes that diverge on their codewords reconverge, so the batch sweeps
+/// little more than its slowest lane runs cycles: a counter guard on
+/// the scheduling, free of timing.
+TEST(Reconvergence, DivergedHammingSweepsCloseToItsSlowestLane) {
+  ObsOn obs_on;
+  const Workload work{golden::hamming_source(512), {{"n", 512}},
+                      [](std::size_t lane) {
+                        golden::Rng rng(lane + 1);
+                        return std::map<std::string,
+                                        std::vector<std::uint64_t>>{
+                            {"code", rng.sequence(512, 128)}};
+                      }};
+  const ir::Design design = compile(work);
+  ASSERT_EQ(design.configuration_count(), 1u);
+  const elab::CheckedDesign checked(design);
+  const std::size_t depth = checked.schedule(design.rtg.initial).depth;
+  obs::Counter& levels = obs::counter("engine.levels_swept");
+  obs::Counter& swept = obs::counter("engine.ops_swept");
+  const std::uint64_t before = levels.value();
+  const std::uint64_t ops_before = swept.value();
+  std::deque<mem::MemoryPool> pools;
+  sim::EngineRunOptions options;
+  options.max_cycles_per_partition = 100'000;
+  const std::vector<sim::EngineResult> runs =
+      elab::make_engine("batched")->run_batch(checked,
+                                              primed(pools, work, 8), options);
+  const std::uint64_t sweeps = (levels.value() - before) / depth;
+  const std::uint64_t ops = swept.value() - ops_before;
+  // What the slowest lane sweeps alone: reconverged lanes share slices.
+  std::uint64_t alone = 0;
+  for (std::size_t lane = 0; lane < 8; ++lane) {
+    mem::MemoryPool pool;
+    prime(pool, work, lane);
+    const std::uint64_t start = swept.value();
+    elab::make_engine("levelized")->run(checked, pool, options);
+    alone = std::max(alone, swept.value() - start);
+  }
+  EXPECT_LE(ops * 100, alone * 125)
+      << ops << " ops swept for 8 lanes, " << alone << " for the costliest alone";
+  std::uint64_t slowest = 0;
+  std::uint64_t fastest = ~0ull;
+  std::uint64_t total = 0;
+  for (const sim::EngineResult& run : runs) {
+    ASSERT_TRUE(run.completed);
+    slowest = std::max(slowest, run.total_cycles());
+    fastest = std::min(fastest, run.total_cycles());
+    total += run.total_cycles();
+  }
+  EXPECT_LT(fastest, slowest) << "the lanes diverge";
+  EXPECT_LE(sweeps * 100, slowest * 105)
+      << sweeps << " sweeps for a slowest lane of " << slowest << " cycles";
+  EXPECT_LE(sweeps, total + 1) << "each edge advances at least one lane";
+}
+
+TEST(StateSlices, OrderIsAPermutationStartingAtTheInitialState) {
+  for (const char* name : {"fdct1", "hamming", "branchy", "arms"}) {
+    const ir::Design design = compile(workload(name));
+    const elab::CheckedDesign checked(design);
+    for (const auto& [node, config] : design.configurations) {
+      const elab::StateSlices& slices = checked.slices(node);
+      std::vector<std::uint32_t> order = slices.order;
+      ASSERT_EQ(order.size(), config.fsm.states.size()) << name;
+      EXPECT_EQ(order[checked.slots(node).initial], 0u) << name;
+      std::sort(order.begin(), order.end());
+      for (std::size_t s = 0; s < order.size(); ++s) {
+        EXPECT_EQ(order[s], s) << name;
+      }
+    }
+  }
+  // A chain is ordered as it runs.
+  const ir::Design chain = control_select_design();
+  EXPECT_EQ(elab::CheckedDesign(chain).slices(chain.rtg.initial).order,
+            (std::vector<std::uint32_t>{0, 1, 2, 3, 4}));
 }
 
 }  // namespace

@@ -39,6 +39,7 @@
 //   --rom                  embed the memories into the XML (<init> tables)
 //   --limit CLASS=N        FU resource limit (e.g. --limit mul=1)
 //   --default-limit N      default FU limit (default 2)
+//   --latency CLASS=N      pipelined FU latency (e.g. --latency mul=2)
 //   --engine NAME          execution engine for verify/run/suite
 //                          (default "event"; see `fti engines`)
 //   --lanes N              verify/suite: stimulus lanes per design
@@ -97,7 +98,8 @@ namespace {
       "                     [--check a] [--emit DIR] [--max-cycles N]\n"
       "                     [--vcd FILE] [--save a=F.dat]\n"
       "                     [--limit class=N] [--default-limit N]\n"
-      "                     [--read-ports N] [--engine NAME] [--lanes N]\n"
+      "                     [--latency class=N] [--read-ports N]\n"
+      "                     [--engine NAME] [--lanes N]\n"
       "                     [--xsim] [--4state]\n"
       "       fti translate KERNEL.k [--arg n=V] [--mem a=F.dat] [--rom]\n"
       "                     [--out DIR] [--limit class=N]\n"
@@ -160,6 +162,7 @@ void require_flag_read(const std::string& command, const std::string& arg) {
       {"--save", {"verify", "run"}},
       {"--limit", {"verify", "translate"}},
       {"--default-limit", {"verify", "translate"}},
+      {"--latency", {"verify", "translate"}},
       {"--read-ports", {"verify", "translate"}},
       {"--json", {"suite"}},
       {"--xsim", {"verify", "suite"}},
@@ -238,6 +241,10 @@ Cli parse_cli(int argc, char** argv) {
       auto [cls, value] = split_kv(need_value(i), "--limit");
       cli.test.resources.limits[cls] =
           fti::util::parse_u32_flag("--limit", value);
+    } else if (flag == "--latency") {
+      auto [cls, value] = split_kv(need_value(i), "--latency");
+      cli.test.resources.latencies[cls] =
+          fti::util::parse_u32_flag("--latency", value);
     } else if (flag == "--default-limit") {
       cli.test.resources.default_limit =
           fti::util::parse_u32_flag("--default-limit", need_value(i));

@@ -13,8 +13,8 @@
 #
 #   tools/unreached.sh [BUILD_DIR]     (default: build-unreached)
 #
-# Builds with two jobs.  Needs GNU ld or gold (--print-gc-sections),
-# nm and c++filt.
+# Builds with two jobs.  Needs GNU ld or gold (--print-gc-sections,
+# -Map), nm and c++filt.
 set -euo pipefail
 
 root=$(cd "$(dirname "$0")/.." && pwd)
@@ -24,7 +24,7 @@ mkdir -p "$build"
 cmake -S "$root" -B "$build" -DCMAKE_BUILD_TYPE=Debug \
   -DCMAKE_CXX_FLAGS_DEBUG="-O0" \
   -DCMAKE_CXX_FLAGS="-ffunction-sections" \
-  -DCMAKE_EXE_LINKER_FLAGS="-Wl,--gc-sections -Wl,--print-gc-sections -Wl,--trace" \
+  -DCMAKE_EXE_LINKER_FLAGS="-Wl,--gc-sections -Wl,--print-gc-sections -Wl,-Map,$build/link.map" \
   > "$build/configure.log"
 
 # The fti_fuzz binary's target is fti_fuzz_tool (the library owns the
@@ -33,11 +33,18 @@ for binary in fti fti_fuzz; do
   target=$binary
   [ "$binary" = fti_fuzz ] && target=fti_fuzz_tool
   # Relink from scratch so the linker prints its whole list again.
-  rm -f "$build/tools/$binary"
+  rm -f "$build/tools/$binary" "$build/link.map"
   cmake --build "$build" --target "$target" -j 2 \
     > "$build/$binary.link.log" 2>&1
-  # Every src/ object the link pulled out of an archive (--trace).
-  grep -o 'libfti_[a-z_]*\.a([a-z_0-9]*\.cpp\.o)' "$build/$binary.link.log" \
+  mv "$build/link.map" "$build/$binary.map"
+  # Every src/ object the link pulled out of an archive: the map's
+  # "Archive member included ..." section names each one at the start
+  # of a line, with the reference that pulled it in after it.
+  awk '/^Archive member included/ { inside = 1; next }
+       /^(Allocating common symbols|Discarded input sections|Memory Configuration)/ { inside = 0 }
+       inside' "$build/$binary.map" \
+    | grep -o '^[^ ]*libfti_[a-z_]*\.a([a-z_0-9]*\.cpp\.o)' \
+    | grep -o 'libfti_[a-z_]*\.a([a-z_0-9]*\.cpp\.o)' \
     | sort -u > "$build/$binary.members" || true
 done
 
